@@ -7,6 +7,7 @@ Luxemburg norms on sampled functions, and verifies the associated
 norm-equivalence properties numerically at desk scale.
 """
 
+from ._version import __version__
 from .catalog import catalog_gradient, list_catalog, sample_catalog
 from .errors import ToolkitError
 from .grid import (
@@ -72,5 +73,3 @@ from .weights import (
     generate_cubes,
     rh_constant,
 )
-
-__version__ = "0.1.0"

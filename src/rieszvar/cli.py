@@ -1,7 +1,6 @@
 """Command-line entry point: ``toolkit <subcommand> --config <path>``."""
 
 import json
-import os
 import sys
 
 import click
@@ -18,13 +17,6 @@ from .varexp import lh_constants, luxemburg_norm, modular, rbv_var_seminorm
 from .weights import compute_diagnostics, doubling_ball_family, generate_cubes
 
 
-def _threads(threads):
-    if threads is not None:
-        return threads
-    env = os.environ.get("TOOLKIT_THREADS")
-    return int(env) if env else 1
-
-
 def _common(fn):
     fn = click.option("--config", "config_path", required=True,
                       type=click.Path(exists=True, dir_okay=False))(fn)
@@ -33,7 +25,7 @@ def _common(fn):
                       type=click.Choice(["csv", "json"]))(fn)
     fn = click.option("--seed", default=None, type=int)(fn)
     fn = click.option("--threads", default=None, type=int,
-                      help="Worker hint; results never depend on it.")(fn)
+                      help="Accepted and ignored; computation is single-threaded.")(fn)
     return fn
 
 
@@ -66,7 +58,6 @@ def main():
 @_common
 def weights(config_path, out_path, fmt, seed, threads):
     """Weight-class constants over the configured cube family."""
-    _threads(threads)
     config = _load(config_path, seed, fmt, out_path)
     grid, _, w, _ = materialize_level(config, 0)
     family = generate_cubes(grid, config.cubes.min_side, config.cubes.levels,
@@ -106,7 +97,6 @@ def weights(config_path, out_path, fmt, seed, threads):
 @_common
 def riesz_var(config_path, out_path, fmt, seed, threads):
     """Weighted Riesz p-variation by packing optimization."""
-    _threads(threads)
     config = _load(config_path, seed, fmt, out_path)
     grid, f, w, _ = materialize_level(config, 0)
     results = []
@@ -139,7 +129,6 @@ def riesz_var(config_path, out_path, fmt, seed, threads):
 @_common
 def sobolev(config_path, out_path, fmt, seed, threads):
     """Weighted L^p and Sobolev norms of the configured function."""
-    _threads(threads)
     config = _load(config_path, seed, fmt, out_path)
     grid, f, w, _ = materialize_level(config, 0)
     results = []
@@ -158,7 +147,6 @@ def sobolev(config_path, out_path, fmt, seed, threads):
 @_common
 def varexp(config_path, out_path, fmt, seed, threads):
     """Variable-exponent norms and diagnostics."""
-    _threads(threads)
     config = _load(config_path, seed, fmt, out_path)
     grid, f, _, pfun = materialize_level(config, 0)
     if pfun is None:
@@ -191,7 +179,6 @@ def varexp(config_path, out_path, fmt, seed, threads):
 @_common
 def verify(config_path, out_path, fmt, seed, threads):
     """Run the configured theorem suites; exit 1 on any fail row."""
-    _threads(threads)
     config = _load(config_path, seed, fmt, out_path)
     try:
         report = run_config(config)

@@ -5,6 +5,8 @@ import io
 import json
 from dataclasses import asdict, dataclass, field
 
+from ._version import __version__
+
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -20,7 +22,7 @@ class ReportRow:
 @dataclass(frozen=True)
 class Report:
     rows: tuple
-    version: str = "0.1.0"
+    version: str = __version__
     config_hash: str = ""
     seed: int = 0
 

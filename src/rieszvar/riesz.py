@@ -25,7 +25,6 @@ from .grid import (
     BallCollection,
     FieldKind,
     ball_in_domain,
-    balls_disjoint,
     region_mask,
 )
 from .report import ReportRow, params_string
@@ -129,12 +128,12 @@ def _solution(selected, scored, p, method):
         scores=tuple(chosen),
         total=total,
         variation=total ** (1.0 / p) if total > 0 else 0.0,
-        p=p,
+        p=float(p),
         method=method,
     )
 
 
-def pack_1d_exact(scored, p=None):
+def pack_1d_exact(scored, p):
     """Optimal disjoint subset in 1D by weighted interval scheduling.
 
     Candidates become intervals [c - r, c + r]; closed disjointness means
@@ -145,7 +144,6 @@ def pack_1d_exact(scored, p=None):
         raise NoCandidates("no scored candidates to pack")
     if scored[0].ball.center.size != 1:
         raise PreconditionError("pack_1d_exact requires dim = 1 candidates")
-    p = _infer_p(scored, p)
     items = sorted(
         range(len(scored)),
         key=lambda i: (
@@ -194,22 +192,43 @@ def _rightmost_le(rights, bound, upto):
     return lo
 
 
-def _infer_p(scored, p):
-    if p is not None:
-        return float(p)
-    return 1.0
+class _ConflictRows:
+    """Lazily built, cached rows of the candidate conflict graph.
+
+    ``row(i)[j]`` is True when candidates i and j are not closed-disjoint
+    under the rule of ``grid.balls_disjoint`` (``row(i)[i]`` is True).
+    Memory is one bool per candidate for each row built; no dense pair
+    array is ever formed.
+    """
+
+    def __init__(self, scored):
+        self._centers = np.array([s.ball.center for s in scored])
+        self._radii = np.array([s.ball.radius for s in scored])
+        self._rows = {}
+
+    def __call__(self, i):
+        row = self._rows.get(i)
+        if row is None:
+            diff = self._centers - self._centers[i]
+            # Stacked 1 x d @ d x 1 products use the same dot routine as
+            # np.linalg.norm of one vector, so distances match balls_disjoint
+            # bit for bit.
+            dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).reshape(-1))
+            row = ~(dist + ATOL >= self._radii[i] + self._radii)
+            self._rows[i] = row
+        return row
 
 
-def pack_greedy(scored, p=None):
+def pack_greedy(scored, p):
     """Highest-score-first selection of mutually disjoint balls."""
-    p = _infer_p(scored, p)
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i].score, i))
+    rows = _ConflictRows(scored)
+    blocked = np.zeros(len(scored), dtype=bool)
     selected = []
-    for i in order:
-        if scored[i].score <= 0:
+    for i in sorted(range(len(scored)), key=lambda i: (-scored[i].score, i)):
+        if scored[i].score <= 0 or blocked[i]:
             continue
-        if all(balls_disjoint(scored[i].ball, scored[j].ball) for j in selected):
-            selected.append(i)
+        selected.append(i)
+        blocked |= rows(i)
     return _solution(selected, scored, p, GREEDY)
 
 
@@ -228,10 +247,12 @@ def pack_local_search(initial, scored, max_iters=200):
         if idx is None:
             idx = _find_candidate(scored, s.ball)
         selected.add(idx)
+    rows = _ConflictRows(scored)
+    scores = np.array([s.score for s in scored], dtype=float)
     total = initial.total
     eps = 1e-12 * max(1.0, abs(total))
     for _ in range(max_iters):
-        move = _first_improvement(scored, selected, eps)
+        move = _first_improvement(rows, scores, selected, eps)
         if move is None:
             break
         removed, inserted = move
@@ -252,36 +273,55 @@ def _find_candidate(scored, ball):
     raise PreconditionError("initial solution contains a ball outside the candidate set")
 
 
-def _conflicts(scored, selected, i):
-    return {j for j in selected if not balls_disjoint(scored[i].ball, scored[j].ball)}
+def _first_improvement(rows, scores, selected, eps):
+    """First improving move: singles by index, then pairs (ia < ib) lexicographically.
 
+    A move may remove at most two selected balls, so only the first and
+    second selected ball each candidate overlaps are tracked. Removal sums
+    add at most two nonzero scores, which makes them bit-identical to a
+    plain sum over the removed set in any order.
+    """
+    sel = np.array(sorted(selected), dtype=int)
+    k = sel.size
+    # hits[q, j]: candidate j overlaps the q-th selected ball. The all-True
+    # last row is a sentinel, so argmax yields position k when there is none.
+    hits = np.ones((k + 1, scores.size), dtype=bool)
+    for q, j in enumerate(sel):
+        hits[q] = rows(j)
+    count = hits[:k].sum(axis=0)
+    first = hits.argmax(axis=0)
+    some = first < k
+    hits[first[some], np.flatnonzero(some)] = False
+    second = hits.argmax(axis=0)
+    owner = np.append(sel, -1)
+    owner_score = np.append(scores[sel], 0.0)
+    removal = owner_score[first] + owner_score[second]
+    insertable = np.ones(scores.size, dtype=bool)
+    insertable[sel] = False
+    insertable &= count <= 2
 
-def _first_improvement(scored, selected, eps):
-    outside = [i for i in range(len(scored)) if i not in selected]
+    def removed(*positions):
+        return {int(owner[q]) for q in positions if q < k}
+
     # Single insertion with up to two removals.
-    for i in outside:
-        conf = _conflicts(scored, selected, i)
-        if len(conf) > 2:
-            continue
-        gain = scored[i].score - sum(scored[j].score for j in conf)
-        if gain > eps:
-            return conf, {i}
+    single = insertable & (scores - removal > eps)
+    if single.any():
+        i = int(single.argmax())
+        return removed(first[i], second[i]), {i}
     # Pair insertion with up to two removals.
-    for a_pos, ia in enumerate(outside):
-        conf_a = _conflicts(scored, selected, ia)
-        if len(conf_a) > 2:
-            continue
-        for ib in outside[a_pos + 1:]:
-            if not balls_disjoint(scored[ia].ball, scored[ib].ball):
-                continue
-            conf = conf_a | _conflicts(scored, selected, ib)
-            if len(conf) > 2:
-                continue
-            gain = scored[ia].score + scored[ib].score - sum(
-                scored[j].score for j in conf
-            )
-            if gain > eps:
-                return conf, {ia, ib}
+    pool = np.flatnonzero(insertable)
+    for a_pos, ia in enumerate(pool):
+        a1, a2 = first[ia], second[ia]
+        ib = pool[a_pos + 1:]
+        b1, b2 = first[ib], second[ib]
+        new1 = (b1 < k) & (b1 != a1) & (b1 != a2)
+        new2 = (b2 < k) & (b2 != a1) & (b2 != a2)
+        extra = np.where(new1, owner_score[b1], 0.0) + np.where(new2, owner_score[b2], 0.0)
+        gain = scores[ia] + scores[ib] - (removal[ia] + extra)
+        ok = ~rows(ia)[ib] & (count[ia] + new1 + new2 <= 2) & (gain > eps)
+        if ok.any():
+            j = int(ok.argmax())
+            return removed(a1, a2, b1[j], b2[j]), {int(ia), int(ib[j])}
     return None
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rieszvar
 from rieszvar import build_grid, emit_report, sample_catalog, write_field
 from rieszvar.cli import main
 from rieszvar.config import load_config, materialize_level
@@ -151,6 +152,10 @@ class TestReportEmission:
         with pytest.raises(ValueError):
             emit_report(self.sample_report(), tmp_path / "x.xml", "xml")
 
+    def test_version_from_package(self):
+        payload = json.loads(report_to_json(self.sample_report()))
+        assert payload["metadata"]["version"] == rieszvar.__version__ == "0.1.0"
+
 
 class TestFileBasedFields:
     def test_function_from_grid_file(self, tmp_path):
@@ -259,4 +264,10 @@ class TestCli:
         monkeypatch.setenv("TOOLKIT_THREADS", "4")
         cfg = self.write_config(tmp_path)
         result = CliRunner().invoke(main, ["sobolev", "--config", cfg])
+        assert result.exit_code == 0
+
+    def test_threads_is_a_no_op(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TOOLKIT_THREADS", "many")
+        cfg = self.write_config(tmp_path)
+        result = CliRunner().invoke(main, ["sobolev", "--config", cfg, "--threads", "3"])
         assert result.exit_code == 0

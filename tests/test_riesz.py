@@ -63,6 +63,100 @@ def brute_force_best(scored):
     return best
 
 
+# Frozen reference: the pair-loop greedy and local search that decided every
+# pair with one scalar balls_disjoint call. The vectorised versions must
+# select the same indices and report == totals.
+def reference_greedy(scored):
+    order = sorted(range(len(scored)), key=lambda i: (-scored[i].score, i))
+    selected = []
+    for i in order:
+        if scored[i].score <= 0:
+            continue
+        if all(balls_disjoint(scored[i].ball, scored[j].ball) for j in selected):
+            selected.append(i)
+    return set(selected)
+
+
+def _reference_conflicts(scored, selected, i):
+    return {j for j in selected if not balls_disjoint(scored[i].ball, scored[j].ball)}
+
+
+def _reference_first_improvement(scored, selected, eps):
+    outside = [i for i in range(len(scored)) if i not in selected]
+    for i in outside:
+        conf = _reference_conflicts(scored, selected, i)
+        if len(conf) > 2:
+            continue
+        gain = scored[i].score - sum(scored[j].score for j in conf)
+        if gain > eps:
+            return conf, {i}
+    for a_pos, ia in enumerate(outside):
+        conf_a = _reference_conflicts(scored, selected, ia)
+        if len(conf_a) > 2:
+            continue
+        for ib in outside[a_pos + 1:]:
+            if not balls_disjoint(scored[ia].ball, scored[ib].ball):
+                continue
+            conf = conf_a | _reference_conflicts(scored, selected, ib)
+            if len(conf) > 2:
+                continue
+            gain = scored[ia].score + scored[ib].score - sum(
+                scored[j].score for j in conf
+            )
+            if gain > eps:
+                return conf, {ia, ib}
+    return None
+
+
+def reference_local_search(initial_selected, scored, max_iters=200):
+    """(selected indices, total) of the pair-loop local search."""
+    initial_total = math.fsum(scored[i].score for i in sorted(initial_selected))
+    selected = set(initial_selected)
+    eps = 1e-12 * max(1.0, abs(initial_total))
+    for _ in range(max_iters):
+        move = _reference_first_improvement(scored, selected, eps)
+        if move is None:
+            break
+        removed, inserted = move
+        selected -= removed
+        selected |= inserted
+        total = math.fsum(scored[i].score for i in sorted(selected))
+        eps = 1e-12 * max(1.0, abs(total))
+    total = math.fsum(scored[i].score for i in sorted(selected))
+    if total < initial_total:
+        return set(initial_selected), initial_total
+    return selected, total
+
+
+def selected_indices(sol, scored):
+    index = {id(s.ball): i for i, s in enumerate(scored)}
+    return {index[id(s.ball)] for s in sol.scores}
+
+
+def random_scored_nd(rng, dim, n, lattice=None):
+    """Crowded candidates with tied, zero and negative scores.
+
+    Random centres fill [0, 0.5]^dim. With ``lattice=h`` centres sit on
+    multiples of h (up to 4h) and radii are h or 2h, so many pairs are
+    tangent (distance r1 + r2): exactly for a dyadic h, up to rounding for
+    h = 0.3, where the ATOL slack of closed disjointness decides them.
+    """
+    out = []
+    for _ in range(n):
+        if lattice is None:
+            c = rng.uniform(0.0, 0.5, dim)
+            r = float(rng.choice([0.05, 0.1, rng.uniform(0.02, 0.2)]))
+        else:
+            c = lattice * rng.integers(0, 5, dim)
+            r = lattice * float(rng.integers(1, 3))
+        if rng.uniform() < 0.5:
+            score = float(rng.integers(-2, 5))  # ties, zeros, negatives
+        else:
+            score = float(rng.uniform(-1.0, 10.0))
+        out.append(BallScore(Ball(c, r), 1.0, 1.0, score))
+    return out
+
+
 class TestCandidates:
     def test_count_on_unit_interval(self):
         g = build_grid(1, [0.0], 0.01, [101])
@@ -178,6 +272,70 @@ class TestGreedyAndLocalSearch:
             ls = pack_local_search(greedy, scored)
             assert greedy.total <= ls.total + 1e-12
             assert ls.total <= dp.total + 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("lattice", [None, 0.25, 0.3])
+    def test_matches_pair_loop_reference(self, dim, lattice):
+        rng = np.random.Generator(np.random.Philox(7 + dim))
+        moved = 0
+        for _ in range(25):
+            scored = random_scored_nd(rng, dim, int(rng.integers(2, 30)), lattice)
+            greedy = pack_greedy(scored, 2.0)
+            expected = reference_greedy(scored)
+            assert selected_indices(greedy, scored) == expected
+            assert greedy.total == math.fsum(scored[i].score for i in sorted(expected))
+            ls = pack_local_search(greedy, scored)
+            ref_selected, ref_total = reference_local_search(expected, scored)
+            assert selected_indices(ls, scored) == ref_selected
+            assert ls.total == ref_total
+            moved += ref_selected != expected
+        assert moved > 0
+
+    def test_local_search_from_empty_greedy(self):
+        scored = [BallScore(Ball([0.2 * i, 0.5], 0.1), 0, 1, -float(i % 2))
+                  for i in range(6)]
+        greedy = pack_greedy(scored, 2.0)
+        assert len(greedy.collection) == 0
+        sol = pack_local_search(greedy, scored)
+        assert sol.total == 0.0 and len(sol.collection) == 0
+
+    def test_local_search_from_empty_selection_finds_moves(self):
+        rng = np.random.Generator(np.random.Philox(5))
+        scored = random_scored_nd(rng, 2, 20)
+        empty = pack_greedy([], 2.0)
+        sol = pack_local_search(empty, scored)
+        ref_selected, ref_total = reference_local_search(set(), scored)
+        assert ref_selected
+        assert selected_indices(sol, scored) == ref_selected
+        assert sol.total == ref_total
+
+    def test_local_search_single_candidate(self):
+        for score in (2.0, 0.0, -1.0):
+            scored = [BallScore(Ball([0.5, 0.5], 0.1), 1, 1, score)]
+            sol = pack_local_search(pack_greedy(scored, 2.0), scored)
+            assert sol.total == max(score, 0.0)
+            assert len(sol.collection) == (score > 0)
+
+    def test_max_iters_zero_keeps_greedy_nd(self):
+        # Greedy takes the middle ball; swapping it for the two outer ones pays.
+        scored = [
+            BallScore(Ball([0.3, 0.5], 0.1), 1, 1, 3.0),
+            BallScore(Ball([0.4, 0.5], 0.1), 1, 1, 4.0),
+            BallScore(Ball([0.5, 0.5], 0.1), 1, 1, 3.0),
+        ]
+        greedy = pack_greedy(scored, 2.0)
+        assert selected_indices(greedy, scored) == {1}
+        frozen = pack_local_search(greedy, scored, max_iters=0)
+        assert selected_indices(frozen, scored) == {1}
+        assert frozen.total == 4.0
+        assert pack_local_search(greedy, scored).total == 6.0
+
+    def test_p_is_required(self):
+        scored = [BallScore(Ball([0.5], 0.1), 1, 1, 2.0)]
+        with pytest.raises(TypeError):
+            pack_greedy(scored)
+        with pytest.raises(TypeError):
+            pack_1d_exact(scored)
 
     def test_greedy_covers_nd(self, disk_grid):
         f = sample_catalog(disk_grid, "linear", {"slope": [1.0, 0.0]})
