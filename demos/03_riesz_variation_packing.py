@@ -55,7 +55,7 @@ wh = sample_catalog(gh, "constant", {"value": 1.0})
 lip = lipschitz_field(hat, 3 * gh.spacing)
 x = gh.axis_coords(0)
 print(f"Lipschitz field at x=0.5: {lip.values[np.argmin(np.abs(x - 0.5))]:.4f} (slope 1)")
-rows = weak_type_check(hat, wh, 2.0, [1 / 8, 1 / 16, 1 / 32],
+rows = weak_type_check(hat, wh, riesz_variation(hat, wh, 2.0, [1 / 8, 1 / 16, 1 / 32]),
                        [0.25, 0.5, 0.75, 0.9, 0.99], 3 * gh.spacing)
 for r in rows:
     if r.quantity == "max_K":

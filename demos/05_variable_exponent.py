@@ -69,9 +69,9 @@ for name, params in (("linear", {"slope": 1.0}),
                      ("power_abs", {"beta": 2.0}),
                      ("sinusoid", {"freq": 1.0})):
     g = sample_catalog(grid, name, params)
-    rows = varexp_sobolev_equivalence(g, p3, [1 / 8, 1 / 16, 1 / 32])
+    rows = varexp_sobolev_equivalence(g, p3, explore_packings(g, p3, [1 / 8, 1 / 16, 1 / 32]))
     ratio = [r.value for r in rows if r.quantity == "ratio"][0]
     print(f"  {name:>10}: ratio = {ratio:.4f}")
 print("for constant p the ratio reproduces the 1D anchor value 2:")
-rows = varexp_sobolev_equivalence(fx, p2, [1 / 8, 1 / 16, 1 / 32])
+rows = varexp_sobolev_equivalence(fx, p2, explore_packings(fx, p2, [1 / 8, 1 / 16, 1 / 32]))
 print(f"  f(x) = x, p = 2: ratio = {[r.value for r in rows if r.quantity == 'ratio'][0]:.4f}")

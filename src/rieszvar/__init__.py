@@ -36,6 +36,7 @@ from .riesz import (
     candidate_balls,
     classical_riesz_1d,
     lipschitz_field,
+    pack,
     pack_1d_exact,
     pack_greedy,
     pack_local_search,

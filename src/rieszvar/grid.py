@@ -348,21 +348,29 @@ def oscillation(field, region=None):
     return float(vals.max() - vals.min())
 
 
-def _neighbor(values, mask, axis, step):
-    """Neighbor values/validity along an axis at offset ``step`` (+1 or -1)."""
-    nv = np.zeros_like(values)
-    ok = np.zeros_like(mask)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if step == +1:
-        dst[axis] = slice(None, -1)
-        src[axis] = slice(1, None)
-    else:
-        dst[axis] = slice(1, None)
-        src[axis] = slice(None, -1)
-    nv[tuple(dst)] = values[tuple(src)]
-    ok[tuple(dst)] = mask[tuple(src)]
-    return nv, ok
+def shifted(values, delta):
+    """``values`` read at integer node offset ``delta``: ``out[k] = values[k + delta]``.
+
+    Entries whose ``k + delta`` falls outside the array are zero (False
+    for a mask), so shifting a mask also tells which neighbours exist.
+    """
+    out = np.zeros_like(values)
+    dst = []
+    src = []
+    for d, n in zip(delta, values.shape):
+        d = int(d)
+        if abs(d) >= n:
+            return out
+        dst.append(slice(max(-d, 0), n - max(d, 0)))
+        src.append(slice(max(d, 0), n + min(d, 0)))
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
+def lattice_offsets(dim, reach):
+    """Integer offsets with every component in [-reach, reach], row-major, shape (m, dim)."""
+    axes = [np.arange(-reach, reach + 1)] * dim
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
 
 
 def gradient_fd(field):
@@ -374,9 +382,9 @@ def gradient_fd(field):
     grid = field.grid
     h = grid.spacing
     out = []
-    for axis in range(grid.dim):
-        vp, okp = _neighbor(field.values, grid.mask, axis, +1)
-        vm, okm = _neighbor(field.values, grid.mask, axis, -1)
+    for axis, unit in enumerate(np.eye(grid.dim, dtype=int)):
+        vp, okp = shifted(field.values, unit), shifted(grid.mask, unit)
+        vm, okm = shifted(field.values, -unit), shifted(grid.mask, -unit)
         lonely = grid.mask & ~okp & ~okm
         if lonely.any():
             where = np.argwhere(lonely)[0]

@@ -2,23 +2,98 @@
 
 import math
 import time
+from dataclasses import replace
+from functools import cached_property, partial
 
 import numpy as np
 
 from .config import materialize_level
 from .errors import ToolkitError
-from .grid import FieldKind, SampledField, gradient_magnitude, region_mask
+from .grid import gradient_magnitude, region_mask
 from .report import Report, ReportRow, params_string
-from .riesz import lipschitz_field, riesz_variation, weak_type_check
+from .riesz import (
+    MAX_ITERS,
+    candidate_balls,
+    check_method,
+    lipschitz_field,
+    make_scores,
+    measure_balls,
+    pack,
+    weak_type_check,
+)
 from .sobolev import mollify_gradient_bound, morrey_check, weighted_lp_norm
 from .varexp import (
     gd_equivalence_check,
-    explore_packings,
-    luxemburg_norm,
-    rbv_var_seminorm,
+    lebesgue_weight,
+    packing_proposals,
     varexp_sobolev_equivalence,
 )
 from .weights import ap_constant, generate_cubes, rh_constant, estimate_rw
+
+
+class LevelContext:
+    """One refinement level of a config; each value is computed on first use.
+
+    A value whose computation raises is not stored, so every suite that
+    asks for it again raises the same error.
+    """
+
+    def __init__(self, config, level):
+        self.config = config
+        self.level = level
+        self._packings = {}
+
+    @cached_property
+    def fields(self):
+        """(grid, f, w, pfun) from ``materialize_level``."""
+        return materialize_level(self.config, self.level)
+
+    @cached_property
+    def family(self):
+        cubes = self.config.cubes
+        return generate_cubes(self.fields[0], cubes.min_side, cubes.levels, cubes.shifts)
+
+    @cached_property
+    def rw(self):
+        thr = self.config.thresholds
+        return estimate_rw(
+            self.fields[2], self.family, threshold=thr.rw_threshold, tol=thr.rw_tol
+        ).value
+
+    @cached_property
+    def candidates(self):
+        return candidate_balls(self.fields[0], self.config.radii)
+
+    @cached_property
+    def measures(self):
+        """Oscillation and w-mass per candidate."""
+        _, f, w, _ = self.fields
+        return measure_balls(f, w, self.candidates)
+
+    def packing(self, p):
+        """The packing ``riesz_variation(f, w, p, radii, method)`` computes."""
+        if p not in self._packings:
+            check_method(self.fields[0].dim, self.config.method)
+            scored = make_scores(self.candidates, *self.measures, p)
+            self._packings[p] = pack(scored, p, self.config.method, MAX_ITERS)
+        return self._packings[p]
+
+    @cached_property
+    def explored(self):
+        """The packings ``explore_packings(f, pfun, radii, method)`` proposes."""
+        grid, f, _, pfun = self.fields
+        osc, mass = measure_balls(f, lebesgue_weight(grid), self.candidates)
+        return packing_proposals(
+            self.candidates, osc, mass, pfun.p_minus, self.config.method, MAX_ITERS
+        )
+
+
+class RunContext:
+    """The config of one ``run_config`` call and its levels, shared by the suites."""
+
+    def __init__(self, config):
+        self.config = config
+        self.levels = [LevelContext(config, level) for level in range(config.refinements)]
 
 
 def _drift_row(experiment, quantity, values, drift_tol, params=""):
@@ -40,7 +115,7 @@ def _drift_row(experiment, quantity, values, drift_tol, params=""):
     )
 
 
-def verify_theorem1(config):
+def verify_theorem1(ctx):
     """Two-sided Sobolev/variation ratio suite across the refinement levels.
 
     For each p: computes the variation lower bound and the weighted
@@ -49,21 +124,17 @@ def verify_theorem1(config):
     holds for every weight and every p >= 1).
     """
     rows = []
+    config = ctx.config
     thr = config.thresholds
     for p in config.p_values:
         left_ratios = []
         right_ratios = []
-        for level in range(config.refinements):
-            grid, f, w, _ = materialize_level(config, level)
-            family = generate_cubes(
-                grid, config.cubes.min_side, config.cubes.levels, config.cubes.shifts
-            )
-            rw = estimate_rw(
-                w, family, threshold=thr.rw_threshold, tol=thr.rw_tol
-            ).value
-            packing = riesz_variation(f, w, p, config.radii, method=config.method)
+        for lvl in ctx.levels:
+            grid, f, w, _ = lvl.fields
+            rw = lvl.rw
+            packing = lvl.packing(p)
             grad_norm = weighted_lp_norm(gradient_magnitude(f), w, p)
-            params = params_string(p=p, level=level, h=grid.spacing, rw=rw)
+            params = params_string(p=p, level=lvl.level, h=grid.spacing, rw=rw)
             rows.append(
                 ReportRow("theorem1", "variation", params, packing.variation,
                           float("inf"), "info")
@@ -111,31 +182,28 @@ def verify_theorem1(config):
     return rows
 
 
-def suite_weak_type(config):
+def suite_weak_type(ctx):
     rows = []
+    config = ctx.config
+    lvl = ctx.levels[0]
     for p in config.p_values:
-        grid, f, w, _ = materialize_level(config, 0)
+        grid, f, w, _ = lvl.fields
         shell = config.shell_factor * grid.spacing
         k_max = config.thresholds.k_max_base * 2.0**p
         rows.extend(
-            weak_type_check(
-                f, w, p, config.radii, config.t_grid, shell,
-                k_max=k_max, method=config.method,
-            )
+            weak_type_check(f, w, lvl.packing(p), config.t_grid, shell, k_max=k_max)
         )
     return rows
 
 
-def suite_lemma21(config, n_subsets=200):
+def suite_lemma21(ctx, n_subsets=200):
     """Measure-ratio inequality on seeded random node subsets of family cubes."""
     rows = []
-    thr = config.thresholds
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    for p in config.p_values:
-        grid, _, w, _ = materialize_level(config, 0)
-        family = generate_cubes(
-            grid, config.cubes.min_side, config.cubes.levels, config.cubes.shifts
-        )
+    lvl = ctx.levels[0]
+    rng = np.random.Generator(np.random.Philox(ctx.config.seed))
+    for p in ctx.config.p_values:
+        grid, _, w, _ = lvl.fields
+        family = lvl.family
         ap = ap_constant(w, p, family)
         if not math.isfinite(ap):
             rows.append(
@@ -176,12 +244,11 @@ def suite_lemma21(config, n_subsets=200):
     return rows
 
 
-def suite_rh_exists(config, s_probe=(1.05, 1.1, 1.25, 1.5), bound=10.0):
+def suite_rh_exists(ctx, s_probe=(1.05, 1.1, 1.25, 1.5), bound=10.0):
     """Some reverse-Hölder exponent yields a finite, small constant."""
-    grid, _, w, _ = materialize_level(config, 0)
-    family = generate_cubes(
-        grid, config.cubes.min_side, config.cubes.levels, config.cubes.shifts
-    )
+    lvl = ctx.levels[0]
+    _, _, w, _ = lvl.fields
+    family = lvl.family
     best_s, best_val = None, float("inf")
     for s in s_probe:
         val = rh_constant(w, s, family)
@@ -197,16 +264,18 @@ def suite_rh_exists(config, s_probe=(1.05, 1.1, 1.25, 1.5), bound=10.0):
     ]
 
 
-def suite_embedding(config):
+def suite_embedding(ctx):
     """Discrete Hölder embedding between exponents on a shared packing."""
     rows = []
-    grid, f, w, _ = materialize_level(config, 0)
-    p_pairs = [(p1, p2) for p1 in config.p_values for p2 in config.p_values if p1 < p2]
+    p_values = ctx.config.p_values
+    lvl = ctx.levels[0]
+    grid, _, w, _ = lvl.fields
+    p_pairs = [(p1, p2) for p1 in p_values for p2 in p_values if p1 < p2]
     if not p_pairs:
         p_pairs = [(2.0, 4.0)]
     w_total = float(w.values[grid.mask].sum() * grid.cell_volume())
     for p1, p2 in p_pairs:
-        sol2 = riesz_variation(f, w, p2, config.radii, method=config.method)
+        sol2 = lvl.packing(p2)
         if len(sol2.collection) == 0:
             continue
         total1 = math.fsum(
@@ -225,10 +294,10 @@ def suite_embedding(config):
     return rows
 
 
-def suite_differentiability(config, m_grid=(1.0, 2.0, 4.0, 8.0, 16.0)):
+def suite_differentiability(ctx, m_grid=(1.0, 2.0, 4.0, 8.0, 16.0)):
     """Fraction of nodes with large local Lipschitz estimate, reported only."""
-    grid, f, _, _ = materialize_level(config, 0)
-    shell = config.shell_factor * grid.spacing
+    grid, f, _, _ = ctx.levels[0].fields
+    shell = ctx.config.shell_factor * grid.spacing
     lip = lipschitz_field(f, shell)
     n_masked = int(grid.mask.sum())
     rows = []
@@ -241,17 +310,14 @@ def suite_differentiability(config, m_grid=(1.0, 2.0, 4.0, 8.0, 16.0)):
     return rows
 
 
-def suite_morrey(config):
+def suite_morrey(ctx):
     rows = []
-    thr = config.thresholds
+    config = ctx.config
     for p in config.p_values:
         per_level = []
-        for level in range(config.refinements):
-            grid, f, w, _ = materialize_level(config, level)
-            family = generate_cubes(
-                grid, config.cubes.min_side, config.cubes.levels, config.cubes.shifts
-            )
-            rw = estimate_rw(w, family, threshold=thr.rw_threshold, tol=thr.rw_tol).value
+        for lvl in ctx.levels:
+            grid, f, w, _ = lvl.fields
+            rw = lvl.rw
             if p <= grid.dim * rw:
                 rows.append(
                     ReportRow("morrey", "skipped_precondition",
@@ -280,15 +346,17 @@ def suite_morrey(config):
     return rows
 
 
-def suite_mollify_bound(config):
+def suite_mollify_bound(ctx):
     """Uniformity of the mollified-gradient bound over dyadic scales."""
     rows = []
-    grid, f, w, _ = materialize_level(config, 0)
+    config = ctx.config
+    lvl = ctx.levels[0]
+    grid, f, w, _ = lvl.fields
     span = min(hi - lo for lo, hi in config.bounds)
     scales = [span / 16.0, span / 32.0, span / 64.0]
     scales = [s for s in scales if s >= 2.0 * grid.spacing]
     for p in config.p_values:
-        packing = riesz_variation(f, w, p, config.radii, method=config.method)
+        packing = lvl.packing(p)
         if packing.total == 0:
             continue
         pairs = mollify_gradient_bound(f, w, p, scales, packing.total)
@@ -309,65 +377,47 @@ def suite_mollify_bound(config):
     return rows
 
 
-def suite_gd_equivalence(config):
+def _varexp_suite(ctx, experiment, tolerance, drift_quantity, check):
+    """Rows of ``check(f, pfun, packings)`` per level, tagged ``;level=``, plus a drift row.
+
+    Without an exponent the suite is one skipped row.
+    """
     rows = []
-    thr = config.thresholds
     per_level = []
-    for level in range(config.refinements):
-        grid, f, _, pfun = materialize_level(config, level)
+    for lvl in ctx.levels:
+        _, f, _, pfun = lvl.fields
         if pfun is None:
             rows.append(
-                ReportRow("gd_equivalence", "skipped_no_exponent", "",
-                          float("nan"), thr.c_eq, "info")
+                ReportRow(experiment, "skipped_no_exponent", "",
+                          float("nan"), tolerance, "info")
             )
             return rows
-        packings = explore_packings(f, pfun, config.radii, method=config.method)
-        level_rows = gd_equivalence_check(f, pfun, packings, c_eq=thr.c_eq)
         level_rows = [
-            ReportRow(r.experiment, r.quantity,
-                      r.params + f";level={level}", r.value, r.tolerance, r.status)
-            for r in level_rows
+            replace(r, params=r.params + f";level={lvl.level}")
+            for r in check(f, pfun, lvl.explored)
         ]
         rows.extend(level_rows)
-        maxima = [r.value for r in level_rows if r.quantity == "ratio_max"]
-        if maxima:
-            per_level.append(maxima[0])
+        values = [r.value for r in level_rows if r.quantity == drift_quantity]
+        if values:
+            per_level.append(values[0])
     if len(per_level) >= 2:
         rows.append(
-            _drift_row("gd_equivalence", "ratio_max", per_level, thr.drift_tol)
+            _drift_row(experiment, drift_quantity, per_level,
+                       ctx.config.thresholds.drift_tol)
         )
     return rows
 
 
-def suite_varexp_sobolev(config):
-    rows = []
-    thr = config.thresholds
-    per_level = []
-    for level in range(config.refinements):
-        grid, f, _, pfun = materialize_level(config, level)
-        if pfun is None:
-            rows.append(
-                ReportRow("varexp_sobolev", "skipped_no_exponent", "",
-                          float("nan"), thr.c_thm, "info")
-            )
-            return rows
-        level_rows = varexp_sobolev_equivalence(
-            f, pfun, config.radii, c_thm=thr.c_thm, method=config.method
-        )
-        level_rows = [
-            ReportRow(r.experiment, r.quantity,
-                      r.params + f";level={level}", r.value, r.tolerance, r.status)
-            for r in level_rows
-        ]
-        rows.extend(level_rows)
-        ratios = [r.value for r in level_rows if r.quantity == "ratio"]
-        if ratios:
-            per_level.append(ratios[0])
-    if len(per_level) >= 2:
-        rows.append(
-            _drift_row("varexp_sobolev", "ratio", per_level, thr.drift_tol)
-        )
-    return rows
+def suite_gd_equivalence(ctx):
+    c_eq = ctx.config.thresholds.c_eq
+    return _varexp_suite(ctx, "gd_equivalence", c_eq, "ratio_max",
+                         partial(gd_equivalence_check, c_eq=c_eq))
+
+
+def suite_varexp_sobolev(ctx):
+    c_thm = ctx.config.thresholds.c_thm
+    return _varexp_suite(ctx, "varexp_sobolev", c_thm, "ratio",
+                         partial(varexp_sobolev_equivalence, c_thm=c_thm))
 
 
 _SUITES = {
@@ -385,12 +435,13 @@ _SUITES = {
 
 
 def run_config(config):
-    """Run every configured suite; module errors become error rows."""
+    """Run every configured suite on one shared RunContext; module errors become error rows."""
+    ctx = RunContext(config)
     rows = []
     for suite in config.suites:
         started = time.perf_counter()
         try:
-            suite_rows = _SUITES[suite](config)
+            suite_rows = _SUITES[suite](ctx)
         except ToolkitError as exc:
             rows.append(
                 ReportRow(suite, "error", params_string(message=str(exc)),
@@ -399,11 +450,6 @@ def run_config(config):
             continue
         elapsed_ms = int((time.perf_counter() - started) * 1000)
         if suite_rows:
-            first = suite_rows[0]
-            suite_rows[0] = ReportRow(
-                first.experiment, first.quantity, first.params,
-                first.value, first.tolerance, first.status,
-                runtime_ms=elapsed_ms,
-            )
+            suite_rows[0] = replace(suite_rows[0], runtime_ms=elapsed_ms)
         rows.extend(suite_rows)
     return Report(rows=tuple(rows), config_hash=config.config_hash(), seed=config.seed)

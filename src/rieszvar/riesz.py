@@ -25,7 +25,9 @@ from .grid import (
     BallCollection,
     FieldKind,
     ball_in_domain,
+    lattice_offsets,
     region_mask,
+    shifted,
 )
 from .report import ReportRow, params_string
 
@@ -33,6 +35,7 @@ DP_1D_EXACT = "dp_1d_exact"
 GREEDY = "greedy"
 GREEDY_PLUS_LOCAL_SEARCH = "greedy_plus_local_search"
 METHODS = (DP_1D_EXACT, GREEDY, GREEDY_PLUS_LOCAL_SEARCH)
+MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -232,7 +235,7 @@ def pack_greedy(scored, p):
     return _solution(selected, scored, p, GREEDY)
 
 
-def pack_local_search(initial, scored, max_iters=200):
+def pack_local_search(initial, scored, max_iters=MAX_ITERS):
     """Hill climbing over 1- and 2-ball swap moves, first improvement.
 
     Removes at most two selected balls and inserts one or two candidates,
@@ -325,29 +328,45 @@ def _first_improvement(rows, scores, selected, eps):
     return None
 
 
-def riesz_variation(f, w, p, radii_list, method="auto", max_iters=200):
-    """Lower bound of V_p(f; domain, w) over the finite candidate set.
+def check_method(dim, method):
+    """Reject an unknown packing method, or the 1D dynamic program in higher dimension."""
+    if method != "auto" and method not in METHODS:
+        raise PreconditionError(f"unknown packing method {method!r}")
+    if method == DP_1D_EXACT and dim != 1:
+        raise PreconditionError("dp_1d_exact is only available in one dimension")
 
-    ``method`` is one of dp_1d_exact (dim 1 only), greedy, or
-    greedy_plus_local_search; "auto" picks the DP in 1D and
-    greedy_plus_local_search otherwise.
+
+def pack(scored, p, method, max_iters):
+    """Disjoint subset of the scored candidates chosen by ``method``.
+
+    ``method`` is one of METHODS or "auto", which picks the DP for 1D
+    candidates and greedy_plus_local_search otherwise.
     """
-    grid = f.grid
+    if not scored:
+        raise NoCandidates("no scored candidates to pack")
     if method == "auto":
-        method = DP_1D_EXACT if grid.dim == 1 else GREEDY_PLUS_LOCAL_SEARCH
+        method = DP_1D_EXACT if scored[0].ball.center.size == 1 else GREEDY_PLUS_LOCAL_SEARCH
     if method not in METHODS:
         raise PreconditionError(f"unknown packing method {method!r}")
-    if method == DP_1D_EXACT and grid.dim != 1:
-        raise PreconditionError("dp_1d_exact is only available in one dimension")
-    balls = candidate_balls(grid, radii_list)
-    osc, mass = measure_balls(f, w, balls)
-    scored = make_scores(balls, osc, mass, p)
     if method == DP_1D_EXACT:
         return pack_1d_exact(scored, p)
     greedy = pack_greedy(scored, p)
     if method == GREEDY:
         return greedy
     return pack_local_search(greedy, scored, max_iters=max_iters)
+
+
+def riesz_variation(f, w, p, radii_list, method="auto", max_iters=MAX_ITERS):
+    """Lower bound of V_p(f; domain, w) over the finite candidate set.
+
+    ``method`` is one of dp_1d_exact (dim 1 only), greedy, or
+    greedy_plus_local_search; "auto" picks the DP in 1D and
+    greedy_plus_local_search otherwise.
+    """
+    check_method(f.grid.dim, method)
+    balls = candidate_balls(f.grid, radii_list)
+    osc, mass = measure_balls(f, w, balls)
+    return pack(make_scores(balls, osc, mass, p), p, method, max_iters)
 
 
 def finest_partition(grid):
@@ -395,36 +414,14 @@ class LipschitzField:
 
 def _shell_offsets(grid, shell_radius):
     reach = int(math.floor(shell_radius / grid.spacing + ATOL))
-    ranges = [range(-reach, reach + 1)] * grid.dim
     offsets = []
-    for delta in np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim):
+    for delta in lattice_offsets(grid.dim, reach):
         if not delta.any():
             continue
         dist = grid.spacing * float(np.linalg.norm(delta))
         if dist <= shell_radius + ATOL:
             offsets.append((tuple(int(d) for d in delta), dist))
     return offsets
-
-
-def _shifted(values, mask, delta):
-    """Neighbor values/validity at integer offset delta (out of range invalid)."""
-    nv = np.zeros_like(values)
-    ok = np.zeros_like(mask)
-    src = []
-    dst = []
-    for d, n in zip(delta, values.shape):
-        if d >= 0:
-            dst.append(slice(0, n - d))
-            src.append(slice(d, n))
-        else:
-            dst.append(slice(-d, n))
-            src.append(slice(0, n + d))
-    for s in src:
-        if s.start >= s.stop:
-            return nv, ok
-    nv[tuple(dst)] = values[tuple(src)]
-    ok[tuple(dst)] = mask[tuple(src)]
-    return nv, ok
 
 
 def lipschitz_field(f, shell_radius):
@@ -438,8 +435,8 @@ def lipschitz_field(f, shell_radius):
         raise PreconditionError("shell_radius must be at least the grid spacing")
     best = np.zeros(grid.shape)
     for delta, dist in _shell_offsets(grid, shell_radius):
-        nv, ok = _shifted(f.values, grid.mask, delta)
-        usable = grid.mask & ok
+        nv = shifted(f.values, delta)
+        usable = grid.mask & shifted(grid.mask, delta)
         ratio = np.zeros(grid.shape)
         ratio[usable] = np.abs(f.values[usable] - nv[usable]) / dist
         np.maximum(best, ratio, out=best)
@@ -450,48 +447,33 @@ def lipschitz_field(f, shell_radius):
 def _boundary_nodes(grid):
     """Masked nodes on the box edge or adjacent to a masked-out node."""
     boundary = np.zeros(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
+    for axis, unit in enumerate(np.eye(grid.dim, dtype=int)):
         edge = [slice(None)] * grid.dim
         edge[axis] = 0
         boundary[tuple(edge)] = True
         edge[axis] = grid.shape[axis] - 1
         boundary[tuple(edge)] = True
-        for step in (+1, -1):
-            _, ok = _shifted(grid.mask.astype(float), grid.mask, _unit(grid.dim, axis, step))
-            boundary |= ~ok
+        boundary |= ~shifted(grid.mask, unit) | ~shifted(grid.mask, -unit)
     return boundary & grid.mask
 
 
-def _unit(dim, axis, step):
-    d = [0] * dim
-    d[axis] = step
-    return tuple(d)
-
-
-def weak_type_check(
-    f,
-    w,
-    p,
-    radii_list,
-    t_grid,
-    shell_radius,
-    k_max=None,
-    method="auto",
-):
+def weak_type_check(f, w, packing, t_grid, shell_radius, k_max=None):
     """Weak-type statistic K(t) = t^p w({L_f > t}) / V_p^p per level t.
 
-    Requires f to vanish near the domain boundary (compact support).
-    Returns report rows: one info row per t and a final pass/fail row for
-    max K against k_max (default 32 * 2^p, absorbing the Vitali dilation).
+    ``packing`` is the PackingSolution of f and w at the exponent p,
+    for example ``riesz_variation(f, w, p, radii)``. Requires f to vanish
+    near the domain boundary (compact support). Returns report rows: one
+    info row per t and a final pass/fail row for max K against k_max
+    (default 32 * 2^p, absorbing the Vitali dilation).
     """
     grid = f.grid
+    p = packing.p
     if k_max is None:
         k_max = 32.0 * 2.0**p
     support_vals = np.abs(f.values[_boundary_nodes(grid)])
     if support_vals.size and support_vals.max() > ATOL:
         raise UnboundedSupport("function is nonzero next to the domain boundary")
     lip = lipschitz_field(f, shell_radius)
-    packing = riesz_variation(f, w, p, radii_list, method=method)
     vp_pow = packing.total
     rows = []
     vol = grid.cell_volume()

@@ -18,9 +18,11 @@ from .grid import (
     SampledField,
     gradient_fd,
     gradient_magnitude,
+    lattice_offsets,
     node_set,
     region_mask,
     riemann_integral,
+    shifted,
 )
 from .report import ReportRow, params_string
 
@@ -70,10 +72,7 @@ class Mollifier:
     def kernel(self, grid):
         """Integer offsets and normalized quadrature weights on the grid."""
         h = grid.spacing
-        reach = int(math.ceil(self.R / h))
-        axes = [np.arange(-reach, reach + 1)] * grid.dim
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        deltas = mesh.reshape(-1, grid.dim)
+        deltas = lattice_offsets(grid.dim, int(math.ceil(self.R / h)))
         dist_sq = np.sum((deltas * h) ** 2, axis=1)
         inside = dist_sq < self.R**2
         deltas = deltas[inside]
@@ -99,36 +98,14 @@ def eroded_mask(grid, R):
         shape[a] = coord.size
         ok_bbox &= sel.reshape(shape)
     h = grid.spacing
-    reach = int(math.ceil(R / h))
     ok_nodes = grid.mask.copy()
-    axes = [np.arange(-reach, reach + 1)] * grid.dim
-    for delta in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim):
+    for delta in lattice_offsets(grid.dim, int(math.ceil(R / h))):
         if not delta.any():
             continue
         if np.sum((delta * h) ** 2) >= R**2:
             continue
-        _, ok = _shift_mask(grid.mask, delta)
-        ok_nodes &= ok
+        ok_nodes &= shifted(grid.mask, delta)
     return grid.mask & ok_bbox & ok_nodes
-
-
-def _shift_mask(mask, delta):
-    ok = np.zeros_like(mask)
-    src = []
-    dst = []
-    for d, n in zip(delta, mask.shape):
-        d = int(d)
-        if d >= 0:
-            dst.append(slice(0, n - d))
-            src.append(slice(d, n))
-        else:
-            dst.append(slice(-d, n))
-            src.append(slice(0, n + d))
-    for s in src:
-        if s.start >= s.stop:
-            return None, ok
-    ok[tuple(dst)] = mask[tuple(src)]
-    return None, ok
 
 
 def mollify(f, R):
@@ -148,30 +125,10 @@ def mollify(f, R):
     vol = grid.cell_volume()
     out = np.zeros(grid.shape)
     for delta, wgt in zip(deltas, weights):
-        shifted = _shift_values(f.values, delta)
-        out += wgt * vol * shifted
+        out += wgt * vol * shifted(f.values, delta)
     out[~eroded] = 0.0
     eroded_grid = replace(grid, mask=eroded)
     return SampledField(eroded_grid, out, FieldKind.FUNCTION)
-
-
-def _shift_values(values, delta):
-    nv = np.zeros_like(values)
-    src = []
-    dst = []
-    for d, n in zip(delta, values.shape):
-        d = int(d)
-        if d >= 0:
-            dst.append(slice(0, n - d))
-            src.append(slice(d, n))
-        else:
-            dst.append(slice(-d, n))
-            src.append(slice(0, n + d))
-    for s in src:
-        if s.start >= s.stop:
-            return nv
-    nv[tuple(dst)] = values[tuple(src)]
-    return nv
 
 
 def choose_morrey_q(p, n, rw):

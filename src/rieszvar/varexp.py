@@ -21,16 +21,7 @@ from .grid import (
     region_mask,
 )
 from .report import ReportRow, params_string
-from .riesz import (
-    DP_1D_EXACT,
-    GREEDY_PLUS_LOCAL_SEARCH,
-    candidate_balls,
-    make_scores,
-    measure_balls,
-    pack_1d_exact,
-    pack_greedy,
-    pack_local_search,
-)
+from .riesz import MAX_ITERS, candidate_balls, make_scores, measure_balls, pack
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,35 +289,36 @@ def rbv_collection_norm(f, collection, pfun, tol=1e-10):
     return seq_norm(VariableSequence(entries, expo), tol=tol)
 
 
-def explore_packings(f, pfun, radii_list, method="auto", max_iters=200):
+def lebesgue_weight(grid):
+    """The weight 1 at every node."""
+    return SampledField(grid, np.ones(grid.shape), FieldKind.WEIGHT)
+
+
+def explore_packings(f, pfun, radii_list, method="auto", max_iters=MAX_ITERS):
     """Candidate disjoint families for the variable-exponent supremum.
 
     Proposals come from the constant-exponent optimizer at p_minus with
-    the Lebesgue weight: the packing over the full candidate set plus one
-    per single radius. Deduplicated, order preserved.
+    the Lebesgue weight; see ``packing_proposals``.
     """
-    grid = f.grid
-    if method == "auto":
-        method = DP_1D_EXACT if grid.dim == 1 else GREEDY_PLUS_LOCAL_SEARCH
-    lebesgue = SampledField(grid, np.ones(grid.shape), FieldKind.WEIGHT)
-    p_proxy = pfun.p_minus
-    balls = candidate_balls(grid, radii_list)
-    osc, mass = measure_balls(f, lebesgue, balls)
+    balls = candidate_balls(f.grid, radii_list)
+    osc, mass = measure_balls(f, lebesgue_weight(f.grid), balls)
+    return packing_proposals(balls, osc, mass, pfun.p_minus, method, max_iters)
+
+
+def packing_proposals(balls, osc, mass, p, method, max_iters):
+    """Packings of the measured candidates at ``p``: over all of them, then per radius.
+
+    One packing over the full candidate set plus one per single radius,
+    each by ``riesz.pack``. Deduplicated, order preserved.
+    """
     packings = []
     seen = set()
     subsets = [list(range(len(balls)))]
     for r in sorted({float(b.radius) for b in balls}):
         subsets.append([i for i, b in enumerate(balls) if b.radius == r])
     for subset in subsets:
-        scored = make_scores(
-            [balls[i] for i in subset], osc[subset], mass[subset], p_proxy
-        )
-        if method == DP_1D_EXACT:
-            sol = pack_1d_exact(scored, p_proxy)
-        else:
-            sol = pack_greedy(scored, p_proxy)
-            if method == GREEDY_PLUS_LOCAL_SEARCH:
-                sol = pack_local_search(sol, scored, max_iters=max_iters)
+        scored = make_scores([balls[i] for i in subset], osc[subset], mass[subset], p)
+        sol = pack(scored, p, method, max_iters)
         key = tuple(
             (tuple(b.center), b.radius) for b in sol.collection
         )
@@ -336,12 +328,18 @@ def explore_packings(f, pfun, radii_list, method="auto", max_iters=200):
     return packings
 
 
-def rbv_var_seminorm(f, pfun, radii_list, tol=1e-10, method="auto", max_iters=200):
-    """Lower bound of the RBV^{p(.)} seminorm: max Luxemburg value over proposals."""
+def _best_collection_norm(f, pfun, packings, tol):
+    """Largest Luxemburg value of the variation modular over the packings (0 if none)."""
     best = 0.0
-    for collection in explore_packings(f, pfun, radii_list, method, max_iters):
+    for collection in packings:
         best = max(best, rbv_collection_norm(f, collection, pfun, tol=tol))
     return best
+
+
+def rbv_var_seminorm(f, pfun, radii_list, tol=1e-10, method="auto", max_iters=MAX_ITERS):
+    """Lower bound of the RBV^{p(.)} seminorm: max Luxemburg value over proposals."""
+    packings = explore_packings(f, pfun, radii_list, method, max_iters)
+    return _best_collection_norm(f, pfun, packings, tol)
 
 
 def gd_equivalence_check(f, pfun, packings, c_eq=4.0, tol=1e-10):
@@ -405,22 +403,18 @@ def gd_equivalence_check(f, pfun, packings, c_eq=4.0, tol=1e-10):
     return rows
 
 
-def varexp_sobolev_equivalence(
-    f,
-    pfun,
-    radii_list,
-    c_thm=16.0,
-    tol=1e-10,
-    method="auto",
-    max_iters=200,
-):
-    """Theorem-level ratio: RBV^{p(.)} seminorm over the gradient Luxemburg norm."""
+def varexp_sobolev_equivalence(f, pfun, packings, c_thm=16.0, tol=1e-10):
+    """Theorem-level ratio: RBV^{p(.)} seminorm over the gradient Luxemburg norm.
+
+    The seminorm is the largest Luxemburg value over ``packings``, for
+    example ``explore_packings(f, pfun, radii)``.
+    """
     n = f.grid.dim
     if pfun.p_minus <= n:
         raise PreconditionError(
             f"variable-exponent equivalence needs p_minus > n, got {pfun.p_minus}"
         )
-    rbv = rbv_var_seminorm(f, pfun, radii_list, tol=tol, method=method, max_iters=max_iters)
+    rbv = _best_collection_norm(f, pfun, packings, tol)
     gnorm = luxemburg_norm(gradient_magnitude(f), pfun, tol=tol)
     rows = []
     if rbv == 0.0 and gnorm == 0.0:

@@ -20,6 +20,7 @@ from .errors import (
     ZeroWeightOnCube,
 )
 from .grid import (
+    ATOL,
     Ball,
     Cube,
     FieldKind,
@@ -245,8 +246,8 @@ def doubling_ball_family(grid, radii, stride=1):
             continue
         center = grid.node_coordinate(flat)
         for r in radii:
-            double_lo = np.all(center - 2 * r >= grid.bbox_lo - 1e-9)
-            double_hi = np.all(center + 2 * r <= grid.bbox_hi + 1e-9)
+            double_lo = np.all(center - 2 * r >= grid.bbox_lo - ATOL)
+            double_hi = np.all(center + 2 * r <= grid.bbox_hi + ATOL)
             if double_lo and double_hi:
                 ball = Ball(center, r)
                 if region_mask(grid, ball).any():

@@ -151,11 +151,13 @@ def test_criterion_5_weak_type():
         for w in (lebesgue, step):
             for p in (1.0, 2.0):
                 k_max = 32.0 * 2.0**p
-                rows = weak_type_check(hat, w, p, radii, t_grid, shell, k_max=k_max)
+                rows = weak_type_check(hat, w, riesz_variation(hat, w, p, radii), t_grid, shell,
+                                       k_max=k_max)
                 max_row = [r for r in rows if r.quantity == "max_K"][0]
                 assert max_row.status == "pass"
                 assert max_row.value <= k_max
-        rows = weak_type_check(hat, lebesgue, 2.0, radii, t_grid, shell)
+        rows = weak_type_check(hat, lebesgue, riesz_variation(hat, lebesgue, 2.0, radii), t_grid,
+                               shell)
         max_row = [r for r in rows if r.quantity == "max_K"][0]
         assert max_row.value <= 0.5
 
@@ -269,7 +271,8 @@ def test_criterion_8_variable_exponent_sobolev_ratio():
                 g = build_grid(1, [0.0], 2.0**-k, [2**k + 1])
                 pfun = exponent_catalog(g, "affine", {"intercept": 3.0, "slope": 1.0})
                 f = sample_catalog(g, name, params)
-                rows = varexp_sobolev_equivalence(f, pfun, radii, c_thm=16.0)
+                rows = varexp_sobolev_equivalence(f, pfun, explore_packings(f, pfun, radii),
+                                                  c_thm=16.0)
                 ratio = [r.value for r in rows if r.quantity == "ratio"][0]
                 assert 1 / 16 <= ratio <= 16.0
                 ratios.append(ratio)
@@ -278,7 +281,7 @@ def test_criterion_8_variable_exponent_sobolev_ratio():
         g = build_grid(1, [0.0], 1 / 512, [513])
         pfun = exponent_catalog(g, "constant", {"value": 2.0})
         f = sample_catalog(g, "linear", {"slope": 1.0})
-        rows = varexp_sobolev_equivalence(f, pfun, radii)
+        rows = varexp_sobolev_equivalence(f, pfun, explore_packings(f, pfun, radii))
         ratio = [r.value for r in rows if r.quantity == "ratio"][0]
         assert abs(ratio - 2.0) <= 0.2
 

@@ -7,12 +7,14 @@ from click.testing import CliRunner
 import rieszvar
 from rieszvar import build_grid, emit_report, sample_catalog, write_field
 from rieszvar.cli import main
-from rieszvar.config import load_config, materialize_level
+from rieszvar.config import KNOWN_SUITES, load_config, materialize_level
 from rieszvar.errors import ConfigError
-from rieszvar.harness import run_config, verify_theorem1
+import rieszvar.harness as harness
+from rieszvar.harness import RunContext, run_config, verify_theorem1
 from rieszvar.report import (
     Report,
     ReportRow,
+    params_string,
     report_from_json,
     report_to_csv,
     report_to_json,
@@ -91,7 +93,7 @@ class TestRunConfig:
 
     def test_verify_theorem1_two_sided_rows(self):
         cfg = load_config(minimal_config(refinements=2))
-        rows = verify_theorem1(cfg)
+        rows = verify_theorem1(RunContext(cfg))
         kinds = {r.quantity for r in rows}
         assert "ratio_var_over_grad" in kinds
         assert "ratio_grad_over_var_drift" in kinds
@@ -99,7 +101,7 @@ class TestRunConfig:
     def test_p_equals_n_is_left_only(self):
         # at p = 1 = dim, p > n * rw fails, so only the gradient-side row exists
         cfg = load_config(minimal_config(p_values=[1.0]))
-        rows = verify_theorem1(cfg)
+        rows = verify_theorem1(RunContext(cfg))
         kinds = [r.quantity for r in rows]
         assert "ratio_grad_over_var" in kinds
         assert "ratio_var_over_grad" not in kinds
@@ -113,6 +115,72 @@ class TestRunConfig:
         report = run_config(cfg)
         assert not report.has_failures()
         assert any(r.quantity == "ratio" for r in report.rows)
+
+
+def _strip(report):
+    """Every report column except runtime_ms, numbers as the CSV writes them."""
+    return [
+        (r.experiment, r.quantity, r.params, repr(r.value), repr(r.tolerance), r.status)
+        for r in report.rows
+    ]
+
+
+class TestRunContext:
+    """Suites share one per-level context per ``run_config`` call."""
+
+    def all_suites_config(self):
+        return load_config(minimal_config(
+            suites=list(KNOWN_SUITES),
+            function={"catalog": "hat", "params": {"radius": 0.4, "center": 0.5}},
+            exponent={"catalog": "affine", "params": {"intercept": 3.0, "slope": 1.0}},
+            p_values=[2.0, 3.0],
+            refinements=2,
+        ))
+
+    def test_suites_independent_of_each_other(self):
+        raw = self.all_suites_config().raw
+        together = _strip(run_config(load_config(raw)))
+        alone = []
+        for suite in KNOWN_SUITES:
+            alone.extend(_strip(run_config(load_config(dict(raw, suites=[suite])))))
+        assert together == alone
+        assert len({row[0] for row in together}) == len(KNOWN_SUITES)
+
+    def test_no_cache_across_runs(self, monkeypatch):
+        calls = {"materialize_level": [], "candidate_balls": 0}
+        materialize = harness.materialize_level
+        candidates = harness.candidate_balls
+
+        def counted_materialize(config, level=0):
+            calls["materialize_level"].append(level)
+            return materialize(config, level)
+
+        def counted_candidates(grid, radii_list):
+            calls["candidate_balls"] += 1
+            return candidates(grid, radii_list)
+
+        monkeypatch.setattr(harness, "materialize_level", counted_materialize)
+        monkeypatch.setattr(harness, "candidate_balls", counted_candidates)
+        cfg = self.all_suites_config()
+        for _ in range(2):
+            calls["materialize_level"].clear()
+            calls["candidate_balls"] = 0
+            run_config(cfg)
+            assert sorted(calls["materialize_level"]) == [0, 1]
+            assert 1 <= calls["candidate_balls"] <= cfg.refinements
+
+    def test_failing_value_is_not_cached(self):
+        suites = ["theorem1", "lemma21", "rh_exists", "morrey"]
+        cfg = load_config(minimal_config(
+            suites=suites, p_values=[2.0, 3.0], refinements=2,
+            cubes={"min_side": 1 / 512},
+        ))
+        message = "min_side 0.001953125 is below the grid spacing 0.00390625"
+        rows = run_config(cfg).rows
+        assert [(r.experiment, r.quantity, r.params, r.status) for r in rows] == [
+            (suite, "error", params_string(message=message), "error") for suite in suites
+        ]
+        assert all(np.isnan(r.value) and np.isnan(r.tolerance) for r in rows)
 
 
 class TestReportEmission:

@@ -12,6 +12,7 @@ from rieszvar import (
     candidate_balls,
     classical_riesz_1d,
     lipschitz_field,
+    pack,
     pack_1d_exact,
     pack_greedy,
     pack_local_search,
@@ -27,7 +28,7 @@ from rieszvar.errors import (
     UnboundedSupport,
 )
 from rieszvar.grid import FieldKind, balls_disjoint
-from rieszvar.riesz import BallScore, finest_partition, make_scores
+from rieszvar.riesz import BallScore, finest_partition, make_scores, measure_balls
 
 from conftest import const_weight, linear
 
@@ -361,6 +362,22 @@ class TestRieszVariation:
         with pytest.raises(PreconditionError):
             riesz_variation(f, const_weight(disk_grid), 2.0, [0.25], method="dp_1d_exact")
 
+    def test_pack_auto_matches_each_method(self, unit_grid, disk_grid):
+        f, w = linear(unit_grid), const_weight(unit_grid)
+        balls = candidate_balls(unit_grid, [0.1, 0.25])
+        scored = make_scores(balls, *measure_balls(f, w, balls), 2.0)
+        assert pack(scored, 2.0, "auto", 200) == pack_1d_exact(scored, 2.0)
+        g = sample_catalog(disk_grid, "linear", {"slope": [1.0, 0.0]})
+        balls = candidate_balls(disk_grid, [0.25])
+        scored = make_scores(balls, *measure_balls(g, const_weight(disk_grid), balls), 2.0)
+        greedy = pack_greedy(scored, 2.0)
+        assert pack(scored, 2.0, "greedy", 200) == greedy
+        assert pack(scored, 2.0, "auto", 200) == pack_local_search(greedy, scored)
+        with pytest.raises(NoCandidates):
+            pack([], 2.0, "auto", 200)
+        with pytest.raises(PreconditionError):
+            pack(scored, 2.0, "greedy_local", 200)
+
     def test_scaling_seminorm_exact_on_fixed_packing(self, unit_grid):
         f, w = linear(unit_grid), const_weight(unit_grid)
         base = riesz_variation(f, w, 2.0, [0.1, 0.25], method="dp_1d_exact")
@@ -467,7 +484,7 @@ class TestWeakType:
         g = build_grid(1, [-2.0], 1 / 256, [1025])
         f = sample_catalog(g, "hat", {"radius": 1.0})
         w = const_weight(g)
-        rows = weak_type_check(f, w, 2.0, [1 / 8, 1 / 16, 1 / 32],
+        rows = weak_type_check(f, w, riesz_variation(f, w, 2.0, [1 / 8, 1 / 16, 1 / 32]),
                                [0.25, 0.5, 0.75, 0.9, 0.99], 3 * g.spacing)
         max_row = [r for r in rows if r.quantity == "max_K"][0]
         assert max_row.status == "pass"
@@ -476,11 +493,15 @@ class TestWeakType:
     def test_constant_all_zero(self):
         g = build_grid(1, [-2.0], 1 / 64, [257])
         f = const_weight(g, 0.0)
-        rows = weak_type_check(SampledField(g, f.values), const_weight(g), 2.0,
-                               [1 / 8], [0.5, 1.0], 3 * g.spacing)
+        rows = weak_type_check(SampledField(g, f.values), const_weight(g),
+                               riesz_variation(SampledField(g, f.values), const_weight(g),
+                                               2.0, [1 / 8]),
+                               [0.5, 1.0], 3 * g.spacing)
         assert all(r.value == 0.0 for r in rows)
 
     def test_unbounded_support_rejected(self, unit_grid):
         with pytest.raises(UnboundedSupport):
-            weak_type_check(linear(unit_grid), const_weight(unit_grid), 2.0,
-                            [0.05], [0.5], 3 * unit_grid.spacing)
+            weak_type_check(linear(unit_grid), const_weight(unit_grid),
+                            riesz_variation(linear(unit_grid), const_weight(unit_grid),
+                                            2.0, [0.05]),
+                            [0.5], 3 * unit_grid.spacing)

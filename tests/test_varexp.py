@@ -343,12 +343,14 @@ class TestVarexpSobolev:
     def test_constant_skipped(self, unit_grid):
         p = exponent_catalog(unit_grid, "affine", {"intercept": 3.0, "slope": 1.0})
         f = SampledField(unit_grid, np.full(unit_grid.shape, 4.0))
-        rows = varexp_sobolev_equivalence(f, p, [1 / 8])
+        rows = varexp_sobolev_equivalence(f, p, explore_packings(f, p, [1 / 8]))
         assert [r.quantity for r in rows] == ["ratio_skipped"]
 
     def test_constant_exponent_cross_check(self, unit_grid):
         p = exponent_catalog(unit_grid, "constant", {"value": 2.0})
-        rows = varexp_sobolev_equivalence(linear(unit_grid), p, [1 / 8, 1 / 16, 1 / 32])
+        rows = varexp_sobolev_equivalence(
+            linear(unit_grid), p, explore_packings(linear(unit_grid), p, [1 / 8, 1 / 16, 1 / 32])
+        )
         ratio = [r.value for r in rows if r.quantity == "ratio"][0]
         assert ratio == pytest.approx(2.0, rel=0.10)
 
@@ -358,7 +360,7 @@ class TestVarexpSobolev:
             g = build_grid(1, [0.0], 2.0**-k, [2**k + 1])
             p = exponent_catalog(g, "affine", {"intercept": 3.0, "slope": 1.0})
             f = sample_catalog(g, "power_abs", {"beta": 2.0})
-            rows = varexp_sobolev_equivalence(f, p, [1 / 8, 1 / 16, 1 / 32])
+            rows = varexp_sobolev_equivalence(f, p, explore_packings(f, p, [1 / 8, 1 / 16, 1 / 32]))
             ratio = [r.value for r in rows if r.quantity == "ratio"][0]
             assert math.isfinite(ratio)
             values.append(ratio)
@@ -367,4 +369,6 @@ class TestVarexpSobolev:
     def test_p_minus_at_most_dim_rejected(self, unit_grid):
         p = exponent_catalog(unit_grid, "constant", {"value": 1.0})
         with pytest.raises(PreconditionError):
-            varexp_sobolev_equivalence(linear(unit_grid), p, [1 / 8])
+            varexp_sobolev_equivalence(
+                linear(unit_grid), p, explore_packings(linear(unit_grid), p, [1 / 8])
+            )
