@@ -2,10 +2,12 @@
 
 A domain is a box of uniformly spaced nodes together with a boolean mask
 selecting which nodes belong to it. Functions and weights are arrays of
-node values on such a grid. Balls are open (node membership uses strict
-``|x - c| < r``), cubes are closed and axis-parallel, and all integrals
-are plain node sums times ``h**dim``. These conventions are shared by
-every other module, so they live here.
+node values on such a grid. Balls are open: node x lies in B(c, r) when
+``|x - c| < r - ATOL``, so membership does not move with the ball's
+position through rounding, and every node-centred ball holds the same
+stencil (``ball_offsets``). Cubes are closed and axis-parallel, and all
+integrals are plain node sums times ``h**dim``. These conventions are
+shared by every other module, so they live here.
 """
 
 import math
@@ -100,7 +102,8 @@ class Grid:
         return tuple(int(i) for i in np.unravel_index(int(flat), self.shape))
 
     def node_coordinate(self, flat):
-        k = np.array(self.multi_index(flat), dtype=float)
+        """Coordinates of a flat node index, shape (dim,); of an index array, shape (n, dim)."""
+        k = np.stack(np.unravel_index(flat, self.shape), axis=-1)
         return self.origin + self.spacing * k
 
     def cell_volume(self):
@@ -229,40 +232,26 @@ def build_grid(dim, origin, spacing, shape, domain_predicate=None):
     return replace(probe, mask=mask)
 
 
-def _axis_window(grid, axis, lo, hi):
-    """Index range [i0, i1] of nodes with coordinate in [lo, hi] (+/- ATOL)."""
-    h = grid.spacing
-    o = grid.origin[axis]
-    i0 = int(np.ceil((lo - o - ATOL) / h))
-    i1 = int(np.floor((hi - o + ATOL) / h))
-    return max(i0, 0), min(i1, grid.shape[axis] - 1)
-
-
-def _ball_window(grid, ball):
-    lo_hi = []
-    for a in range(grid.dim):
-        i0, i1 = _axis_window(grid, a, ball.center[a] - ball.radius, ball.center[a] + ball.radius)
-        if i0 > i1:
-            return None
-        lo_hi.append((i0, i1))
-    return lo_hi
+def _inside(dist_sq, r):
+    """The open-ball rule: a node at squared distance ``dist_sq`` from the centre is in B(c, r)."""
+    return np.sqrt(dist_sq) < r - ATOL
 
 
 def _window_membership(grid, ball):
-    """Slices of the ball's index window plus the strict-membership bool array."""
-    window = _ball_window(grid, ball)
-    if window is None:
+    """Slices of the ball's index window plus the open-ball membership bool array.
+
+    The window holds the nodes with every coordinate within r (+ ATOL)
+    of the centre; it is None when no such node exists.
+    """
+    lo = np.ceil((ball.center - ball.radius - grid.origin - ATOL) / grid.spacing)
+    hi = np.floor((ball.center + ball.radius - grid.origin + ATOL) / grid.spacing)
+    lo, hi = np.maximum(lo, 0).astype(int), np.minimum(hi, np.array(grid.shape) - 1).astype(int)
+    if np.any(lo > hi):
         return None, None
-    slices = tuple(slice(i0, i1 + 1) for i0, i1 in window)
-    dist_sq = np.zeros([i1 - i0 + 1 for i0, i1 in window])
-    for a, (i0, i1) in enumerate(window):
-        coord = grid.origin[a] + grid.spacing * np.arange(i0, i1 + 1)
-        d = coord - ball.center[a]
-        shape = [1] * grid.dim
-        shape[a] = d.size
-        dist_sq = dist_sq + (d**2).reshape(shape)
-    inside = dist_sq < ball.radius**2
-    return slices, inside
+    axes = [grid.origin[a] + grid.spacing * np.arange(lo[a], hi[a] + 1) - ball.center[a]
+            for a in range(grid.dim)]
+    dist_sq = sum(d**2 for d in np.meshgrid(*axes, indexing="ij"))
+    return tuple(slice(i0, i1 + 1) for i0, i1 in zip(lo, hi)), _inside(dist_sq, ball.radius)
 
 
 def region_mask(grid, region=None):
@@ -294,9 +283,9 @@ def region_mask(grid, region=None):
 
 
 def node_set(grid, ball):
-    """Flat indices of masked-in nodes strictly inside the ball.
+    """Flat indices of masked-in nodes x with ``|x - c| < r - ATOL``, row-major; may be empty.
 
-    Deterministic lexicographic (row-major) order; may be empty.
+    For a ball centred at a node they are that node plus ``ball_offsets``.
     """
     member = region_mask(grid, ball)
     return np.flatnonzero(member)
@@ -371,6 +360,27 @@ def lattice_offsets(dim, reach):
     """Integer offsets with every component in [-reach, reach], row-major, shape (m, dim)."""
     axes = [np.arange(-reach, reach + 1)] * dim
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
+def ball_offsets(grid, r):
+    """Integer offsets (m, dim), row-major, of the nodes in the open r-ball about any node."""
+    deltas = lattice_offsets(grid.dim, int(math.ceil(r / grid.spacing)))
+    return deltas[_inside(np.sum((deltas * grid.spacing) ** 2, axis=1), r)]
+
+
+def eroded_mask(grid, r):
+    """Nodes whose open r-ball stays inside the domain: ``ball_in_domain`` at every node."""
+    ok = grid.mask.copy()
+    for a in range(grid.dim):
+        coord = grid.axis_coords(a)
+        sel = (coord - r >= grid.bbox_lo[a] - ATOL) & (coord + r <= grid.bbox_hi[a] + ATOL)
+        shape = [1] * grid.dim
+        shape[a] = coord.size
+        ok &= sel.reshape(shape)
+    for delta in ball_offsets(grid, r):
+        if delta.any():
+            ok &= shifted(grid.mask, delta)
+    return ok
 
 
 def gradient_fd(field):

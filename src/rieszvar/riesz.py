@@ -24,10 +24,12 @@ from .grid import (
     Ball,
     BallCollection,
     FieldKind,
-    ball_in_domain,
+    ball_offsets,
+    eroded_mask,
     lattice_offsets,
-    region_mask,
+    oscillation,
     shifted,
+    weighted_measure,
 )
 from .report import ReportRow, params_string
 
@@ -36,6 +38,8 @@ GREEDY = "greedy"
 GREEDY_PLUS_LOCAL_SEARCH = "greedy_plus_local_search"
 METHODS = (DP_1D_EXACT, GREEDY, GREEDY_PLUS_LOCAL_SEARCH)
 MAX_ITERS = 200
+# Gathered node values per block in measure_balls: bounds its scratch memory.
+_GATHER_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -74,34 +78,52 @@ def candidate_balls(grid, radii_list):
         raise PreconditionError(
             f"every radius must be >= 2h = {2 * grid.spacing}, got {radii[0]}"
         )
-    balls = []
-    flat_mask = grid.mask.reshape(-1)
-    for flat in np.flatnonzero(flat_mask):
-        center = grid.node_coordinate(flat)
-        for r in radii:
-            ball = Ball(center, r)
-            if ball_in_domain(grid, ball):
-                balls.append(ball)
-    if not balls:
+    fits = np.stack([eroded_mask(grid, r).reshape(-1) for r in radii], axis=1)
+    flat, which = np.nonzero(fits)
+    if not flat.size:
         raise NoCandidates("no candidate ball fits inside the domain")
-    return balls
+    centers = grid.node_coordinate(flat)
+    return [Ball(c, radii[i]) for c, i in zip(centers, which.tolist())]
+
+
+def _require_weight(w):
+    if w.kind != FieldKind.WEIGHT:
+        raise PreconditionError("scoring requires a weight field")
 
 
 def measure_balls(f, w, balls):
-    """Oscillation and weight mass per ball (independent of the exponent p)."""
-    if w.kind != FieldKind.WEIGHT:
-        raise PreconditionError("scoring requires a weight field")
+    """Oscillation and weight mass per ball (independent of the exponent p).
+
+    Every ball must be centred at a node and contained in the domain, as
+    candidate balls are; its nodes are then the ``ball_offsets`` stencil
+    about the centre, gathered in row-major order like ``values[member]``.
+    """
+    _require_weight(w)
     grid = f.grid
-    vol = grid.cell_volume()
-    osc = np.empty(len(balls))
-    mass = np.empty(len(balls))
-    for i, ball in enumerate(balls):
-        member = region_mask(grid, ball)
-        vals = f.values[member]
-        if vals.size == 0:
+    centers = np.array([b.center for b in balls], dtype=float).reshape(len(balls), grid.dim)
+    radii = np.array([b.radius for b in balls], dtype=float)
+    k = np.rint((centers - grid.origin) / grid.spacing).astype(int)
+    on_node = np.abs(grid.origin + grid.spacing * k - centers) <= ATOL
+    if not np.all(on_node & (k >= 0) & (k < grid.shape)):
+        raise PreconditionError("measure_balls requires node-centred balls")
+    flat = np.ravel_multi_index(k.T, grid.shape)
+    strides = np.array([math.prod(grid.shape[a + 1:]) for a in range(grid.dim)])
+    fv, wv = f.values.reshape(-1), w.values.reshape(-1)
+    osc, mass = np.empty(len(balls)), np.empty(len(balls))
+    for r in sorted(set(radii.tolist())):
+        group = np.flatnonzero(radii == r)
+        if not eroded_mask(grid, r).reshape(-1)[flat[group]].all():
+            raise PreconditionError("measure_balls requires balls contained in the domain")
+        stencil = ball_offsets(grid, r) @ strides
+        if not stencil.size:
             raise PreconditionError("candidate ball contains no masked-in node")
-        osc[i] = vals.max() - vals.min()
-        mass[i] = w.values[member].sum() * vol
+        step = max(1, _GATHER_BLOCK // stencil.size)
+        for lo in range(0, group.size, step):
+            rows = group[lo:lo + step]
+            nodes = flat[rows, None] + stencil
+            vals = fv[nodes]
+            osc[rows] = vals.max(axis=1) - vals.min(axis=1)
+            mass[rows] = wv[nodes].sum(axis=1) * grid.cell_volume()
     return osc, mass
 
 
@@ -116,9 +138,10 @@ def make_scores(balls, osc, mass, p):
 
 
 def score_ball(f, w, ball, p):
-    """Score a single ball; see BallScore."""
-    osc, mass = measure_balls(f, w, [ball])
-    return make_scores([ball], osc, mass, p)[0]
+    """Score a single ball, anywhere in the domain; see BallScore."""
+    _require_weight(w)
+    osc, mass = oscillation(f, ball), weighted_measure(w, ball)
+    return make_scores([ball], [osc], [mass], p)[0]
 
 
 def _solution(selected, scored, p, method):

@@ -12,13 +12,13 @@ from .errors import (
     PreconditionError,
 )
 from .grid import (
-    ATOL,
     Ball,
     FieldKind,
     SampledField,
+    ball_offsets,
+    eroded_mask,
     gradient_fd,
     gradient_magnitude,
-    lattice_offsets,
     node_set,
     region_mask,
     riemann_integral,
@@ -46,14 +46,6 @@ def sobolev_norm(f, w, p):
     return weighted_lp_norm(f, w, p) + weighted_lp_norm(gradient_magnitude(f), w, p)
 
 
-def _bump_profile(u_sq):
-    """Radial profile exp(-1/(1 - |u|^2)) on the open unit ball, else 0."""
-    out = np.zeros_like(u_sq)
-    inside = u_sq < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - u_sq[inside]))
-    return out
-
-
 @dataclass(frozen=True)
 class Mollifier:
     """Smooth radial bump at scale R, discretely normalized to unit mass.
@@ -71,12 +63,9 @@ class Mollifier:
 
     def kernel(self, grid):
         """Integer offsets and normalized quadrature weights on the grid."""
-        h = grid.spacing
-        deltas = lattice_offsets(grid.dim, int(math.ceil(self.R / h)))
-        dist_sq = np.sum((deltas * h) ** 2, axis=1)
-        inside = dist_sq < self.R**2
-        deltas = deltas[inside]
-        weights = _bump_profile(dist_sq[inside] / self.R**2)
+        deltas = ball_offsets(grid, self.R)
+        u_sq = np.sum((deltas * grid.spacing) ** 2, axis=1) / self.R**2
+        weights = np.exp(-1.0 / (1.0 - u_sq))
         total = weights.sum() * grid.cell_volume()
         if total <= 0:
             raise PreconditionError("mollifier support contains no node")
@@ -86,26 +75,6 @@ class Mollifier:
     def mass(self, grid):
         _, weights = self.kernel(grid)
         return float(weights.sum() * grid.cell_volume())
-
-
-def eroded_mask(grid, R):
-    """Nodes whose open R-ball stays inside the domain (nodes and bbox)."""
-    ok_bbox = np.ones(grid.shape, dtype=bool)
-    for a in range(grid.dim):
-        coord = grid.axis_coords(a)
-        sel = (coord - R >= grid.bbox_lo[a] - ATOL) & (coord + R <= grid.bbox_hi[a] + ATOL)
-        shape = [1] * grid.dim
-        shape[a] = coord.size
-        ok_bbox &= sel.reshape(shape)
-    h = grid.spacing
-    ok_nodes = grid.mask.copy()
-    for delta in lattice_offsets(grid.dim, int(math.ceil(R / h))):
-        if not delta.any():
-            continue
-        if np.sum((delta * h) ** 2) >= R**2:
-            continue
-        ok_nodes &= shifted(grid.mask, delta)
-    return grid.mask & ok_bbox & ok_nodes
 
 
 def mollify(f, R):

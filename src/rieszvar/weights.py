@@ -239,20 +239,17 @@ def dual_weight(w, q):
 
 def doubling_ball_family(grid, radii, stride=1):
     """Balls centered at every ``stride``-th masked node whose double stays in the box."""
-    balls = []
-    flat_mask = grid.mask.reshape(-1)
-    for flat in range(0, grid.n_nodes, stride):
-        if not flat_mask[flat]:
-            continue
-        center = grid.node_coordinate(flat)
-        for r in radii:
-            double_lo = np.all(center - 2 * r >= grid.bbox_lo - ATOL)
-            double_hi = np.all(center + 2 * r <= grid.bbox_hi + ATOL)
-            if double_lo and double_hi:
-                ball = Ball(center, r)
-                if region_mask(grid, ball).any():
-                    balls.append(ball)
-    return balls
+    radii = list(radii)
+    flat = np.flatnonzero(grid.mask.reshape(-1)[::stride]) * stride
+    centers = grid.node_coordinate(flat)
+    reach = 2 * np.array(radii, dtype=float)[None, :, None]
+    fits = np.all(
+        (centers[:, None] - reach >= grid.bbox_lo - ATOL)
+        & (centers[:, None] + reach <= grid.bbox_hi + ATOL),
+        axis=2,
+    )
+    node, which = np.nonzero(fits)
+    return [Ball(centers[n], radii[i]) for n, i in zip(node, which.tolist())]
 
 
 def compute_diagnostics(

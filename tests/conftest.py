@@ -22,13 +22,19 @@ def symmetric_grid():
     return build_grid(1, [-1.0], 2 / 2047, [2048])
 
 
-@pytest.fixture
-def disk_grid():
-    """2D grid on [-1, 1]^2 masked to the open unit disk."""
+def unit_disk(h):
+    """2D grid on [-1, 1]^2 with spacing h, masked to the open unit disk."""
+    n = int(round(2.0 / h)) + 1
     return build_grid(
-        2, [-1.0, -1.0], 0.1, [21, 21],
+        2, [-1.0, -1.0], h, [n, n],
         lambda pts: np.linalg.norm(pts, axis=-1) < 1.0,
     )
+
+
+@pytest.fixture
+def disk_grid():
+    """2D grid on [-1, 1]^2 with h = 0.1 masked to the open unit disk."""
+    return unit_disk(0.1)
 
 
 def linear(grid, slope=1.0, intercept=0.0):

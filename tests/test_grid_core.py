@@ -29,8 +29,10 @@ from rieszvar.errors import (
     IsolatedNode,
     UnknownCatalogEntry,
 )
+from rieszvar.grid import ball_in_domain, ball_offsets, eroded_mask, region_mask
+from rieszvar.riesz import candidate_balls
 
-from conftest import const_weight, linear
+from conftest import const_weight, linear, unit_disk
 
 
 class TestBuildGrid:
@@ -212,6 +214,60 @@ class TestNodeSet:
         g = build_grid(2, [0.0, 0.0], 1.0, [3, 3])
         idx = node_set(g, Ball([1.0, 1.0], 1.01))
         assert idx.size == 5  # center plus 4 axis neighbors
+
+
+class TestBallStencil:
+    """One open-ball rule: node-centred balls hold the same stencil everywhere.
+
+    h = 0.1 and h = 0.05 are not dyadic, so nodes at distance exactly r
+    from a centre sit at r plus or minus rounding in coordinate space.
+    """
+
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    @pytest.mark.parametrize("steps, count", [(2, 9), (3, 25)])
+    def test_interior_counts_translation_invariant(self, h, steps, count):
+        g = unit_disk(h)
+        balls = candidate_balls(g, [steps * h])
+        assert len(balls) > 100
+        assert {node_set(g, b).size for b in balls} == {count}
+        assert len(ball_offsets(g, steps * h)) == count
+
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_region_mask_matches_stencil(self, h):
+        g = unit_disk(h)
+        for ball in candidate_balls(g, [2 * h, 3 * h, 4 * h]):
+            center = np.rint((ball.center - g.origin) / h).astype(int)
+            expected = np.zeros(g.shape, dtype=bool)
+            expected[tuple((center + ball_offsets(g, ball.radius)).T)] = True
+            assert np.array_equal(region_mask(g, ball), expected)
+
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_ball_in_domain_matches_eroded_mask(self, h):
+        g = unit_disk(h)
+        radii = [2 * h, 3 * h, 4 * h]
+        expected = []  # reference: one ball_in_domain test per node and radius
+        for r in radii:
+            eroded = eroded_mask(g, r).reshape(-1)
+            for flat in np.flatnonzero(g.mask):
+                ball = Ball(g.node_coordinate(flat), r)
+                assert ball_in_domain(g, ball) == eroded[flat]
+                if eroded[flat]:
+                    expected.append((flat, radii.index(r), tuple(ball.center)))
+        got = [(g.flat_index(np.rint((b.center - g.origin) / h).astype(int)),
+                radii.index(b.radius), tuple(b.center)) for b in candidate_balls(g, radii)]
+        assert got == sorted(expected)
+
+    def test_offsets_row_major_and_symmetric(self):
+        g = build_grid(3, [0.0] * 3, 0.3, [5, 5, 5])
+        offsets = ball_offsets(g, 0.6)
+        assert [tuple(k) for k in offsets] == sorted(tuple(k) for k in offsets)
+        assert np.array_equal(offsets, -offsets[::-1])
+        assert len(offsets) == 27  # |k|^2 in {0, 1, 2, 3}
+
+    def test_distance_exactly_r_is_out(self):
+        g = build_grid(1, [0.0], 0.1, [11])
+        for c in g.axis_coords(0)[2:-2]:
+            assert node_set(g, Ball([c], 0.2)).size == 3
 
 
 class TestBallCollection:

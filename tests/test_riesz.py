@@ -27,10 +27,11 @@ from rieszvar.errors import (
     PreconditionError,
     UnboundedSupport,
 )
-from rieszvar.grid import FieldKind, balls_disjoint
+from rieszvar import riesz
+from rieszvar.grid import FieldKind, balls_disjoint, region_mask
 from rieszvar.riesz import BallScore, finest_partition, make_scores, measure_balls
 
-from conftest import const_weight, linear
+from conftest import const_weight, linear, unit_disk
 
 
 def random_scored(rng, n):
@@ -201,6 +202,61 @@ class TestScoreBall:
         s = score_ball(const_weight(fine_unit_grid, 3.0), const_weight(fine_unit_grid),
                        Ball([0.5], 0.25), 2.0)
         assert s.score == 0.0
+
+
+class TestMeasureBalls:
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_matches_region_mask_reference(self, h, monkeypatch):
+        g = unit_disk(h)
+        rng = np.random.default_rng(7)
+        f = SampledField(g, rng.standard_normal(g.shape))
+        w = SampledField(g, rng.uniform(0.5, 2.0, g.shape), FieldKind.WEIGHT)
+        balls = candidate_balls(g, [2 * h, 3 * h, 4 * h])
+        osc, mass = measure_balls(f, w, balls)
+        for i, ball in enumerate(balls):
+            member = region_mask(g, ball)
+            vals = f.values[member]
+            assert osc[i] == vals.max() - vals.min()
+            assert mass[i] == w.values[member].sum() * g.cell_volume()
+        # Small gather blocks split every radius group; the values must not move.
+        monkeypatch.setattr(riesz, "_GATHER_BLOCK", 40)
+        osc_small, mass_small = measure_balls(f, w, balls)
+        assert np.array_equal(osc_small, osc) and np.array_equal(mass_small, mass)
+
+    def test_unordered_mixed_radii(self, unit_grid):
+        f, w = linear(unit_grid), const_weight(unit_grid)
+        balls = candidate_balls(unit_grid, [0.05, 0.1])[::-1]
+        osc, mass = measure_balls(f, w, balls)
+        for i, ball in enumerate(balls):
+            assert osc[i] == score_ball(f, w, ball, 2.0).oscillation
+            assert mass[i] == score_ball(f, w, ball, 2.0).weight_mass
+
+    def test_empty_list(self, unit_grid):
+        osc, mass = measure_balls(linear(unit_grid), const_weight(unit_grid), [])
+        assert osc.size == 0 and mass.size == 0
+
+    def test_off_node_ball_rejected(self, unit_grid):
+        ball = Ball([0.5 + unit_grid.spacing / 3], 0.1)
+        with pytest.raises(PreconditionError, match="node-centred"):
+            measure_balls(linear(unit_grid), const_weight(unit_grid), [ball])
+
+    def test_uncontained_ball_rejected(self, unit_grid, disk_grid):
+        with pytest.raises(PreconditionError, match="contained"):
+            measure_balls(linear(unit_grid), const_weight(unit_grid), [Ball([0.0625], 0.1)])
+        f = sample_catalog(disk_grid, "linear", {"slope": [1.0, 0.0]})
+        with pytest.raises(PreconditionError, match="contained"):
+            measure_balls(f, const_weight(disk_grid), [Ball([0.7, 0.7], 0.3)])
+
+    def test_outside_box_rejected(self, unit_grid):
+        with pytest.raises(PreconditionError, match="node-centred"):
+            measure_balls(linear(unit_grid), const_weight(unit_grid), [Ball([1.5], 0.1)])
+
+    def test_score_ball_accepts_any_ball(self, fine_unit_grid):
+        f, w = linear(fine_unit_grid), const_weight(fine_unit_grid)
+        off_node = score_ball(f, w, Ball([0.5 + fine_unit_grid.spacing / 3], 0.25), 2.0)
+        assert off_node.oscillation == pytest.approx(0.5, abs=0.01)
+        sticking_out = score_ball(f, w, Ball([0.0], 0.25), 2.0)
+        assert sticking_out.weight_mass == pytest.approx(0.25, abs=0.01)
 
 
 class TestPack1dExact:

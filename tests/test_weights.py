@@ -221,6 +221,18 @@ class TestDoubling:
         assert balls
         assert all(b.center[0] - 2 * b.radius >= -1e-9 for b in balls)
 
+    def test_family_matches_node_loop(self, disk_grid):
+        g, radii = disk_grid, [0.3, 0.1]
+        expected = []  # reference: one bounding-box test per node and radius
+        for flat in range(0, g.n_nodes, 3):
+            if g.mask.reshape(-1)[flat]:
+                c = g.node_coordinate(flat)
+                expected += [(tuple(c), r) for r in radii
+                             if np.all(c - 2 * r >= g.bbox_lo - 1e-9)
+                             and np.all(c + 2 * r <= g.bbox_hi + 1e-9)]
+        got = [(tuple(b.center), b.radius) for b in doubling_ball_family(g, radii, stride=3)]
+        assert got and got == expected
+
 
 class TestDualWeight:
     def test_unit(self, unit_grid):
