@@ -2,13 +2,12 @@
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, fields
 
 from .catalog import list_catalog, sample_catalog
 from .errors import ConfigError, ToolkitError
-from .grid import FieldKind, build_grid, read_field
+from .grid import FieldKind, build_grid, read_field, same_nodes
+from .riesz import METHODS
 from .varexp import exponent_catalog, exponent_from_file
 
 KNOWN_SUITES = (
@@ -92,6 +91,13 @@ def _check_field_spec(spec, path, kind):
         raise ConfigError(f"{path}.catalog", f"unknown catalog family {name!r}")
 
 
+def _with_defaults(cls, raw):
+    """``cls`` with the fields ``raw`` gives, each cast to its default's type."""
+    return cls(**{
+        f.name: type(f.default)(raw[f.name]) for f in fields(cls) if f.name in raw
+    })
+
+
 def load_config(data):
     """Validate a config dict (already parsed JSON) into an ExperimentConfig."""
     if not isinstance(data, dict):
@@ -127,27 +133,13 @@ def load_config(data):
     if radii and min(radii) < 2.0 * h:
         raise ConfigError("radii", f"every radius must be >= 2h = {2 * h}")
     method = data.get("method", "auto")
-    if method not in ("auto", "dp_1d_exact", "greedy", "greedy_plus_local_search"):
+    if method not in ("auto",) + METHODS:
         raise ConfigError("method", f"unknown packing method {method!r}")
-    thr_raw = data.get("thresholds", {})
-    thresholds = Thresholds(
-        k_max_base=float(thr_raw.get("k_max_base", 32.0)),
-        c_eq=float(thr_raw.get("c_eq", 4.0)),
-        c_thm=float(thr_raw.get("c_thm", 16.0)),
-        bound_thm1=float(thr_raw.get("bound_thm1", 16.0)),
-        rw_threshold=float(thr_raw.get("rw_threshold", 1000.0)),
-        rw_tol=float(thr_raw.get("rw_tol", 1e-3)),
-        drift_tol=float(thr_raw.get("drift_tol", 0.10)),
-    )
+    thresholds = _with_defaults(Thresholds, data.get("thresholds", {}))
     for name in ("k_max_base", "c_eq", "c_thm", "bound_thm1", "rw_threshold"):
         if getattr(thresholds, name) <= 1:
             raise ConfigError(f"thresholds.{name}", "threshold must be > 1")
-    cube_raw = data.get("cubes", {})
-    cubes = CubeSpec(
-        min_side=float(cube_raw.get("min_side", 0.25)),
-        levels=int(cube_raw.get("levels", 4)),
-        shifts=int(cube_raw.get("shifts", 2)),
-    )
+    cubes = _with_defaults(CubeSpec, data.get("cubes", {}))
     suites = tuple(data.get("suites", ()))
     for s in suites:
         if s not in KNOWN_SUITES:
@@ -219,15 +211,6 @@ def materialize_exponent(grid, spec):
         raise ConfigError("exponent.catalog", str(exc)) from exc
 
 
-def _grids_compatible(a, b):
-    return (
-        a.dim == b.dim
-        and a.shape == b.shape
-        and abs(a.spacing - b.spacing) <= 1e-12 * a.spacing
-        and np.allclose(a.origin, b.origin, atol=1e-12)
-    )
-
-
 def materialize_level(config, level=0):
     """Grid, function, weight, and exponent at one refinement level.
 
@@ -240,7 +223,7 @@ def materialize_level(config, level=0):
     if "file" in config.function_spec:
         if level > 0:
             raise ConfigError("function.file", "file-based fields cannot be refined")
-        if not _grids_compatible(f.grid, grid):
+        if not same_nodes(f.grid, grid):
             raise ConfigError(
                 "function.file", "file grid does not match the configured grid"
             )

@@ -232,6 +232,16 @@ def build_grid(dim, origin, spacing, shape, domain_predicate=None):
     return replace(probe, mask=mask)
 
 
+def same_nodes(a, b):
+    """Whether two grids place the same nodes: dimension, shape, spacing and origin."""
+    return (
+        a.dim == b.dim
+        and a.shape == b.shape
+        and abs(a.spacing - b.spacing) <= 1e-12 * a.spacing
+        and np.allclose(a.origin, b.origin, atol=1e-12)
+    )
+
+
 def _inside(dist_sq, r):
     """The open-ball rule: a node at squared distance ``dist_sq`` from the centre is in B(c, r)."""
     return np.sqrt(dist_sq) < r - ATOL

@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import materialize_level
 from .errors import ToolkitError
-from .grid import gradient_magnitude, region_mask
+from .grid import gradient_magnitude
 from .report import Report, ReportRow, params_string
 from .riesz import (
     MAX_ITERS,
@@ -202,7 +202,7 @@ def suite_lemma21(ctx, n_subsets=200):
     lvl = ctx.levels[0]
     rng = np.random.Generator(np.random.Philox(ctx.config.seed))
     for p in ctx.config.p_values:
-        grid, _, w, _ = lvl.fields
+        _, _, w, _ = lvl.fields
         family = lvl.family
         ap = ap_constant(w, p, family)
         if not math.isfinite(ap):
@@ -213,13 +213,11 @@ def suite_lemma21(ctx, n_subsets=200):
             continue
         violations = 0
         min_slack = float("inf")
-        cubes = list(family)
+        w_flat = w.values.reshape(-1)
         for k in range(n_subsets):
-            cube = cubes[int(rng.integers(0, len(cubes)))]
-            member = np.flatnonzero(region_mask(grid, cube).reshape(-1))
+            member = family.nodes[int(rng.integers(0, len(family)))]
             size = int(rng.integers(1, member.size + 1))
             subset = rng.choice(member, size=size, replace=False)
-            w_flat = w.values.reshape(-1)
             wq = float(w_flat[member].sum())
             we = float(w_flat[subset].sum())
             if wq == 0:

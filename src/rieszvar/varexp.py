@@ -168,24 +168,28 @@ def _bisect_luxemburg(rho, scale_hint, p_minus, tol):
     return hi
 
 
-def luxemburg_norm(f, pfun, region=None, tol=1e-10):
-    """Luxemburg norm: inf { lambda > 0 : modular(f/lambda) <= 1 }."""
+def _luxemburg(av, pv, weight, tol):
+    """Smallest lambda with sum (av/lambda)^pv * weight <= 1; 0 when av vanishes."""
     if tol <= 0:
         raise PreconditionError("tol must be positive")
-    member = region_mask(f.grid, region)
-    if not member.any():
-        raise EmptyRegion("no masked-in node lies in the region")
-    av = np.abs(f.values[member])
-    if av.max() == 0.0:
+    if av.size == 0 or av.max() == 0.0:
         return 0.0
-    pv = pfun.values[member]
-    vol = f.grid.cell_volume()
 
     def rho(lam):
         with np.errstate(over="ignore"):
-            return float(np.sum((av / lam) ** pv) * vol)
+            return float(np.sum((av / lam) ** pv) * weight)
 
     return _bisect_luxemburg(rho, rho(1.0), float(pv.min()), tol)
+
+
+def luxemburg_norm(f, pfun, region=None, tol=1e-10):
+    """Luxemburg norm: inf { lambda > 0 : modular(f/lambda) <= 1 }."""
+    member = region_mask(f.grid, region)
+    if not member.any():
+        raise EmptyRegion("no masked-in node lies in the region")
+    return _luxemburg(
+        np.abs(f.values[member]), pfun.values[member], f.grid.cell_volume(), tol
+    )
 
 
 def char_norm(region, pfun, tol=1e-10):
@@ -193,10 +197,8 @@ def char_norm(region, pfun, tol=1e-10):
     member = region_mask(pfun.grid, region)
     if not member.any():
         raise EmptyRegion("region contains no masked-in node")
-    indicator = SampledField(
-        pfun.grid, member.astype(float), FieldKind.FUNCTION
-    )
-    return luxemburg_norm(indicator, pfun, region=region, tol=tol)
+    pv = pfun.values[member]
+    return _luxemburg(np.ones(pv.size), pv, pfun.grid.cell_volume(), tol)
 
 
 @dataclass(frozen=True)
@@ -221,18 +223,7 @@ class VariableSequence:
 
 def seq_norm(sequence, tol=1e-10):
     """Luxemburg norm on the sequence space: inf { l : sum (|t_k|/l)^{p_k} <= 1 }."""
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
-    av = np.abs(sequence.values)
-    if av.size == 0 or av.max() == 0.0:
-        return 0.0
-    pv = sequence.exponents
-
-    def rho(lam):
-        with np.errstate(over="ignore"):
-            return float(np.sum((av / lam) ** pv))
-
-    return _bisect_luxemburg(rho, rho(1.0), float(pv.min()), tol)
+    return _luxemburg(np.abs(sequence.values), sequence.exponents, 1.0, tol)
 
 
 def g_operator(f, collection):
@@ -249,16 +240,18 @@ def g_operator(f, collection):
 
 
 def _collection_terms(f, collection, pfun, tol):
-    """Per-ball (osc/r, harmonic-mean exponent, indicator norm) triples."""
+    """Per-ball (osc/r, harmonic-mean exponent, indicator norm) triples, one gather per ball."""
+    vol = f.grid.cell_volume()
     terms = []
     for ball in collection:
         member = region_mask(f.grid, ball)
         if not member.any():
             raise EmptyRegion("packing ball contains no masked-in node")
         vals = f.values[member]
+        pv = pfun.values[member]
         a = (vals.max() - vals.min()) / ball.radius
-        p_ball = harmonic_mean_exponent(pfun, ball)
-        c_ball = char_norm(ball, pfun, tol=tol)
+        p_ball = 1.0 / np.mean(1.0 / pv)
+        c_ball = _luxemburg(np.ones(pv.size), pv, vol, tol)
         terms.append((float(a), float(p_ball), float(c_ball)))
     return terms
 

@@ -7,7 +7,7 @@ lower bound of 1 exact for constant weights.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -27,6 +27,7 @@ from .grid import (
     SampledField,
     cube_in_bbox,
     region_mask,
+    same_nodes,
     weighted_measure,
 )
 
@@ -34,18 +35,31 @@ from .grid import (
 class CubeProvenance(Enum):
     DYADIC = "dyadic"
     SHIFTED_DYADIC = "shifted_dyadic"
-    EXHAUSTIVE_GRID = "exhaustive_grid"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubeFamily:
+    """Cubes bound to a grid, each with its masked-in nodes.
+
+    ``nodes[i]`` holds the flat row-major indices of the masked-in nodes
+    of ``cubes[i]``; cubes that hold none are dropped.
+    """
+
+    grid: object
     cubes: tuple
     provenance: CubeProvenance
+    nodes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cubes", tuple(self.cubes))
-        if not self.cubes:
-            raise NoCubes("cube family is empty")
+        kept = []
+        for cube in self.cubes:
+            idx = np.flatnonzero(region_mask(self.grid, cube))
+            if idx.size:
+                kept.append((cube, idx))
+        if not kept:
+            raise NoCubes("no cube of the family holds a masked-in node")
+        object.__setattr__(self, "cubes", tuple(c for c, _ in kept))
+        object.__setattr__(self, "nodes", tuple(i for _, i in kept))
 
     def __len__(self):
         return len(self.cubes)
@@ -82,7 +96,8 @@ def generate_cubes(grid, min_side, levels, shifts=1):
 
     Level ``l`` uses side ``min_side * 2**l``; copy ``j`` of ``shifts``
     is translated by ``j * side / shifts`` along every axis. Cubes that
-    exit the bounding box or miss every masked-in node are dropped.
+    exit the bounding box are dropped here, cubes that miss every
+    masked-in node by ``CubeFamily``.
     """
     if min_side < grid.spacing:
         raise PreconditionError(
@@ -101,15 +116,10 @@ def generate_cubes(grid, min_side, levels, shifts=1):
             grids_1d = [lo[a] + off + side * np.arange(counts[a]) for a in range(grid.dim)]
             for corner in _cartesian(grids_1d):
                 cube = Cube(corner=np.array(corner), side=side)
-                if not cube_in_bbox(grid, cube):
-                    continue
-                if not region_mask(grid, cube).any():
-                    continue
-                cubes.append(cube)
-    if not cubes:
-        raise NoCubes("every candidate cube was clipped away or empty")
+                if cube_in_bbox(grid, cube):
+                    cubes.append(cube)
     provenance = CubeProvenance.DYADIC if shifts == 1 else CubeProvenance.SHIFTED_DYADIC
-    return CubeFamily(tuple(cubes), provenance)
+    return CubeFamily(grid, tuple(cubes), provenance)
 
 
 def _cartesian(axes):
@@ -117,11 +127,12 @@ def _cartesian(axes):
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def _cube_values(w, cube):
-    member = region_mask(w.grid, cube)
-    if not member.any():
-        raise ZeroWeightOnCube("cube contains no masked-in node")
-    return w.values[member]
+def _cube_values(w, family):
+    """The weight's values on each cube's nodes, one array per cube."""
+    if not (same_nodes(w.grid, family.grid) and np.array_equal(w.grid.mask, family.grid.mask)):
+        raise PreconditionError("weight and cube family live on different grids")
+    flat = w.values.reshape(-1)
+    return [flat[idx] for idx in family.nodes]
 
 
 def ap_constant(w, p, family):
@@ -136,8 +147,7 @@ def ap_constant(w, p, family):
         raise PreconditionError("ap_constant requires a weight field")
     best = 0.0
     expo = 1.0 / (1.0 - p)
-    for cube in family:
-        vals = _cube_values(w, cube)
+    for vals in _cube_values(w, family):
         mean_w = vals.mean()
         if mean_w == 0.0:
             raise ZeroWeightOnCube("weight integrates to zero on a cube")
@@ -154,8 +164,7 @@ def a1_constant(w, family):
     if w.kind != FieldKind.WEIGHT:
         raise PreconditionError("a1_constant requires a weight field")
     best = 0.0
-    for cube in family:
-        vals = _cube_values(w, cube)
+    for vals in _cube_values(w, family):
         mn = vals.min()
         if mn == 0.0:
             return float("inf")
@@ -168,8 +177,7 @@ def rh_constant(w, s, family):
     if s <= 1:
         raise PreconditionError(f"RH_s requires s > 1, got {s}")
     best = 0.0
-    for cube in family:
-        vals = _cube_values(w, cube)
+    for vals in _cube_values(w, family):
         mean_w = vals.mean()
         if mean_w == 0.0:
             raise ZeroWeightOnCube("weight integrates to zero on a cube")

@@ -1,15 +1,26 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import rieszvar
-from rieszvar import build_grid, emit_report, sample_catalog, write_field
+from rieszvar import Ball, Cube, build_grid, emit_report, sample_catalog, write_field
 from rieszvar.cli import main
-from rieszvar.config import KNOWN_SUITES, load_config, materialize_level
+from rieszvar.config import (
+    KNOWN_SUITES,
+    CubeSpec,
+    Thresholds,
+    load_config,
+    materialize_level,
+)
 from rieszvar.errors import ConfigError
+from rieszvar.grid import region_mask
 import rieszvar.harness as harness
+from rieszvar.riesz import METHODS
+import rieszvar.varexp as varexp
+import rieszvar.weights as weights
 from rieszvar.harness import RunContext, run_config, verify_theorem1
 from rieszvar.report import (
     Report,
@@ -39,6 +50,23 @@ class TestConfigValidation:
     def test_minimal_loads(self):
         cfg = load_config(minimal_config())
         assert cfg.dim == 1 and cfg.p_values == (2.0,)
+
+    def test_minimal_takes_dataclass_defaults(self):
+        cfg = load_config(minimal_config())
+        assert cfg.thresholds == Thresholds()
+        assert cfg.cubes == CubeSpec()
+
+    def test_partial_sections_cast_and_default(self):
+        cfg = load_config(minimal_config(thresholds={"c_eq": 5}, cubes={"levels": 3.0}))
+        assert cfg.thresholds == Thresholds(c_eq=5.0)
+        assert cfg.cubes == CubeSpec(levels=3)
+        assert type(cfg.thresholds.c_eq) is float and type(cfg.cubes.levels) is int
+
+    def test_method_is_auto_or_a_packing_method(self):
+        for method in ("auto",) + METHODS:
+            assert load_config(minimal_config(method=method)).method == method
+        with pytest.raises(ConfigError):
+            load_config(minimal_config(method="exhaustive"))
 
     def test_unknown_catalog(self):
         with pytest.raises(ConfigError) as err:
@@ -169,6 +197,64 @@ class TestRunContext:
             assert sorted(calls["materialize_level"]) == [0, 1]
             assert 1 <= calls["candidate_balls"] <= cfg.refinements
 
+    def test_each_region_gathered_once(self, monkeypatch):
+        """Cube families call region_mask once per cube, and nothing else does for
+        cubes; each _collection_terms or g_operator call makes one per packed ball."""
+        cube_calls = []
+        ball_calls = [0]
+
+        def counted_mask(grid, region=None):
+            if isinstance(region, Cube):
+                cube_calls.append((tuple(region.corner), region.side))
+            elif isinstance(region, Ball):
+                ball_calls[0] += 1
+            return region_mask(grid, region)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rieszvar") and getattr(module, "region_mask", None) is region_mask:
+                monkeypatch.setattr(module, "region_mask", counted_mask)
+
+        families = []  # (cubes handed in, cubes region_mask was called for)
+        family_cls = weights.CubeFamily
+
+        def counted_family(grid, cubes, provenance):
+            before = len(cube_calls)
+            family = family_cls(grid, cubes, provenance)
+            families.append(([(tuple(c.corner), c.side) for c in cubes], cube_calls[before:]))
+            return family
+
+        per_collection = []  # (packed balls, ball region_mask calls made)
+
+        def per_ball(fn):
+            def counted(f, collection, *args):
+                before = ball_calls[0]
+                out = fn(f, collection, *args)
+                per_collection.append((len(collection), ball_calls[0] - before))
+                return out
+            return counted
+
+        monkeypatch.setattr(weights, "CubeFamily", counted_family)
+        monkeypatch.setattr(varexp, "_collection_terms", per_ball(varexp._collection_terms))
+        monkeypatch.setattr(varexp, "g_operator", per_ball(varexp.g_operator))
+        cfg = load_config(minimal_config(
+            grid={"dim": 2, "bounds": [[-1.0, 1.0], [-1.0, 1.0]], "h": 0.125},
+            function={"catalog": "bump", "params": {"radius": 0.75, "center": [0.1, -0.05]}},
+            weight={"catalog": "power_weight", "params": {"alpha": 0.5, "center": [0.03, -0.09]}},
+            exponent={"catalog": "affine", "params": {"intercept": 3.5, "slope": [0.25, 0.25]}},
+            radii=[0.25, 0.375],
+            method="greedy",
+            p_values=[2.0, 3.0],
+            cubes={"min_side": 0.25, "levels": 2, "shifts": 2},
+            suites=list(KNOWN_SUITES),
+            refinements=2,
+        ))
+        rows = run_config(cfg).rows
+        assert not [r for r in rows if r.status == "error"]
+        assert len(families) == cfg.refinements
+        assert all(cubes and cubes == calls for cubes, calls in families)
+        assert len(cube_calls) == sum(len(cubes) for cubes, _ in families)
+        assert per_collection and all(n and n == calls for n, calls in per_collection)
+
     def test_failing_value_is_not_cached(self):
         suites = ["theorem1", "lemma21", "rh_exists", "morrey"]
         cfg = load_config(minimal_config(
@@ -242,6 +328,17 @@ class TestFileBasedFields:
         cfg = load_config(minimal_config(function={"file": str(tmp_path / "f.grid")}))
         with pytest.raises(ConfigError):
             materialize_level(cfg)
+
+    def test_weight_file_on_other_nodes_is_an_error_row(self, tmp_path):
+        shifted = build_grid(1, [5.0], 1 / 256, [257])  # same shape, on [5, 6]
+        write_field(tmp_path / "w.grid", sample_catalog(shifted, "constant"))
+        cfg = load_config(minimal_config(
+            weight={"file": str(tmp_path / "w.grid")}, suites=["theorem1", "lemma21"],
+        ))
+        message = "weight and cube family live on different grids"
+        assert [(r.experiment, r.params, r.status) for r in run_config(cfg).rows] == [
+            (suite, params_string(message=message), "error") for suite in cfg.suites
+        ]
 
     def test_exponent_from_file(self, tmp_path):
         g = build_grid(1, [0.0], 1 / 256, [257])

@@ -27,10 +27,10 @@ from rieszvar import (
     varexp_sobolev_equivalence,
 )
 from rieszvar.errors import BadParams, EmptyRegion, PreconditionError
-from rieszvar.grid import FieldKind
+from rieszvar.grid import FieldKind, region_mask
 from rieszvar.varexp import ExponentFunction, explore_packings, rbv_collection_norm
 
-from conftest import const_weight, linear
+from conftest import const_weight, linear, unit_disk
 
 
 @pytest.fixture
@@ -372,3 +372,65 @@ class TestVarexpSobolev:
             varexp_sobolev_equivalence(
                 linear(unit_grid), p, explore_packings(linear(unit_grid), p, [1 / 8])
             )
+
+
+def old_char_norm(region, pfun, tol=1e-10):
+    """The Luxemburg norm of a full-grid indicator field, as char_norm once computed it."""
+    member = region_mask(pfun.grid, region)
+    indicator = SampledField(pfun.grid, member.astype(float), FieldKind.FUNCTION)
+    return luxemburg_norm(indicator, pfun, region=region, tol=tol)
+
+
+def old_collection_norm(f, collection, pfun, tol=1e-10):
+    """rbv_collection_norm with one gather per helper and ball, as it once was."""
+    entries, expo = [], []
+    for ball in collection:
+        vals = f.values[region_mask(f.grid, ball)]
+        a = float((vals.max() - vals.min()) / ball.radius)
+        entries.append(a * float(old_char_norm(ball, pfun, tol=tol)))
+        expo.append(harmonic_mean_exponent(pfun, ball))
+    if max(entries) == 0.0:
+        return 0.0
+    return seq_norm(VariableSequence(np.array(entries), np.array(expo)), tol=tol)
+
+
+class TestOneGatherPerBall:
+    """Each packed ball is gathered once; values equal the per-helper path bit for bit."""
+
+    def cases(self):
+        line = build_grid(1, [0.0], 1 / 256, [257])
+        disk = unit_disk(0.1)
+        return [
+            (sample_catalog(line, "hat", {"radius": 0.4, "center": 0.5}),
+             exponent_catalog(line, "affine", {"intercept": 2.0, "slope": 1.0}),
+             [(Ball([0.25], 0.125), Ball([0.75], 0.125)),  # node-centred
+              (Ball([0.3], 0.1), Ball([0.7], 0.1))]),  # off-node
+            (sample_catalog(disk, "bump", {"radius": 0.75, "center": [0.1, -0.05]}),
+             exponent_catalog(disk, "affine", {"intercept": 3.0, "slope": [0.5, 0.25]}),
+             [(Ball([0.0, 0.0], 0.3), Ball([0.5, -0.3], 0.2)),
+              (Ball([0.03, 0.02], 0.3), Ball([0.55, -0.35], 0.2))]),
+        ]
+
+    def test_char_norm_bit_equal(self):
+        for _, pfun, collections in self.cases():
+            for balls in collections:
+                for ball in balls:
+                    assert char_norm(ball, pfun) == old_char_norm(ball, pfun)
+                    assert char_norm(ball, pfun, tol=1e-4) == old_char_norm(ball, pfun, tol=1e-4)
+
+    def test_collection_norm_bit_equal(self):
+        for f, pfun, collections in self.cases():
+            for balls in collections:
+                coll = BallCollection(balls)
+                got = rbv_collection_norm(f, coll, pfun)
+                assert got > 0 and got == old_collection_norm(f, coll, pfun)
+
+    def test_off_node_balls_accepted(self, unit_grid, p_affine):
+        f = linear(unit_grid)
+        coll = BallCollection((Ball([0.3], 0.1),))
+        g = g_operator(f, coll)
+        member = region_mask(unit_grid, coll.balls[0])
+        vals = f.values[member]
+        assert np.all(g.values[member] == (vals.max() - vals.min()) / 0.1)
+        assert np.all(g.values[~member] == 0.0)
+        assert rbv_var_modular(f, coll, p_affine, 1.0) > 0.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from rieszvar import (
     sample_catalog,
 )
 from rieszvar.errors import InfiniteDual, NoCubes, PreconditionError
-from rieszvar.weights import CubeFamily, CubeProvenance, doubling_ball_family
+from rieszvar.grid import region_mask
+import rieszvar.weights as weights
+from rieszvar.weights import (
+    CubeFamily,
+    CubeProvenance,
+    _cube_values,
+    doubling_ball_family,
+)
 
 from conftest import const_weight
 
@@ -59,6 +67,96 @@ class TestGenerateCubes:
         g = build_grid(1, [0.0], 0.25, [3])  # box extent 0.5
         with pytest.raises(NoCubes):
             generate_cubes(g, 1.0, 1)
+
+
+class TestCubeFamilyNodes:
+    """A family is bound to its grid and gathers each cube's nodes once."""
+
+    def test_drops_empty_cube_on_disk(self, disk_grid):
+        corner = Cube([-1.0, -1.0], 0.2)  # every node of it lies outside the disk
+        centre = Cube([-0.2, -0.2], 0.4)
+        assert not region_mask(disk_grid, corner).any()
+        fam = CubeFamily(disk_grid, (corner, centre), CubeProvenance.DYADIC)
+        assert fam.cubes == (centre,)
+        assert np.array_equal(fam.nodes[0], np.flatnonzero(region_mask(disk_grid, centre)))
+        with pytest.raises(NoCubes):
+            CubeFamily(disk_grid, (corner,), CubeProvenance.DYADIC)
+
+    def test_nodes_are_flat_region_masks(self, disk_grid):
+        fam = generate_cubes(disk_grid, 0.2, 3, shifts=2)
+        assert len(fam.nodes) == len(fam)
+        for cube, idx in zip(fam, fam.nodes):
+            assert idx.size and np.array_equal(idx, np.flatnonzero(region_mask(disk_grid, cube)))
+
+    def test_weight_on_other_grid_rejected(self, disk_grid):
+        fam = generate_cubes(disk_grid, 0.2, 2)
+        assert len(_cube_values(const_weight(disk_grid), fam)) == len(fam)
+        mask = disk_grid.mask.copy()
+        mask[10, 10] = False
+        with pytest.raises(PreconditionError):
+            _cube_values(const_weight(replace(disk_grid, mask=mask)), fam)
+        with pytest.raises(PreconditionError):
+            ap_constant(const_weight(replace(disk_grid, mask=mask)), 2.0, fam)
+        for other in (build_grid(2, [-1.0, -1.0], 0.1, [21, 20]),
+                      replace(disk_grid, origin=[-0.9, -1.0]),
+                      replace(disk_grid, spacing=0.05)):
+            with pytest.raises(PreconditionError):
+                _cube_values(const_weight(other), fam)
+
+
+def _reference_values(w, family):
+    """One region_mask per cube and call, as the constants once gathered them."""
+    return [w.values[region_mask(w.grid, cube)] for cube in family]
+
+
+def reference_ap(w, p, family):
+    best = 0.0
+    for vals in _reference_values(w, family):
+        with np.errstate(divide="ignore", over="ignore"):
+            dual = vals ** (1.0 / (1.0 - p))
+        best = max(best, float(vals.mean() * float(dual.mean()) ** (p - 1.0)))
+    return best
+
+
+def reference_a1(w, family):
+    best = 0.0
+    for vals in _reference_values(w, family):
+        if vals.min() == 0.0:
+            return float("inf")
+        best = max(best, float(vals.mean() / vals.min()))
+    return best
+
+
+def reference_rh(w, s, family):
+    best = 0.0
+    for vals in _reference_values(w, family):
+        best = max(best, float((vals**s).mean() ** (1.0 / s) / vals.mean()))
+    return best
+
+
+class TestConstantsMatchRegionMaskReference:
+    @pytest.fixture(params=["disk", "symmetric"])
+    def case(self, request, disk_grid, symmetric_grid):
+        if request.param == "disk":
+            w = sample_catalog(disk_grid, "power_weight",
+                               {"alpha": 0.5, "center": [0.03, -0.05]})
+            return w, generate_cubes(disk_grid, 0.2, 3, shifts=2)
+        w = sample_catalog(symmetric_grid, "power_weight", {"alpha": 0.5})
+        return w, generate_cubes(symmetric_grid, 0.25, 4, shifts=2)
+
+    def test_ap_a1_rh_bit_equal(self, case):
+        w, fam = case
+        for p in (1.01, 1.5, 2.0, 3.0, 64.0):
+            assert ap_constant(w, p, fam) == reference_ap(w, p, fam)
+        assert a1_constant(w, fam) == reference_a1(w, fam)
+        for s in (1.05, 1.5, 2.0):
+            assert rh_constant(w, s, fam) == reference_rh(w, s, fam)
+
+    def test_estimate_rw_bit_equal(self, case, monkeypatch):
+        w, fam = case
+        got = [estimate_rw(w, fam, threshold=t) for t in (2.0, 10.0, 1000.0)]
+        monkeypatch.setattr(weights, "ap_constant", reference_ap)
+        assert got == [estimate_rw(w, fam, threshold=t) for t in (2.0, 10.0, 1000.0)]
 
 
 class TestApConstant:
@@ -113,6 +211,7 @@ class TestApConstant:
         w = sample_catalog(symmetric_grid, "power_weight", {"alpha": 0.5})
         small = generate_cubes(symmetric_grid, 0.5, 2)
         big = CubeFamily(
+            symmetric_grid,
             tuple(small.cubes) + tuple(generate_cubes(symmetric_grid, 0.25, 1).cubes),
             small.provenance,
         )
@@ -129,7 +228,7 @@ class TestA1Constant:
         )
 
     def test_step(self, unit_grid):
-        fam = CubeFamily((Cube([0.0], 1.0),), CubeProvenance.DYADIC)
+        fam = CubeFamily(unit_grid, (Cube([0.0], 1.0),), CubeProvenance.DYADIC)
         got = a1_constant(step_weight(unit_grid), fam)
         assert got == pytest.approx(1.5, abs=0.02)
 
@@ -152,7 +251,7 @@ class TestRhConstant:
         )
 
     def test_step(self, unit_grid):
-        fam = CubeFamily((Cube([0.0], 1.0),), CubeProvenance.DYADIC)
+        fam = CubeFamily(unit_grid, (Cube([0.0], 1.0),), CubeProvenance.DYADIC)
         got = rh_constant(step_weight(unit_grid), 2.0, fam)
         assert got == pytest.approx(math.sqrt(2.5) / 1.5, abs=0.01)
 
