@@ -31,8 +31,10 @@ from .grid import (
 from .report import Report, ReportRow, emit_report
 from .riesz import (
     BallScore,
+    CandidateSet,
     LipschitzField,
     PackingSolution,
+    ScoredCandidates,
     candidate_balls,
     classical_riesz_1d,
     lipschitz_field,

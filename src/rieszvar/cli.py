@@ -178,7 +178,7 @@ def varexp(config_path, out_path, fmt, seed, threads):
 @main.command()
 @_common
 def verify(config_path, out_path, fmt, seed, threads):
-    """Run the configured theorem suites; exit 1 on any fail row."""
+    """Run the configured theorem suites; exit 2 on any error row, else 1 on any fail row."""
     config = _load(config_path, seed, fmt, out_path)
     try:
         report = run_config(config)
@@ -190,6 +190,8 @@ def verify(config_path, out_path, fmt, seed, threads):
     else:
         text = report_to_json(report) if config.fmt == "json" else report_to_csv(report)
         click.echo(text, nl=False)
+    if any(row.status == "error" for row in report.rows):
+        sys.exit(2)
     if report.has_failures():
         sys.exit(1)
 

@@ -14,7 +14,6 @@ from .report import Report, ReportRow, params_string
 from .riesz import (
     MAX_ITERS,
     candidate_balls,
-    check_method,
     lipschitz_field,
     make_scores,
     measure_balls,
@@ -24,7 +23,6 @@ from .riesz import (
 from .sobolev import mollify_gradient_bound, morrey_check, weighted_lp_norm
 from .varexp import (
     gd_equivalence_check,
-    lebesgue_weight,
     packing_proposals,
     varexp_sobolev_equivalence,
 )
@@ -62,6 +60,7 @@ class LevelContext:
 
     @cached_property
     def candidates(self):
+        """The CandidateSet every packing of this level draws from."""
         return candidate_balls(self.fields[0], self.config.radii)
 
     @cached_property
@@ -73,7 +72,6 @@ class LevelContext:
     def packing(self, p):
         """The packing ``riesz_variation(f, w, p, radii, method)`` computes."""
         if p not in self._packings:
-            check_method(self.fields[0].dim, self.config.method)
             scored = make_scores(self.candidates, *self.measures, p)
             self._packings[p] = pack(scored, p, self.config.method, MAX_ITERS)
         return self._packings[p]
@@ -81,11 +79,9 @@ class LevelContext:
     @cached_property
     def explored(self):
         """The packings ``explore_packings(f, pfun, radii, method)`` proposes."""
-        grid, f, _, pfun = self.fields
-        osc, mass = measure_balls(f, lebesgue_weight(grid), self.candidates)
-        return packing_proposals(
-            self.candidates, osc, mass, pfun.p_minus, self.config.method, MAX_ITERS
-        )
+        _, f, _, pfun = self.fields
+        return packing_proposals(f, self.candidates, pfun.p_minus, self.config.method,
+                                 MAX_ITERS)
 
 
 class RunContext:

@@ -8,12 +8,13 @@ a swap-based local search give certified feasible lower bounds.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import (
     BadPartition,
+    BadShape,
     NoCandidates,
     PreconditionError,
     UnboundedSupport,
@@ -52,23 +53,63 @@ class BallScore:
     score: float
 
 
+@dataclass(frozen=True, eq=False)
+class CandidateSet:
+    """Candidate balls as arrays: centres (n, dim) and radii (n,); ``ball(i)`` builds one."""
+
+    centers: np.ndarray
+    radii: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+        n = len(self.radii)
+        if self.centers.ndim != 2 or any(
+            getattr(self, f.name).shape != (n,) for f in fields(self)[1:]
+        ):
+            raise BadShape("candidate centers must be (n, dim) and every other array (n,)")
+
+    def __len__(self):
+        return len(self.radii)
+
+    def ball(self, i):
+        return Ball(self.centers[i], float(self.radii[i]))
+
+    def subset(self, index):
+        """The candidates ``index`` selects (boolean mask, index array or slice), in its order."""
+        return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self)})
+
+
+@dataclass(frozen=True, eq=False)
+class ScoredCandidates(CandidateSet):
+    """Candidates with their oscillation, weight mass and score at one p."""
+
+    oscillation: np.ndarray
+    weight_mass: np.ndarray
+    score: np.ndarray
+
+    def ball_score(self, i):
+        return BallScore(self.ball(i), float(self.oscillation[i]),
+                         float(self.weight_mass[i]), float(self.score[i]))
+
+
 @dataclass(frozen=True)
 class PackingSolution:
-    collection: BallCollection
-    scores: tuple
+    """A disjoint subset of a candidate set; ``indices`` are its positions there, ascending."""
+
+    indices: tuple
+    collection: BallCollection = field(compare=False)
+    scores: tuple = field(compare=False)
     total: float
     variation: float
     p: float
     method: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "scores", tuple(self.scores))
-
 
 def candidate_balls(grid, radii_list):
     """Balls at every masked-in node center, per radius, contained in the domain.
 
-    Deterministic lexicographic order: flat node index, then radius
+    A CandidateSet in lexicographic order: flat node index, then radius
     ascending. Radii below twice the spacing are rejected.
     """
     radii = sorted(float(r) for r in radii_list)
@@ -82,8 +123,7 @@ def candidate_balls(grid, radii_list):
     flat, which = np.nonzero(fits)
     if not flat.size:
         raise NoCandidates("no candidate ball fits inside the domain")
-    centers = grid.node_coordinate(flat)
-    return [Ball(c, radii[i]) for c, i in zip(centers, which.tolist())]
+    return CandidateSet(grid.node_coordinate(flat), np.array(radii)[which])
 
 
 def _require_weight(w):
@@ -91,17 +131,17 @@ def _require_weight(w):
         raise PreconditionError("scoring requires a weight field")
 
 
-def measure_balls(f, w, balls):
-    """Oscillation and weight mass per ball (independent of the exponent p).
+def measure_balls(f, w, candidates):
+    """Oscillation and weight mass per candidate (independent of the exponent p).
 
-    Every ball must be centred at a node and contained in the domain, as
-    candidate balls are; its nodes are then the ``ball_offsets`` stencil
-    about the centre, gathered in row-major order like ``values[member]``.
+    Every ball of the CandidateSet must be centred at a node and contained
+    in the domain, as ``candidate_balls`` makes them; its nodes are then the
+    ``ball_offsets`` stencil about the centre, gathered in row-major order
+    like ``values[member]``.
     """
     _require_weight(w)
     grid = f.grid
-    centers = np.array([b.center for b in balls], dtype=float).reshape(len(balls), grid.dim)
-    radii = np.array([b.radius for b in balls], dtype=float)
+    centers, radii = candidates.centers, candidates.radii
     k = np.rint((centers - grid.origin) / grid.spacing).astype(int)
     on_node = np.abs(grid.origin + grid.spacing * k - centers) <= ATOL
     if not np.all(on_node & (k >= 0) & (k < grid.shape)):
@@ -109,7 +149,7 @@ def measure_balls(f, w, balls):
     flat = np.ravel_multi_index(k.T, grid.shape)
     strides = np.array([math.prod(grid.shape[a + 1:]) for a in range(grid.dim)])
     fv, wv = f.values.reshape(-1), w.values.reshape(-1)
-    osc, mass = np.empty(len(balls)), np.empty(len(balls))
+    osc, mass = np.empty(len(candidates)), np.empty(len(candidates))
     for r in sorted(set(radii.tolist())):
         group = np.flatnonzero(radii == r)
         if not eroded_mask(grid, r).reshape(-1)[flat[group]].all():
@@ -127,31 +167,35 @@ def measure_balls(f, w, balls):
     return osc, mass
 
 
-def make_scores(balls, osc, mass, p):
+def make_scores(candidates, osc, mass, p):
+    """ScoredCandidates with score (osc/r)^p * mass per candidate.
+
+    Powers are taken on Python floats (C library pow): numpy's vectorised
+    power can differ by one ulp, which can flip a greedy or DP tie.
+    """
     if p < 1:
         raise PreconditionError(f"p must be >= 1, got {p}")
-    return [
-        BallScore(ball=b, oscillation=float(o), weight_mass=float(m),
-                  score=float((o / b.radius) ** p * m))
-        for b, o, m in zip(balls, osc, mass)
-    ]
+    base = (np.asarray(osc, dtype=float) / candidates.radii).tolist()
+    score = np.array([x ** p for x in base], dtype=float) * mass
+    return ScoredCandidates(candidates.centers, candidates.radii, osc, mass, score)
 
 
 def score_ball(f, w, ball, p):
     """Score a single ball, anywhere in the domain; see BallScore."""
     _require_weight(w)
     osc, mass = oscillation(f, ball), weighted_measure(w, ball)
-    return make_scores([ball], [osc], [mass], p)[0]
+    return make_scores(CandidateSet([ball.center], [ball.radius]), [osc], [mass], p).ball_score(0)
 
 
 def _solution(selected, scored, p, method):
-    """Assemble a PackingSolution; fsum makes the total order-independent."""
-    chosen = [scored[i] for i in sorted(selected)]
+    """PackingSolution of the selected indices; fsum makes the total order-independent."""
+    indices = tuple(sorted(int(i) for i in selected))
+    chosen = tuple(scored.ball_score(i) for i in indices)
     total = math.fsum(s.score for s in chosen)
-    collection = BallCollection(tuple(s.ball for s in chosen))
     return PackingSolution(
-        collection=collection,
-        scores=tuple(chosen),
+        indices=indices,
+        collection=BallCollection(tuple(s.ball for s in chosen)),
+        scores=chosen,
         total=total,
         variation=total ** (1.0 / p) if total > 0 else 0.0,
         p=float(p),
@@ -166,35 +210,32 @@ def pack_1d_exact(scored, p):
     touching endpoints are allowed. The DP maximizes total score, breaking
     ties toward fewer balls and then toward earlier candidates.
     """
-    if not scored:
+    if not len(scored):
         raise NoCandidates("no scored candidates to pack")
-    if scored[0].ball.center.size != 1:
-        raise PreconditionError("pack_1d_exact requires dim = 1 candidates")
-    items = sorted(
-        range(len(scored)),
-        key=lambda i: (
-            scored[i].ball.center[0] + scored[i].ball.radius,
-            scored[i].ball.center[0] - scored[i].ball.radius,
-            i,
-        ),
-    )
-    rights = [scored[i].ball.center[0] + scored[i].ball.radius for i in items]
-    n = len(items)
-    # best[i] = (total, -count) over the first i sorted items; choice tracks
-    # whether item i-1 was taken and its compatible predecessor.
+    if scored.centers.shape[1] != 1:
+        raise PreconditionError("dp_1d_exact is only available in one dimension")
+    n = len(scored)
+    lefts = scored.centers[:, 0] - scored.radii
+    rights = scored.centers[:, 0] + scored.radii
+    items = np.lexsort((np.arange(n), lefts, rights))
+    # pred[q]: the number of sorted items ending by item q's left end (closed
+    # rule), capped at q; it is the DP state that taking item q extends.
+    pred = np.minimum(
+        np.searchsorted(rights[items], lefts[items] + ATOL, side="right"), np.arange(n)
+    ).tolist()
+    score = scored.score[items].tolist()
+    # best[i] = (total, -count) over the first i sorted items; take[i] is the
+    # compatible predecessor state when item i-1 was taken.
     best = [(0.0, 0)] * (n + 1)
     take = [None] * (n + 1)
     for i in range(1, n + 1):
-        idx = items[i - 1]
-        left = scored[idx].ball.center[0] - scored[idx].ball.radius
-        pred = _rightmost_le(rights, left + ATOL, i - 1)
-        cand = (best[pred][0] + scored[idx].score, best[pred][1] - 1)
+        j = pred[i - 1]
+        cand = (best[j][0] + score[i - 1], best[j][1] - 1)
         if cand > best[i - 1]:
             best[i] = cand
-            take[i] = pred
+            take[i] = j
         else:
             best[i] = best[i - 1]
-            take[i] = None
     selected = []
     i = n
     while i > 0:
@@ -206,18 +247,6 @@ def pack_1d_exact(scored, p):
     return _solution(selected, scored, p, DP_1D_EXACT)
 
 
-def _rightmost_le(rights, bound, upto):
-    """Largest index j <= upto with rights[j-1] <= bound, as a DP state (0 = none)."""
-    lo, hi = 0, upto
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if rights[mid - 1] <= bound:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 class _ConflictRows:
     """Lazily built, cached rows of the candidate conflict graph.
 
@@ -227,9 +256,9 @@ class _ConflictRows:
     array is ever formed.
     """
 
-    def __init__(self, scored):
-        self._centers = np.array([s.ball.center for s in scored])
-        self._radii = np.array([s.ball.radius for s in scored])
+    def __init__(self, candidates):
+        self._centers = candidates.centers
+        self._radii = candidates.radii
         self._rows = {}
 
     def __call__(self, i):
@@ -250,11 +279,11 @@ def pack_greedy(scored, p):
     rows = _ConflictRows(scored)
     blocked = np.zeros(len(scored), dtype=bool)
     selected = []
-    for i in sorted(range(len(scored)), key=lambda i: (-scored[i].score, i)):
-        if scored[i].score <= 0 or blocked[i]:
-            continue
-        selected.append(i)
-        blocked |= rows(i)
+    order = np.argsort(-scored.score, kind="stable")
+    for i in order[scored.score[order] > 0].tolist():
+        if not blocked[i]:
+            selected.append(i)
+            blocked |= rows(i)
     return _solution(selected, scored, p, GREEDY)
 
 
@@ -264,17 +293,11 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
     Removes at most two selected balls and inserts one or two candidates,
     accepting only strict total increases; the total never decreases and
     the search stops at a local optimum or after max_iters moves.
+    ``initial`` is a PackingSolution of the same scored candidates.
     """
-    ball_key = {id(s.ball): i for i, s in enumerate(scored)}
-    selected = set()
-    for s in initial.scores:
-        # Match initial balls back to candidate indices by identity or geometry.
-        idx = ball_key.get(id(s.ball))
-        if idx is None:
-            idx = _find_candidate(scored, s.ball)
-        selected.add(idx)
+    selected = set(initial.indices)
     rows = _ConflictRows(scored)
-    scores = np.array([s.score for s in scored], dtype=float)
+    scores = scored.score
     total = initial.total
     eps = 1e-12 * max(1.0, abs(total))
     for _ in range(max_iters):
@@ -284,19 +307,12 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
         removed, inserted = move
         selected -= removed
         selected |= inserted
-        total = math.fsum(scored[i].score for i in sorted(selected))
+        total = math.fsum(scores[sorted(selected)])
         eps = 1e-12 * max(1.0, abs(total))
     sol = _solution(selected, scored, initial.p, GREEDY_PLUS_LOCAL_SEARCH)
     if sol.total < initial.total:
         return initial
     return sol
-
-
-def _find_candidate(scored, ball):
-    for i, s in enumerate(scored):
-        if s.ball.radius == ball.radius and np.array_equal(s.ball.center, ball.center):
-            return i
-    raise PreconditionError("initial solution contains a ball outside the candidate set")
 
 
 def _first_improvement(rows, scores, selected, eps):
@@ -351,24 +367,18 @@ def _first_improvement(rows, scores, selected, eps):
     return None
 
 
-def check_method(dim, method):
-    """Reject an unknown packing method, or the 1D dynamic program in higher dimension."""
-    if method != "auto" and method not in METHODS:
-        raise PreconditionError(f"unknown packing method {method!r}")
-    if method == DP_1D_EXACT and dim != 1:
-        raise PreconditionError("dp_1d_exact is only available in one dimension")
-
-
 def pack(scored, p, method, max_iters):
-    """Disjoint subset of the scored candidates chosen by ``method``.
+    """Disjoint subset of the ScoredCandidates chosen by ``method``.
 
     ``method`` is one of METHODS or "auto", which picks the DP for 1D
-    candidates and greedy_plus_local_search otherwise.
+    candidates and greedy_plus_local_search otherwise. An unknown method,
+    or dp_1d_exact on candidates of dimension above 1, raises
+    PreconditionError.
     """
-    if not scored:
+    if not len(scored):
         raise NoCandidates("no scored candidates to pack")
     if method == "auto":
-        method = DP_1D_EXACT if scored[0].ball.center.size == 1 else GREEDY_PLUS_LOCAL_SEARCH
+        method = DP_1D_EXACT if scored.centers.shape[1] == 1 else GREEDY_PLUS_LOCAL_SEARCH
     if method not in METHODS:
         raise PreconditionError(f"unknown packing method {method!r}")
     if method == DP_1D_EXACT:
@@ -380,16 +390,10 @@ def pack(scored, p, method, max_iters):
 
 
 def riesz_variation(f, w, p, radii_list, method="auto", max_iters=MAX_ITERS):
-    """Lower bound of V_p(f; domain, w) over the finite candidate set.
-
-    ``method`` is one of dp_1d_exact (dim 1 only), greedy, or
-    greedy_plus_local_search; "auto" picks the DP in 1D and
-    greedy_plus_local_search otherwise.
-    """
-    check_method(f.grid.dim, method)
-    balls = candidate_balls(f.grid, radii_list)
-    osc, mass = measure_balls(f, w, balls)
-    return pack(make_scores(balls, osc, mass, p), p, method, max_iters)
+    """Lower bound of V_p(f; domain, w) over the candidate set; ``method`` as in ``pack``."""
+    candidates = candidate_balls(f.grid, radii_list)
+    osc, mass = measure_balls(f, w, candidates)
+    return pack(make_scores(candidates, osc, mass, p), p, method, max_iters)
 
 
 def finest_partition(grid):

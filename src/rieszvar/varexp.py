@@ -282,39 +282,32 @@ def rbv_collection_norm(f, collection, pfun, tol=1e-10):
     return seq_norm(VariableSequence(entries, expo), tol=tol)
 
 
-def lebesgue_weight(grid):
-    """The weight 1 at every node."""
-    return SampledField(grid, np.ones(grid.shape), FieldKind.WEIGHT)
-
-
 def explore_packings(f, pfun, radii_list, method="auto", max_iters=MAX_ITERS):
     """Candidate disjoint families for the variable-exponent supremum.
 
-    Proposals come from the constant-exponent optimizer at p_minus with
-    the Lebesgue weight; see ``packing_proposals``.
+    Proposals come from the constant-exponent optimizer at p_minus; see
+    ``packing_proposals``.
     """
-    balls = candidate_balls(f.grid, radii_list)
-    osc, mass = measure_balls(f, lebesgue_weight(f.grid), balls)
-    return packing_proposals(balls, osc, mass, pfun.p_minus, method, max_iters)
+    return packing_proposals(f, candidate_balls(f.grid, radii_list), pfun.p_minus,
+                             method, max_iters)
 
 
-def packing_proposals(balls, osc, mass, p, method, max_iters):
-    """Packings of the measured candidates at ``p``: over all of them, then per radius.
+def packing_proposals(f, candidates, p, method, max_iters):
+    """Packings of f over the CandidateSet at ``p`` with the Lebesgue weight.
 
     One packing over the full candidate set plus one per single radius,
-    each by ``riesz.pack``. Deduplicated, order preserved.
+    each by ``riesz.pack``. Deduplicated on the selected candidate
+    indices, order preserved.
     """
+    lebesgue = SampledField(f.grid, np.ones(f.grid.shape), FieldKind.WEIGHT)
+    scored = make_scores(candidates, *measure_balls(f, lebesgue, candidates), p)
     packings = []
     seen = set()
-    subsets = [list(range(len(balls)))]
-    for r in sorted({float(b.radius) for b in balls}):
-        subsets.append([i for i, b in enumerate(balls) if b.radius == r])
-    for subset in subsets:
-        scored = make_scores([balls[i] for i in subset], osc[subset], mass[subset], p)
-        sol = pack(scored, p, method, max_iters)
-        key = tuple(
-            (tuple(b.center), b.radius) for b in sol.collection
-        )
+    subsets = [np.ones(len(scored), dtype=bool)]
+    subsets += [scored.radii == r for r in sorted(set(scored.radii.tolist()))]
+    for keep in subsets:
+        sol = pack(scored.subset(keep), p, method, max_iters)
+        key = tuple(np.flatnonzero(keep)[list(sol.indices)].tolist())
         if key and key not in seen:
             seen.add(key)
             packings.append(sol.collection)

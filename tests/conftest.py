@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rieszvar import build_grid, sample_catalog
+from rieszvar import ScoredCandidates, build_grid, sample_catalog
 
 
 @pytest.fixture
@@ -43,3 +43,21 @@ def linear(grid, slope=1.0, intercept=0.0):
 
 def const_weight(grid, value=1.0):
     return sample_catalog(grid, "constant", {"value": value})
+
+
+def scored_set(entries):
+    """ScoredCandidates from (center, radius, score) triples; osc and mass are 1."""
+    ones = np.ones(len(entries))
+    return ScoredCandidates([np.atleast_1d(c) for c, _, _ in entries],
+                            [r for _, r, _ in entries], ones, ones,
+                            [s for _, _, s in entries])
+
+
+def ball_scores(scored):
+    """Every candidate of a ScoredCandidates as a BallScore, in order."""
+    return [scored.ball_score(i) for i in range(len(scored))]
+
+
+def as_balls(candidates):
+    """Every candidate of a CandidateSet as a Ball, in order."""
+    return [candidates.ball(i) for i in range(len(candidates))]

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from rieszvar import (
-    Ball,
     SampledField,
     VariableSequence,
     Mollifier,
@@ -35,9 +34,10 @@ from rieszvar import (
     weighted_lp_norm,
 )
 from rieszvar.grid import FieldKind, balls_disjoint, gradient_fd, region_mask
-from rieszvar.riesz import BallScore
 from rieszvar.varexp import explore_packings
 from rieszvar.weights import ap_constant, generate_cubes, rh_constant
+
+from conftest import ball_scores, scored_set
 
 
 @contextmanager
@@ -169,13 +169,14 @@ def test_criterion_6_optimizer_soundness():
         n_sets = 50
         for _ in range(n_sets):
             n = int(rng.integers(6, 16))
-            scored = []
+            entries = []
             for _ in range(n):
                 c = float(rng.uniform(0.1, 0.9))
                 r = float(rng.uniform(0.02, 0.15))
                 s = float(rng.uniform(0.0, 10.0))
-                scored.append(BallScore(Ball([c], r), 1.0, 1.0, s))
-            optimum = _brute_force(scored)
+                entries.append(([c], r, s))
+            scored = scored_set(entries)
+            optimum = _brute_force(ball_scores(scored))
             dp = pack_1d_exact(scored, 2.0)
             assert dp.total == optimum
             greedy = pack_greedy(scored, 2.0)

@@ -32,7 +32,7 @@ from rieszvar.errors import (
 from rieszvar.grid import ball_in_domain, ball_offsets, eroded_mask, region_mask
 from rieszvar.riesz import candidate_balls
 
-from conftest import const_weight, linear, unit_disk
+from conftest import as_balls, const_weight, linear, unit_disk
 
 
 class TestBuildGrid:
@@ -227,7 +227,7 @@ class TestBallStencil:
     @pytest.mark.parametrize("steps, count", [(2, 9), (3, 25)])
     def test_interior_counts_translation_invariant(self, h, steps, count):
         g = unit_disk(h)
-        balls = candidate_balls(g, [steps * h])
+        balls = as_balls(candidate_balls(g, [steps * h]))
         assert len(balls) > 100
         assert {node_set(g, b).size for b in balls} == {count}
         assert len(ball_offsets(g, steps * h)) == count
@@ -235,7 +235,7 @@ class TestBallStencil:
     @pytest.mark.parametrize("h", [0.1, 0.05])
     def test_region_mask_matches_stencil(self, h):
         g = unit_disk(h)
-        for ball in candidate_balls(g, [2 * h, 3 * h, 4 * h]):
+        for ball in as_balls(candidate_balls(g, [2 * h, 3 * h, 4 * h])):
             center = np.rint((ball.center - g.origin) / h).astype(int)
             expected = np.zeros(g.shape, dtype=bool)
             expected[tuple((center + ball_offsets(g, ball.radius)).T)] = True
@@ -253,8 +253,9 @@ class TestBallStencil:
                 assert ball_in_domain(g, ball) == eroded[flat]
                 if eroded[flat]:
                     expected.append((flat, radii.index(r), tuple(ball.center)))
+        balls = as_balls(candidate_balls(g, radii))
         got = [(g.flat_index(np.rint((b.center - g.origin) / h).astype(int)),
-                radii.index(b.radius), tuple(b.center)) for b in candidate_balls(g, radii)]
+                radii.index(b.radius), tuple(b.center)) for b in balls]
         assert got == sorted(expected)
 
     def test_offsets_row_major_and_symmetric(self):

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from rieszvar.report import (
     report_to_csv,
     report_to_json,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def minimal_config(**overrides):
@@ -143,6 +146,17 @@ class TestRunConfig:
         report = run_config(cfg)
         assert not report.has_failures()
         assert any(r.quantity == "ratio" for r in report.rows)
+
+    def test_dp_in_2d_is_one_error_message(self):
+        raw = json.loads((ROOT / "perfbench" / "configs" / "verify_2d.json").read_text())
+        raw["method"] = "dp_1d_exact"
+        errors = [r for r in run_config(load_config(raw)).rows if r.status == "error"]
+        assert sorted(r.experiment for r in errors) == sorted([
+            "theorem1", "weak_type", "embedding", "mollify_bound",
+            "gd_equivalence", "varexp_sobolev",
+        ])
+        message = params_string(message="dp_1d_exact is only available in one dimension")
+        assert {r.params for r in errors} == {message}
 
 
 def _strip(report):
@@ -404,6 +418,14 @@ class TestCli:
         cfg = self.write_config(tmp_path, thresholds={"bound_thm1": 1.0001})
         result = CliRunner().invoke(main, ["verify", "--config", cfg])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("name, code", [("theorem1_linear", 0), ("weak_type_hat", 2)])
+    def test_verify_exit_status_of_demo_configs(self, name, code):
+        """0 without fail or error rows; 2 with an error row (weak_type_hat's lemma21)."""
+        cfg = str(ROOT / "demos" / "configs" / f"{name}.json")
+        result = CliRunner().invoke(main, ["verify", "--config", cfg])
+        assert result.exit_code == code
+        assert (",error," in result.output) == (code == 2)
 
     def test_verify_json_out(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,9 +30,9 @@ from rieszvar.errors import (
 )
 from rieszvar import riesz
 from rieszvar.grid import FieldKind, balls_disjoint, region_mask
-from rieszvar.riesz import BallScore, finest_partition, make_scores, measure_balls
+from rieszvar.riesz import CandidateSet, finest_partition, make_scores, measure_balls
 
-from conftest import const_weight, linear, unit_disk
+from conftest import as_balls, ball_scores, const_weight, linear, scored_set, unit_disk
 
 
 def random_scored(rng, n):
@@ -40,8 +41,8 @@ def random_scored(rng, n):
     for _ in range(n):
         c = rng.uniform(0.1, 0.9)
         r = rng.uniform(0.02, 0.15)
-        out.append(BallScore(Ball([c], r), 1.0, 1.0, float(rng.uniform(0.0, 10.0))))
-    return out
+        out.append(([c], r, float(rng.uniform(0.0, 10.0))))
+    return scored_set(out)
 
 
 def brute_force_best(scored):
@@ -130,11 +131,6 @@ def reference_local_search(initial_selected, scored, max_iters=200):
     return selected, total
 
 
-def selected_indices(sol, scored):
-    index = {id(s.ball): i for i, s in enumerate(scored)}
-    return {index[id(s.ball)] for s in sol.scores}
-
-
 def random_scored_nd(rng, dim, n, lattice=None):
     """Crowded candidates with tied, zero and negative scores.
 
@@ -155,16 +151,16 @@ def random_scored_nd(rng, dim, n, lattice=None):
             score = float(rng.integers(-2, 5))  # ties, zeros, negatives
         else:
             score = float(rng.uniform(-1.0, 10.0))
-        out.append(BallScore(Ball(c, r), 1.0, 1.0, score))
-    return out
+        out.append((c, r, score))
+    return scored_set(out)
 
 
 class TestCandidates:
     def test_count_on_unit_interval(self):
         g = build_grid(1, [0.0], 0.01, [101])
-        balls = candidate_balls(g, [0.05])
-        assert len(balls) == 91
-        centers = [b.center[0] for b in balls]
+        cands = candidate_balls(g, [0.05])
+        assert len(cands) == 91
+        centers = cands.centers[:, 0]
         assert centers[0] == pytest.approx(0.05)
         assert centers[-1] == pytest.approx(0.95)
 
@@ -178,9 +174,27 @@ class TestCandidates:
             candidate_balls(g, [0.5])
 
     def test_deterministic_order(self, unit_grid):
-        balls = candidate_balls(unit_grid, [0.1, 0.05])
+        balls = as_balls(candidate_balls(unit_grid, [0.1, 0.05]))
         keys = [(b.center[0], b.radius) for b in balls]
         assert keys == sorted(keys)
+
+
+class TestMakeScores:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_bit_identical_to_scalar_path(self, p, unit_grid, disk_grid):
+        """Every score equals the per-ball float((o / r) ** p * m), bit for bit."""
+        rng = np.random.default_rng(3)
+        for grid, radii in ((unit_grid, [0.05, 0.1]), (disk_grid, [0.2, 0.3])):
+            f = SampledField(grid, rng.standard_normal(grid.shape))
+            w = SampledField(grid, rng.uniform(0.5, 2.0, grid.shape), FieldKind.WEIGHT)
+            cands = candidate_balls(grid, radii)
+            osc, mass = measure_balls(f, w, cands)
+            scored = make_scores(cands, osc, mass, p)
+            expected = [float((o / r) ** p * m)
+                        for o, r, m in zip(osc, cands.radii.tolist(), mass)]
+            assert np.array_equal(scored.score, np.array(expected))
+            assert np.array_equal(scored.oscillation, osc)
+            assert np.array_equal(scored.weight_mass, mass)
 
 
 class TestScoreBall:
@@ -211,45 +225,48 @@ class TestMeasureBalls:
         rng = np.random.default_rng(7)
         f = SampledField(g, rng.standard_normal(g.shape))
         w = SampledField(g, rng.uniform(0.5, 2.0, g.shape), FieldKind.WEIGHT)
-        balls = candidate_balls(g, [2 * h, 3 * h, 4 * h])
-        osc, mass = measure_balls(f, w, balls)
-        for i, ball in enumerate(balls):
+        cands = candidate_balls(g, [2 * h, 3 * h, 4 * h])
+        osc, mass = measure_balls(f, w, cands)
+        for i, ball in enumerate(as_balls(cands)):
             member = region_mask(g, ball)
             vals = f.values[member]
             assert osc[i] == vals.max() - vals.min()
             assert mass[i] == w.values[member].sum() * g.cell_volume()
         # Small gather blocks split every radius group; the values must not move.
         monkeypatch.setattr(riesz, "_GATHER_BLOCK", 40)
-        osc_small, mass_small = measure_balls(f, w, balls)
+        osc_small, mass_small = measure_balls(f, w, cands)
         assert np.array_equal(osc_small, osc) and np.array_equal(mass_small, mass)
 
     def test_unordered_mixed_radii(self, unit_grid):
         f, w = linear(unit_grid), const_weight(unit_grid)
-        balls = candidate_balls(unit_grid, [0.05, 0.1])[::-1]
-        osc, mass = measure_balls(f, w, balls)
-        for i, ball in enumerate(balls):
+        cands = candidate_balls(unit_grid, [0.05, 0.1]).subset(slice(None, None, -1))
+        osc, mass = measure_balls(f, w, cands)
+        for i, ball in enumerate(as_balls(cands)):
             assert osc[i] == score_ball(f, w, ball, 2.0).oscillation
             assert mass[i] == score_ball(f, w, ball, 2.0).weight_mass
 
     def test_empty_list(self, unit_grid):
-        osc, mass = measure_balls(linear(unit_grid), const_weight(unit_grid), [])
+        osc, mass = measure_balls(linear(unit_grid), const_weight(unit_grid),
+                                  CandidateSet(np.empty((0, 1)), []))
         assert osc.size == 0 and mass.size == 0
 
     def test_off_node_ball_rejected(self, unit_grid):
-        ball = Ball([0.5 + unit_grid.spacing / 3], 0.1)
+        ball = CandidateSet([[0.5 + unit_grid.spacing / 3]], [0.1])
         with pytest.raises(PreconditionError, match="node-centred"):
-            measure_balls(linear(unit_grid), const_weight(unit_grid), [ball])
+            measure_balls(linear(unit_grid), const_weight(unit_grid), ball)
 
     def test_uncontained_ball_rejected(self, unit_grid, disk_grid):
         with pytest.raises(PreconditionError, match="contained"):
-            measure_balls(linear(unit_grid), const_weight(unit_grid), [Ball([0.0625], 0.1)])
+            measure_balls(linear(unit_grid), const_weight(unit_grid),
+                          CandidateSet([[0.0625]], [0.1]))
         f = sample_catalog(disk_grid, "linear", {"slope": [1.0, 0.0]})
         with pytest.raises(PreconditionError, match="contained"):
-            measure_balls(f, const_weight(disk_grid), [Ball([0.7, 0.7], 0.3)])
+            measure_balls(f, const_weight(disk_grid), CandidateSet([[0.7, 0.7]], [0.3]))
 
     def test_outside_box_rejected(self, unit_grid):
         with pytest.raises(PreconditionError, match="node-centred"):
-            measure_balls(linear(unit_grid), const_weight(unit_grid), [Ball([1.5], 0.1)])
+            measure_balls(linear(unit_grid), const_weight(unit_grid),
+                          CandidateSet([[1.5]], [0.1]))
 
     def test_score_ball_accepts_any_ball(self, fine_unit_grid):
         f, w = linear(fine_unit_grid), const_weight(fine_unit_grid)
@@ -261,23 +278,23 @@ class TestMeasureBalls:
 
 class TestPack1dExact:
     def test_two_overlapping_picks_better(self):
-        scored = [
-            BallScore(Ball([0.4], 0.2), 1, 1, 3.0),
-            BallScore(Ball([0.5], 0.2), 1, 1, 5.0),
-        ]
+        scored = scored_set([
+            ([0.4], 0.2, 3.0),
+            ([0.5], 0.2, 5.0),
+        ])
         sol = pack_1d_exact(scored, 2.0)
         assert sol.total == 5.0 and len(sol.collection) == 1
 
     def test_two_disjoint_takes_both(self):
-        scored = [
-            BallScore(Ball([0.2], 0.1), 1, 1, 3.0),
-            BallScore(Ball([0.7], 0.1), 1, 1, 5.0),
-        ]
+        scored = scored_set([
+            ([0.2], 0.1, 3.0),
+            ([0.7], 0.1, 5.0),
+        ])
         sol = pack_1d_exact(scored, 2.0)
         assert sol.total == 8.0 and len(sol.collection) == 2
 
     def test_zero_scores_excluded(self):
-        scored = [BallScore(Ball([0.5], 0.1), 0, 1, 0.0)]
+        scored = scored_set([([0.5], 0.1, 0.0)])
         sol = pack_1d_exact(scored, 2.0)
         assert sol.total == 0.0 and len(sol.collection) == 0
 
@@ -285,7 +302,7 @@ class TestPack1dExact:
         rng = np.random.Generator(np.random.Philox(11))
         for _ in range(10):
             scored = random_scored(rng, int(rng.integers(5, 13)))
-            assert pack_1d_exact(scored, 2.0).total == brute_force_best(scored)
+            assert pack_1d_exact(scored, 2.0).total == brute_force_best(ball_scores(scored))
 
     def test_anchor_linear_total(self):
         g = build_grid(1, [0.0], 1 / 1024, [1025])
@@ -296,27 +313,27 @@ class TestPack1dExact:
 
 class TestGreedyAndLocalSearch:
     def test_single_candidate(self):
-        scored = [BallScore(Ball([0.5], 0.1), 1, 1, 2.0)]
+        scored = scored_set([([0.5], 0.1, 2.0)])
         assert pack_greedy(scored, 2.0).total == 2.0
 
     def test_all_zero_scores_empty(self):
-        scored = [BallScore(Ball([0.3 + 0.2 * i], 0.05), 0, 1, 0.0) for i in range(3)]
+        scored = scored_set([([0.3 + 0.2 * i], 0.05, 0.0) for i in range(3)])
         sol = pack_greedy(scored, 2.0)
         assert sol.total == 0.0 and len(sol.collection) == 0
 
     def test_local_search_keeps_optimum(self):
-        scored = [
-            BallScore(Ball([0.2], 0.1), 1, 1, 3.0),
-            BallScore(Ball([0.7], 0.1), 1, 1, 5.0),
-        ]
+        scored = scored_set([
+            ([0.2], 0.1, 3.0),
+            ([0.7], 0.1, 5.0),
+        ])
         best = pack_1d_exact(scored, 2.0)
         assert pack_local_search(best, scored).total == best.total
 
     def test_max_iters_zero_returns_initial(self):
-        scored = [
-            BallScore(Ball([0.4], 0.2), 1, 1, 3.0),
-            BallScore(Ball([0.5], 0.2), 1, 1, 5.0),
-        ]
+        scored = scored_set([
+            ([0.4], 0.2, 3.0),
+            ([0.5], 0.2, 5.0),
+        ])
         greedy = pack_greedy(scored, 2.0)
         assert pack_local_search(greedy, scored, max_iters=0).total == greedy.total
 
@@ -337,20 +354,20 @@ class TestGreedyAndLocalSearch:
         moved = 0
         for _ in range(25):
             scored = random_scored_nd(rng, dim, int(rng.integers(2, 30)), lattice)
+            ref = ball_scores(scored)
             greedy = pack_greedy(scored, 2.0)
-            expected = reference_greedy(scored)
-            assert selected_indices(greedy, scored) == expected
-            assert greedy.total == math.fsum(scored[i].score for i in sorted(expected))
+            expected = reference_greedy(ref)
+            assert set(greedy.indices) == expected
+            assert greedy.total == math.fsum(ref[i].score for i in sorted(expected))
             ls = pack_local_search(greedy, scored)
-            ref_selected, ref_total = reference_local_search(expected, scored)
-            assert selected_indices(ls, scored) == ref_selected
+            ref_selected, ref_total = reference_local_search(expected, ref)
+            assert set(ls.indices) == ref_selected
             assert ls.total == ref_total
             moved += ref_selected != expected
         assert moved > 0
 
     def test_local_search_from_empty_greedy(self):
-        scored = [BallScore(Ball([0.2 * i, 0.5], 0.1), 0, 1, -float(i % 2))
-                  for i in range(6)]
+        scored = scored_set([([0.2 * i, 0.5], 0.1, -float(i % 2)) for i in range(6)])
         greedy = pack_greedy(scored, 2.0)
         assert len(greedy.collection) == 0
         sol = pack_local_search(greedy, scored)
@@ -359,36 +376,36 @@ class TestGreedyAndLocalSearch:
     def test_local_search_from_empty_selection_finds_moves(self):
         rng = np.random.Generator(np.random.Philox(5))
         scored = random_scored_nd(rng, 2, 20)
-        empty = pack_greedy([], 2.0)
+        empty = pack_greedy(scored.subset([]), 2.0)
         sol = pack_local_search(empty, scored)
-        ref_selected, ref_total = reference_local_search(set(), scored)
+        ref_selected, ref_total = reference_local_search(set(), ball_scores(scored))
         assert ref_selected
-        assert selected_indices(sol, scored) == ref_selected
+        assert set(sol.indices) == ref_selected
         assert sol.total == ref_total
 
     def test_local_search_single_candidate(self):
         for score in (2.0, 0.0, -1.0):
-            scored = [BallScore(Ball([0.5, 0.5], 0.1), 1, 1, score)]
+            scored = scored_set([([0.5, 0.5], 0.1, score)])
             sol = pack_local_search(pack_greedy(scored, 2.0), scored)
             assert sol.total == max(score, 0.0)
             assert len(sol.collection) == (score > 0)
 
     def test_max_iters_zero_keeps_greedy_nd(self):
         # Greedy takes the middle ball; swapping it for the two outer ones pays.
-        scored = [
-            BallScore(Ball([0.3, 0.5], 0.1), 1, 1, 3.0),
-            BallScore(Ball([0.4, 0.5], 0.1), 1, 1, 4.0),
-            BallScore(Ball([0.5, 0.5], 0.1), 1, 1, 3.0),
-        ]
+        scored = scored_set([
+            ([0.3, 0.5], 0.1, 3.0),
+            ([0.4, 0.5], 0.1, 4.0),
+            ([0.5, 0.5], 0.1, 3.0),
+        ])
         greedy = pack_greedy(scored, 2.0)
-        assert selected_indices(greedy, scored) == {1}
+        assert set(greedy.indices) == {1}
         frozen = pack_local_search(greedy, scored, max_iters=0)
-        assert selected_indices(frozen, scored) == {1}
+        assert set(frozen.indices) == {1}
         assert frozen.total == 4.0
         assert pack_local_search(greedy, scored).total == 6.0
 
     def test_p_is_required(self):
-        scored = [BallScore(Ball([0.5], 0.1), 1, 1, 2.0)]
+        scored = scored_set([([0.5], 0.1, 2.0)])
         with pytest.raises(TypeError):
             pack_greedy(scored)
         with pytest.raises(TypeError):
@@ -415,22 +432,22 @@ class TestRieszVariation:
 
     def test_dp_requires_dim1(self, disk_grid):
         f = sample_catalog(disk_grid, "linear", {"slope": [1.0, 0.0]})
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="only available in one dimension"):
             riesz_variation(f, const_weight(disk_grid), 2.0, [0.25], method="dp_1d_exact")
 
     def test_pack_auto_matches_each_method(self, unit_grid, disk_grid):
         f, w = linear(unit_grid), const_weight(unit_grid)
-        balls = candidate_balls(unit_grid, [0.1, 0.25])
-        scored = make_scores(balls, *measure_balls(f, w, balls), 2.0)
+        cands = candidate_balls(unit_grid, [0.1, 0.25])
+        scored = make_scores(cands, *measure_balls(f, w, cands), 2.0)
         assert pack(scored, 2.0, "auto", 200) == pack_1d_exact(scored, 2.0)
         g = sample_catalog(disk_grid, "linear", {"slope": [1.0, 0.0]})
-        balls = candidate_balls(disk_grid, [0.25])
-        scored = make_scores(balls, *measure_balls(g, const_weight(disk_grid), balls), 2.0)
+        cands = candidate_balls(disk_grid, [0.25])
+        scored = make_scores(cands, *measure_balls(g, const_weight(disk_grid), cands), 2.0)
         greedy = pack_greedy(scored, 2.0)
         assert pack(scored, 2.0, "greedy", 200) == greedy
         assert pack(scored, 2.0, "auto", 200) == pack_local_search(greedy, scored)
         with pytest.raises(NoCandidates):
-            pack([], 2.0, "auto", 200)
+            pack(scored.subset([]), 2.0, "auto", 200)
         with pytest.raises(PreconditionError):
             pack(scored, 2.0, "greedy_local", 200)
 
@@ -484,6 +501,36 @@ class TestRieszVariation:
             for b in list(sol.collection)[i + 1:]:
                 assert balls_disjoint(a, b)
         sol.collection.validate_in_domain(unit_grid)
+
+    def test_balls_built_for_selected_candidates_only(self, unit_grid, disk_grid, monkeypatch):
+        built = []
+
+        class CountedBall(Ball):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(riesz, "Ball", CountedBall)
+        g = sample_catalog(disk_grid, "linear", {"slope": [1.0, 0.0]})
+        for f, w, radii in ((linear(unit_grid), const_weight(unit_grid), [0.05, 0.1]),
+                            (g, const_weight(disk_grid), [0.2, 0.3])):
+            cands = candidate_balls(f.grid, radii)
+            scored = make_scores(cands, *measure_balls(f, w, cands), 2.0)
+            packers = [partial(pack_greedy, scored, 2.0)]
+            if f.grid.dim == 1:
+                packers.append(partial(pack_1d_exact, scored, 2.0))
+            else:
+                greedy = pack_greedy(scored, 2.0)
+                packers.append(partial(pack_local_search, greedy, scored))
+            for packer in packers:
+                built.clear()
+                sol = packer()
+                assert len(built) == len(sol.indices) < len(cands)
+                for i, s in zip(sol.indices, sol.scores):
+                    assert np.array_equal(s.ball.center, cands.centers[i])
+                    assert s.ball.radius == cands.radii[i]
+                    assert (s.oscillation, s.weight_mass, s.score) == (
+                        scored.oscillation[i], scored.weight_mass[i], scored.score[i])
 
 
 class TestClassicalRiesz:
