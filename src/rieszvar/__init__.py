@@ -67,7 +67,6 @@ from .varexp import (
 from .weights import (
     CubeFamily,
     RwEstimate,
-    WeightDiagnostics,
     a1_constant,
     ap_constant,
     doubling_constant,

@@ -1,4 +1,4 @@
-"""Theorem-verification suites and the report-producing entry point."""
+"""Theorem-verification suites, the subcommand tables, and the runs that report them."""
 
 import math
 import time
@@ -8,7 +8,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .config import materialize_level
-from .errors import ToolkitError
+from .errors import PreconditionError, ToolkitError
 from .grid import gradient_magnitude
 from .report import Report, ReportRow, params_string
 from .riesz import (
@@ -22,11 +22,23 @@ from .riesz import (
 )
 from .sobolev import mollify_gradient_bound, morrey_check, weighted_lp_norm
 from .varexp import (
+    best_collection_norm,
     gd_equivalence_check,
+    lh_constants,
+    luxemburg_norm,
+    modular,
     packing_proposals,
     varexp_sobolev_equivalence,
 )
-from .weights import ap_constant, generate_cubes, rh_constant, estimate_rw
+from .weights import (
+    a1_constant,
+    ap_constant,
+    doubling_ball_family,
+    doubling_constant,
+    estimate_rw,
+    generate_cubes,
+    rh_constant,
+)
 
 
 class LevelContext:
@@ -53,10 +65,11 @@ class LevelContext:
 
     @cached_property
     def rw(self):
+        """The RwEstimate of the weight over ``family``."""
         thr = self.config.thresholds
         return estimate_rw(
             self.fields[2], self.family, threshold=thr.rw_threshold, tol=thr.rw_tol
-        ).value
+        )
 
     @cached_property
     def candidates(self):
@@ -85,11 +98,16 @@ class LevelContext:
 
 
 class RunContext:
-    """The config of one ``run_config`` call and its levels, shared by the suites."""
+    """The config of one report and its levels, shared by the suites or table."""
 
     def __init__(self, config):
         self.config = config
         self.levels = [LevelContext(config, level) for level in range(config.refinements)]
+
+
+def _info(experiment, quantity, value, **params):
+    return ReportRow(experiment, quantity, params_string(**params), value,
+                     float("inf"), "info")
 
 
 def _drift_row(experiment, quantity, values, drift_tol, params=""):
@@ -117,17 +135,22 @@ def verify_theorem1(ctx):
     For each p: computes the variation lower bound and the weighted
     gradient norm, then checks both ratios against the configured bound.
     When p <= dim * rw only the gradient-side inequality is checked (it
-    holds for every weight and every p >= 1).
+    holds for every weight and every p >= 1). A level whose rw search hit
+    its cap, so that its checks are only left-sided, gets an rw_at_max row.
     """
-    rows = []
     config = ctx.config
     thr = config.thresholds
+    rows = [
+        _info("theorem1", "rw_at_max", lvl.rw.value, level=lvl.level,
+              threshold=lvl.rw.threshold)
+        for lvl in ctx.levels if lvl.rw.at_max
+    ]
     for p in config.p_values:
         left_ratios = []
         right_ratios = []
         for lvl in ctx.levels:
             grid, f, w, _ = lvl.fields
-            rw = lvl.rw
+            rw = lvl.rw.value
             packing = lvl.packing(p)
             grad_norm = weighted_lp_norm(gradient_magnitude(f), w, p)
             params = params_string(p=p, level=lvl.level, h=grid.spacing, rw=rw)
@@ -311,7 +334,7 @@ def suite_morrey(ctx):
         per_level = []
         for lvl in ctx.levels:
             grid, f, w, _ = lvl.fields
-            rw = lvl.rw
+            rw = lvl.rw.value
             if p <= grid.dim * rw:
                 rows.append(
                     ReportRow("morrey", "skipped_precondition",
@@ -428,22 +451,117 @@ _SUITES = {
 }
 
 
-def run_config(config):
-    """Run every configured suite on one shared RunContext; module errors become error rows."""
+def table_weights(ctx):
+    """Weight constants: [w]_{A_p} per p, [w]_{A_1}, RH_s per s, r_w and doubling."""
+    config = ctx.config
+    lvl = ctx.levels[0]
+    grid, _, w, _ = lvl.fields
+    family = lvl.family
+    cubes = dict(family=family.provenance.value, levels=config.cubes.levels)
+    rows = [_info("weights", "ap", ap_constant(w, p, family), p=p, **cubes)
+            for p in sorted(set(config.p_values))]
+    rows.append(_info("weights", "a1", a1_constant(w, family), **cubes))
+    rows += [_info("weights", "rh", rh_constant(w, s, family), s=s, **cubes)
+             for s in sorted(set(config.s_values))]
+    rows.append(_info("weights", "rw", lvl.rw.value, at_max=lvl.rw.at_max, **cubes))
+    radii = config.radii or (4 * grid.spacing,)
+    balls = doubling_ball_family(grid, radii, stride=max(1, grid.n_nodes // 64))
+    doubling = doubling_constant(w, balls) if balls else float("nan")
+    rows.append(_info("weights", "doubling", doubling, family="balls",
+                      levels=config.cubes.levels))
+    return rows
+
+
+def table_riesz_var(ctx):
+    """Weighted Riesz p-variation by packing optimization, with the packed balls."""
+    config = ctx.config
+    lvl = ctx.levels[0]
+    rows = []
+    for p in config.p_values:
+        sol = lvl.packing(p)
+        params = dict(p=p, method=sol.method, h=lvl.fields[0].spacing, radii=config.radii)
+        rows += [_info("riesz-var", "variation", sol.variation, **params),
+                 _info("riesz-var", "total", sol.total, **params),
+                 _info("riesz-var", "n_balls", float(len(sol.indices)), **params)]
+        rows += [_info("riesz-var", "ball", s.score, p=p, center=s.ball.center.tolist(),
+                       radius=s.ball.radius, osc=s.oscillation, mass=s.weight_mass)
+                 for s in sol.scores]
+    return rows
+
+
+def table_sobolev(ctx):
+    """Weighted L^p and Sobolev norms of the configured function."""
+    grid, f, w, _ = ctx.levels[0].fields
+    rows = []
+    for p in ctx.config.p_values:
+        lp = weighted_lp_norm(f, w, p)
+        grad_lp = weighted_lp_norm(gradient_magnitude(f), w, p)
+        rows += [_info("sobolev", q, v, p=p, h=grid.spacing)
+                 for q, v in (("lp", lp), ("grad_lp", grad_lp), ("total", lp + grad_lp))]
+    return rows
+
+
+def table_varexp(ctx):
+    """Variable-exponent norms and diagnostics."""
+    config = ctx.config
+    lvl = ctx.levels[0]
+    _, f, _, pfun = lvl.fields
+    if pfun is None:
+        raise PreconditionError("config has no exponent section")
+    lh = lh_constants(pfun, seed=config.seed)
+    rows = [
+        _info("varexp", "p_minus", pfun.p_minus),
+        _info("varexp", "p_plus", pfun.p_plus),
+        _info("varexp", "lh_c0", lh.c0_estimate, p_inf=lh.p_infinity_used),
+        _info("varexp", "lh_c_infinity", lh.c_infinity_estimate, p_inf=lh.p_infinity_used),
+        _info("varexp", "modular", modular(f, pfun)),
+        _info("varexp", "luxemburg_norm", luxemburg_norm(f, pfun)),
+    ]
+    if config.radii:
+        rows.append(_info("varexp", "rbv_var_seminorm",
+                          best_collection_norm(f, pfun, lvl.explored)))
+    return rows
+
+
+# The non-verify subcommands, by name: each is one table on level 0.
+TABLES = {
+    "weights": table_weights,
+    "riesz-var": table_riesz_var,
+    "sobolev": table_sobolev,
+    "varexp": table_varexp,
+}
+
+
+def _run(config, tables):
+    """Report of the (name, table) pairs on one shared RunContext.
+
+    Each table's first row carries its runtime; a module error becomes
+    one error row named after the table.
+    """
     ctx = RunContext(config)
     rows = []
-    for suite in config.suites:
+    for name, table in tables:
         started = time.perf_counter()
         try:
-            suite_rows = _SUITES[suite](ctx)
+            table_rows = table(ctx)
         except ToolkitError as exc:
             rows.append(
-                ReportRow(suite, "error", params_string(message=str(exc)),
+                ReportRow(name, "error", params_string(message=str(exc)),
                           float("nan"), float("nan"), "error")
             )
             continue
         elapsed_ms = int((time.perf_counter() - started) * 1000)
-        if suite_rows:
-            suite_rows[0] = replace(suite_rows[0], runtime_ms=elapsed_ms)
-        rows.extend(suite_rows)
+        if table_rows:
+            table_rows[0] = replace(table_rows[0], runtime_ms=elapsed_ms)
+        rows.extend(table_rows)
     return Report(rows=tuple(rows), config_hash=config.config_hash(), seed=config.seed)
+
+
+def run_config(config):
+    """Run every configured suite; module errors become error rows."""
+    return _run(config, [(suite, _SUITES[suite]) for suite in config.suites])
+
+
+def run_table(config, name):
+    """The report of one TABLES entry on the config's first level."""
+    return _run(config, [(name, TABLES[name])])

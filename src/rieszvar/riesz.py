@@ -274,8 +274,8 @@ class _ConflictRows:
         return row
 
 
-def pack_greedy(scored, p):
-    """Highest-score-first selection of mutually disjoint balls."""
+def _greedy(scored):
+    """Indices of the highest-score-first selection of mutually disjoint balls."""
     rows = _ConflictRows(scored)
     blocked = np.zeros(len(scored), dtype=bool)
     selected = []
@@ -284,21 +284,23 @@ def pack_greedy(scored, p):
         if not blocked[i]:
             selected.append(i)
             blocked |= rows(i)
-    return _solution(selected, scored, p, GREEDY)
+    return selected
 
 
-def pack_local_search(initial, scored, max_iters=MAX_ITERS):
-    """Hill climbing over 1- and 2-ball swap moves, first improvement.
+def pack_greedy(scored, p):
+    """Highest-score-first selection of mutually disjoint balls."""
+    return _solution(_greedy(scored), scored, p, GREEDY)
 
-    Removes at most two selected balls and inserts one or two candidates,
-    accepting only strict total increases; the total never decreases and
-    the search stops at a local optimum or after max_iters moves.
-    ``initial`` is a PackingSolution of the same scored candidates.
+
+def _improve(scored, start, max_iters):
+    """Indices local search reaches from the selection ``start``; see pack_local_search.
+
+    None when their total falls below the total of ``start``.
     """
-    selected = set(initial.indices)
+    selected = set(start)
     rows = _ConflictRows(scored)
     scores = scored.score
-    total = initial.total
+    total = start_total = math.fsum(scores[sorted(selected)])
     eps = 1e-12 * max(1.0, abs(total))
     for _ in range(max_iters):
         move = _first_improvement(rows, scores, selected, eps)
@@ -309,10 +311,21 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
         selected |= inserted
         total = math.fsum(scores[sorted(selected)])
         eps = 1e-12 * max(1.0, abs(total))
-    sol = _solution(selected, scored, initial.p, GREEDY_PLUS_LOCAL_SEARCH)
-    if sol.total < initial.total:
+    return None if total < start_total else selected
+
+
+def pack_local_search(initial, scored, max_iters=MAX_ITERS):
+    """Hill climbing over 1- and 2-ball swap moves, first improvement.
+
+    Removes at most two selected balls and inserts one or two candidates,
+    accepting only strict total increases; the total never decreases and
+    the search stops at a local optimum or after max_iters moves.
+    ``initial`` is a PackingSolution of the same scored candidates.
+    """
+    selected = _improve(scored, initial.indices, max_iters)
+    if selected is None:
         return initial
-    return sol
+    return _solution(selected, scored, initial.p, GREEDY_PLUS_LOCAL_SEARCH)
 
 
 def _first_improvement(rows, scores, selected, eps):
@@ -383,10 +396,13 @@ def pack(scored, p, method, max_iters):
         raise PreconditionError(f"unknown packing method {method!r}")
     if method == DP_1D_EXACT:
         return pack_1d_exact(scored, p)
-    greedy = pack_greedy(scored, p)
-    if method == GREEDY:
-        return greedy
-    return pack_local_search(greedy, scored, max_iters=max_iters)
+    selected = _greedy(scored)
+    if method == GREEDY_PLUS_LOCAL_SEARCH:
+        improved = _improve(scored, selected, max_iters)
+        if improved is not None:
+            return _solution(improved, scored, p, method)
+        method = GREEDY
+    return _solution(selected, scored, p, method)
 
 
 def riesz_variation(f, w, p, radii_list, method="auto", max_iters=MAX_ITERS):

@@ -314,7 +314,7 @@ def packing_proposals(f, candidates, p, method, max_iters):
     return packings
 
 
-def _best_collection_norm(f, pfun, packings, tol):
+def best_collection_norm(f, pfun, packings, tol=1e-10):
     """Largest Luxemburg value of the variation modular over the packings (0 if none)."""
     best = 0.0
     for collection in packings:
@@ -325,7 +325,7 @@ def _best_collection_norm(f, pfun, packings, tol):
 def rbv_var_seminorm(f, pfun, radii_list, tol=1e-10, method="auto", max_iters=MAX_ITERS):
     """Lower bound of the RBV^{p(.)} seminorm: max Luxemburg value over proposals."""
     packings = explore_packings(f, pfun, radii_list, method, max_iters)
-    return _best_collection_norm(f, pfun, packings, tol)
+    return best_collection_norm(f, pfun, packings, tol)
 
 
 def gd_equivalence_check(f, pfun, packings, c_eq=4.0, tol=1e-10):
@@ -400,7 +400,7 @@ def varexp_sobolev_equivalence(f, pfun, packings, c_thm=16.0, tol=1e-10):
         raise PreconditionError(
             f"variable-exponent equivalence needs p_minus > n, got {pfun.p_minus}"
         )
-    rbv = _best_collection_norm(f, pfun, packings, tol)
+    rbv = best_collection_norm(f, pfun, packings, tol)
     gnorm = luxemburg_norm(gradient_magnitude(f), pfun, tol=tol)
     rows = []
     if rbv == 0.0 and gnorm == 0.0:

@@ -82,15 +82,6 @@ class RwEstimate:
     tol: float
 
 
-@dataclass(frozen=True)
-class WeightDiagnostics:
-    ap_constant: dict
-    a1_constant: float
-    rh_constant: dict
-    doubling_constant: float
-    rw_estimate: RwEstimate
-
-
 def generate_cubes(grid, min_side, levels, shifts=1):
     """Dyadic cubes tiled from the grid origin, with translated copies.
 
@@ -259,24 +250,3 @@ def doubling_ball_family(grid, radii, stride=1):
     node, which = np.nonzero(fits)
     return [Ball(centers[n], radii[i]) for n, i in zip(node, which.tolist())]
 
-
-def compute_diagnostics(
-    w,
-    family,
-    p_values=(2.0,),
-    s_values=(1.5,),
-    ball_family=(),
-    threshold=1000.0,
-    tol=1e-3,
-):
-    """All weight constants in one pass, for the CLI and the harness."""
-    ap = {float(p): ap_constant(w, p, family) for p in p_values}
-    rh = {float(s): rh_constant(w, s, family) for s in s_values}
-    doubling = doubling_constant(w, ball_family) if ball_family else float("nan")
-    return WeightDiagnostics(
-        ap_constant=ap,
-        a1_constant=a1_constant(w, family),
-        rh_constant=rh,
-        doubling_constant=doubling,
-        rw_estimate=estimate_rw(w, family, threshold=threshold, tol=tol),
-    )

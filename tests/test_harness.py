@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -22,8 +24,9 @@ import rieszvar.harness as harness
 from rieszvar.riesz import METHODS
 import rieszvar.varexp as varexp
 import rieszvar.weights as weights
-from rieszvar.harness import RunContext, run_config, verify_theorem1
+from rieszvar.harness import TABLES, RunContext, run_config, run_table, verify_theorem1
 from rieszvar.report import (
+    CSV_COLUMNS,
     Report,
     ReportRow,
     params_string,
@@ -157,6 +160,24 @@ class TestRunConfig:
         ])
         message = params_string(message="dp_1d_exact is only available in one dimension")
         assert {r.params for r in errors} == {message}
+
+    def test_rw_at_max_row(self):
+        """A level whose r_w search stops at q_max gets one theorem1 info row."""
+        raw = json.loads((ROOT / "perfbench" / "configs" / "verify_2d.json").read_text())
+        raw["thresholds"] = dict(raw.get("thresholds", {}), rw_threshold=1.01)
+        cfg = load_config(dict(raw, suites=["theorem1"]))
+        rows = [r for r in run_config(cfg).rows if r.quantity == "rw_at_max"]
+        assert [(r.experiment, r.params, r.value, r.status) for r in rows] == [
+            ("theorem1", params_string(level=0, threshold=1.01), 64.0, "info")
+        ]
+        (rw,) = [r for r in run_table(cfg, "weights").rows if r.quantity == "rw"]
+        assert "at_max=True" in rw.params and rw.value == 64.0
+
+    @pytest.mark.parametrize("name", ["theorem1_linear", "weak_type_hat"])
+    def test_no_rw_at_max_row_on_demo_configs(self, name):
+        raw = json.loads((ROOT / "demos" / "configs" / f"{name}.json").read_text())
+        rows = run_config(load_config(dict(raw, suites=["theorem1"]))).rows
+        assert rows and not [r for r in rows if r.quantity == "rw_at_max"]
 
 
 def _strip(report):
@@ -377,35 +398,83 @@ class TestCli:
         for name in ("linear", "power_weight", "step_exponent"):
             assert name in result.output
 
+    def run_json(self, command, cfg):
+        result = CliRunner().invoke(main, [command, "--config", cfg, "--format", "json"])
+        return result, report_from_json(result.output)
+
     def test_weights_csv_columns(self, tmp_path):
         cfg = self.write_config(tmp_path)
         result = CliRunner().invoke(main, ["weights", "--config", cfg])
         assert result.exit_code == 0
-        header = result.output.splitlines()[0]
-        assert header == "quantity,p_or_s,family,levels,value"
+        assert result.output.splitlines()[0] == ",".join(CSV_COLUMNS)
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        assert [r["quantity"] for r in rows] == ["ap", "a1"] + ["rh"] * 4 + ["rw", "doubling"]
+        assert all(r["experiment"] == "weights" and r["status"] == "info" for r in rows)
+        assert "family='shifted_dyadic';levels=4;p=2.0" == rows[0]["params"]
+        assert "at_max=False" in rows[-2]["params"]
 
     def test_riesz_var_json_object(self, tmp_path):
         cfg = self.write_config(tmp_path)
-        result = CliRunner().invoke(main, ["riesz-var", "--config", cfg])
+        result, report = self.run_json("riesz-var", cfg)
         assert result.exit_code == 0
-        payload = json.loads(result.output)
-        for key in ("p", "method", "h", "radii", "total", "variation", "n_balls", "balls"):
-            assert key in payload
-        assert payload["variation"] == pytest.approx(2.0, rel=0.05)
-        ball = payload["balls"][0]
-        for key in ("center", "radius", "osc", "mass", "score"):
-            assert key in ball
+        rows = {r.quantity: r for r in report.rows}
+        assert rows["variation"].value == pytest.approx(2.0, rel=0.05)
+        assert rows["total"].params == rows["variation"].params
+        for key in ("p=2.0", "method='dp_1d_exact'", "h=0.00390625", "radii=("):
+            assert key in rows["variation"].params
+        balls = [r for r in report.rows if r.quantity == "ball"]
+        assert len(balls) == rows["n_balls"].value > 0
+        assert rows["total"].value == pytest.approx(sum(b.value for b in balls))
+        for key in ("center=[", "radius=", "osc=", "mass="):
+            assert key in balls[0].params
+        assert "np." not in result.output
 
     def test_sobolev_json(self, tmp_path):
         cfg = self.write_config(tmp_path)
-        result = CliRunner().invoke(main, ["sobolev", "--config", cfg])
-        payload = json.loads(result.output)
-        assert payload["total"] == pytest.approx(payload["lp"] + payload["grad_lp"])
+        result, report = self.run_json("sobolev", cfg)
+        assert result.exit_code == 0
+        rows = {r.quantity: r.value for r in report.rows}
+        assert rows["total"] == pytest.approx(rows["lp"] + rows["grad_lp"])
 
     def test_varexp_requires_exponent(self, tmp_path):
         cfg = self.write_config(tmp_path)
         result = CliRunner().invoke(main, ["varexp", "--config", cfg])
-        assert result.exit_code != 0
+        assert result.exit_code == 2
+        assert result.output.splitlines()[1].startswith("varexp,error,")
+
+    @pytest.mark.parametrize("command", list(TABLES))
+    def test_every_table_prints_the_report_csv(self, tmp_path, command):
+        cfg = self.write_config(
+            tmp_path, exponent={"catalog": "affine", "params": {"intercept": 3.0, "slope": 1.0}})
+        result = CliRunner().invoke(main, [command, "--config", cfg, "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+    @pytest.mark.parametrize("command", list(TABLES) + ["verify"])
+    def test_every_subcommand_json_parses(self, tmp_path, command):
+        cfg = self.write_config(
+            tmp_path, exponent={"catalog": "affine", "params": {"intercept": 3.0, "slope": 1.0}})
+        result, report = self.run_json(command, cfg)
+        assert result.exit_code == 0
+        assert report.rows and {r.status for r in report.rows} <= {"pass", "info"}
+
+    def test_weights_error_is_one_row(self):
+        """weak_type_hat asks for p = 1, where A_p is undefined: one error row, exit 2."""
+        cfg = str(ROOT / "demos" / "configs" / "weak_type_hat.json")
+        result = CliRunner().invoke(main, ["weights", "--config", cfg])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        (row,) = list(csv.DictReader(io.StringIO(result.output)))
+        assert (row["experiment"], row["quantity"], row["status"]) == ("weights", "error", "error")
+        assert row["params"] == params_string(message="A_p requires p > 1, got 1.0")
+
+    def test_tables_read_the_verify_level_context(self):
+        raw = json.loads((ROOT / "demos" / "configs" / "theorem1_linear.json").read_text())
+        cfg = load_config(raw)
+        theorem1 = [r.value for r in run_config(cfg).rows
+                    if r.quantity == "variation" and "level=0" in r.params]
+        table = [r.value for r in run_table(cfg, "riesz-var").rows if r.quantity == "variation"]
+        assert theorem1 == table and len(table) == len(cfg.p_values)
 
     def test_verify_pass_exit_zero(self, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -456,5 +525,5 @@ class TestCli:
     def test_threads_is_a_no_op(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TOOLKIT_THREADS", "many")
         cfg = self.write_config(tmp_path)
-        result = CliRunner().invoke(main, ["sobolev", "--config", cfg, "--threads", "3"])
+        result = CliRunner().invoke(main, ["sobolev", "--config", cfg])
         assert result.exit_code == 0

@@ -30,7 +30,13 @@ from rieszvar.errors import (
 )
 from rieszvar import riesz
 from rieszvar.grid import FieldKind, balls_disjoint, region_mask
-from rieszvar.riesz import CandidateSet, finest_partition, make_scores, measure_balls
+from rieszvar.riesz import (
+    MAX_ITERS,
+    CandidateSet,
+    finest_partition,
+    make_scores,
+    measure_balls,
+)
 
 from conftest import as_balls, ball_scores, const_weight, linear, scored_set, unit_disk
 
@@ -522,6 +528,7 @@ class TestRieszVariation:
             else:
                 greedy = pack_greedy(scored, 2.0)
                 packers.append(partial(pack_local_search, greedy, scored))
+                packers.append(partial(pack, scored, 2.0, "greedy_plus_local_search", MAX_ITERS))
             for packer in packers:
                 built.clear()
                 sol = packer()
