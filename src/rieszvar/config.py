@@ -135,6 +135,9 @@ def load_config(data):
     method = data.get("method", "auto")
     if method not in ("auto",) + METHODS:
         raise ConfigError("method", f"unknown packing method {method!r}")
+    fmt = data.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigError("format", f"report format must be 'csv' or 'json', got {fmt!r}")
     thresholds = _with_defaults(Thresholds, data.get("thresholds", {}))
     for name in ("k_max_base", "c_eq", "c_thm", "bound_thm1", "rw_threshold"):
         if getattr(thresholds, name) <= 1:
@@ -168,7 +171,7 @@ def load_config(data):
         suites=suites,
         seed=int(data.get("seed", 0)),
         out=data.get("out"),
-        fmt=data.get("format", "csv"),
+        fmt=fmt,
     )
 
 

@@ -22,7 +22,6 @@ from .riesz import (
 )
 from .sobolev import mollify_gradient_bound, morrey_check, weighted_lp_norm
 from .varexp import (
-    best_collection_norm,
     gd_equivalence_check,
     lh_constants,
     luxemburg_norm,
@@ -91,10 +90,9 @@ class LevelContext:
 
     @cached_property
     def explored(self):
-        """The packings ``explore_packings(f, pfun, radii, method)`` proposes."""
+        """The PackingTerms ``explore_packings(f, pfun, radii, method)`` proposes."""
         _, f, _, pfun = self.fields
-        return packing_proposals(f, self.candidates, pfun.p_minus, self.config.method,
-                                 MAX_ITERS)
+        return packing_proposals(f, pfun, self.candidates, self.config.method, MAX_ITERS)
 
 
 class RunContext:
@@ -519,7 +517,7 @@ def table_varexp(ctx):
     ]
     if config.radii:
         rows.append(_info("varexp", "rbv_var_seminorm",
-                          best_collection_norm(f, pfun, lvl.explored)))
+                          max((t.norm for t in lvl.explored), default=0.0)))
     return rows
 
 

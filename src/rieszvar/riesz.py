@@ -456,15 +456,11 @@ class LipschitzField:
 
 
 def _shell_offsets(grid, shell_radius):
-    reach = int(math.floor(shell_radius / grid.spacing + ATOL))
-    offsets = []
-    for delta in lattice_offsets(grid.dim, reach):
-        if not delta.any():
-            continue
-        dist = grid.spacing * float(np.linalg.norm(delta))
-        if dist <= shell_radius + ATOL:
-            offsets.append((tuple(int(d) for d in delta), dist))
-    return offsets
+    """Lattice offsets (m, dim), row-major, with 0 < h|delta| <= shell_radius, and those distances."""
+    deltas = lattice_offsets(grid.dim, int(math.floor(shell_radius / grid.spacing + ATOL)))
+    dist = grid.spacing * np.sqrt(np.sum(deltas**2, axis=1))
+    keep = (dist > 0) & (dist <= shell_radius + ATOL)
+    return deltas[keep], dist[keep]
 
 
 def lipschitz_field(f, shell_radius):
@@ -477,7 +473,7 @@ def lipschitz_field(f, shell_radius):
     if shell_radius < grid.spacing:
         raise PreconditionError("shell_radius must be at least the grid spacing")
     best = np.zeros(grid.shape)
-    for delta, dist in _shell_offsets(grid, shell_radius):
+    for delta, dist in zip(*_shell_offsets(grid, shell_radius)):
         nv = shifted(f.values, delta)
         usable = grid.mask & shifted(grid.mask, delta)
         ratio = np.zeros(grid.shape)

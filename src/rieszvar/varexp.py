@@ -14,14 +14,19 @@ import numpy as np
 
 from .errors import BadParams, EmptyRegion, PreconditionError, UnknownCatalogEntry
 from .grid import (
+    BallCollection,
     FieldKind,
     SampledField,
     gradient_magnitude,
+    node_set,
     read_grid,
     region_mask,
 )
 from .report import ReportRow, params_string
 from .riesz import MAX_ITERS, candidate_balls, make_scores, measure_balls, pack
+
+# Relative bisection tolerance of every Luxemburg norm unless a caller sets one.
+TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +187,7 @@ def _luxemburg(av, pv, weight, tol):
     return _bisect_luxemburg(rho, rho(1.0), float(pv.min()), tol)
 
 
-def luxemburg_norm(f, pfun, region=None, tol=1e-10):
+def luxemburg_norm(f, pfun, region=None, tol=TOL):
     """Luxemburg norm: inf { lambda > 0 : modular(f/lambda) <= 1 }."""
     member = region_mask(f.grid, region)
     if not member.any():
@@ -192,7 +197,7 @@ def luxemburg_norm(f, pfun, region=None, tol=1e-10):
     )
 
 
-def char_norm(region, pfun, tol=1e-10):
+def char_norm(region, pfun, tol=TOL):
     """Luxemburg norm of the indicator of a ball or cube."""
     member = region_mask(pfun.grid, region)
     if not member.any():
@@ -221,42 +226,90 @@ class VariableSequence:
         object.__setattr__(self, "exponents", exponents)
 
 
-def seq_norm(sequence, tol=1e-10):
+def seq_norm(sequence, tol=TOL):
     """Luxemburg norm on the sequence space: inf { l : sum (|t_k|/l)^{p_k} <= 1 }."""
     return _luxemburg(np.abs(sequence.values), sequence.exponents, 1.0, tol)
 
 
+def _gather(f, collection):
+    """Per ball: its masked-in flat node indices and osc_B(f)/r_B, 0.0 when it holds no node."""
+    fv = f.values.reshape(-1)
+    nodes, a = [], []
+    for ball in collection:
+        idx = node_set(f.grid, ball)
+        vals = fv[idx]
+        nodes.append(idx)
+        a.append(float((vals.max() - vals.min()) / ball.radius) if idx.size else 0.0)
+    return tuple(nodes), np.array(a)
+
+
 def g_operator(f, collection):
-    """G_D f = sum over balls of (osc_B(f)/r) * indicator(B), 0 elsewhere."""
-    grid = f.grid
-    out = np.zeros(grid.shape)
-    for ball in collection:
-        member = region_mask(grid, ball)
-        if not member.any():
-            continue
-        vals = f.values[member]
-        out[member] = (vals.max() - vals.min()) / ball.radius
-    return SampledField(grid, out, FieldKind.FUNCTION)
+    """G_D f = sum over balls of (osc_B(f)/r) * indicator(B), 0 elsewhere.
+
+    ``collection`` is a ball family or the PackingTerms of f, whose
+    gathered nodes and osc/r are reused.
+    """
+    if isinstance(collection, PackingTerms) and collection.f is f:
+        nodes, a = collection.nodes, collection.a
+    else:
+        nodes, a = _gather(f, collection)
+    out = np.zeros(f.grid.n_nodes)
+    for idx, value in zip(nodes, a.tolist()):
+        out[idx] = value
+    return SampledField(f.grid, out.reshape(f.grid.shape), FieldKind.FUNCTION)
 
 
-def _collection_terms(f, collection, pfun, tol):
-    """Per-ball (osc/r, harmonic-mean exponent, indicator norm) triples, one gather per ball."""
+@dataclass(frozen=True, eq=False)
+class PackingTerms:
+    """A disjoint ball family with its variable-exponent terms for f and pfun.
+
+    Per ball k: ``nodes[k]`` are its masked-in flat node indices, ``a[k]``
+    is osc_B(f)/r_B, ``p_ball[k]`` the harmonic-mean exponent and
+    ``char[k]`` the indicator norm; ``norm`` is the Luxemburg value of the
+    variation modular. It iterates over its balls like ``collection``.
+    """
+
+    collection: BallCollection
+    f: SampledField
+    pfun: ExponentFunction
+    nodes: tuple
+    a: np.ndarray
+    p_ball: np.ndarray
+    char: np.ndarray
+    norm: float
+
+    def __len__(self):
+        return len(self.collection)
+
+    def __iter__(self):
+        return iter(self.collection)
+
+
+def packing_terms(f, collection, pfun):
+    """The PackingTerms of a disjoint family, from one gather per ball.
+
+    A ball that holds no masked-in node raises EmptyRegion.
+    """
+    nodes, a = _gather(f, collection)
+    if any(not idx.size for idx in nodes):
+        raise EmptyRegion("packing ball contains no masked-in node")
+    pflat = pfun.values.reshape(-1)
+    pv = [pflat[idx] for idx in nodes]
+    p_ball = np.array([1.0 / np.mean(1.0 / q) for q in pv])
     vol = f.grid.cell_volume()
-    terms = []
-    for ball in collection:
-        member = region_mask(f.grid, ball)
-        if not member.any():
-            raise EmptyRegion("packing ball contains no masked-in node")
-        vals = f.values[member]
-        pv = pfun.values[member]
-        a = (vals.max() - vals.min()) / ball.radius
-        p_ball = 1.0 / np.mean(1.0 / pv)
-        c_ball = _luxemburg(np.ones(pv.size), pv, vol, tol)
-        terms.append((float(a), float(p_ball), float(c_ball)))
-    return terms
+    char = np.array([_luxemburg(np.ones(q.size), q, vol, TOL) for q in pv])
+    norm = seq_norm(VariableSequence(a * char, p_ball))
+    return PackingTerms(collection, f, pfun, nodes, a, p_ball, char, norm)
 
 
-def rbv_var_modular(f, collection, pfun, lam, tol=1e-10, terms=None):
+def _terms(f, collection, pfun):
+    """``collection`` itself when it is the PackingTerms of f and pfun, else its PackingTerms."""
+    if isinstance(collection, PackingTerms) and collection.f is f and collection.pfun is pfun:
+        return collection
+    return packing_terms(f, collection, pfun)
+
+
+def rbv_var_modular(f, collection, pfun, lam):
     """Variable-exponent variation modular of f/lam on a disjoint family.
 
     sum over balls of ((osc/r)/lam)^{p_B} ||indicator||_{p(.)}^{p_B} with
@@ -264,41 +317,37 @@ def rbv_var_modular(f, collection, pfun, lam, tol=1e-10, terms=None):
     """
     if lam <= 0:
         raise PreconditionError("lambda must be positive")
-    if terms is None:
-        terms = _collection_terms(f, collection, pfun, tol)
+    t = _terms(f, collection, pfun)
     with np.errstate(over="ignore"):
-        return float(
-            math.fsum((a / lam) ** p * c**p for a, p, c in terms)
-        )
+        return float(math.fsum(
+            (a / lam) ** p * c**p for a, p, c in zip(t.a.tolist(), t.p_ball.tolist(),
+                                                   t.char.tolist())
+        ))
 
 
-def rbv_collection_norm(f, collection, pfun, tol=1e-10):
-    """Luxemburg value of the variation modular on one disjoint family."""
-    terms = _collection_terms(f, collection, pfun, tol)
-    if not terms or max(a for a, _, _ in terms) == 0.0:
-        return 0.0
-    entries = np.array([a * c for a, p, c in terms])
-    expo = np.array([p for _, p, _ in terms])
-    return seq_norm(VariableSequence(entries, expo), tol=tol)
+def rbv_collection_norm(f, collection, pfun):
+    """Luxemburg value of the variation modular on one disjoint family (any balls)."""
+    return _terms(f, collection, pfun).norm
 
 
 def explore_packings(f, pfun, radii_list, method="auto", max_iters=MAX_ITERS):
-    """Candidate disjoint families for the variable-exponent supremum.
+    """Candidate disjoint families for the variable-exponent supremum, as PackingTerms.
 
     Proposals come from the constant-exponent optimizer at p_minus; see
     ``packing_proposals``.
     """
-    return packing_proposals(f, candidate_balls(f.grid, radii_list), pfun.p_minus,
-                             method, max_iters)
+    return packing_proposals(f, pfun, candidate_balls(f.grid, radii_list), method,
+                             max_iters)
 
 
-def packing_proposals(f, candidates, p, method, max_iters):
-    """Packings of f over the CandidateSet at ``p`` with the Lebesgue weight.
+def packing_proposals(f, pfun, candidates, method, max_iters):
+    """PackingTerms of the packings of f over the CandidateSet at p_minus, Lebesgue weight.
 
     One packing over the full candidate set plus one per single radius,
     each by ``riesz.pack``. Deduplicated on the selected candidate
     indices, order preserved.
     """
+    p = pfun.p_minus
     lebesgue = SampledField(f.grid, np.ones(f.grid.shape), FieldKind.WEIGHT)
     scored = make_scores(candidates, *measure_balls(f, lebesgue, candidates), p)
     packings = []
@@ -310,141 +359,69 @@ def packing_proposals(f, candidates, p, method, max_iters):
         key = tuple(np.flatnonzero(keep)[list(sol.indices)].tolist())
         if key and key not in seen:
             seen.add(key)
-            packings.append(sol.collection)
+            packings.append(packing_terms(f, sol.collection, pfun))
     return packings
 
 
-def best_collection_norm(f, pfun, packings, tol=1e-10):
-    """Largest Luxemburg value of the variation modular over the packings (0 if none)."""
-    best = 0.0
-    for collection in packings:
-        best = max(best, rbv_collection_norm(f, collection, pfun, tol=tol))
-    return best
-
-
-def rbv_var_seminorm(f, pfun, radii_list, tol=1e-10, method="auto", max_iters=MAX_ITERS):
+def rbv_var_seminorm(f, pfun, radii_list, method="auto", max_iters=MAX_ITERS):
     """Lower bound of the RBV^{p(.)} seminorm: max Luxemburg value over proposals."""
-    packings = explore_packings(f, pfun, radii_list, method, max_iters)
-    return best_collection_norm(f, pfun, packings, tol)
+    return max((t.norm for t in explore_packings(f, pfun, radii_list, method, max_iters)),
+               default=0.0)
 
 
-def gd_equivalence_check(f, pfun, packings, c_eq=4.0, tol=1e-10):
+def _row(experiment, quantity, params, value, tolerance, status="info"):
+    return ReportRow(experiment, quantity, params_string(**params), value, tolerance, status)
+
+
+def gd_equivalence_check(f, pfun, packings, c_eq=4.0):
     """Ratio of ||G_D f||_{p(.)} to the RBV_D^{p(.)} norm per packing.
 
-    Reports one info row per packing and min/max summary rows; passes
-    when every ratio lies in [1/c_eq, c_eq]. Packings on which f is
-    constant contribute skipped info rows (both sides vanish).
+    ``packings`` are ball families or their PackingTerms for f and pfun,
+    for example ``explore_packings(f, pfun, radii)``, whose terms are
+    reused. Reports one info row per packing and min/max summary rows;
+    passes when every ratio lies in [1/c_eq, c_eq]. Packings on which f
+    is constant contribute skipped info rows (both sides vanish).
     """
     rows = []
     ratios = []
     for k, collection in enumerate(packings):
-        gval = luxemburg_norm(g_operator(f, collection), pfun, tol=tol)
-        rval = rbv_collection_norm(f, collection, pfun, tol=tol)
-        if rval == 0.0 and gval == 0.0:
-            rows.append(
-                ReportRow(
-                    experiment="gd_equivalence",
-                    quantity="ratio_skipped",
-                    params=params_string(packing=k, n_balls=len(collection)),
-                    value=float("nan"),
-                    tolerance=c_eq,
-                    status="info",
-                )
-            )
+        terms = _terms(f, collection, pfun)
+        gval = luxemburg_norm(g_operator(f, terms), pfun)
+        params = dict(packing=k, n_balls=len(terms))
+        if terms.norm == 0.0 and gval == 0.0:
+            rows.append(_row("gd_equivalence", "ratio_skipped", params, float("nan"), c_eq))
             continue
-        ratio = gval / rval
+        ratio = gval / terms.norm
         ratios.append(ratio)
-        rows.append(
-            ReportRow(
-                experiment="gd_equivalence",
-                quantity="ratio",
-                params=params_string(packing=k, n_balls=len(collection)),
-                value=ratio,
-                tolerance=c_eq,
-                status="info",
-            )
-        )
+        rows.append(_row("gd_equivalence", "ratio", params, ratio, c_eq))
     if ratios:
-        ok = min(ratios) >= 1.0 / c_eq and max(ratios) <= c_eq
-        rows.append(
-            ReportRow(
-                experiment="gd_equivalence",
-                quantity="ratio_min",
-                params=params_string(n_packings=len(ratios)),
-                value=min(ratios),
-                tolerance=c_eq,
-                status="pass" if ok else "fail",
-            )
-        )
-        rows.append(
-            ReportRow(
-                experiment="gd_equivalence",
-                quantity="ratio_max",
-                params=params_string(n_packings=len(ratios)),
-                value=max(ratios),
-                tolerance=c_eq,
-                status="pass" if ok else "fail",
-            )
-        )
+        status = "pass" if min(ratios) >= 1.0 / c_eq and max(ratios) <= c_eq else "fail"
+        params = dict(n_packings=len(ratios))
+        rows.append(_row("gd_equivalence", "ratio_min", params, min(ratios), c_eq, status))
+        rows.append(_row("gd_equivalence", "ratio_max", params, max(ratios), c_eq, status))
     return rows
 
 
-def varexp_sobolev_equivalence(f, pfun, packings, c_thm=16.0, tol=1e-10):
+def varexp_sobolev_equivalence(f, pfun, packings, c_thm=16.0):
     """Theorem-level ratio: RBV^{p(.)} seminorm over the gradient Luxemburg norm.
 
-    The seminorm is the largest Luxemburg value over ``packings``, for
-    example ``explore_packings(f, pfun, radii)``.
+    The seminorm is the largest Luxemburg value over ``packings``, taken
+    as in ``gd_equivalence_check``.
     """
     n = f.grid.dim
     if pfun.p_minus <= n:
         raise PreconditionError(
             f"variable-exponent equivalence needs p_minus > n, got {pfun.p_minus}"
         )
-    rbv = best_collection_norm(f, pfun, packings, tol)
-    gnorm = luxemburg_norm(gradient_magnitude(f), pfun, tol=tol)
-    rows = []
+    rbv = max((rbv_collection_norm(f, c, pfun) for c in packings), default=0.0)
+    gnorm = luxemburg_norm(gradient_magnitude(f), pfun)
+    params = dict(p_minus=pfun.p_minus, p_plus=pfun.p_plus)
     if rbv == 0.0 and gnorm == 0.0:
-        rows.append(
-            ReportRow(
-                experiment="varexp_sobolev",
-                quantity="ratio_skipped",
-                params=params_string(p_minus=pfun.p_minus, p_plus=pfun.p_plus),
-                value=float("nan"),
-                tolerance=c_thm,
-                status="info",
-            )
-        )
-        return rows
+        return [_row("varexp_sobolev", "ratio_skipped", params, float("nan"), c_thm)]
     ratio = rbv / gnorm if gnorm > 0 else float("inf")
     ok = math.isfinite(ratio) and 1.0 / c_thm <= ratio <= c_thm
-    rows.append(
-        ReportRow(
-            experiment="varexp_sobolev",
-            quantity="rbv_seminorm",
-            params=params_string(p_minus=pfun.p_minus, p_plus=pfun.p_plus),
-            value=rbv,
-            tolerance=c_thm,
-            status="info",
-        )
-    )
-    rows.append(
-        ReportRow(
-            experiment="varexp_sobolev",
-            quantity="grad_luxemburg",
-            params=params_string(p_minus=pfun.p_minus, p_plus=pfun.p_plus),
-            value=gnorm,
-            tolerance=c_thm,
-            status="info",
-        )
-    )
-    rows.append(
-        ReportRow(
-            experiment="varexp_sobolev",
-            quantity="ratio",
-            params=params_string(p_minus=pfun.p_minus, p_plus=pfun.p_plus),
-            value=ratio,
-            tolerance=c_thm,
-            status="pass" if ok else "fail",
-        )
-    )
-    return rows
+    return [
+        _row("varexp_sobolev", "rbv_seminorm", params, rbv, c_thm),
+        _row("varexp_sobolev", "grad_luxemburg", params, gnorm, c_thm),
+        _row("varexp_sobolev", "ratio", params, ratio, c_thm, "pass" if ok else "fail"),
+    ]

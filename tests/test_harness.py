@@ -95,6 +95,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_config(minimal_config(suites=["nosuch"]))
 
+    def test_format_is_csv_or_json(self):
+        for fmt in ("csv", "json"):
+            assert load_config(minimal_config(format=fmt)).fmt == fmt
+        with pytest.raises(ConfigError) as err:
+            load_config(minimal_config(format="xml"))
+        assert err.value.field == "format"
+
     def test_config_hash_stable(self):
         a = load_config(minimal_config()).config_hash()
         b = load_config(minimal_config()).config_hash()
@@ -234,7 +241,9 @@ class TestRunContext:
 
     def test_each_region_gathered_once(self, monkeypatch):
         """Cube families call region_mask once per cube, and nothing else does for
-        cubes; each _collection_terms or g_operator call makes one per packed ball."""
+        cubes. Each proposal of each level gets one PackingTerms, built with one
+        Ball region_mask call per packed ball, and gd_equivalence and
+        varexp_sobolev both read those records without gathering again."""
         cube_calls = []
         ball_calls = [0]
 
@@ -258,19 +267,31 @@ class TestRunContext:
             families.append(([(tuple(c.corner), c.side) for c in cubes], cube_calls[before:]))
             return family
 
-        per_collection = []  # (packed balls, ball region_mask calls made)
+        records = []  # (PackingTerms built, Ball region_mask calls made building it)
+        build = varexp.packing_terms
 
-        def per_ball(fn):
-            def counted(f, collection, *args):
+        def counted_terms(f, collection, pfun):
+            before = ball_calls[0]
+            record = build(f, collection, pfun)
+            records.append((record, ball_calls[0] - before))
+            return record
+
+        checked = {}  # check name -> (packings handed in, Ball region_mask calls made)
+
+        def counted_check(name):
+            check = getattr(harness, name)
+
+            def counted(f, pfun, packings, **kwargs):
                 before = ball_calls[0]
-                out = fn(f, collection, *args)
-                per_collection.append((len(collection), ball_calls[0] - before))
-                return out
+                rows = check(f, pfun, packings, **kwargs)
+                checked.setdefault(name, []).append((list(packings), ball_calls[0] - before))
+                return rows
             return counted
 
         monkeypatch.setattr(weights, "CubeFamily", counted_family)
-        monkeypatch.setattr(varexp, "_collection_terms", per_ball(varexp._collection_terms))
-        monkeypatch.setattr(varexp, "g_operator", per_ball(varexp.g_operator))
+        monkeypatch.setattr(varexp, "packing_terms", counted_terms)
+        for name in ("gd_equivalence_check", "varexp_sobolev_equivalence"):
+            monkeypatch.setattr(harness, name, counted_check(name))
         cfg = load_config(minimal_config(
             grid={"dim": 2, "bounds": [[-1.0, 1.0], [-1.0, 1.0]], "h": 0.125},
             function={"catalog": "bump", "params": {"radius": 0.75, "center": [0.1, -0.05]}},
@@ -288,7 +309,13 @@ class TestRunContext:
         assert len(families) == cfg.refinements
         assert all(cubes and cubes == calls for cubes, calls in families)
         assert len(cube_calls) == sum(len(cubes) for cubes, _ in families)
-        assert per_collection and all(n and n == calls for n, calls in per_collection)
+        assert records and all(len(record) and calls == len(record) for record, calls in records)
+        built = [record for record, _ in records]
+        assert sorted(checked) == ["gd_equivalence_check", "varexp_sobolev_equivalence"]
+        for calls in checked.values():
+            assert len(calls) == cfg.refinements
+            assert [p for packings, _ in calls for p in packings] == built
+            assert all(gathered == 0 for _, gathered in calls)
 
     def test_failing_value_is_not_cached(self):
         suites = ["theorem1", "lemma21", "rh_exists", "morrey"]
@@ -482,6 +509,17 @@ class TestCli:
         result = CliRunner().invoke(main, ["verify", "--config", cfg, "--out", str(out)])
         assert result.exit_code == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_unknown_format_in_config_is_rejected(self, tmp_path, out):
+        cfg = self.write_config(tmp_path, format="xml")
+        args = ["sobolev", "--config", cfg] + (["--out", str(tmp_path / "r.xml")] if out else [])
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert "format: report format must be 'csv' or 'json', got 'xml'" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "r.xml").exists()
 
     def test_verify_fail_exit_nonzero(self, tmp_path):
         cfg = self.write_config(tmp_path, thresholds={"bound_thm1": 1.0001})

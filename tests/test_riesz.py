@@ -588,6 +588,24 @@ class TestLipschitzField:
         outside = np.abs(x) > 1 + 2 * shell
         assert np.all(lf.values[outside] == 0.0)
 
+    @pytest.mark.parametrize("shell_factor", [1.0, 2.0, 2.5, 3.0])
+    def test_disk_matches_pair_loop(self, shell_factor):
+        """Every node pair of a 2D disk within the closed shell, one node at a time."""
+        g = unit_disk(1 / 8)
+        f = sample_catalog(g, "bump", {"radius": 0.75, "center": [0.1, -0.05]})
+        shell = shell_factor * g.spacing
+        nodes = np.argwhere(g.mask)
+        vals = f.values[g.mask]
+        expected = np.zeros(g.shape)
+        for k, node in enumerate(nodes):
+            dist = g.spacing * np.sqrt(np.sum((nodes - node) ** 2, axis=1))
+            near = (dist > 0) & (dist <= shell + 1e-9)
+            if near.any():
+                expected[tuple(node)] = np.max(np.abs(vals[k] - vals[near]) / dist[near])
+        got = lipschitz_field(f, shell).values
+        assert np.array_equal(got, expected)
+        assert np.count_nonzero(got) > 0
+
 
 class TestWeakType:
     def test_hat_statistic_small(self):

@@ -28,7 +28,13 @@ from rieszvar import (
 )
 from rieszvar.errors import BadParams, EmptyRegion, PreconditionError
 from rieszvar.grid import FieldKind, region_mask
-from rieszvar.varexp import ExponentFunction, explore_packings, rbv_collection_norm
+from rieszvar.varexp import (
+    ExponentFunction,
+    PackingTerms,
+    explore_packings,
+    packing_terms,
+    rbv_collection_norm,
+)
 
 from conftest import const_weight, linear, unit_disk
 
@@ -424,6 +430,33 @@ class TestOneGatherPerBall:
                 coll = BallCollection(balls)
                 got = rbv_collection_norm(f, coll, pfun)
                 assert got > 0 and got == old_collection_norm(f, coll, pfun)
+
+    def test_record_terms_equal_bare_collection(self):
+        """A PackingTerms reuses its gather: same G_D field, norm and modular, bit for bit."""
+        for f, pfun, collections in self.cases():
+            for balls in collections:
+                coll = BallCollection(balls)
+                rec = packing_terms(f, coll, pfun)
+                assert len(rec) == len(coll) and list(rec) == list(coll.balls)
+                assert rec.norm == old_collection_norm(f, coll, pfun)
+                assert rec.p_ball.tolist() == [harmonic_mean_exponent(pfun, b) for b in balls]
+                assert rec.char.tolist() == [char_norm(b, pfun) for b in balls]
+                assert np.array_equal(g_operator(f, rec).values, g_operator(f, coll).values)
+                assert rbv_var_modular(f, rec, pfun, 0.5) == rbv_var_modular(f, coll, pfun, 0.5)
+
+    def test_explored_records_belong_to_their_field(self, unit_grid, p_affine):
+        f = linear(unit_grid)
+        packs = explore_packings(f, p_affine, [1 / 8, 1 / 16])
+        assert packs and all(isinstance(rec, PackingTerms) for rec in packs)
+        for rec in packs:
+            assert rec.f is f and rec.pfun is p_affine
+            assert rec.norm == rbv_collection_norm(f, rec.collection, p_affine) > 0
+            twice = SampledField(unit_grid, 2.0 * f.values)
+            assert rbv_collection_norm(twice, rec, p_affine) == pytest.approx(2.0 * rec.norm)
+
+    def test_empty_ball_rejected(self, unit_grid, p_affine):
+        with pytest.raises(EmptyRegion):
+            packing_terms(linear(unit_grid), BallCollection((Ball([5.0], 0.1),)), p_affine)
 
     def test_off_node_balls_accepted(self, unit_grid, p_affine):
         f = linear(unit_grid)
