@@ -354,16 +354,27 @@ def shifted(values, delta):
     for a mask), so shifting a mask also tells which neighbours exist.
     """
     out = np.zeros_like(values)
+    slices = _shift_slices(delta, values.shape)
+    if slices is not None:
+        dst, src = slices
+        out[dst] = values[src]
+    return out
+
+
+def _shift_slices(delta, shape):
+    """Slices (dst, src) with ``dst`` at node k and ``src`` at k + delta, both inside ``shape``.
+
+    None when no node has its offset neighbour inside the array.
+    """
     dst = []
     src = []
-    for d, n in zip(delta, values.shape):
+    for d, n in zip(delta, shape):
         d = int(d)
         if abs(d) >= n:
-            return out
+            return None
         dst.append(slice(max(-d, 0), n - max(d, 0)))
         src.append(slice(max(d, 0), n + min(d, 0)))
-    out[tuple(dst)] = values[tuple(src)]
-    return out
+    return tuple(dst), tuple(src)
 
 
 def lattice_offsets(dim, reach):
@@ -387,9 +398,13 @@ def eroded_mask(grid, r):
         shape = [1] * grid.dim
         shape[a] = coord.size
         ok &= sel.reshape(shape)
-    for delta in ball_offsets(grid, r):
-        if delta.any():
-            ok &= shifted(grid.mask, delta)
+    # Every node the box test keeps has all its offset neighbours inside the
+    # array, so only the overlap slices need the mask ANDed in.
+    if ok.any():
+        for delta in ball_offsets(grid, r).tolist():
+            if any(delta):
+                dst, src = _shift_slices(delta, grid.shape)
+                ok[dst] &= grid.mask[src]
     return ok
 
 

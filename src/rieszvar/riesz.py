@@ -41,6 +41,7 @@ METHODS = (DP_1D_EXACT, GREEDY, GREEDY_PLUS_LOCAL_SEARCH)
 MAX_ITERS = 200
 # Gathered node values per block in measure_balls: bounds its scratch memory.
 _GATHER_BLOCK = 1 << 14
+_UNCONTAINED = "measure_balls requires balls contained in the domain"
 
 
 @dataclass(frozen=True)
@@ -143,17 +144,23 @@ def measure_balls(f, w, candidates):
     grid = f.grid
     centers, radii = candidates.centers, candidates.radii
     k = np.rint((centers - grid.origin) / grid.spacing).astype(int)
-    on_node = np.abs(grid.origin + grid.spacing * k - centers) <= ATOL
+    node = grid.origin + grid.spacing * k
+    on_node = np.abs(node - centers) <= ATOL
     if not np.all(on_node & (k >= 0) & (k < grid.shape)):
         raise PreconditionError("measure_balls requires node-centred balls")
+    # Containment is ``eroded_mask`` at the centre node: the ball's box inside
+    # the grid's box (which also keeps every stencil node inside the array),
+    # then every gathered node masked in.
+    in_box = (node - radii[:, None] >= grid.bbox_lo - ATOL) & (
+        node + radii[:, None] <= grid.bbox_hi + ATOL)
+    if not in_box.all():
+        raise PreconditionError(_UNCONTAINED)
     flat = np.ravel_multi_index(k.T, grid.shape)
     strides = np.array([math.prod(grid.shape[a + 1:]) for a in range(grid.dim)])
-    fv, wv = f.values.reshape(-1), w.values.reshape(-1)
+    fv, wv, mv = f.values.reshape(-1), w.values.reshape(-1), grid.mask.reshape(-1)
     osc, mass = np.empty(len(candidates)), np.empty(len(candidates))
     for r in sorted(set(radii.tolist())):
         group = np.flatnonzero(radii == r)
-        if not eroded_mask(grid, r).reshape(-1)[flat[group]].all():
-            raise PreconditionError("measure_balls requires balls contained in the domain")
         stencil = ball_offsets(grid, r) @ strides
         if not stencil.size:
             raise PreconditionError("candidate ball contains no masked-in node")
@@ -161,6 +168,8 @@ def measure_balls(f, w, candidates):
         for lo in range(0, group.size, step):
             rows = group[lo:lo + step]
             nodes = flat[rows, None] + stencil
+            if not mv[nodes].all():
+                raise PreconditionError(_UNCONTAINED)
             vals = fv[nodes]
             osc[rows] = vals.max(axis=1) - vals.min(axis=1)
             mass[rows] = wv[nodes].sum(axis=1) * grid.cell_volume()
@@ -248,12 +257,12 @@ def pack_1d_exact(scored, p):
 
 
 class _ConflictRows:
-    """Lazily built, cached rows of the candidate conflict graph.
+    """Conflicts between candidates: cached rows for selected balls, pair tests on demand.
 
-    ``row(i)[j]`` is True when candidates i and j are not closed-disjoint
-    under the rule of ``grid.balls_disjoint`` (``row(i)[i]`` is True).
-    Memory is one bool per candidate for each row built; no dense pair
-    array is ever formed.
+    ``rows(i)[j]`` and ``rows.overlap(i, j)`` are True when candidates i
+    and j are not closed-disjoint under the rule of ``grid.balls_disjoint``
+    (``rows(i)[i]`` is True). A row costs one bool per candidate; the
+    packers build one only for a ball they select.
     """
 
     def __init__(self, candidates):
@@ -264,14 +273,18 @@ class _ConflictRows:
     def __call__(self, i):
         row = self._rows.get(i)
         if row is None:
-            diff = self._centers - self._centers[i]
-            # Stacked 1 x d @ d x 1 products use the same dot routine as
-            # np.linalg.norm of one vector, so distances match balls_disjoint
-            # bit for bit.
-            dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).reshape(-1))
-            row = ~(dist + ATOL >= self._radii[i] + self._radii)
+            row = self.overlap(i, slice(None))
             self._rows[i] = row
         return row
+
+    def overlap(self, i, j):
+        """Elementwise conflict of candidates ``i`` and ``j`` (indices, index arrays or slices)."""
+        diff = self._centers[j] - self._centers[i]
+        # Stacked 1 x d @ d x 1 products use the same dot routine as
+        # np.linalg.norm of one vector, so distances match balls_disjoint
+        # bit for bit.
+        dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None]).reshape(-1))
+        return ~(dist + ATOL >= self._radii[i] + self._radii[j])
 
 
 def _greedy(scored):
@@ -321,6 +334,21 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
     accepting only strict total increases; the total never decreases and
     the search stops at a local optimum or after max_iters moves.
     ``initial`` is a PackingSolution of the same scored candidates.
+
+    Moves are tried in a fixed order, single insertions by index and then
+    pairs (ia < ib) lexicographically, but pairs are evaluated only where
+    they can improve; the move found is the one a scan of every pair
+    finds. Pairs are tried only when no single move improves, so every
+    insertable candidate has slack (its score minus the scores it
+    removes) at most eps. Two candidates that overlap a common selected
+    ball are tried together once per such ball. Any other pair removes
+    two disjoint sets and gains the sum of its two slacks, so it can only
+    improve when one slack exceeds eps/2 - d and the other exceeds -d,
+    where d (eps/1000 plus 1e-15 times the largest |score| + |removal|
+    of an insertable candidate) bounds the rounding of that sum. Whether
+    the two balls of a pair are disjoint is decided last, for the pairs
+    that pass the count and gain tests, under the rule of
+    ``grid.balls_disjoint``.
     """
     selected = _improve(scored, initial.indices, max_iters)
     if selected is None:
@@ -334,13 +362,15 @@ def _first_improvement(rows, scores, selected, eps):
     A move may remove at most two selected balls, so only the first and
     second selected ball each candidate overlaps are tracked. Removal sums
     add at most two nonzero scores, which makes them bit-identical to a
-    plain sum over the removed set in any order.
+    plain sum over the removed set in any order. Pairs are evaluated only
+    where they can improve; see pack_local_search.
     """
     sel = np.array(sorted(selected), dtype=int)
     k = sel.size
+    n = scores.size
     # hits[q, j]: candidate j overlaps the q-th selected ball. The all-True
     # last row is a sentinel, so argmax yields position k when there is none.
-    hits = np.ones((k + 1, scores.size), dtype=bool)
+    hits = np.ones((k + 1, n), dtype=bool)
     for q, j in enumerate(sel):
         hits[q] = rows(j)
     count = hits[:k].sum(axis=0)
@@ -351,7 +381,7 @@ def _first_improvement(rows, scores, selected, eps):
     owner = np.append(sel, -1)
     owner_score = np.append(scores[sel], 0.0)
     removal = owner_score[first] + owner_score[second]
-    insertable = np.ones(scores.size, dtype=bool)
+    insertable = np.ones(n, dtype=bool)
     insertable[sel] = False
     insertable &= count <= 2
 
@@ -359,25 +389,43 @@ def _first_improvement(rows, scores, selected, eps):
         return {int(owner[q]) for q in positions if q < k}
 
     # Single insertion with up to two removals.
-    single = insertable & (scores - removal > eps)
+    slack = scores - removal
+    single = insertable & (slack > eps)
     if single.any():
         i = int(single.argmax())
         return removed(first[i], second[i]), {i}
-    # Pair insertion with up to two removals.
-    pool = np.flatnonzero(insertable)
-    for a_pos, ia in enumerate(pool):
+
+    def least_improving(ra, rb):
+        """Smallest key ia * n + ib over the improving pairs of ra x rb with ia < ib; n * n if none."""
+        ia, ib = ra[:, None], rb[None, :]
         a1, a2 = first[ia], second[ia]
-        ib = pool[a_pos + 1:]
         b1, b2 = first[ib], second[ib]
         new1 = (b1 < k) & (b1 != a1) & (b1 != a2)
         new2 = (b2 < k) & (b2 != a1) & (b2 != a2)
         extra = np.where(new1, owner_score[b1], 0.0) + np.where(new2, owner_score[b2], 0.0)
         gain = scores[ia] + scores[ib] - (removal[ia] + extra)
-        ok = ~rows(ia)[ib] & (count[ia] + new1 + new2 <= 2) & (gain > eps)
-        if ok.any():
-            j = int(ok.argmax())
-            return removed(a1, a2, b1[j], b2[j]), {int(ia), int(ib[j])}
-    return None
+        pa, pb = np.nonzero((ia < ib) & (count[ia] + new1 + new2 <= 2) & (gain > eps))
+        ia, ib = ra[pa], rb[pb]
+        ok = ~rows.overlap(ia, ib)
+        return int((ia[ok] * n + ib[ok]).min(initial=n * n))
+
+    # Pair insertion with up to two removals. Pairs that overlap a common
+    # selected ball are scanned per such ball; pairs with disjoint removal
+    # sets gain the sum of their slacks and need one slack near eps / 2.
+    best = n * n
+    for j in sel:
+        members = np.flatnonzero(rows(j) & insertable)
+        best = min(best, least_improving(members, members))
+    size = np.abs(scores[insertable]) + np.abs(removal[insertable])
+    margin = 1e-3 * eps + 1e-15 * float(size.max(initial=0.0))
+    low = np.flatnonzero(insertable & (slack > -margin))
+    for a in np.flatnonzero(insertable & (slack > 0.5 * eps - margin)):
+        one = np.array([a])
+        best = min(best, least_improving(one, low), least_improving(low, one))
+    if best == n * n:
+        return None
+    ia, ib = divmod(best, n)
+    return removed(first[ia], second[ia], first[ib], second[ib]), {ia, ib}
 
 
 def pack(scored, p, method, max_iters):

@@ -372,6 +372,67 @@ class TestGreedyAndLocalSearch:
             moved += ref_selected != expected
         assert moved > 0
 
+    def test_pair_move_from_slack_band(self):
+        # Each of a and b replaces one selected ball with slack 0.75 eps: no
+        # single move improves, the pair with disjoint removal sets gains
+        # 1.5 eps. The zero-score candidates add pairs that gain too little.
+        eps = 1e-12
+        scored = scored_set([
+            ([0.2, 0.5], 0.1, 0.25),
+            ([0.8, 0.5], 0.1, 0.25),
+            ([0.25, 0.5], 0.1, 0.25 + 0.75 * eps),
+            ([0.75, 0.5], 0.1, 0.25 + 0.75 * eps),
+            ([0.5, 0.5], 0.1, 0.0),
+            ([0.5, 0.9], 0.1, 0.0),
+        ])
+        slack = scored.score[2:4] - 0.25
+        assert np.all(slack <= eps) and eps < slack.sum() <= 2 * eps
+        start = riesz._solution([0, 1], scored, 2.0, riesz.GREEDY)
+        sol = pack_local_search(start, scored)
+        ref_selected, ref_total = reference_local_search({0, 1}, ball_scores(scored))
+        assert set(sol.indices) == ref_selected == {2, 3}
+        assert sol.total == ref_total
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_reference_from_any_start(self, dim):
+        # Disjoint starts in random order, negative-score balls included.
+        rng = np.random.Generator(np.random.Philox(31 + dim))
+        moved = 0
+        for _ in range(20):
+            scored = random_scored_nd(rng, dim, int(rng.integers(2, 30)), 0.25)
+            ref = ball_scores(scored)
+            start = set()
+            for i in rng.permutation(len(ref)).tolist():
+                if all(balls_disjoint(ref[i].ball, ref[j].ball) for j in start):
+                    start.add(i)
+            sol = pack_local_search(riesz._solution(start, scored, 2.0, riesz.GREEDY), scored)
+            ref_selected, ref_total = reference_local_search(start, ref)
+            assert set(sol.indices) == ref_selected
+            assert sol.total == ref_total
+            moved += ref_selected != start
+        assert moved > 0
+
+    @pytest.mark.parametrize("case", ["disk17", "box9"])
+    def test_node_centred_matches_reference(self, case):
+        h = 0.125
+        if case == "disk17":
+            g = unit_disk(h)
+            f = sample_catalog(g, "sinusoid", {"freq": 2.0})
+            w = const_weight(g)
+        else:
+            g = build_grid(3, [-0.5] * 3, h, [9] * 3)
+            f = sample_catalog(g, "sinusoid", {"freq": 3.0})
+            w = sample_catalog(g, "power_weight", {"alpha": 1.0, "center": [0.0625, -0.1875, 0.0]})
+        cands = candidate_balls(g, [2 * h, 4 * h])
+        scored = make_scores(cands, *measure_balls(f, w, cands), 2.0)
+        ref = ball_scores(scored)
+        expected = reference_greedy(ref)
+        ls = pack_local_search(pack_greedy(scored, 2.0), scored)
+        ref_selected, ref_total = reference_local_search(expected, ref)
+        assert ref_selected != expected
+        assert set(ls.indices) == ref_selected
+        assert ls.total == ref_total
+
     def test_local_search_from_empty_greedy(self):
         scored = scored_set([([0.2 * i, 0.5], 0.1, -float(i % 2)) for i in range(6)])
         greedy = pack_greedy(scored, 2.0)
