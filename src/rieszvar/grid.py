@@ -177,6 +177,19 @@ def balls_disjoint(b1, b2):
     return dist + ATOL >= b1.radius + b2.radius
 
 
+def balls_overlap(centers_a, radii_a, centers_b, radii_b):
+    """Elementwise negation of ``balls_disjoint`` for balls given as centre and radius arrays.
+
+    ``centers_*`` are (..., dim) and ``radii_*`` broadcast against their
+    leading axes; the result is flat. Distances are stacked 1 x d @ d x 1
+    products, which use the same dot routine as ``np.linalg.norm`` of one
+    vector, so the result matches ``balls_disjoint`` bit for bit.
+    """
+    diff = centers_b - centers_a
+    dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None]).reshape(-1))
+    return ~(dist + ATOL >= radii_a + radii_b)
+
+
 @dataclass(frozen=True)
 class BallCollection:
     """Finite ordered family of pairwise disjoint balls."""
@@ -185,14 +198,18 @@ class BallCollection:
 
     def __post_init__(self):
         object.__setattr__(self, "balls", tuple(self.balls))
-        n = len(self.balls)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not balls_disjoint(self.balls[i], self.balls[j]):
-                    raise BadShape(
-                        f"balls {i} and {j} overlap (centers "
-                        f"{self.balls[i].center}, {self.balls[j].center})"
-                    )
+        if len(self.balls) < 2:
+            return
+        centers = np.array([b.center for b in self.balls])
+        radii = np.array([b.radius for b in self.balls])
+        i, j = np.triu_indices(len(self.balls), 1)
+        bad = np.flatnonzero(balls_overlap(centers[i], radii[i], centers[j], radii[j]))
+        if bad.size:
+            i, j = int(i[bad[0]]), int(j[bad[0]])
+            raise BadShape(
+                f"balls {i} and {j} overlap (centers "
+                f"{self.balls[i].center}, {self.balls[j].center})"
+            )
 
     def __len__(self):
         return len(self.balls)
@@ -301,6 +318,24 @@ def node_set(grid, ball):
     return np.flatnonzero(member)
 
 
+def size_blocks(index_arrays):
+    """Flat index arrays of equal length stacked into blocks, by ascending length.
+
+    Returns ``[(positions, block), ...]`` with ``block`` a C-contiguous
+    (m, s) matrix whose row k is ``index_arrays[positions[k]]``. A
+    reduction along axis 1 of ``values[block]`` sums each row pairwise,
+    as ``values[index_array].sum()`` does, so per-row results are
+    bit-identical to per-array ones.
+    """
+    sizes = np.array([len(a) for a in index_arrays], dtype=np.intp)
+    blocks = []
+    # sorted(set()) rather than np.unique, which imports numpy.ma.
+    for s in sorted(set(sizes.tolist())):
+        positions = np.flatnonzero(sizes == s)
+        blocks.append((positions, np.stack([index_arrays[k] for k in positions.tolist()])))
+    return blocks
+
+
 def ball_in_domain(grid, ball):
     """Ball containment test: all inside nodes masked-in, bbox inside grid bbox.
 
@@ -398,13 +433,28 @@ def eroded_mask(grid, r):
         shape = [1] * grid.dim
         shape[a] = coord.size
         ok &= sel.reshape(shape)
-    # Every node the box test keeps has all its offset neighbours inside the
-    # array, so only the overlap slices need the mask ANDed in.
-    if ok.any():
-        for delta in ball_offsets(grid, r).tolist():
-            if any(delta):
-                dst, src = _shift_slices(delta, grid.shape)
-                ok[dst] &= grid.mask[src]
+    if not ok.any():
+        return ok
+    # The stencil is a stack of rows along the last axis, each [-k, k]
+    # behind a fixed prefix. run[k][x] says the 2k + 1 nodes centred on x
+    # along that axis are all masked in (one cumulative sum of ~mask); a
+    # node keeps its ball when run[k] holds at x + prefix for every row.
+    # Every node the box test keeps has its whole stencil inside the array,
+    # so only the overlap slices need ANDing, and windows that leave the
+    # array can read False.
+    deltas = ball_offsets(grid, r)
+    ends = np.append(np.any(deltas[1:, :-1] != deltas[:-1, :-1], axis=1), True)
+    rows = deltas[ends]
+    n = grid.shape[-1]
+    holes = np.zeros(grid.shape[:-1] + (n + 1,), dtype=np.intp)
+    np.cumsum(~grid.mask, axis=-1, out=holes[..., 1:])
+    run = {}
+    for k in sorted(set(rows[:, -1].tolist())):
+        run[k] = np.zeros(grid.shape, dtype=bool)
+        run[k][..., k:n - k] = holes[..., 2 * k + 1:] == holes[..., :n - 2 * k]
+    for row in rows.tolist():
+        dst, src = _shift_slices(row[:-1] + [0], grid.shape)
+        ok[dst] &= run[row[-1]][src]
     return ok
 
 

@@ -26,6 +26,7 @@ from .grid import (
     BallCollection,
     FieldKind,
     ball_offsets,
+    balls_overlap,
     eroded_mask,
     lattice_offsets,
     oscillation,
@@ -279,12 +280,7 @@ class _ConflictRows:
 
     def overlap(self, i, j):
         """Elementwise conflict of candidates ``i`` and ``j`` (indices, index arrays or slices)."""
-        diff = self._centers[j] - self._centers[i]
-        # Stacked 1 x d @ d x 1 products use the same dot routine as
-        # np.linalg.norm of one vector, so distances match balls_disjoint
-        # bit for bit.
-        dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None]).reshape(-1))
-        return ~(dist + ATOL >= self._radii[i] + self._radii[j])
+        return balls_overlap(self._centers[i], self._radii[i], self._centers[j], self._radii[j])
 
 
 def _greedy(scored):

@@ -1,7 +1,8 @@
 """Variable-exponent machinery: Luxemburg norms, sequence norms, and RBV^{p(.)}.
 
 The Luxemburg norm of f is the infimal lambda with modular(f/lambda) <= 1;
-every norm here is computed by bisection on that monotone modular. The
+every norm here is computed by bisection on that monotone modular, one
+lane per row of an equal-size block (a single norm is a one-row block). The
 variable-exponent variation seminorm reuses the constant-exponent packing
 optimizer as a proposal generator and evaluates the exact Luxemburg value
 on each proposed disjoint family, so reported values are lower bounds.
@@ -21,6 +22,7 @@ from .grid import (
     node_set,
     read_grid,
     region_mask,
+    size_blocks,
 )
 from .report import ReportRow, params_string
 from .riesz import MAX_ITERS, candidate_balls, make_scores, measure_balls, pack
@@ -148,43 +150,63 @@ def modular(f, pfun, region=None):
     return float(terms.sum() * f.grid.cell_volume())
 
 
-def _bisect_luxemburg(rho, scale_hint, p_minus, tol):
-    """Shared bisection: smallest lambda with rho(lambda) <= 1.
-
-    ``rho`` is a nonincreasing function of lambda; ``scale_hint`` is the
-    modular at lambda = 1. Returns the upper bracket end, so the modular
-    at the result is guaranteed <= 1.
-    """
-    hi = 2.0 * max(1.0, scale_hint) ** (1.0 / p_minus)
-    lo = hi / 2.0
-    for _ in range(4096):
-        if rho(lo) > 1.0:
-            break
-        hi = lo
-        lo *= 0.5
-        if lo < 1e-300:
-            return 0.0
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if rho(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _luxemburg(av, pv, weight, tol):
-    """Smallest lambda with sum (av/lambda)^pv * weight <= 1; 0 when av vanishes."""
+    """Per row k of the (m, s) blocks: smallest lambda with sum_j (av/lambda)^pv * weight <= 1.
+
+    The rows are bisected side by side, each on its own bracket: it
+    starts at hi = 2 max(1, rho(1))^(1/min p), lo = hi/2, and halves
+    while rho(lo) <= 1 (at most 4096 times; 0 once lo < 1e-300). Then it
+    bisects until hi - lo <= tol * hi and returns hi, so the modular at
+    the result is <= 1. A row whose av vanishes (or an empty row) gets 0.
+    Each row's steps and values are those of a one-row call.
+    """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
-    if av.size == 0 or av.max() == 0.0:
-        return 0.0
+    out = np.zeros(av.shape[0])
+    if av.shape[1] == 0:
+        return out
+    live = np.flatnonzero(av.max(axis=1) != 0.0)
+    av, pv = av[live], pv[live]
 
-    def rho(lam):
+    def rho(rows, lam):
+        # Rows only ever drop out, so a full-length ``rows`` is every row.
+        a, q = (av, pv) if rows.size == live.size else (av[rows], pv[rows])
         with np.errstate(over="ignore"):
-            return float(np.sum((av / lam) ** pv) * weight)
+            return ((a / lam[:, None]) ** q).sum(axis=1) * weight
 
-    return _bisect_luxemburg(rho, rho(1.0), float(pv.min()), tol)
+    every = np.arange(live.size)
+    # The bracket's power is taken per row on Python floats (C library pow).
+    hint, p_minus = rho(every, np.ones(live.size)).tolist(), pv.min(axis=1).tolist()
+    hi = np.array([2.0 * max(1.0, h) ** (1.0 / q) for h, q in zip(hint, p_minus)])
+    lo = hi / 2.0
+    vanished = np.zeros(live.size, dtype=bool)
+    rows = every
+    for _ in range(4096):
+        rows = rows[~(rho(rows, lo[rows]) > 1.0)]
+        if not rows.size:
+            break
+        hi[rows] = lo[rows]
+        lo[rows] *= 0.5
+        tiny = lo[rows] < 1e-300
+        vanished[rows[tiny]] = True
+        rows = rows[~tiny]
+    kept = np.flatnonzero(~vanished)
+    rows = kept
+    while True:
+        rows = rows[hi[rows] - lo[rows] > tol * hi[rows]]
+        if not rows.size:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        below = rho(rows, mid) <= 1.0
+        hi[rows[below]] = mid[below]
+        lo[rows[~below]] = mid[~below]
+    out[live[kept]] = hi[kept]
+    return out
+
+
+def _luxemburg_one(av, pv, weight, tol):
+    """``_luxemburg`` of one row, as a Python float."""
+    return _luxemburg(av[None], pv[None], weight, tol).tolist()[0]
 
 
 def luxemburg_norm(f, pfun, region=None, tol=TOL):
@@ -192,7 +214,7 @@ def luxemburg_norm(f, pfun, region=None, tol=TOL):
     member = region_mask(f.grid, region)
     if not member.any():
         raise EmptyRegion("no masked-in node lies in the region")
-    return _luxemburg(
+    return _luxemburg_one(
         np.abs(f.values[member]), pfun.values[member], f.grid.cell_volume(), tol
     )
 
@@ -203,7 +225,7 @@ def char_norm(region, pfun, tol=TOL):
     if not member.any():
         raise EmptyRegion("region contains no masked-in node")
     pv = pfun.values[member]
-    return _luxemburg(np.ones(pv.size), pv, pfun.grid.cell_volume(), tol)
+    return _luxemburg_one(np.ones(pv.size), pv, pfun.grid.cell_volume(), tol)
 
 
 @dataclass(frozen=True)
@@ -228,7 +250,7 @@ class VariableSequence:
 
 def seq_norm(sequence, tol=TOL):
     """Luxemburg norm on the sequence space: inf { l : sum (|t_k|/l)^{p_k} <= 1 }."""
-    return _luxemburg(np.abs(sequence.values), sequence.exponents, 1.0, tol)
+    return _luxemburg_one(np.abs(sequence.values), sequence.exponents, 1.0, tol)
 
 
 def _gather(f, collection):
@@ -290,16 +312,31 @@ def packing_terms(f, collection, pfun):
 
     A ball that holds no masked-in node raises EmptyRegion.
     """
-    nodes, a = _gather(f, collection)
+    return _packing_terms(f, [collection], pfun)[0]
+
+
+def _packing_terms(f, collections, pfun):
+    """The PackingTerms of each family; p_B and ||1_B||_{p(.)} of all their balls per ball size."""
+    gathered = [_gather(f, c) for c in collections]
+    nodes = [idx for ball_nodes, _ in gathered for idx in ball_nodes]
     if any(not idx.size for idx in nodes):
         raise EmptyRegion("packing ball contains no masked-in node")
     pflat = pfun.values.reshape(-1)
-    pv = [pflat[idx] for idx in nodes]
-    p_ball = np.array([1.0 / np.mean(1.0 / q) for q in pv])
+    p_ball = np.empty(len(nodes))
+    char = np.empty(len(nodes))
     vol = f.grid.cell_volume()
-    char = np.array([_luxemburg(np.ones(q.size), q, vol, TOL) for q in pv])
-    norm = seq_norm(VariableSequence(a * char, p_ball))
-    return PackingTerms(collection, f, pfun, nodes, a, p_ball, char, norm)
+    for positions, block in size_blocks(nodes):
+        pv = pflat[block]
+        p_ball[positions] = 1.0 / np.mean(1.0 / pv, axis=1)
+        char[positions] = _luxemburg(np.ones(pv.shape), pv, vol, TOL)
+    terms = []
+    start = 0
+    for collection, (ball_nodes, a) in zip(collections, gathered):
+        k = slice(start, start + len(ball_nodes))
+        start = k.stop
+        norm = seq_norm(VariableSequence(a * char[k], p_ball[k]))
+        terms.append(PackingTerms(collection, f, pfun, ball_nodes, a, p_ball[k], char[k], norm))
+    return terms
 
 
 def _terms(f, collection, pfun):
@@ -359,8 +396,8 @@ def packing_proposals(f, pfun, candidates, method, max_iters):
         key = tuple(np.flatnonzero(keep)[list(sol.indices)].tolist())
         if key and key not in seen:
             seen.add(key)
-            packings.append(packing_terms(f, sol.collection, pfun))
-    return packings
+            packings.append(sol.collection)
+    return _packing_terms(f, packings, pfun)
 
 
 def rbv_var_seminorm(f, pfun, radii_list, method="auto", max_iters=MAX_ITERS):
@@ -382,11 +419,17 @@ def gd_equivalence_check(f, pfun, packings, c_eq=4.0):
     passes when every ratio lies in [1/c_eq, c_eq]. Packings on which f
     is constant contribute skipped info rows (both sides vanish).
     """
+    families = [_terms(f, collection, pfun) for collection in packings]
+    if not families:
+        return []
+    # Every G_D f norm is over the whole mask: one block, one row per packing.
+    mask = f.grid.mask
+    g = np.stack([np.abs(g_operator(f, t).values[mask]) for t in families])
+    gvals = _luxemburg(g, np.broadcast_to(pfun.values[mask], g.shape),
+                       f.grid.cell_volume(), TOL).tolist()
     rows = []
     ratios = []
-    for k, collection in enumerate(packings):
-        terms = _terms(f, collection, pfun)
-        gval = luxemburg_norm(g_operator(f, terms), pfun)
+    for k, (terms, gval) in enumerate(zip(families, gvals)):
         params = dict(packing=k, n_balls=len(terms))
         if terms.norm == 0.0 and gval == 0.0:
             rows.append(_row("gd_equivalence", "ratio_skipped", params, float("nan"), c_eq))

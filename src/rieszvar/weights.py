@@ -4,6 +4,12 @@ The supremum over all cubes is replaced by a finite dyadic (optionally
 shifted) family, so every constant reported here is a lower bound of the
 true one. Cube averages are node means, which makes the Jensen-type
 lower bound of 1 exact for constant weights.
+
+A family stacks the node indices of its equal-size cubes into blocks
+(``grid.size_blocks``), so the A_p, A_1 and RH constants take each
+block's node means as one row reduction. The final powers and the
+supremum are taken per cube on Python floats, which keeps every
+constant bit-identical to a cube-by-cube loop.
 """
 
 import math
@@ -28,6 +34,7 @@ from .grid import (
     cube_in_bbox,
     region_mask,
     same_nodes,
+    size_blocks,
     weighted_measure,
 )
 
@@ -42,13 +49,15 @@ class CubeFamily:
     """Cubes bound to a grid, each with its masked-in nodes.
 
     ``nodes[i]`` holds the flat row-major indices of the masked-in nodes
-    of ``cubes[i]``; cubes that hold none are dropped.
+    of ``cubes[i]``; cubes that hold none are dropped. ``blocks`` are
+    those indices stacked by cube size (``grid.size_blocks``).
     """
 
     grid: object
     cubes: tuple
     provenance: CubeProvenance
     nodes: tuple = field(init=False, repr=False)
+    blocks: list = field(init=False, repr=False)
 
     def __post_init__(self):
         kept = []
@@ -60,6 +69,7 @@ class CubeFamily:
             raise NoCubes("no cube of the family holds a masked-in node")
         object.__setattr__(self, "cubes", tuple(c for c, _ in kept))
         object.__setattr__(self, "nodes", tuple(i for _, i in kept))
+        object.__setattr__(self, "blocks", size_blocks(self.nodes))
 
     def __len__(self):
         return len(self.cubes)
@@ -119,11 +129,19 @@ def _cartesian(axes):
 
 
 def _cube_values(w, family):
-    """The weight's values on each cube's nodes, one array per cube."""
+    """The weight's values on the family's cubes: one (cubes, nodes) block per cube size."""
     if not (same_nodes(w.grid, family.grid) and np.array_equal(w.grid.mask, family.grid.mask)):
         raise PreconditionError("weight and cube family live on different grids")
     flat = w.values.reshape(-1)
-    return [flat[idx] for idx in family.nodes]
+    return [flat[block] for _, block in family.blocks]
+
+
+def _cube_means(vals):
+    """Per-cube node means of one block, as Python floats; a zero mean raises."""
+    mean_w = vals.mean(axis=1)
+    if (mean_w == 0.0).any():
+        raise ZeroWeightOnCube("weight integrates to zero on a cube")
+    return mean_w.tolist()
 
 
 def ap_constant(w, p, family):
@@ -139,14 +157,11 @@ def ap_constant(w, p, family):
     best = 0.0
     expo = 1.0 / (1.0 - p)
     for vals in _cube_values(w, family):
-        mean_w = vals.mean()
-        if mean_w == 0.0:
-            raise ZeroWeightOnCube("weight integrates to zero on a cube")
+        mean_w = _cube_means(vals)
         with np.errstate(divide="ignore", over="ignore"):
-            dual = vals**expo
-        mean_dual = float(dual.mean())
-        product = mean_w * mean_dual ** (p - 1.0)
-        best = max(best, float(product))
+            mean_dual = (vals**expo).mean(axis=1).tolist()
+        for mw, md in zip(mean_w, mean_dual):
+            best = max(best, mw * md ** (p - 1.0))
     return best
 
 
@@ -156,10 +171,10 @@ def a1_constant(w, family):
         raise PreconditionError("a1_constant requires a weight field")
     best = 0.0
     for vals in _cube_values(w, family):
-        mn = vals.min()
-        if mn == 0.0:
+        mn = vals.min(axis=1)
+        if (mn == 0.0).any():
             return float("inf")
-        best = max(best, float(vals.mean() / mn))
+        best = max(best, float((vals.mean(axis=1) / mn).max()))
     return best
 
 
@@ -169,10 +184,9 @@ def rh_constant(w, s, family):
         raise PreconditionError(f"RH_s requires s > 1, got {s}")
     best = 0.0
     for vals in _cube_values(w, family):
-        mean_w = vals.mean()
-        if mean_w == 0.0:
-            raise ZeroWeightOnCube("weight integrates to zero on a cube")
-        best = max(best, float((vals**s).mean() ** (1.0 / s) / mean_w))
+        mean_w = _cube_means(vals)
+        for mw, ms in zip(mean_w, (vals**s).mean(axis=1).tolist()):
+            best = max(best, ms ** (1.0 / s) / mw)
     return best
 
 

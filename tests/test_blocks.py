@@ -1,0 +1,327 @@
+"""Row blocks against frozen per-region loops: every value must be bit-identical.
+
+The cube constants, the Luxemburg bisection, ``eroded_mask`` and the
+``BallCollection`` check once ran one region (or one offset, or one pair)
+at a time. Those loops are frozen here as references, and the block
+versions must reproduce them with ``==``, errors included.
+"""
+
+import numpy as np
+import pytest
+
+from rieszvar import Ball, BallCollection, build_grid, generate_cubes, sample_catalog
+from rieszvar.errors import BadShape, PreconditionError, ZeroWeightOnCube
+from rieszvar.grid import (
+    ATOL,
+    FieldKind,
+    SampledField,
+    _shift_slices,
+    ball_offsets,
+    balls_disjoint,
+    balls_overlap,
+    eroded_mask,
+    region_mask,
+    size_blocks,
+)
+from rieszvar.varexp import (
+    TOL,
+    VariableSequence,
+    _luxemburg,
+    char_norm,
+    exponent_catalog,
+    explore_packings,
+    gd_equivalence_check,
+    g_operator,
+    luxemburg_norm,
+    seq_norm,
+)
+from rieszvar.weights import a1_constant, ap_constant, rh_constant
+
+from conftest import unit_disk
+
+# ---------------------------------------------------------------------------
+# Frozen references: the per-region loops the block code replaced.
+# ---------------------------------------------------------------------------
+
+
+def frozen_cube_values(w, family):
+    flat = w.values.reshape(-1)
+    return [flat[idx] for idx in family.nodes]
+
+
+def frozen_ap(w, p, family):
+    best = 0.0
+    expo = 1.0 / (1.0 - p)
+    for vals in frozen_cube_values(w, family):
+        mean_w = vals.mean()
+        if mean_w == 0.0:
+            raise ZeroWeightOnCube("weight integrates to zero on a cube")
+        with np.errstate(divide="ignore", over="ignore"):
+            dual = vals**expo
+        mean_dual = float(dual.mean())
+        product = mean_w * mean_dual ** (p - 1.0)
+        best = max(best, float(product))
+    return best
+
+
+def frozen_a1(w, family):
+    best = 0.0
+    for vals in frozen_cube_values(w, family):
+        mn = vals.min()
+        if mn == 0.0:
+            return float("inf")
+        best = max(best, float(vals.mean() / mn))
+    return best
+
+
+def frozen_rh(w, s, family):
+    best = 0.0
+    for vals in frozen_cube_values(w, family):
+        mean_w = vals.mean()
+        if mean_w == 0.0:
+            raise ZeroWeightOnCube("weight integrates to zero on a cube")
+        best = max(best, float((vals**s).mean() ** (1.0 / s) / mean_w))
+    return best
+
+
+def frozen_luxemburg(av, pv, weight, tol):
+    """The scalar bisection: smallest lambda with sum (av/lambda)^pv * weight <= 1."""
+    if av.size == 0 or av.max() == 0.0:
+        return 0.0
+
+    def rho(lam):
+        with np.errstate(over="ignore"):
+            return float(np.sum((av / lam) ** pv) * weight)
+
+    hi = 2.0 * max(1.0, rho(1.0)) ** (1.0 / float(pv.min()))
+    lo = hi / 2.0
+    for _ in range(4096):
+        if rho(lo) > 1.0:
+            break
+        hi = lo
+        lo *= 0.5
+        if lo < 1e-300:
+            return 0.0
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if rho(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def frozen_eroded_mask(grid, r):
+    ok = grid.mask.copy()
+    for a in range(grid.dim):
+        coord = grid.axis_coords(a)
+        sel = (coord - r >= grid.bbox_lo[a] - ATOL) & (coord + r <= grid.bbox_hi[a] + ATOL)
+        shape = [1] * grid.dim
+        shape[a] = coord.size
+        ok &= sel.reshape(shape)
+    if ok.any():
+        for delta in ball_offsets(grid, r).tolist():
+            if any(delta):
+                dst, src = _shift_slices(delta, grid.shape)
+                ok[dst] &= grid.mask[src]
+    return ok
+
+
+def frozen_collection_error(balls):
+    """The BadShape message of the pair loop, or None when the balls are disjoint."""
+    for i in range(len(balls)):
+        for j in range(i + 1, len(balls)):
+            if not balls_disjoint(balls[i], balls[j]):
+                return (f"balls {i} and {j} overlap (centers "
+                        f"{balls[i].center}, {balls[j].center})")
+    return None
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of the ZeroWeightOnCube it raises."""
+    try:
+        return fn(*args)
+    except ZeroWeightOnCube as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+
+
+class TestSizeBlocks:
+    def test_groups_by_ascending_size(self):
+        arrays = [np.array([4, 5, 6]), np.array([1]), np.array([7, 8, 9]), np.array([2, 3])]
+        blocks = size_blocks(arrays)
+        assert [b.shape for _, b in blocks] == [(1, 1), (1, 2), (2, 3)]
+        for positions, block in blocks:
+            assert block.flags.c_contiguous
+            for row, k in zip(block, positions.tolist()):
+                assert np.array_equal(row, arrays[k])
+        assert size_blocks([]) == []
+
+    def test_row_reductions_match_per_array(self):
+        rng = np.random.default_rng(3)
+        values = rng.random(4000) * 10.0 ** rng.uniform(-3, 3, 4000)
+        arrays = [rng.choice(values.size, int(rng.integers(1, 300)), replace=False)
+                  for _ in range(400)]
+        for positions, block in size_blocks(arrays):
+            vals = values[block]
+            for row, k in enumerate(positions.tolist()):
+                one = values[arrays[k]]
+                assert vals.sum(axis=1)[row] == one.sum()
+                assert vals.mean(axis=1)[row] == one.mean()
+                assert vals.min(axis=1)[row] == one.min()
+                assert (vals**-2.5).mean(axis=1)[row] == (one**-2.5).mean()
+
+
+class TestCubeConstantsMatchFrozenLoops:
+    @pytest.fixture
+    def family(self, disk_grid):
+        fam = generate_cubes(disk_grid, 0.2, 3, shifts=2)
+        assert len({idx.size for idx in fam.nodes}) > 3  # several cube sizes on the disk
+        return fam
+
+    def weights(self, grid):
+        rng = np.random.default_rng(7)
+        yield sample_catalog(grid, "power_weight", {"alpha": 0.5, "center": [0.03, -0.05]})
+        yield sample_catalog(grid, "power_weight", {"alpha": -0.7, "center": [0.31, 0.17]})
+        # Centred on the node at the origin: w = 0 there, so A_p and A_1 are inf.
+        yield sample_catalog(grid, "power_weight", {"alpha": 1.0, "center": [0.0, 0.0]})
+        yield SampledField(grid, rng.random(grid.shape) * 10.0 ** rng.uniform(-2, 2, grid.shape),
+                           FieldKind.WEIGHT)
+
+    @pytest.mark.parametrize("p", [1.001, 1.5, 2.0, 3.0, 17.0, 64.0])
+    def test_ap(self, disk_grid, family, p):
+        for w in self.weights(disk_grid):
+            assert ap_constant(w, p, family) == frozen_ap(w, p, family)
+
+    def test_a1_and_rh(self, disk_grid, family):
+        for w in self.weights(disk_grid):
+            assert a1_constant(w, family) == frozen_a1(w, family)
+            for s in (1.05, 1.25, 1.5, 3.0):
+                assert rh_constant(w, s, family) == frozen_rh(w, s, family)
+
+    def test_zero_weight_node_gives_inf(self, disk_grid, family):
+        w = sample_catalog(disk_grid, "power_weight", {"alpha": 1.0, "center": [0.0, 0.0]})
+        assert ap_constant(w, 2.0, family) == float("inf") == frozen_ap(w, 2.0, family)
+        assert a1_constant(w, family) == float("inf") == frozen_a1(w, family)
+
+    def test_zero_mean_cube_raises(self, disk_grid, family):
+        x = disk_grid.coords()[0]
+        w = SampledField(disk_grid, np.where(x > 0.3, 1.0 + x, 0.0), FieldKind.WEIGHT)
+        for fn, args in ((ap_constant, (w, 2.0, family)), (rh_constant, (w, 1.5, family))):
+            frozen = {ap_constant: frozen_ap, rh_constant: frozen_rh}[fn]
+            got = outcome(fn, *args)
+            assert got == outcome(frozen, *args) and got[0] is ZeroWeightOnCube
+        assert a1_constant(w, family) == frozen_a1(w, family) == float("inf")
+
+
+class TestLuxemburgMatchesScalarBisection:
+    def rows(self):
+        """(av, pv, weight) blocks covering every branch of the bracket."""
+        rng = np.random.default_rng(11)
+        for m, s in ((1, 1), (1, 7), (5, 3), (40, 25), (9, 200)):
+            scale = 10.0 ** rng.uniform(-6, 6, (m, 1))  # small rows need expansion
+            av = rng.random((m, s)) * scale
+            av[rng.random((m, s)) < 0.2] = 0.0
+            if m > 1:
+                av[0] = 0.0  # an all-zero row
+                av[-1] = 1e-305  # expansion runs past 1e-300: the norm vanishes
+            pv = 1.0 + 4.0 * rng.random((m, s))
+            yield av, pv, float(rng.choice([1.0, 0.01, 1 / 4096]))
+        yield np.full((3, 4), 1e-150), np.full((3, 4), 2.0), 1.0
+        # Norms just above and below the 1e-300 cut of the expansion.
+        yield np.array([[1e-295], [1e-299], [3e-301]]), np.ones((3, 1)), 1.0
+        yield np.array([[1e200, 1.0], [3.0, 0.0]]), np.array([[1.5, 4.0], [1.0, 1.0]]), 1.0
+
+    @pytest.mark.parametrize("tol", [TOL, 1e-3, 0.3, 0.5])
+    def test_every_row_bit_equal(self, tol):
+        for av, pv, weight in self.rows():
+            got = _luxemburg(av, pv, weight, tol).tolist()
+            assert got == [frozen_luxemburg(a, q, weight, tol) for a, q in zip(av, pv)]
+
+    def test_empty_rows_and_bad_tol(self):
+        assert _luxemburg(np.zeros((2, 0)), np.ones((2, 0)), 1.0, TOL).tolist() == [0.0, 0.0]
+        with pytest.raises(PreconditionError):
+            _luxemburg(np.ones((1, 2)), np.ones((1, 2)), 1.0, 0.0)
+
+    def test_public_norms_bit_equal(self, disk_grid):
+        pfun = exponent_catalog(disk_grid, "affine", {"intercept": 3.5, "slope": [0.25, 0.5]})
+        f = sample_catalog(disk_grid, "bump", {"radius": 0.75, "center": [0.1, -0.05]})
+        m, vol = disk_grid.mask, disk_grid.cell_volume()
+        assert luxemburg_norm(f, pfun) == frozen_luxemburg(
+            np.abs(f.values[m]), pfun.values[m], vol, TOL)
+        ball = Ball([0.1, 0.2], 0.35)
+        inside = region_mask(disk_grid, ball)
+        assert char_norm(ball, pfun) == frozen_luxemburg(
+            np.ones(inside.sum()), pfun.values[inside], vol, TOL)
+        seq = VariableSequence([0.5, -2.0, 0.0, 1e-3], [1.0, 2.5, 3.0, 4.0])
+        assert seq_norm(seq) == frozen_luxemburg(np.abs(seq.values), seq.exponents, 1.0, TOL)
+
+    def test_packing_terms_and_gd_norms_bit_equal(self):
+        grid = unit_disk(0.125)
+        pfun = exponent_catalog(grid, "affine", {"intercept": 3.5, "slope": [0.25, 0.25]})
+        f = sample_catalog(grid, "bump", {"radius": 0.75, "center": [0.1, -0.05]})
+        packings = explore_packings(f, pfun, [0.25, 0.375], method="greedy")
+        assert len(packings) > 1
+        pflat, vol, m = pfun.values.reshape(-1), grid.cell_volume(), grid.mask
+        ratios = []
+        for t in packings:
+            pv = [pflat[idx] for idx in t.nodes]
+            assert t.char.tolist() == [frozen_luxemburg(np.ones(q.size), q, vol, TOL) for q in pv]
+            assert t.p_ball.tolist() == [float(1.0 / np.mean(1.0 / q)) for q in pv]
+            gval = frozen_luxemburg(np.abs(g_operator(f, t).values[m]), pfun.values[m], vol, TOL)
+            ratios.append(gval / t.norm)
+        rows = gd_equivalence_check(f, pfun, packings)
+        assert [r.value for r in rows if r.quantity == "ratio"] == ratios
+
+
+class TestErodedMaskMatchesPerOffsetLoop:
+    @pytest.mark.parametrize("h", [0.1, 0.0625, 0.05])
+    def test_disks(self, h):
+        g = unit_disk(h)
+        for r in (h, 2 * h, 2.5 * h, 3 * h, 4 * h, 0.5):
+            assert np.array_equal(eroded_mask(g, r), frozen_eroded_mask(g, r))
+
+    def test_box(self):
+        g = build_grid(3, [0.0, 0.0, 0.0], 0.125, [9, 9, 9])
+        for r in (0.125, 0.25, 0.5, 0.6):
+            assert np.array_equal(eroded_mask(g, r), frozen_eroded_mask(g, r))
+
+    @pytest.mark.parametrize("dim,n", [(1, 40), (2, 23), (3, 11)])
+    def test_random_masks(self, dim, n):
+        rng = np.random.default_rng(dim)
+        for density in (0.7, 0.95, 1.0):
+            mask = rng.random((n,) * dim) < density
+            mask.flat[0] = True
+            g = build_grid(dim, [0.0] * dim, 0.1, [n] * dim, lambda pts, mask=mask: mask)
+            for r in (0.1, 0.15, 0.2, 0.3):
+                assert np.array_equal(eroded_mask(g, r), frozen_eroded_mask(g, r))
+
+
+class TestBallCollectionMatchesPairLoop:
+    def test_first_overlap_and_message(self):
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 3):
+            for _ in range(150):
+                n = int(rng.integers(0, 9))
+                # Lattice centres and radii make tangent pairs common.
+                centers = rng.integers(0, 8, (n, dim)) * 0.125
+                radii = rng.choice([0.0625, 0.125, 0.1875], n)
+                balls = tuple(Ball(c, float(r)) for c, r in zip(centers, radii))
+                want = frozen_collection_error(balls)
+                if want is None:
+                    assert len(BallCollection(balls)) == n
+                else:
+                    with pytest.raises(BadShape) as err:
+                        BallCollection(balls)
+                    assert str(err.value) == want
+
+    def test_overlap_is_not_disjoint(self):
+        rng = np.random.default_rng(9)
+        a = rng.integers(-6, 6, (500, 2)) * 0.1
+        b = rng.integers(-6, 6, (500, 2)) * 0.1
+        ra, rb = rng.choice([0.1, 0.2, 0.25], 500), rng.choice([0.1, 0.2, 0.3], 500)
+        got = balls_overlap(a, ra, b, rb)
+        want = [not balls_disjoint(Ball(x, r), Ball(y, s)) for x, r, y, s in zip(a, ra, b, rb)]
+        assert got.tolist() == want

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -267,14 +269,14 @@ class TestRunContext:
             families.append(([(tuple(c.corner), c.side) for c in cubes], cube_calls[before:]))
             return family
 
-        records = []  # (PackingTerms built, Ball region_mask calls made building it)
-        build = varexp.packing_terms
+        records = []  # (PackingTerms built in one call, Ball region_mask calls made building them)
+        build = varexp._packing_terms
 
-        def counted_terms(f, collection, pfun):
+        def counted_terms(f, collections, pfun):
             before = ball_calls[0]
-            record = build(f, collection, pfun)
-            records.append((record, ball_calls[0] - before))
-            return record
+            built = build(f, collections, pfun)
+            records.append((built, ball_calls[0] - before))
+            return built
 
         checked = {}  # check name -> (packings handed in, Ball region_mask calls made)
 
@@ -289,7 +291,7 @@ class TestRunContext:
             return counted
 
         monkeypatch.setattr(weights, "CubeFamily", counted_family)
-        monkeypatch.setattr(varexp, "packing_terms", counted_terms)
+        monkeypatch.setattr(varexp, "_packing_terms", counted_terms)
         for name in ("gd_equivalence_check", "varexp_sobolev_equivalence"):
             monkeypatch.setattr(harness, name, counted_check(name))
         cfg = load_config(minimal_config(
@@ -309,8 +311,11 @@ class TestRunContext:
         assert len(families) == cfg.refinements
         assert all(cubes and cubes == calls for cubes, calls in families)
         assert len(cube_calls) == sum(len(cubes) for cubes, _ in families)
-        assert records and all(len(record) and calls == len(record) for record, calls in records)
-        built = [record for record, _ in records]
+        assert records and all(
+            all(len(t) for t in terms) and calls == sum(len(t) for t in terms)
+            for terms, calls in records
+        )
+        built = [t for terms, _ in records for t in terms]
         assert sorted(checked) == ["gd_equivalence_check", "varexp_sobolev_equivalence"]
         for calls in checked.values():
             assert len(calls) == cfg.refinements
@@ -565,3 +570,24 @@ class TestCli:
         cfg = self.write_config(tmp_path)
         result = CliRunner().invoke(main, ["sobolev", "--config", cfg])
         assert result.exit_code == 0
+
+
+def test_runs_do_not_import_numpy_ma():
+    """numpy.ma (pulled in by np.unique, for one) adds about 1.7 MB peak RSS to every run."""
+    configs = [ROOT / "demos" / "configs" / "theorem1_linear.json",
+               ROOT / "demos" / "configs" / "weak_type_hat.json",
+               ROOT / "perfbench" / "configs" / "verify_2d.json"]
+    script = (
+        "import json, sys\n"
+        "from rieszvar.config import load_config\n"
+        "from rieszvar.harness import run_config\n"
+        "for path in sys.argv[1:]:\n"
+        "    with open(path) as fh:\n"
+        "        run_config(load_config(json.load(fh)))\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script, *map(str, configs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
