@@ -351,13 +351,6 @@ def ball_in_domain(grid, ball):
     return bool(np.all(grid.mask[slices][inside]))
 
 
-def cube_in_bbox(grid, cube):
-    tol = ATOL * max(1.0, cube.side)
-    lo_ok = np.all(cube.corner >= grid.bbox_lo - tol)
-    hi_ok = np.all(cube.corner + cube.side <= grid.bbox_hi + tol)
-    return bool(lo_ok and hi_ok)
-
-
 def riemann_integral(field, region=None):
     """Node-sum quadrature: sum of masked values in the region times h^dim."""
     member = region_mask(field.grid, region)
@@ -410,6 +403,15 @@ def _shift_slices(delta, shape):
         dst.append(slice(max(-d, 0), n - max(d, 0)))
         src.append(slice(max(d, 0), n + min(d, 0)))
     return tuple(dst), tuple(src)
+
+
+def lattice_flat(grid, k):
+    """Flat indices of node multi-indices or integer (possibly negative) offsets k (..., dim).
+
+    Node k + delta is at ``lattice_flat(k) + lattice_flat(delta)`` when inside the array.
+    """
+    strides = np.array([math.prod(grid.shape[a + 1:]) for a in range(grid.dim)])
+    return np.asarray(k) @ strides
 
 
 def lattice_offsets(dim, reach):

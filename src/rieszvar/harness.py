@@ -18,7 +18,8 @@ from .riesz import (
     make_scores,
     measure_balls,
     pack,
-    weak_type_check,
+    require_compact_support,
+    weak_type_rows,
 )
 from .sobolev import mollify_gradient_bound, morrey_check, weighted_lp_norm
 from .varexp import (
@@ -61,6 +62,12 @@ class LevelContext:
     def family(self):
         cubes = self.config.cubes
         return generate_cubes(self.fields[0], cubes.min_side, cubes.levels, cubes.shifts)
+
+    @cached_property
+    def lipschitz(self):
+        """The LipschitzField of f over a shell of ``shell_factor`` node spacings."""
+        grid, f, _, _ = self.fields
+        return lipschitz_field(f, self.config.shell_factor * grid.spacing)
 
     @cached_property
     def rw(self):
@@ -200,16 +207,16 @@ def verify_theorem1(ctx):
 
 
 def suite_weak_type(ctx):
+    """``weak_type_check`` per p on level 0, all reading the level's Lipschitz field."""
     rows = []
     config = ctx.config
     lvl = ctx.levels[0]
     for p in config.p_values:
-        grid, f, w, _ = lvl.fields
-        shell = config.shell_factor * grid.spacing
+        _, f, w, _ = lvl.fields
+        packing = lvl.packing(p)
+        require_compact_support(f)
         k_max = config.thresholds.k_max_base * 2.0**p
-        rows.extend(
-            weak_type_check(f, w, lvl.packing(p), config.t_grid, shell, k_max=k_max)
-        )
+        rows.extend(weak_type_rows(w, packing, lvl.lipschitz, config.t_grid, k_max=k_max))
     return rows
 
 
@@ -311,9 +318,8 @@ def suite_embedding(ctx):
 
 def suite_differentiability(ctx, m_grid=(1.0, 2.0, 4.0, 8.0, 16.0)):
     """Fraction of nodes with large local Lipschitz estimate, reported only."""
-    grid, f, _, _ = ctx.levels[0].fields
-    shell = ctx.config.shell_factor * grid.spacing
-    lip = lipschitz_field(f, shell)
+    grid = ctx.levels[0].fields[0]
+    lip = ctx.levels[0].lipschitz
     n_masked = int(grid.mask.sum())
     rows = []
     for m in m_grid:

@@ -3,7 +3,7 @@
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 from ._version import __version__
 
@@ -41,11 +41,9 @@ def params_string(**kwargs):
 CSV_COLUMNS = ["experiment", "quantity", "params", "value", "tolerance", "status", "runtime_ms"]
 
 
-def _row_record(row):
-    rec = asdict(row)
-    rec["value"] = repr(float(row.value))
-    rec["tolerance"] = repr(float(row.tolerance))
-    return rec
+def _row_fields(row):
+    """The row's fields by name, read directly (``asdict`` deep-copies each one)."""
+    return {name: getattr(row, name) for name in CSV_COLUMNS}
 
 
 def report_to_csv(report):
@@ -53,7 +51,8 @@ def report_to_csv(report):
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for row in report.rows:
-        writer.writerow(_row_record(row))
+        writer.writerow(dict(_row_fields(row), value=repr(float(row.value)),
+                             tolerance=repr(float(row.tolerance))))
     return buf.getvalue()
 
 
@@ -64,7 +63,7 @@ def report_to_json(report):
             "config_hash": report.config_hash,
             "seed": report.seed,
         },
-        "rows": [asdict(r) for r in report.rows],
+        "rows": [_row_fields(r) for r in report.rows],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -28,6 +28,7 @@ from .grid import (
     ball_offsets,
     balls_overlap,
     eroded_mask,
+    lattice_flat,
     lattice_offsets,
     oscillation,
     shifted,
@@ -156,13 +157,12 @@ def measure_balls(f, w, candidates):
         node + radii[:, None] <= grid.bbox_hi + ATOL)
     if not in_box.all():
         raise PreconditionError(_UNCONTAINED)
-    flat = np.ravel_multi_index(k.T, grid.shape)
-    strides = np.array([math.prod(grid.shape[a + 1:]) for a in range(grid.dim)])
+    flat = lattice_flat(grid, k)
     fv, wv, mv = f.values.reshape(-1), w.values.reshape(-1), grid.mask.reshape(-1)
     osc, mass = np.empty(len(candidates)), np.empty(len(candidates))
     for r in sorted(set(radii.tolist())):
         group = np.flatnonzero(radii == r)
-        stencil = ball_offsets(grid, r) @ strides
+        stencil = lattice_flat(grid, ball_offsets(grid, r))
         if not stencil.size:
             raise PreconditionError("candidate ball contains no masked-in node")
         step = max(1, _GATHER_BLOCK // stencil.size)
@@ -549,15 +549,21 @@ def weak_type_check(f, w, packing, t_grid, shell_radius, k_max=None):
     info row per t and a final pass/fail row for max K against k_max
     (default 32 * 2^p, absorbing the Vitali dilation).
     """
-    grid = f.grid
-    p = packing.p
-    if k_max is None:
-        k_max = 32.0 * 2.0**p
-    support_vals = np.abs(f.values[_boundary_nodes(grid)])
+    require_compact_support(f)
+    return weak_type_rows(w, packing, lipschitz_field(f, shell_radius), t_grid, k_max)
+
+
+def require_compact_support(f):
+    """Raise UnboundedSupport when f is nonzero at a masked node next to the domain boundary."""
+    support_vals = np.abs(f.values[_boundary_nodes(f.grid)])
     if support_vals.size and support_vals.max() > ATOL:
         raise UnboundedSupport("function is nonzero next to the domain boundary")
-    lip = lipschitz_field(f, shell_radius)
-    vp_pow = packing.total
+
+
+def weak_type_rows(w, packing, lip, t_grid, k_max=None):
+    """The rows of ``weak_type_check`` from the LipschitzField ``lip`` of f; no support check."""
+    grid, p, vp_pow = lip.grid, packing.p, packing.total
+    k_max = 32.0 * 2.0**p if k_max is None else k_max
     rows = []
     vol = grid.cell_volume()
     max_k = 0.0
@@ -568,24 +574,9 @@ def weak_type_check(f, w, packing, t_grid, shell_radius, k_max=None):
             raise ZeroVariation("variation is zero while a superlevel set is nonempty")
         k = (t**p * measure / vp_pow) if vp_pow > 0 else 0.0
         max_k = max(max_k, k)
-        rows.append(
-            ReportRow(
-                experiment="weak_type",
-                quantity="K(t)",
-                params=params_string(t=float(t), p=float(p)),
-                value=k,
-                tolerance=k_max,
-                status="info",
-            )
-        )
-    rows.append(
-        ReportRow(
-            experiment="weak_type",
-            quantity="max_K",
-            params=params_string(p=float(p), variation=packing.variation),
-            value=max_k,
-            tolerance=k_max,
-            status="pass" if max_k <= k_max else "fail",
-        )
-    )
+        rows.append(ReportRow("weak_type", "K(t)", params_string(t=float(t), p=float(p)),
+                              k, k_max, "info"))
+    rows.append(ReportRow("weak_type", "max_K",
+                          params_string(p=float(p), variation=packing.variation),
+                          max_k, k_max, "pass" if max_k <= k_max else "fail"))
     return rows

@@ -6,6 +6,7 @@ lane per row of an equal-size block (a single norm is a one-row block). The
 variable-exponent variation seminorm reuses the constant-exponent packing
 optimizer as a proposal generator and evaluates the exact Luxemburg value
 on each proposed disjoint family, so reported values are lower bounds.
+Proposed balls are gathered as centre plus stencil, other families by region.
 """
 
 import math
@@ -18,7 +19,9 @@ from .grid import (
     BallCollection,
     FieldKind,
     SampledField,
+    ball_offsets,
     gradient_magnitude,
+    lattice_flat,
     node_set,
     read_grid,
     region_mask,
@@ -312,13 +315,12 @@ def packing_terms(f, collection, pfun):
 
     A ball that holds no masked-in node raises EmptyRegion.
     """
-    return _packing_terms(f, [collection], pfun)[0]
+    return _packing_terms(f, pfun, [(collection, *_gather(f, collection))])[0]
 
 
-def _packing_terms(f, collections, pfun):
-    """The PackingTerms of each family; p_B and ||1_B||_{p(.)} of all their balls per ball size."""
-    gathered = [_gather(f, c) for c in collections]
-    nodes = [idx for ball_nodes, _ in gathered for idx in ball_nodes]
+def _packing_terms(f, pfun, families):
+    """PackingTerms per (collection, nodes, a) from ``_gather``; p_B and char per ball size."""
+    nodes = [idx for _, ball_nodes, _ in families for idx in ball_nodes]
     if any(not idx.size for idx in nodes):
         raise EmptyRegion("packing ball contains no masked-in node")
     pflat = pfun.values.reshape(-1)
@@ -331,7 +333,7 @@ def _packing_terms(f, collections, pfun):
         char[positions] = _luxemburg(np.ones(pv.shape), pv, vol, TOL)
     terms = []
     start = 0
-    for collection, (ball_nodes, a) in zip(collections, gathered):
+    for collection, ball_nodes, a in families:
         k = slice(start, start + len(ball_nodes))
         start = k.stop
         norm = seq_norm(VariableSequence(a * char[k], p_ball[k]))
@@ -382,22 +384,30 @@ def packing_proposals(f, pfun, candidates, method, max_iters):
 
     One packing over the full candidate set plus one per single radius,
     each by ``riesz.pack``. Deduplicated on the selected candidate
-    indices, order preserved.
+    indices, order preserved. Every packed ball is a node-centred
+    candidate, so its nodes are its centre's flat index plus the
+    ``ball_offsets`` stencil, and its osc/r is read off the scores.
     """
+    grid = f.grid
     p = pfun.p_minus
-    lebesgue = SampledField(f.grid, np.ones(f.grid.shape), FieldKind.WEIGHT)
+    lebesgue = SampledField(grid, np.ones(grid.shape), FieldKind.WEIGHT)
     scored = make_scores(candidates, *measure_balls(f, lebesgue, candidates), p)
-    packings = []
+    flat = lattice_flat(grid, np.rint((scored.centers - grid.origin) / grid.spacing).astype(int))
+    radii = scored.radii.tolist()
+    stencils = {r: lattice_flat(grid, ball_offsets(grid, r)) for r in sorted(set(radii))}
+    a = scored.oscillation / scored.radii
+    families = []
     seen = set()
     subsets = [np.ones(len(scored), dtype=bool)]
-    subsets += [scored.radii == r for r in sorted(set(scored.radii.tolist()))]
+    subsets += [scored.radii == r for r in stencils]
     for keep in subsets:
         sol = pack(scored.subset(keep), p, method, max_iters)
         key = tuple(np.flatnonzero(keep)[list(sol.indices)].tolist())
         if key and key not in seen:
             seen.add(key)
-            packings.append(sol.collection)
-    return _packing_terms(f, packings, pfun)
+            nodes = tuple(flat[i] + stencils[radii[i]] for i in key)
+            families.append((sol.collection, nodes, a[list(key)]))
+    return _packing_terms(f, pfun, families)
 
 
 def rbv_var_seminorm(f, pfun, radii_list, method="auto", max_iters=MAX_ITERS):

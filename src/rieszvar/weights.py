@@ -5,11 +5,11 @@ shifted) family, so every constant reported here is a lower bound of the
 true one. Cube averages are node means, which makes the Jensen-type
 lower bound of 1 exact for constant weights.
 
-A family stacks the node indices of its equal-size cubes into blocks
-(``grid.size_blocks``), so the A_p, A_1 and RH constants take each
-block's node means as one row reduction. The final powers and the
-supremum are taken per cube on Python floats, which keeps every
-constant bit-identical to a cube-by-cube loop.
+A family gathers its cubes' nodes from per-axis index ranges, one base +
+offsets block per cube shape, and stacks them by size (``grid.size_blocks``),
+so the A_p, A_1 and RH constants take each block's node means as one row
+reduction. The final powers and the supremum are taken per cube on Python
+floats, which keeps every constant bit-identical to a cube-by-cube loop.
 """
 
 import math
@@ -31,8 +31,7 @@ from .grid import (
     Cube,
     FieldKind,
     SampledField,
-    cube_in_bbox,
-    region_mask,
+    lattice_flat,
     same_nodes,
     size_blocks,
     weighted_measure,
@@ -60,11 +59,7 @@ class CubeFamily:
     blocks: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        kept = []
-        for cube in self.cubes:
-            idx = np.flatnonzero(region_mask(self.grid, cube))
-            if idx.size:
-                kept.append((cube, idx))
+        kept = [(c, i) for c, i in zip(self.cubes, _cube_nodes(self.grid, self.cubes)) if i.size]
         if not kept:
             raise NoCubes("no cube of the family holds a masked-in node")
         object.__setattr__(self, "cubes", tuple(c for c, _ in kept))
@@ -76,6 +71,36 @@ class CubeFamily:
 
     def __iter__(self):
         return iter(self.cubes)
+
+
+def _cube_nodes(grid, cubes):
+    """Per cube, the flat row-major indices of its masked-in nodes.
+
+    Along axis a a closed cube holds the nodes with ``corner - tol <= x <=
+    corner + side + tol``, ``tol = ATOL * max(1, side)``: the index range
+    ``first + arange(count)``. Cubes with equal counts are gathered as one
+    base + offsets block, whose rows are then cut to the mask.
+    """
+    corners = np.array([c.corner for c in cubes], dtype=float).reshape(len(cubes), grid.dim)
+    sides = np.array([c.side for c in cubes], dtype=float)[:, None]
+    tol = ATOL * np.maximum(1.0, sides)
+    coords = [grid.axis_coords(a) for a in range(grid.dim)]
+    first = np.stack([np.searchsorted(x, lo) for x, lo in zip(coords, (corners - tol).T)], 1)
+    count = np.stack([np.searchsorted(x, hi, side="right") for x, hi in
+                      zip(coords, (corners + sides + tol).T)], 1) - first
+    mask = grid.mask.reshape(-1)
+    nodes = [np.empty(0, dtype=np.intp)] * len(cubes)
+    # sorted(set()) rather than np.unique, which imports numpy.ma.
+    for shape in sorted(set(map(tuple, count.tolist()))):
+        if 0 in shape:
+            continue
+        members = np.flatnonzero((count == shape).all(axis=1))
+        box = np.indices(shape).reshape(grid.dim, -1).T
+        block = lattice_flat(grid, first[members])[:, None] + lattice_flat(grid, box)
+        inside = mask[block]
+        for k, row, keep, whole in zip(members.tolist(), block, inside, inside.all(axis=1)):
+            nodes[k] = row if whole else row[keep]
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -111,21 +136,17 @@ def generate_cubes(grid, min_side, levels, shifts=1):
     cubes = []
     for level in range(levels):
         side = min_side * 2**level
-        offsets = [j * side / shifts for j in range(shifts)]
+        tol = ATOL * max(1.0, side)
         counts = [int(math.floor((hi[a] - lo[a]) / side)) + 1 for a in range(grid.dim)]
-        for off in offsets:
-            grids_1d = [lo[a] + off + side * np.arange(counts[a]) for a in range(grid.dim)]
-            for corner in _cartesian(grids_1d):
-                cube = Cube(corner=np.array(corner), side=side)
-                if cube_in_bbox(grid, cube):
-                    cubes.append(cube)
+        for j in range(shifts):
+            off = j * side / shifts
+            axes = [lo[a] + off + side * np.arange(counts[a]) for a in range(grid.dim)]
+            axes = [c[(c >= lo[a] - tol) & (c + side <= hi[a] + tol)]
+                    for a, c in enumerate(axes)]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            cubes += [Cube(c, side) for c in np.stack([m.reshape(-1) for m in mesh], axis=-1)]
     provenance = CubeProvenance.DYADIC if shifts == 1 else CubeProvenance.SHIFTED_DYADIC
     return CubeFamily(grid, tuple(cubes), provenance)
-
-
-def _cartesian(axes):
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
 def _cube_values(w, family):

@@ -1,18 +1,22 @@
 """Row blocks against frozen per-region loops: every value must be bit-identical.
 
-The cube constants, the Luxemburg bisection, ``eroded_mask`` and the
-``BallCollection`` check once ran one region (or one offset, or one pair)
-at a time. Those loops are frozen here as references, and the block
-versions must reproduce them with ``==``, errors included.
+The cube constants, the Luxemburg bisection, ``eroded_mask``, the
+``BallCollection`` check, the node sets of cube families and those of
+packed balls once ran one region (or one offset, or one pair) at a time.
+Those loops are frozen here as references, and the block versions must
+reproduce them with ``==``, errors included.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from rieszvar import Ball, BallCollection, build_grid, generate_cubes, sample_catalog
-from rieszvar.errors import BadShape, PreconditionError, ZeroWeightOnCube
+from rieszvar.errors import BadShape, NoCubes, PreconditionError, ZeroWeightOnCube
 from rieszvar.grid import (
     ATOL,
+    Cube,
     FieldKind,
     SampledField,
     _shift_slices,
@@ -33,9 +37,10 @@ from rieszvar.varexp import (
     gd_equivalence_check,
     g_operator,
     luxemburg_norm,
+    packing_terms,
     seq_norm,
 )
-from rieszvar.weights import a1_constant, ap_constant, rh_constant
+from rieszvar.weights import CubeFamily, a1_constant, ap_constant, rh_constant
 
 from conftest import unit_disk
 
@@ -135,6 +140,59 @@ def frozen_collection_error(balls):
                 return (f"balls {i} and {j} overlap (centers "
                         f"{balls[i].center}, {balls[j].center})")
     return None
+
+
+def frozen_cube_in_bbox(grid, cube):
+    tol = ATOL * max(1.0, cube.side)
+    lo_ok = np.all(cube.corner >= grid.bbox_lo - tol)
+    hi_ok = np.all(cube.corner + cube.side <= grid.bbox_hi + tol)
+    return bool(lo_ok and hi_ok)
+
+
+def frozen_generate_cubes(grid, min_side, levels, shifts=1):
+    """The per-cube loop: (cube, node indices) of every kept cube, and the cubes in the box."""
+    if min_side < grid.spacing:
+        raise PreconditionError(
+            f"min_side {min_side} is below the grid spacing {grid.spacing}"
+        )
+    if levels < 1 or shifts < 1:
+        raise PreconditionError("levels and shifts must be >= 1")
+    lo, hi = grid.bbox_lo, grid.bbox_hi
+    in_box = []
+    for level in range(levels):
+        side = min_side * 2**level
+        counts = [int(math.floor((hi[a] - lo[a]) / side)) + 1 for a in range(grid.dim)]
+        for off in [j * side / shifts for j in range(shifts)]:
+            axes = [lo[a] + off + side * np.arange(counts[a]) for a in range(grid.dim)]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            for corner in np.stack([m.reshape(-1) for m in mesh], axis=-1):
+                cube = Cube(corner=np.array(corner), side=side)
+                if frozen_cube_in_bbox(grid, cube):
+                    in_box.append(cube)
+    return frozen_family(grid, in_box), len(in_box)
+
+
+def frozen_family(grid, cubes):
+    kept = []
+    for cube in cubes:
+        idx = np.flatnonzero(region_mask(grid, cube))
+        if idx.size:
+            kept.append((cube, idx))
+    if not kept:
+        raise NoCubes("no cube of the family holds a masked-in node")
+    return kept
+
+
+def frozen_gather(f, collection):
+    """Per ball: ``node_set`` and osc_B(f)/r_B, one region_mask each."""
+    fv = f.values.reshape(-1)
+    nodes, a = [], []
+    for ball in collection:
+        idx = np.flatnonzero(region_mask(f.grid, ball))
+        vals = fv[idx]
+        nodes.append(idx)
+        a.append(float((vals.max() - vals.min()) / ball.radius) if idx.size else 0.0)
+    return nodes, a
 
 
 def outcome(fn, *args):
@@ -325,3 +383,96 @@ class TestBallCollectionMatchesPairLoop:
         got = balls_overlap(a, ra, b, rb)
         want = [not balls_disjoint(Ball(x, r), Ball(y, s)) for x, r, y, s in zip(a, ra, b, rb)]
         assert got.tolist() == want
+
+
+def holes_grid():
+    """17 x 17 nodes on [0, 1]^2 with a masked-out square and a masked-out column strip."""
+    def domain(x):
+        square = (np.abs(x[..., 0] - 0.5) < 0.2) & (np.abs(x[..., 1] - 0.5) < 0.2)
+        return ~square & (np.abs(x[..., 0] - 0.1) > 0.03)
+    return build_grid(2, [0.0, 0.0], 1 / 16, [17, 17], domain)
+
+
+def verify_2d_grid():
+    """The grid of ``perfbench/configs/verify_2d.json``: 33 x 33 nodes on [-1, 1]^2."""
+    return build_grid(2, [-1.0, -1.0], 0.0625, [33, 33])
+
+
+class TestCubeFamilyMatchesPerCubeLoop:
+    CASES = {
+        "verify_2d": (verify_2d_grid, 0.25, 3, 2),
+        "disk_off_node_corners": (lambda: unit_disk(0.1), 0.2, 3, 3),
+        "1d": (lambda: build_grid(1, [0.0], 1 / 64, [65]), 1 / 16, 3, 2),
+        "box_9": (lambda: build_grid(3, [0.0, 0.0, 0.0], 0.125, [9, 9, 9]), 0.25, 2, 2),
+        "holes": (holes_grid, 1 / 8, 3, 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cubes_nodes_and_blocks(self, case):
+        make, min_side, levels, shifts = self.CASES[case]
+        grid = make()
+        fam = generate_cubes(grid, min_side, levels, shifts)
+        kept, n_in_box = frozen_generate_cubes(grid, min_side, levels, shifts)
+        assert [(c.corner.tolist(), c.side) for c in fam.cubes] == [
+            (c.corner.tolist(), c.side) for c, _ in kept]
+        assert [idx.tolist() for idx in fam.nodes] == [idx.tolist() for _, idx in kept]
+        assert all(idx.dtype == np.intp for idx in fam.nodes)
+        want = size_blocks([idx for _, idx in kept])
+        assert [(p.tolist(), b.tolist()) for p, b in fam.blocks] == [
+            (p.tolist(), b.tolist()) for p, b in want]
+        if case == "holes":
+            # Some cubes lose a few nodes to the holes, some lose every node.
+            assert len(kept) < n_in_box
+            full = {round(c.side / grid.spacing + 1) ** 2 for c, _ in kept}
+            assert any(idx.size not in full for _, idx in kept)
+
+    def test_user_family_any_cubes(self):
+        grid = holes_grid()
+        cubes = [Cube([0.3, 0.3], 0.4), Cube([-0.2, 0.5], 0.3), Cube([0.05, 0.0], 0.1),
+                 Cube([0.0, 0.0], 1.0), Cube([2.0, 2.0], 0.5), Cube([0.52, 0.013], 0.25)]
+        fam = CubeFamily(grid, tuple(cubes), None)
+        kept = frozen_family(grid, cubes)
+        assert list(fam.cubes) == [c for c, _ in kept]
+        assert [idx.tolist() for idx in fam.nodes] == [idx.tolist() for _, idx in kept]
+
+    def test_errors_as_before(self, disk_grid):
+        for args in ((0.05, 3, 2), (0.2, 0, 2), (0.2, 3, 0), (4.0, 1, 1)):
+            with pytest.raises((PreconditionError, NoCubes)) as want:
+                frozen_generate_cubes(disk_grid, *args)
+            with pytest.raises(want.type) as got:
+                generate_cubes(disk_grid, *args)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(NoCubes):
+            CubeFamily(holes_grid(), (Cube([0.35, 0.35], 0.3),), None)
+        with pytest.raises(NoCubes):
+            CubeFamily(disk_grid, (), None)
+
+
+class TestProposalGatherMatchesNodeSet:
+    CASES = {
+        "1d": (lambda: build_grid(1, [0.0], 1 / 64, [65]), "linear", {"slope": 2.0},
+               {"intercept": 3.0, "slope": 1.0}, [1 / 16, 1 / 8], "auto"),
+        "disk": (lambda: unit_disk(0.125), "bump", {"radius": 0.75, "center": [0.1, -0.05]},
+                 {"intercept": 3.5, "slope": [0.25, 0.25]}, [0.25, 0.375], "greedy"),
+        "box_9": (lambda: build_grid(3, [0.0, 0.0, 0.0], 0.125, [9, 9, 9]), "bump",
+                  {"radius": 0.45, "center": [0.5, 0.45, 0.55]},
+                  {"intercept": 4.0, "slope": [0.5, 0.0, 0.25]}, [0.25, 0.375], "greedy"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_nodes_and_osc_over_r(self, case):
+        make, name, params, exponent, radii, method = self.CASES[case]
+        grid = make()
+        f = sample_catalog(grid, name, params)
+        pfun = exponent_catalog(grid, "affine", exponent)
+        proposals = explore_packings(f, pfun, radii, method=method)
+        assert proposals
+        for t in proposals:
+            nodes, a = frozen_gather(f, t.collection)
+            assert [idx.tolist() for idx in t.nodes] == [idx.tolist() for idx in nodes]
+            assert t.a.tolist() == a
+            # The gather path for families a user builds gives the same terms.
+            user = packing_terms(f, t.collection, pfun)
+            for key in ("a", "p_ball", "char"):
+                assert getattr(user, key).tolist() == getattr(t, key).tolist()
+            assert user.norm == t.norm

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -242,16 +243,19 @@ class TestRunContext:
             assert 1 <= calls["candidate_balls"] <= cfg.refinements
 
     def test_each_region_gathered_once(self, monkeypatch):
-        """Cube families call region_mask once per cube, and nothing else does for
-        cubes. Each proposal of each level gets one PackingTerms, built with one
-        Ball region_mask call per packed ball, and gd_equivalence and
-        varexp_sobolev both read those records without gathering again."""
-        cube_calls = []
+        """Node sets come from index arithmetic, each level's values are built once.
+
+        On both demo configs and the 2D benchmark config: no region_mask call
+        for a cube at all, and none for a ball while the proposals build their
+        PackingTerms; each level builds its cube family and its Lipschitz field
+        at most once; gd_equivalence and varexp_sobolev both read the
+        PackingTerms the proposals built, without gathering again."""
+        cube_calls = [0]
         ball_calls = [0]
 
         def counted_mask(grid, region=None):
             if isinstance(region, Cube):
-                cube_calls.append((tuple(region.corner), region.side))
+                cube_calls[0] += 1
             elif isinstance(region, Ball):
                 ball_calls[0] += 1
             return region_mask(grid, region)
@@ -260,21 +264,26 @@ class TestRunContext:
             if name.startswith("rieszvar") and getattr(module, "region_mask", None) is region_mask:
                 monkeypatch.setattr(module, "region_mask", counted_mask)
 
-        families = []  # (cubes handed in, cubes region_mask was called for)
+        families = []  # grid of each CubeFamily built
         family_cls = weights.CubeFamily
 
         def counted_family(grid, cubes, provenance):
-            before = len(cube_calls)
-            family = family_cls(grid, cubes, provenance)
-            families.append(([(tuple(c.corner), c.side) for c in cubes], cube_calls[before:]))
-            return family
+            families.append(grid)
+            return family_cls(grid, cubes, provenance)
 
-        records = []  # (PackingTerms built in one call, Ball region_mask calls made building them)
-        build = varexp._packing_terms
+        fields = []  # f of each Lipschitz field built
+        lipschitz = harness.lipschitz_field
 
-        def counted_terms(f, collections, pfun):
+        def counted_lipschitz(f, shell_radius):
+            fields.append(f)
+            return lipschitz(f, shell_radius)
+
+        records = []  # (PackingTerms proposed in one call, Ball region_mask calls made)
+        propose = harness.packing_proposals
+
+        def counted_proposals(*args):
             before = ball_calls[0]
-            built = build(f, collections, pfun)
+            built = propose(*args)
             records.append((built, ball_calls[0] - before))
             return built
 
@@ -291,36 +300,33 @@ class TestRunContext:
             return counted
 
         monkeypatch.setattr(weights, "CubeFamily", counted_family)
-        monkeypatch.setattr(varexp, "_packing_terms", counted_terms)
+        monkeypatch.setattr(harness, "lipschitz_field", counted_lipschitz)
+        monkeypatch.setattr(harness, "packing_proposals", counted_proposals)
         for name in ("gd_equivalence_check", "varexp_sobolev_equivalence"):
             monkeypatch.setattr(harness, name, counted_check(name))
-        cfg = load_config(minimal_config(
-            grid={"dim": 2, "bounds": [[-1.0, 1.0], [-1.0, 1.0]], "h": 0.125},
-            function={"catalog": "bump", "params": {"radius": 0.75, "center": [0.1, -0.05]}},
-            weight={"catalog": "power_weight", "params": {"alpha": 0.5, "center": [0.03, -0.09]}},
-            exponent={"catalog": "affine", "params": {"intercept": 3.5, "slope": [0.25, 0.25]}},
-            radii=[0.25, 0.375],
-            method="greedy",
-            p_values=[2.0, 3.0],
-            cubes={"min_side": 0.25, "levels": 2, "shifts": 2},
-            suites=list(KNOWN_SUITES),
-            refinements=2,
-        ))
-        rows = run_config(cfg).rows
-        assert not [r for r in rows if r.status == "error"]
-        assert len(families) == cfg.refinements
-        assert all(cubes and cubes == calls for cubes, calls in families)
-        assert len(cube_calls) == sum(len(cubes) for cubes, _ in families)
-        assert records and all(
-            all(len(t) for t in terms) and calls == sum(len(t) for t in terms)
-            for terms, calls in records
-        )
-        built = [t for terms, _ in records for t in terms]
-        assert sorted(checked) == ["gd_equivalence_check", "varexp_sobolev_equivalence"]
-        for calls in checked.values():
-            assert len(calls) == cfg.refinements
-            assert [p for packings, _ in calls for p in packings] == built
-            assert all(gathered == 0 for _, gathered in calls)
+        paths = [ROOT / "demos" / "configs" / "theorem1_linear.json",
+                 ROOT / "demos" / "configs" / "weak_type_hat.json",
+                 ROOT / "perfbench" / "configs" / "verify_2d.json"]
+        for path in paths:
+            cube_calls[0] = 0
+            for seen in (families, fields, records, checked):
+                seen.clear()
+            cfg = load_config(json.loads(path.read_text()))
+            run_config(cfg)
+            assert cube_calls[0] == 0
+            assert families and len({id(g) for g in families}) == len(families)
+            assert len(fields) == 1
+            if "gd_equivalence" not in cfg.suites:
+                assert not records and not checked
+                continue
+            assert len(records) == cfg.refinements
+            assert all(terms and calls == 0 for terms, calls in records)
+            built = [t for terms, _ in records for t in terms]
+            assert sorted(checked) == ["gd_equivalence_check", "varexp_sobolev_equivalence"]
+            for calls in checked.values():
+                assert len(calls) == cfg.refinements
+                assert [p for packings, _ in calls for p in packings] == built
+                assert all(gathered == 0 for _, gathered in calls)
 
     def test_failing_value_is_not_cached(self):
         suites = ["theorem1", "lemma21", "rh_exists", "morrey"]
@@ -372,6 +378,26 @@ class TestReportEmission:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(self.sample_report(), tmp_path / "x.xml", "xml")
+
+    def test_bytes_match_asdict_records(self):
+        """CSV and JSON bytes equal those of the asdict-based records rows once went through."""
+        cfg = json.loads((ROOT / "demos" / "configs" / "theorem1_linear.json").read_text())
+        report = run_config(load_config(cfg))
+        report = Report(rows=report.rows + self.sample_report().rows,
+                        config_hash=report.config_hash, seed=report.seed)
+        payload = {
+            "metadata": {"version": report.version, "config_hash": report.config_hash,
+                         "seed": report.seed},
+            "rows": [dataclasses.asdict(r) for r in report.rows],
+        }
+        assert report_to_json(report) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        for r in report.rows:
+            writer.writerow(dict(dataclasses.asdict(r), value=repr(float(r.value)),
+                                 tolerance=repr(float(r.tolerance))))
+        assert report_to_csv(report) == buf.getvalue()
 
     def test_version_from_package(self):
         payload = json.loads(report_to_json(self.sample_report()))

@@ -1,4 +1,4 @@
-"""The ``verify`` and ``weights`` reports on the 2D benchmark config, pinned.
+"""The ``verify`` and every table report on the 2D benchmark config, pinned.
 
 Each ``tests/data/verify_2d/verify_2d.<subcommand>.csv`` is the output of
 ``toolkit <subcommand> --config perfbench/configs/verify_2d.json --format csv``
@@ -17,6 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 from rieszvar.cli import main
+from rieszvar.harness import TABLES
 
 from test_reports import _same_value
 
@@ -25,7 +26,7 @@ DATA = Path(__file__).resolve().parent / "data" / "verify_2d"
 CONFIG = ROOT / "perfbench" / "configs" / "verify_2d.json"
 
 
-@pytest.mark.parametrize("subcommand", ["verify", "weights"])
+@pytest.mark.parametrize("subcommand", ["verify", *TABLES])
 def test_2d_report_matches_recorded(subcommand):
     result = CliRunner().invoke(main, [subcommand, "--config", str(CONFIG), "--format", "csv"])
     assert result.exit_code == 0, result.output
