@@ -435,7 +435,8 @@ def eroded_mask(grid, r):
         shape = [1] * grid.dim
         shape[a] = coord.size
         ok &= sel.reshape(shape)
-    if not ok.any():
+    # Without holes in the mask the box test decides every node.
+    if not ok.any() or grid.mask.all():
         return ok
     # The stencil is a stack of rows along the last axis, each [-k, k]
     # behind a fixed prefix. run[k][x] says the 2k + 1 nodes centred on x

@@ -99,7 +99,8 @@ class LevelContext:
     def explored(self):
         """The PackingTerms ``explore_packings(f, pfun, radii, method)`` proposes."""
         _, f, _, pfun = self.fields
-        return packing_proposals(f, pfun, self.candidates, self.config.method, MAX_ITERS)
+        return packing_proposals(f, pfun, self.candidates, self.measures[0],
+                                 self.config.method, MAX_ITERS)
 
 
 class RunContext:
@@ -225,6 +226,7 @@ def suite_lemma21(ctx, n_subsets=200):
     rows = []
     lvl = ctx.levels[0]
     rng = np.random.Generator(np.random.Philox(ctx.config.seed))
+    cube_mass = None  # each cube's weight sum, taken at the first finite A_p
     for p in ctx.config.p_values:
         _, _, w, _ = lvl.fields
         family = lvl.family
@@ -238,11 +240,14 @@ def suite_lemma21(ctx, n_subsets=200):
         violations = 0
         min_slack = float("inf")
         w_flat = w.values.reshape(-1)
+        if cube_mass is None:
+            cube_mass = [float(w_flat[nodes].sum()) for nodes in family.nodes]
         for k in range(n_subsets):
-            member = family.nodes[int(rng.integers(0, len(family)))]
+            cube = int(rng.integers(0, len(family)))
+            member = family.nodes[cube]
             size = int(rng.integers(1, member.size + 1))
             subset = rng.choice(member, size=size, replace=False)
-            wq = float(w_flat[member].sum())
+            wq = cube_mass[cube]
             we = float(w_flat[subset].sum())
             if wq == 0:
                 continue

@@ -283,9 +283,8 @@ class _ConflictRows:
         return balls_overlap(self._centers[i], self._radii[i], self._centers[j], self._radii[j])
 
 
-def _greedy(scored):
-    """Indices of the highest-score-first selection of mutually disjoint balls."""
-    rows = _ConflictRows(scored)
+def _greedy(scored, rows):
+    """Indices of the highest-score-first disjoint selection; it caches their ``rows``."""
     blocked = np.zeros(len(scored), dtype=bool)
     selected = []
     order = np.argsort(-scored.score, kind="stable")
@@ -298,16 +297,16 @@ def _greedy(scored):
 
 def pack_greedy(scored, p):
     """Highest-score-first selection of mutually disjoint balls."""
-    return _solution(_greedy(scored), scored, p, GREEDY)
+    return _solution(_greedy(scored, _ConflictRows(scored)), scored, p, GREEDY)
 
 
-def _improve(scored, start, max_iters):
+def _improve(scored, start, max_iters, rows):
     """Indices local search reaches from the selection ``start``; see pack_local_search.
 
-    None when their total falls below the total of ``start``.
+    None when the total falls below the total of ``start``; ``rows`` are
+    the candidates' _ConflictRows.
     """
     selected = set(start)
-    rows = _ConflictRows(scored)
     scores = scored.score
     total = start_total = math.fsum(scores[sorted(selected)])
     eps = 1e-12 * max(1.0, abs(total))
@@ -336,17 +335,22 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
     they can improve; the move found is the one a scan of every pair
     finds. Pairs are tried only when no single move improves, so every
     insertable candidate has slack (its score minus the scores it
-    removes) at most eps. Two candidates that overlap a common selected
-    ball are tried together once per such ball. Any other pair removes
-    two disjoint sets and gains the sum of its two slacks, so it can only
-    improve when one slack exceeds eps/2 - d and the other exceeds -d,
-    where d (eps/1000 plus 1e-15 times the largest |score| + |removal|
-    of an insertable candidate) bounds the rounding of that sum. Whether
+    removes) at most eps. A pair (a, b) removes the selected balls it
+    overlaps, a's among them and at most two, so it gains at most
+    slack_a + s_b - 2m and slack_b + s_a - 2m, m = min(0, least selected
+    score). Two candidates that overlap a common selected ball are tried
+    together once per such ball, and only if both pass these bounds
+    against the block's largest s and slack: each must exceed eps + 2m - d.
+    Any other pair removes two disjoint sets and gains the sum of its two
+    slacks, so it can only improve when one slack exceeds eps/2 - d and
+    the other exceeds -d. The margin d (eps/1000 plus 1e-15 times the
+    largest |score| + |removal| of an insertable candidate and twice the
+    largest |selected score|) bounds the rounding of these sums. Whether
     the two balls of a pair are disjoint is decided last, for the pairs
     that pass the count and gain tests, under the rule of
     ``grid.balls_disjoint``.
     """
-    selected = _improve(scored, initial.indices, max_iters)
+    selected = _improve(scored, initial.indices, max_iters, _ConflictRows(scored))
     if selected is None:
         return initial
     return _solution(selected, scored, initial.p, GREEDY_PLUS_LOCAL_SEARCH)
@@ -359,7 +363,7 @@ def _first_improvement(rows, scores, selected, eps):
     second selected ball each candidate overlaps are tracked. Removal sums
     add at most two nonzero scores, which makes them bit-identical to a
     plain sum over the removed set in any order. Pairs are evaluated only
-    where they can improve; see pack_local_search.
+    where a score bound says they can improve; see pack_local_search.
     """
     sel = np.array(sorted(selected), dtype=int)
     k = sel.size
@@ -406,14 +410,21 @@ def _first_improvement(rows, scores, selected, eps):
         return int((ia[ok] * n + ib[ok]).min(initial=n * n))
 
     # Pair insertion with up to two removals. Pairs that overlap a common
-    # selected ball are scanned per such ball; pairs with disjoint removal
-    # sets gain the sum of their slacks and need one slack near eps / 2.
+    # selected ball are scanned per such ball, among the members that pass
+    # the gain bounds (owner_score ends in 0, so its min is m); pairs with
+    # disjoint removal sets gain the sum of their slacks and need one
+    # slack near eps / 2.
+    size = np.abs(scores[insertable]) + np.abs(removal[insertable]) + 2 * np.abs(owner_score).max()
+    margin = 1e-3 * eps + 1e-15 * float(size.max(initial=0.0))
+    floor = eps + 2.0 * float(owner_score.min()) - margin
     best = n * n
     for j in sel:
         members = np.flatnonzero(rows(j) & insertable)
-        best = min(best, least_improving(members, members))
-    size = np.abs(scores[insertable]) + np.abs(removal[insertable])
-    margin = 1e-3 * eps + 1e-15 * float(size.max(initial=0.0))
+        s, sl = scores[members], slack[members]
+        kept = members[(sl + s.max(initial=-np.inf) > floor)
+                       & (s + sl.max(initial=-np.inf) > floor)]
+        if kept.size > 1:
+            best = min(best, least_improving(kept, kept))
     low = np.flatnonzero(insertable & (slack > -margin))
     for a in np.flatnonzero(insertable & (slack > 0.5 * eps - margin)):
         one = np.array([a])
@@ -440,9 +451,10 @@ def pack(scored, p, method, max_iters):
         raise PreconditionError(f"unknown packing method {method!r}")
     if method == DP_1D_EXACT:
         return pack_1d_exact(scored, p)
-    selected = _greedy(scored)
+    rows = _ConflictRows(scored)
+    selected = _greedy(scored, rows)
     if method == GREEDY_PLUS_LOCAL_SEARCH:
-        improved = _improve(scored, selected, max_iters)
+        improved = _improve(scored, selected, max_iters, rows)
         if improved is not None:
             return _solution(improved, scored, p, method)
         method = GREEDY

@@ -375,26 +375,32 @@ def explore_packings(f, pfun, radii_list, method="auto", max_iters=MAX_ITERS):
     Proposals come from the constant-exponent optimizer at p_minus; see
     ``packing_proposals``.
     """
-    return packing_proposals(f, pfun, candidate_balls(f.grid, radii_list), method,
-                             max_iters)
+    candidates = candidate_balls(f.grid, radii_list)
+    lebesgue = SampledField(f.grid, np.ones(f.grid.shape), FieldKind.WEIGHT)
+    osc, _ = measure_balls(f, lebesgue, candidates)
+    return packing_proposals(f, pfun, candidates, osc, method, max_iters)
 
 
-def packing_proposals(f, pfun, candidates, method, max_iters):
+def packing_proposals(f, pfun, candidates, osc, method, max_iters):
     """PackingTerms of the packings of f over the CandidateSet at p_minus, Lebesgue weight.
 
-    One packing over the full candidate set plus one per single radius,
-    each by ``riesz.pack``. Deduplicated on the selected candidate
-    indices, order preserved. Every packed ball is a node-centred
-    candidate, so its nodes are its centre's flat index plus the
-    ``ball_offsets`` stencil, and its osc/r is read off the scores.
+    ``osc`` holds the oscillation of f on each candidate, as
+    ``measure_balls`` returns it under any weight. One packing over the
+    full candidate set plus one per single radius, each by
+    ``riesz.pack``. Deduplicated on the selected candidate indices, order
+    preserved. Every packed ball is a node-centred candidate, so its
+    nodes are its centre's flat index plus the ``ball_offsets`` stencil,
+    its Lebesgue mass is the stencil size times the cell volume (a sum
+    of ones is exact) and its osc/r is read off the scores.
     """
     grid = f.grid
     p = pfun.p_minus
-    lebesgue = SampledField(grid, np.ones(grid.shape), FieldKind.WEIGHT)
-    scored = make_scores(candidates, *measure_balls(f, lebesgue, candidates), p)
-    flat = lattice_flat(grid, np.rint((scored.centers - grid.origin) / grid.spacing).astype(int))
-    radii = scored.radii.tolist()
+    k = np.rint((candidates.centers - grid.origin) / grid.spacing).astype(int)
+    flat = lattice_flat(grid, k)
+    radii = candidates.radii.tolist()
     stencils = {r: lattice_flat(grid, ball_offsets(grid, r)) for r in sorted(set(radii))}
+    mass = np.array([stencils[r].size for r in radii], dtype=float) * grid.cell_volume()
+    scored = make_scores(candidates, osc, mass, p)
     a = scored.oscillation / scored.radii
     families = []
     seen = set()

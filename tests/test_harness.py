@@ -242,6 +242,24 @@ class TestRunContext:
             assert sorted(calls["materialize_level"]) == [0, 1]
             assert 1 <= calls["candidate_balls"] <= cfg.refinements
 
+    def test_balls_measured_once_per_level(self, monkeypatch):
+        """On the 2D benchmark config the proposals reuse the level's oscillations."""
+        calls = []
+        measure = rieszvar.riesz.measure_balls
+
+        def counted(f, w, candidates):
+            calls.append(f.grid)
+            return measure(f, w, candidates)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rieszvar") and getattr(module, "measure_balls", None) is measure:
+                monkeypatch.setattr(module, "measure_balls", counted)
+        path = ROOT / "perfbench" / "configs" / "verify_2d.json"
+        cfg = load_config(json.loads(path.read_text()))
+        assert "gd_equivalence" in cfg.suites
+        run_config(cfg)
+        assert len(calls) == len({id(g) for g in calls}) == cfg.refinements
+
     def test_each_region_gathered_once(self, monkeypatch):
         """Node sets come from index arithmetic, each level's values are built once.
 

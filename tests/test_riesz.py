@@ -1,5 +1,8 @@
+import json
 import math
+from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,8 @@ from rieszvar.riesz import (
 )
 
 from conftest import as_balls, ball_scores, const_weight, linear, scored_set, unit_disk
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def random_scored(rng, n):
@@ -393,13 +398,34 @@ class TestGreedyAndLocalSearch:
         assert set(sol.indices) == ref_selected == {2, 3}
         assert sol.total == ref_total
 
+    def test_pair_move_past_negative_owner(self):
+        # The start holds j (score 1) and o (score -5). a overlaps j, b
+        # overlaps j and o; a and b are disjoint. Neither single move gains,
+        # and both slacks are 0, below the slack band. The pair gains 1
+        # because removing o pays back 5: its bound slack_b + s_a passes
+        # the floor only through the term twice the least owner score.
+        scored = scored_set([
+            ([0.5, 0.5], 0.1, 1.0),
+            ([0.8, 0.5], 0.1, -5.0),
+            ([0.35, 0.5], 0.1, 1.0),
+            ([0.65, 0.5], 0.1, -4.0),
+        ])
+        start = riesz._solution([0, 1], scored, 2.0, riesz.GREEDY)
+        sol = pack_local_search(start, scored, max_iters=1)
+        ref_selected, ref_total = reference_local_search({0, 1}, ball_scores(scored), 1)
+        assert set(sol.indices) == ref_selected == {2, 3}
+        assert sol.total == ref_total == -3.0
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_reference_from_any_start(self, dim):
         # Disjoint starts in random order, negative-score balls included.
+        # The last instances are crowded (40-90 candidates), so the score
+        # bound trims the common-ball blocks of local search.
         rng = np.random.Generator(np.random.Philox(31 + dim))
         moved = 0
-        for _ in range(20):
-            scored = random_scored_nd(rng, dim, int(rng.integers(2, 30)), 0.25)
+        for k in range(26):
+            n = int(rng.integers(2, 30) if k < 20 else rng.integers(40, 91))
+            scored = random_scored_nd(rng, dim, n, 0.25)
             ref = ball_scores(scored)
             start = set()
             for i in rng.permutation(len(ref)).tolist():
@@ -432,6 +458,41 @@ class TestGreedyAndLocalSearch:
         assert ref_selected != expected
         assert set(ls.indices) == ref_selected
         assert ls.total == ref_total
+
+    def test_pack_builds_each_conflict_row_once(self, monkeypatch):
+        """Greedy hands its conflict rows to local search within one pack call."""
+        g = unit_disk(0.125)
+        f = sample_catalog(g, "sinusoid", {"freq": 2.0})
+        cands = candidate_balls(g, [0.25, 0.5])
+        scored = make_scores(cands, *measure_balls(f, const_weight(g), cands), 2.0)
+        built = Counter()
+        overlap = riesz._ConflictRows.overlap
+
+        def counted(rows, i, j):
+            if isinstance(j, slice):
+                built[int(i)] += 1
+            return overlap(rows, i, j)
+
+        monkeypatch.setattr(riesz._ConflictRows, "overlap", counted)
+        sol = pack(scored, 2.0, riesz.GREEDY_PLUS_LOCAL_SEARCH, MAX_ITERS)
+        assert sol.method == riesz.GREEDY_PLUS_LOCAL_SEARCH
+        assert set(sol.indices) <= set(built)
+        assert set(built.values()) == {1}
+
+    @pytest.mark.parametrize("function", ["sinusoid", "bump"])
+    def test_disk129_selections_pinned(self, function):
+        # Indices and totals recorded from the full pair scan: a 129 x 129
+        # disk (h = 1/64) with radii 2h and 4h under the constant weight.
+        pinned = json.loads((DATA / "pack_disk129.json").read_text())[function]
+        h = 1 / 64
+        g = unit_disk(h)
+        cands = candidate_balls(g, [2 * h, 4 * h])
+        f = sample_catalog(g, function, pinned["params"])
+        scored = make_scores(cands, *measure_balls(f, const_weight(g), cands), 2.0)
+        sol = pack(scored, 2.0, riesz.GREEDY_PLUS_LOCAL_SEARCH, MAX_ITERS)
+        assert sol.method == pinned["method"]
+        assert list(sol.indices) == pinned["indices"]
+        assert sol.total == pinned["total"]
 
     def test_local_search_from_empty_greedy(self):
         scored = scored_set([([0.2 * i, 0.5], 0.1, -float(i % 2)) for i in range(6)])
