@@ -233,23 +233,19 @@ def pack_1d_exact(scored, p):
     pred = np.minimum(
         np.searchsorted(rights[items], lefts[items] + ATOL, side="right"), np.arange(n)
     ).tolist()
-    score = scored.score[items].tolist()
-    # best[i] = (total, -count) over the first i sorted items; take[i] is the
-    # compatible predecessor state when item i-1 was taken.
-    best = [(0.0, 0)] * (n + 1)
-    take = [None] * (n + 1)
-    for i in range(1, n + 1):
-        j = pred[i - 1]
-        cand = (best[j][0] + score[i - 1], best[j][1] - 1)
-        if cand > best[i - 1]:
-            best[i] = cand
-            take[i] = j
-        else:
-            best[i] = best[i - 1]
-    selected = []
-    i = n
+    # total[i], count[i]: the best total over the first i sorted items and its
+    # ball count (ties go to fewer balls); take[i] is the state that item i-1
+    # extends when it is taken, else -1.
+    total, count, take = [0.0] * (n + 1), [0] * (n + 1), [-1] * (n + 1)
+    best_t, best_c = 0.0, 0
+    for i, (j, s) in enumerate(zip(pred, scored.score[items].tolist()), 1):
+        t, c = total[j] + s, count[j] + 1
+        if t > best_t or (t == best_t and c < best_c):
+            best_t, best_c, take[i] = t, c, j
+        total[i], count[i] = best_t, best_c
+    selected, i = [], n
     while i > 0:
-        if take[i] is None:
+        if take[i] < 0:
             i -= 1
         else:
             selected.append(items[i - 1])

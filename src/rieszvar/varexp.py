@@ -1,8 +1,8 @@
 """Variable-exponent machinery: Luxemburg norms, sequence norms, and RBV^{p(.)}.
 
 The Luxemburg norm of f is the infimal lambda with modular(f/lambda) <= 1;
-every norm here is computed by bisection on that monotone modular, one
-lane per row of an equal-size block (a single norm is a one-row block). The
+every norm here is a bisection on that monotone modular, run in verified
+speculative rounds over the rows of an equal-size block (or one row). The
 variable-exponent variation seminorm reuses the constant-exponent packing
 optimizer as a proposal generator and evaluates the exact Luxemburg value
 on each proposed disjoint family, so reported values are lower bounds.
@@ -28,7 +28,7 @@ from .grid import (
     size_blocks,
 )
 from .report import ReportRow, params_string
-from .riesz import MAX_ITERS, candidate_balls, make_scores, measure_balls, pack
+from .riesz import _GATHER_BLOCK, MAX_ITERS, candidate_balls, make_scores, measure_balls, pack
 
 # Relative bisection tolerance of every Luxemburg norm unless a caller sets one.
 TOL = 1e-10
@@ -153,58 +153,112 @@ def modular(f, pfun, region=None):
     return float(terms.sum() * f.grid.cell_volume())
 
 
+def _modular(av, pv, rows, lam, weight):
+    """Per pair (k, lam) of ``rows`` and ``lam``: terms (av[k]/lam)^pv[k] and their sum * weight."""
+    with np.errstate(over="ignore"):
+        terms = av[rows] / lam[:, None]
+        terms **= pv[rows]
+        return terms, terms.sum(axis=1) * weight
+
+
+def _advance(st, points, vals, tol, cap):
+    """One row's round: replay its last walk, then walk the next (no point once the row is done).
+
+    ``st``: [lo, hi, rho(lo), rho(hi), x3, rho(x3), halving?, guess]. The replay takes the
+    walk's steps with the real ``vals`` up to the first the guess got wrong (a halving it
+    ended too soon resets it to 0); the walk takes up to ``cap`` scalar steps, each as the
+    guess predicts (rho(x) <= 1 iff x >= guess): the log-log chord's root through the
+    bracket ends after a Newton step on the parabola through x3, else the midpoint.
+    """
+    lo, hi, r_lo, r_hi, x3, r3, halving, g = st
+    for x, v in zip(points, vals):
+        ok = v <= 1.0
+        if ok:
+            x3, r3, hi, r_hi = hi, r_hi, x, v
+            lo = 0.5 * x if halving else lo
+        else:
+            x3, r3, lo, r_lo, halving = lo, r_lo, x, v, False
+        if ok != (x >= g):
+            g = 0.0
+            break
+    if not halving and hi - lo > tol * hi:
+        try:
+            y, width = math.log(r_lo), math.log(hi / lo)
+            drop = math.log(r_hi) - y
+            t = -y / drop
+            if r3 and r3 < math.inf and x3 not in (lo, hi):
+                u = math.log(x3 / lo) / width
+                curve = (math.log(r3) - y - drop * u) / (u * (u - 1.0))
+                t -= curve * t * (t - 1.0) / (drop + curve * (2.0 * t - 1.0))
+            g = lo * math.exp(t * width)
+        except (ArithmeticError, TypeError, ValueError):
+            g = 0.5 * (lo + hi)
+    st[:] = lo, hi, r_lo, r_hi, x3, r3, halving, g
+    points = []
+    while len(points) < cap and (lo >= 1e-300 if halving else hi - lo > tol * hi):
+        x = lo if halving else 0.5 * (lo + hi)
+        points.append(x)
+        if x < g:
+            lo, halving = x, False
+        else:
+            hi, lo = x, 0.5 * x if halving else lo
+    return points
+
+
 def _luxemburg(av, pv, weight, tol):
     """Per row k of the (m, s) blocks: smallest lambda with sum_j (av/lambda)^pv * weight <= 1.
 
-    The rows are bisected side by side, each on its own bracket: it
-    starts at hi = 2 max(1, rho(1))^(1/min p), lo = hi/2, and halves
-    while rho(lo) <= 1 (at most 4096 times; 0 once lo < 1e-300). Then it
-    bisects until hi - lo <= tol * hi and returns hi, so the modular at
-    the result is <= 1. A row whose av vanishes (or an empty row) gets 0.
-    Each row's steps and values are those of a one-row call.
+    Each row takes the scalar bisection's steps: from hi = 2 max(1, rho(1))^(1/min p),
+    lo = hi/2 it halves while rho(lo) <= 1 (0 once lo < 1e-300), then bisects until
+    hi - lo <= tol * hi and returns hi, so the modular there is <= 1. A row whose av
+    vanishes (or an empty row) gets 0. Each distinct row walks ahead toward a guess of
+    its root, the modular is evaluated at all walked points in one block of at most
+    ``_GATHER_BLOCK`` terms (a point a row at least), and each walk is replayed with the
+    real outcomes (``_advance``). Every step applied is the scalar loop's own, so each
+    row's value is a one-row call's, bit for bit.
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     out = np.zeros(av.shape[0])
     if av.shape[1] == 0:
         return out
-    live = np.flatnonzero(av.max(axis=1) != 0.0)
+    block, first = np.hstack([av, pv]), {}  # equal rows are bisected once
+    keys = block.view(f"V{block.itemsize * block.shape[1]}").ravel().tolist()
+    same = [first.setdefault(key, k) for k, key in enumerate(keys)]
+    live = np.array(list(first.values()), dtype=int)
+    live = live[av[live].any(axis=1)]
     av, pv = av[live], pv[live]
-
-    def rho(rows, lam):
-        # Rows only ever drop out, so a full-length ``rows`` is every row.
-        a, q = (av, pv) if rows.size == live.size else (av[rows], pv[rows])
-        with np.errstate(over="ignore"):
-            return ((a / lam[:, None]) ** q).sum(axis=1) * weight
-
-    every = np.arange(live.size)
-    # The bracket's power is taken per row on Python floats (C library pow).
-    hint, p_minus = rho(every, np.ones(live.size)).tolist(), pv.min(axis=1).tolist()
-    hi = np.array([2.0 * max(1.0, h) ** (1.0 / q) for h, q in zip(hint, p_minus)])
-    lo = hi / 2.0
-    vanished = np.zeros(live.size, dtype=bool)
-    rows = every
-    for _ in range(4096):
-        rows = rows[~(rho(rows, lo[rows]) > 1.0)]
-        if not rows.size:
-            break
-        hi[rows] = lo[rows]
-        lo[rows] *= 0.5
-        tiny = lo[rows] < 1e-300
-        vanished[rows[tiny]] = True
-        rows = rows[~tiny]
-    kept = np.flatnonzero(~vanished)
-    rows = kept
-    while True:
-        rows = rows[hi[rows] - lo[rows] > tol * hi[rows]]
-        if not rows.size:
-            break
-        mid = 0.5 * (lo[rows] + hi[rows])
-        below = rho(rows, mid) <= 1.0
-        hi[rows[below]] = mid[below]
-        lo[rows[~below]] = mid[~below]
-    out[live[kept]] = hi[kept]
-    return out
+    terms, hint = _modular(av, pv, np.arange(live.size), np.ones(live.size), weight)
+    with np.errstate(all="ignore"):
+        mean = (moment := terms * pv).sum(axis=1) * weight / hint
+        var = (moment * pv).sum(axis=1) * weight / hint - mean * mean
+    result, state, walks = [math.inf] * live.size, {}, {}
+    for k, (h, p_lo, q1, q2) in enumerate(zip(hint.tolist(), pv.min(axis=1).tolist(),
+                                            mean.tolist(), var.tolist())):
+        hi = 2.0 * max(1.0, h) ** (1.0 / p_lo)  # Python floats: C library pow
+        if hi < math.inf:  # else lo = inf halves to itself, rho(inf) = 0: the result is inf
+            try:  # first guess: the root of log rho(e^x) to second order in x
+                y = math.log(h)
+                g = math.exp(2.0 * y / (q1 + math.sqrt(q1 * q1 - 2.0 * q2 * y)))
+            except (ArithmeticError, ValueError):
+                g = 0.0
+            state[k] = [hi / 2.0, hi, None, None, 1.0, h, True, g]
+            walks[k] = _advance(state[k], (), (), tol, max(1, _GATHER_BLOCK // av.size))
+    while walks:
+        lam = np.array([x for points in walks.values() for x in points])
+        rows = np.repeat(list(walks), [len(points) for points in walks.values()])
+        vals = _modular(av, pv, rows, lam, weight)[1].tolist()
+        start, last, walks = 0, walks, {}
+        cap = max(1, _GATHER_BLOCK // (av.shape[1] * len(last)))
+        for k, points in last.items():
+            walk = _advance(state[k], points, vals[start:start + len(points)], tol, cap)
+            start += len(points)
+            if not walk:  # 0 once lo < 1e-300 while halving, else hi
+                result[k] = 0.0 if state[k][6] else state[k][1]
+            else:
+                walks[k] = walk
+    out[live] = result
+    return out[same]
 
 
 def _luxemburg_one(av, pv, weight, tol):

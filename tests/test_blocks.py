@@ -4,15 +4,19 @@ The cube constants, the Luxemburg bisection, ``eroded_mask``, the
 ``BallCollection`` check, the node sets of cube families and those of
 packed balls once ran one region (or one offset, or one pair) at a time.
 Those loops are frozen here as references, and the block versions must
-reproduce them with ``==``, errors included.
+reproduce them with ``==``, errors included. So is the 1D packing DP on
+(total, -count) tuples, which now runs on flat lists.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rieszvar.varexp
 from rieszvar import Ball, BallCollection, build_grid, generate_cubes, sample_catalog
+from rieszvar.config import load_config_file, materialize_level
 from rieszvar.errors import BadShape, NoCubes, PreconditionError, ZeroWeightOnCube
 from rieszvar.grid import (
     ATOL,
@@ -24,9 +28,11 @@ from rieszvar.grid import (
     balls_disjoint,
     balls_overlap,
     eroded_mask,
+    gradient_magnitude,
     region_mask,
     size_blocks,
 )
+from rieszvar.riesz import candidate_balls, make_scores, measure_balls, pack_1d_exact
 from rieszvar.varexp import (
     TOL,
     VariableSequence,
@@ -42,7 +48,7 @@ from rieszvar.varexp import (
 )
 from rieszvar.weights import CubeFamily, a1_constant, ap_constant, rh_constant
 
-from conftest import unit_disk
+from conftest import const_weight, linear, scored_set, unit_disk
 
 # ---------------------------------------------------------------------------
 # Frozen references: the per-region loops the block code replaced.
@@ -195,6 +201,37 @@ def frozen_gather(f, collection):
     return nodes, a
 
 
+def frozen_dp_1d(scored):
+    """The DP on (total, -count) tuples; its selected indices, ascending."""
+    n = len(scored)
+    lefts = scored.centers[:, 0] - scored.radii
+    rights = scored.centers[:, 0] + scored.radii
+    items = np.lexsort((np.arange(n), lefts, rights))
+    pred = np.minimum(
+        np.searchsorted(rights[items], lefts[items] + ATOL, side="right"), np.arange(n)
+    ).tolist()
+    score = scored.score[items].tolist()
+    best = [(0.0, 0)] * (n + 1)
+    take = [None] * (n + 1)
+    for i in range(1, n + 1):
+        j = pred[i - 1]
+        cand = (best[j][0] + score[i - 1], best[j][1] - 1)
+        if cand > best[i - 1]:
+            best[i] = cand
+            take[i] = j
+        else:
+            best[i] = best[i - 1]
+    selected = []
+    i = n
+    while i > 0:
+        if take[i] is None:
+            i -= 1
+        else:
+            selected.append(items[i - 1])
+            i = take[i]
+    return sorted(int(k) for k in selected)
+
+
 def outcome(fn, *args):
     """The value of fn(*args), or the type and message of the ZeroWeightOnCube it raises."""
     try:
@@ -291,6 +328,24 @@ class TestLuxemburgMatchesScalarBisection:
         # Norms just above and below the 1e-300 cut of the expansion.
         yield np.array([[1e-295], [1e-299], [3e-301]]), np.ones((3, 1)), 1.0
         yield np.array([[1e200, 1.0], [3.0, 0.0]]), np.array([[1.5, 4.0], [1.0, 1.0]]), 1.0
+        # Seeded random blocks for the speculative rounds: blocks wide enough
+        # that a round walks two points a row (halvings over many rounds),
+        # mispredicted and fully predicted walks, exact chords (constant
+        # exponent rows), p = 1, equal rows, overflow (rho(1) = inf) and the cut.
+        for _ in range(200):
+            m, s = (int(np.exp(rng.uniform(0.0, np.log(n)))) for n in (51, 301))
+            av = rng.random((m, s)) * 10.0 ** rng.uniform(-8, 8, (m, 1))
+            av[rng.random((m, s)) < rng.uniform(0.2, 0.3)] = 0.0
+            pv = 1.0 + rng.random((m, 1)) * rng.choice([0.0, 4.0]) + rng.random((m, s)) * (
+                rng.random((m, 1)) < 0.7) * rng.choice([0.0, 0.2, 4.0])
+            av[rng.random(m) < 0.1] = 0.0
+            if rng.random() < 0.1:
+                av[int(rng.integers(m))] = 1e-305
+            if s > 1 and rng.random() < 0.1:
+                av[int(rng.integers(m)), :2] = 1e200, 1.0
+            if m > 2 and rng.random() < 0.3:
+                av[-1], pv[-1] = av[0], pv[0]
+            yield av, pv, float(rng.choice([1.0, 0.01, 1 / 4096]))
 
     @pytest.mark.parametrize("tol", [TOL, 1e-3, 0.3, 0.5])
     def test_every_row_bit_equal(self, tol):
@@ -300,8 +355,35 @@ class TestLuxemburgMatchesScalarBisection:
 
     def test_empty_rows_and_bad_tol(self):
         assert _luxemburg(np.zeros((2, 0)), np.ones((2, 0)), 1.0, TOL).tolist() == [0.0, 0.0]
+        assert _luxemburg(np.zeros((2, 3)), np.ones((2, 3)), 1.0, TOL).tolist() == [0.0, 0.0]
         with pytest.raises(PreconditionError):
             _luxemburg(np.ones((1, 2)), np.ones((1, 2)), 1.0, 0.0)
+
+    def test_few_modular_evaluations(self, monkeypatch):
+        """A call evaluates the modular a few times, not once per step (36 at the scalar loop).
+
+        On the sequence rows (lengths 4, 8 and 16) and the gradient row (257
+        nodes) of the 1D demo config's first level."""
+        cfg = load_config_file(Path(__file__).parents[1] / "demos/configs/theorem1_linear.json")
+        grid, f, _, pfun = materialize_level(cfg, 0)
+        rows = [(np.abs(t.a * t.char), t.p_ball, 1.0)
+                for t in explore_packings(f, pfun, cfg.radii, method=cfg.method)]
+        m = grid.mask
+        rows.append((gradient_magnitude(f).values[m], pfun.values[m], grid.cell_volume()))
+        assert sorted(av.size for av, _, _ in rows) == [4, 8, 16, 257]
+        calls = []
+        modular = rieszvar.varexp._modular
+
+        def counted(*args):
+            calls.append(args[3].size)
+            return modular(*args)
+
+        monkeypatch.setattr(rieszvar.varexp, "_modular", counted)
+        for av, pv, weight in rows:
+            calls.clear()
+            assert _luxemburg(av[None], pv[None], weight, TOL).tolist() == [
+                frozen_luxemburg(av, pv, weight, TOL)]
+            assert 2 <= len(calls) <= 8, calls
 
     def test_public_norms_bit_equal(self, disk_grid):
         pfun = exponent_catalog(disk_grid, "affine", {"intercept": 3.5, "slope": [0.25, 0.5]})
@@ -476,3 +558,25 @@ class TestProposalGatherMatchesNodeSet:
             for key in ("a", "p_ball", "char"):
                 assert getattr(user, key).tolist() == getattr(t, key).tolist()
             assert user.norm == t.norm
+
+
+class TestDP1DMatchesTupleDP:
+    """Flat total and count lists select what the (total, -count) tuples did, ties included."""
+
+    def test_linear_constant_weight(self):
+        grid = build_grid(1, [0.0], 1 / 64, [65])
+        cands = candidate_balls(grid, [1 / 32, 3 / 64, 1 / 16])
+        osc, mass = measure_balls(linear(grid), const_weight(grid), cands)
+        for p in (1.0, 2.0, 3.0):
+            scored = make_scores(cands, osc, mass, p)
+            assert list(pack_1d_exact(scored, p).indices) == frozen_dp_1d(scored)
+
+    def test_random_scores_with_ties(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            score = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0], n)  # dyadic sums tie exactly
+            score += rng.random(n) * (rng.random(n) < rng.choice([0.0, 0.3]))
+            scored = scored_set(list(zip(rng.integers(0, 40, n) / 8.0,
+                                         rng.choice([0.25, 0.375, 0.5], n), score)))
+            assert list(pack_1d_exact(scored, 2.0).indices) == frozen_dp_1d(scored)
