@@ -70,6 +70,11 @@ class LevelContext:
         return lipschitz_field(f, self.config.shell_factor * grid.spacing)
 
     @cached_property
+    def gradient(self):
+        """|grad f| of the level's f, as a field."""
+        return gradient_magnitude(self.fields[1])
+
+    @cached_property
     def rw(self):
         """The RwEstimate of the weight over ``family``."""
         thr = self.config.thresholds
@@ -155,10 +160,10 @@ def verify_theorem1(ctx):
         left_ratios = []
         right_ratios = []
         for lvl in ctx.levels:
-            grid, f, w, _ = lvl.fields
+            grid, _, w, _ = lvl.fields
             rw = lvl.rw.value
             packing = lvl.packing(p)
-            grad_norm = weighted_lp_norm(gradient_magnitude(f), w, p)
+            grad_norm = weighted_lp_norm(lvl.gradient, w, p)
             params = params_string(p=p, level=lvl.level, h=grid.spacing, rw=rw)
             rows.append(
                 ReportRow("theorem1", "variation", params, packing.variation,
@@ -500,11 +505,12 @@ def table_riesz_var(ctx):
 
 def table_sobolev(ctx):
     """Weighted L^p and Sobolev norms of the configured function."""
-    grid, f, w, _ = ctx.levels[0].fields
+    lvl = ctx.levels[0]
+    grid, f, w, _ = lvl.fields
     rows = []
     for p in ctx.config.p_values:
         lp = weighted_lp_norm(f, w, p)
-        grad_lp = weighted_lp_norm(gradient_magnitude(f), w, p)
+        grad_lp = weighted_lp_norm(lvl.gradient, w, p)
         rows += [_info("sobolev", q, v, p=p, h=grid.spacing)
                  for q, v in (("lp", lp), ("grad_lp", grad_lp), ("total", lp + grad_lp))]
     return rows
@@ -559,7 +565,7 @@ def _run(config, tables):
                           float("nan"), float("nan"), "error")
             )
             continue
-        elapsed_ms = int((time.perf_counter() - started) * 1000)
+        elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
         if table_rows:
             table_rows[0] = replace(table_rows[0], runtime_ms=elapsed_ms)
         rows.extend(table_rows)

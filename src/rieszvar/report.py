@@ -16,7 +16,7 @@ class ReportRow:
     value: float
     tolerance: float
     status: str  # pass | fail | info | error
-    runtime_ms: int = 0
+    runtime_ms: float = 0.0
 
 
 @dataclass(frozen=True)

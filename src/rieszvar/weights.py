@@ -10,9 +10,20 @@ offsets block per cube shape, and stacks them by size (``grid.size_blocks``),
 so the A_p, A_1 and RH constants take each block's node means as one row
 reduction. The final powers and the supremum are taken per cube on Python
 floats, which keeps every constant bit-identical to a cube-by-cube loop.
+
+The r_w search asks at each bisection step only whether some cube's A_q
+value exceeds the threshold. Since every dual term ``w^{1/(1-q)}`` on a
+cube is at most ``(min_Q w)^{1/(1-q)}``, a cube's A_q value is at most its
+A_1 ratio ``<w>_Q / min_Q w`` (``[w]_{A_q} <= [w]_{A_1}``). A cube whose
+ratio stays below the threshold by the margin ``exp(1e-9 q)``, which
+covers the rounding of the exact expression, is cleared without being
+evaluated; the others are evaluated exactly, so the search returns the
+bisection over ap_constant bit for bit (see estimate_rw).
 """
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -36,6 +47,10 @@ from .grid import (
     size_blocks,
     weighted_measure,
 )
+
+
+_TINY = sys.float_info.min
+_HUGE = sys.float_info.max
 
 
 class CubeProvenance(Enum):
@@ -165,6 +180,12 @@ def _cube_means(vals):
     return mean_w.tolist()
 
 
+def _dual_means(vals, expo):
+    """Per-cube means of the dual terms ``vals**expo``, as Python floats (+inf past overflow)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return (vals**expo).mean(axis=1).tolist()
+
+
 def ap_constant(w, p, family):
     """[w]_{A_p} over the family: sup of <w>_Q <w^{1/(1-p)}>_Q^{p-1}.
 
@@ -178,10 +199,7 @@ def ap_constant(w, p, family):
     best = 0.0
     expo = 1.0 / (1.0 - p)
     for vals in _cube_values(w, family):
-        mean_w = _cube_means(vals)
-        with np.errstate(divide="ignore", over="ignore"):
-            mean_dual = (vals**expo).mean(axis=1).tolist()
-        for mw, md in zip(mean_w, mean_dual):
+        for mw, md in zip(_cube_means(vals), _dual_means(vals, expo)):
             best = max(best, mw * md ** (p - 1.0))
     return best
 
@@ -216,24 +234,105 @@ def estimate_rw(w, family, threshold=1000.0, tol=1e-3, q_max=64.0):
 
     Relies on the monotonicity of q -> [w]_{A_q}. Returns an RwEstimate;
     ``at_max`` is set when even q_max stays above the threshold.
+
+    Each step asks only whether some cube's A_q value exceeds the
+    threshold, so it evaluates exactly only the cubes whose bound can
+    cross it. Every dual term is at most the peak ``(min_Q w)^{1/(1-q)}``,
+    so a cube's A_q value is at most its A_1 ratio ``<w>_Q / min_Q w``. A
+    cube is cleared, and skipped, when
+
+    - ``ratio <= threshold * exp(-1e-9 q)``,
+    - ``min_Q w`` is normal (at least DBL_MIN), and
+    - its computed peak lies in ``[s * DBL_MIN, DBL_MAX / (2 s)]``, ``s``
+      the family's largest cube size, so the row sum cannot overflow and
+      the mean of the dual terms is a normal number, on which underflowed
+      terms move at most one ulp.
+
+    The computed value ``mw * md ** (q - 1)`` then cannot exceed the
+    threshold: ``pow`` is within a few ulps, the pairwise row sum and its
+    division add at most about ``log2(s) + 20`` more, so ``md`` exceeds
+    the peak by a relative ``d < 1e-13``; the outer power turns that into
+    ``exp((q - 1) d)``, and the last product and the ratio add a few ulps,
+    all below the margin ``exp(1e-9 q)``. A cube is cleared only while
+    ``exp(-1e-9 q) > 0``, that is ``q < 7.5e11``, where the same bound
+    keeps ``md ** (q - 1)`` below ``1.1 / min_Q w < DBL_MAX``, so a
+    cleared cube cannot raise either.
+    Every other cube is evaluated with ap_constant's own row expression
+    (``_dual_means``),
+    likeliest to exceed first, and the step stops at the first one that
+    does. So the step sequence and the RwEstimate are those of bisecting
+    over ap_constant, bit for bit, errors included: a cube whose minimum
+    is subnormal can overflow ``md ** (q - 1)`` there, so a family holding
+    one evaluates every uncleared cube before it answers.
     """
     if threshold <= 1:
         raise PreconditionError("threshold must be > 1")
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     lo = 1.0 + tol
-    if ap_constant(w, lo, family) <= threshold:
+    # ap_constant(w, lo) checks its index before it reads the weight.
+    if lo <= 1:
+        raise PreconditionError(f"A_p requires p > 1, got {lo}")
+    exceeds = _ap_exceeds(w, family, threshold)
+    if not exceeds(lo):
         return RwEstimate(lo, False, threshold, tol)
-    if ap_constant(w, q_max, family) > threshold:
+    if exceeds(q_max):
         return RwEstimate(q_max, True, threshold, tol)
     hi = q_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if ap_constant(w, mid, family) <= threshold:
+        if not exceeds(mid):
             hi = mid
         else:
             lo = mid
     return RwEstimate(hi, False, threshold, tol)
+
+
+def _ap_exceeds(w, family, threshold):
+    """The bisection test ``q -> ap_constant(w, q, family) > threshold`` (see estimate_rw).
+
+    The weight's blocks, node means, minima and A_1 ratios are taken once;
+    each call then computes the peaks of every cube as one power.
+    """
+    if w.kind != FieldKind.WEIGHT:
+        raise PreconditionError("ap_constant requires a weight field")
+    blocks = _cube_values(w, family)
+    means = [_cube_means(vals) for vals in blocks]
+    starts = [0, *itertools.accumulate(len(vals) for vals in blocks)]
+    size = max(vals.shape[1] for vals in blocks)
+    peak_lo, peak_hi = size * _TINY, _HUGE / (2.0 * size)
+    mins = np.concatenate([vals.min(axis=1) for vals in blocks])
+    normal = mins >= _TINY
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = np.where(normal, np.array([m for ms in means for m in ms]) / mins, np.inf)
+    stop_early = not mins[~normal].any()
+
+    def exceeds(q):
+        if q <= 1:
+            raise PreconditionError(f"A_p requires p > 1, got {q}")
+        expo = 1.0 / (1.0 - q)
+        with np.errstate(divide="ignore", over="ignore"):
+            peak = mins**expo
+        todo = np.flatnonzero(~((ratio <= threshold * math.exp(-1e-9 * q))
+                                & (peak >= peak_lo) & (peak <= peak_hi)))
+        if not todo.size:
+            return False
+        # Peaks too large to clear first (an overflowed one makes the value
+        # inf), then by A_1 ratio.
+        todo = todo[np.argsort(np.where(peak[todo] > peak_hi, -np.inf, -ratio[todo]),
+                               kind="stable")]
+        best = 0.0
+        for part in (todo[:1], todo[1:]) if stop_early else (todo,):
+            block_of = np.searchsorted(starts, part, side="right") - 1
+            for b in sorted(set(block_of.tolist())):
+                rows = part[block_of == b] - starts[b]
+                for r, md in zip(rows.tolist(), _dual_means(blocks[b][rows], expo)):
+                    best = max(best, means[b][r] * md ** (q - 1.0))
+                    if stop_early and best > threshold:
+                        return True
+        return not best <= threshold
+
+    return exceeds
 
 
 def doubling_constant(w, ball_family):

@@ -5,19 +5,22 @@ The cube constants, the Luxemburg bisection, ``eroded_mask``, the
 packed balls once ran one region (or one offset, or one pair) at a time.
 Those loops are frozen here as references, and the block versions must
 reproduce them with ``==``, errors included. So is the 1D packing DP on
-(total, -count) tuples, which now runs on flat lists.
+(total, -count) tuples, which now runs on flat lists, and the r_w
+bisection that evaluated every cube at every step.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rieszvar.varexp
+import rieszvar.weights
 from rieszvar import Ball, BallCollection, build_grid, generate_cubes, sample_catalog
 from rieszvar.config import load_config_file, materialize_level
-from rieszvar.errors import BadShape, NoCubes, PreconditionError, ZeroWeightOnCube
+from rieszvar.errors import BadShape, NoCubes, PreconditionError, ToolkitError, ZeroWeightOnCube
 from rieszvar.grid import (
     ATOL,
     Cube,
@@ -30,6 +33,7 @@ from rieszvar.grid import (
     eroded_mask,
     gradient_magnitude,
     region_mask,
+    same_nodes,
     size_blocks,
 )
 from rieszvar.riesz import candidate_balls, make_scores, measure_balls, pack_1d_exact
@@ -46,7 +50,14 @@ from rieszvar.varexp import (
     packing_terms,
     seq_norm,
 )
-from rieszvar.weights import CubeFamily, a1_constant, ap_constant, rh_constant
+from rieszvar.weights import (
+    CubeFamily,
+    RwEstimate,
+    a1_constant,
+    ap_constant,
+    estimate_rw,
+    rh_constant,
+)
 
 from conftest import const_weight, linear, scored_set, unit_disk
 
@@ -93,6 +104,41 @@ def frozen_rh(w, s, family):
             raise ZeroWeightOnCube("weight integrates to zero on a cube")
         best = max(best, float((vals**s).mean() ** (1.0 / s) / mean_w))
     return best
+
+
+def frozen_checked_ap(w, p, family):
+    """frozen_ap behind the checks ap_constant makes before it reads a cube."""
+    if p <= 1:
+        raise PreconditionError(f"A_p requires p > 1, got {p}")
+    if w.kind != FieldKind.WEIGHT:
+        raise PreconditionError("ap_constant requires a weight field")
+    if not (same_nodes(w.grid, family.grid) and np.array_equal(w.grid.mask, family.grid.mask)):
+        raise PreconditionError("weight and cube family live on different grids")
+    # frozen_ap multiplies a numpy mean, which warns where ap_constant's
+    # Python float overflows to inf silently; the value is inf either way.
+    with np.errstate(over="ignore"):
+        return frozen_ap(w, p, family)
+
+
+def frozen_rw(w, family, threshold=1000.0, tol=1e-3, q_max=64.0):
+    """The r_w bisection with one full A_q evaluation per step."""
+    if threshold <= 1:
+        raise PreconditionError("threshold must be > 1")
+    if tol <= 0:
+        raise PreconditionError("tol must be positive")
+    lo = 1.0 + tol
+    if frozen_checked_ap(w, lo, family) <= threshold:
+        return RwEstimate(lo, False, threshold, tol)
+    if frozen_checked_ap(w, q_max, family) > threshold:
+        return RwEstimate(q_max, True, threshold, tol)
+    hi = q_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if frozen_checked_ap(w, mid, family) <= threshold:
+            hi = mid
+        else:
+            lo = mid
+    return RwEstimate(hi, False, threshold, tol)
 
 
 def frozen_luxemburg(av, pv, weight, tol):
@@ -232,11 +278,14 @@ def frozen_dp_1d(scored):
     return sorted(int(k) for k in selected)
 
 
-def outcome(fn, *args):
-    """The value of fn(*args), or the type and message of the ZeroWeightOnCube it raises."""
+def outcome(fn, *args, **kwargs):
+    """The value of fn, or the type and message of the error it raises.
+
+    A weight with subnormal values can overflow the float power
+    ``md ** (q - 1)`` of A_q, which Python raises as OverflowError."""
     try:
-        return fn(*args)
-    except ZeroWeightOnCube as exc:
+        return fn(*args, **kwargs)
+    except (ToolkitError, OverflowError) as exc:
         return type(exc), str(exc)
 
 
@@ -309,6 +358,126 @@ class TestCubeConstantsMatchFrozenLoops:
             got = outcome(fn, *args)
             assert got == outcome(frozen, *args) and got[0] is ZeroWeightOnCube
         assert a1_constant(w, family) == frozen_a1(w, family) == float("inf")
+
+
+def verify_2d_level0():
+    """The weight and cube family of ``perfbench/configs/verify_2d.json``'s first level."""
+    cfg = load_config_file(Path(__file__).parents[1] / "perfbench/configs/verify_2d.json")
+    grid, _, w, _ = materialize_level(cfg, 0)
+    cubes = cfg.cubes
+    return cfg, w, generate_cubes(grid, cubes.min_side, cubes.levels, cubes.shifts)
+
+
+def rw_disk_case(k):
+    """The k-th weight of TestCubeConstantsMatchFrozenLoops on its disk family."""
+    grid = unit_disk(0.1)
+    w = list(TestCubeConstantsMatchFrozenLoops().weights(grid))[k]
+    return w, generate_cubes(grid, 0.2, 3, shifts=2)
+
+
+def rw_near_singularity_case(alpha):
+    """Demo 02's grid: a node 1e-9 from the singularity, so dual terms overflow."""
+    grid = build_grid(1, [-1.0 + 1e-9], 1 / 1024, [2049])
+    w = sample_catalog(grid, "power_weight", {"alpha": alpha})
+    return w, generate_cubes(grid, 0.25, 4, shifts=2)
+
+
+def rw_wide_span_case():
+    """Values from 1e-300 to 1e300: dual terms underflow and overflow."""
+    grid = build_grid(2, [-1.0, -1.0], 0.125, [17, 17])
+    rng = np.random.default_rng(11)
+    w = SampledField(grid, 10.0 ** rng.uniform(-300, 300, grid.shape), FieldKind.WEIGHT)
+    return w, generate_cubes(grid, 0.25, 3, shifts=2)
+
+
+def rw_subnormal_case():
+    """A zero node and a strip of subnormal values: ``md ** (q - 1)`` overflows."""
+    grid = build_grid(2, [-1.0, -1.0], 0.125, [17, 17])
+    x, y = grid.coords()
+    v = np.where(x > 0.5, 1e-310, 1.0 + y**2)
+    v[0, 0] = 0.0
+    return SampledField(grid, v, FieldKind.WEIGHT), generate_cubes(grid, 0.25, 3, shifts=2)
+
+
+class TestRwSearchMatchesFrozenBisection:
+    """estimate_rw clears cubes by their A_1 bound; its RwEstimate must be the full bisection's."""
+
+    CASES = {
+        "disk_alpha_0.5": lambda: rw_disk_case(0),
+        "disk_alpha_-0.7": lambda: rw_disk_case(1),
+        "disk_zero_node": lambda: rw_disk_case(2),
+        "disk_random": lambda: rw_disk_case(3),
+        "verify_2d": lambda: verify_2d_level0()[1:],
+        "near_singularity_0.5": lambda: rw_near_singularity_case(0.5),
+        "near_singularity_0.95": lambda: rw_near_singularity_case(0.95),
+        "wide_span": rw_wide_span_case,
+        "subnormal": rw_subnormal_case,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_estimates_equal(self, case):
+        w, fam = self.CASES[case]()
+        for threshold in (1.5, 10.0, 1000.0, 1e12):
+            for tol in (1e-3, 1e-8):
+                for q_max in (2.0, 64.0):
+                    kw = dict(threshold=threshold, tol=tol, q_max=q_max)
+                    got = outcome(estimate_rw, w, fam, **kw)
+                    assert got == outcome(frozen_rw, w, fam, **kw), kw
+                    if case == "disk_zero_node":
+                        assert got == RwEstimate(q_max, True, threshold, tol)
+                    if case == "subnormal" and q_max == 64.0:
+                        assert got[0] is OverflowError
+
+    def test_rounding_above_the_ratio(self, disk_grid):
+        """Constant weights have A_1 ratio 1, but A_q computes a few ulps above
+        it: thresholds just above 1 need the clearing margin."""
+        fam = generate_cubes(disk_grid, 0.2, 3, shifts=2)
+        for c in (0.1, 1 / 3, 0.7, 7.0, 1e-5):
+            w = const_weight(disk_grid, c)
+            for threshold in (math.nextafter(1.0, 2.0), 1.0 + 1e-15, 1.0 + 1e-12):
+                assert estimate_rw(w, fam, threshold=threshold) == frozen_rw(
+                    w, fam, threshold=threshold), (c, threshold)
+
+    def test_error_outcomes(self, disk_grid):
+        fam = generate_cubes(disk_grid, 0.2, 3, shifts=2)
+        x = disk_grid.coords()[0]
+        zero_mean = SampledField(disk_grid, np.where(x > 0.3, 1.0 + x, 0.0), FieldKind.WEIGHT)
+        function = SampledField(disk_grid, x, FieldKind.FUNCTION)
+        mask = disk_grid.mask.copy()
+        mask[10, 10] = False
+        foreign = const_weight(replace(disk_grid, mask=mask))
+        ok = const_weight(disk_grid, 2.0)
+        steep = sample_catalog(disk_grid, "power_weight", {"alpha": 3.0, "center": [0.03, -0.05]})
+        cases = [
+            (zero_mean, {}, ZeroWeightOnCube),
+            (function, {}, PreconditionError),
+            (foreign, {}, PreconditionError),
+            (function, {"tol": 1e-17}, PreconditionError),  # the index check comes first
+            (steep, {"threshold": 1.5, "q_max": 1.0}, PreconditionError),
+            (ok, {"threshold": 1.0}, PreconditionError),
+            (ok, {"tol": 0.0}, PreconditionError),
+        ]
+        for w, kw, error in cases:
+            got = outcome(estimate_rw, w, fam, **kw)
+            assert got == outcome(frozen_rw, w, fam, **kw) and got[0] is error, (got, kw)
+
+    def test_few_exact_rows_on_verify_2d(self, monkeypatch):
+        """The search evaluates a few cube rows exactly, not all 143 at every step."""
+        cfg, w, fam = verify_2d_level0()
+        assert len(fam) == 143
+        thr = cfg.thresholds
+        kw = dict(threshold=thr.rw_threshold, tol=thr.rw_tol)
+        rows = []
+        dual_means = rieszvar.weights._dual_means
+
+        def counted(vals, expo):
+            rows.append(len(vals))
+            return dual_means(vals, expo)
+
+        monkeypatch.setattr(rieszvar.weights, "_dual_means", counted)
+        got = estimate_rw(w, fam, **kw)
+        assert got == frozen_rw(w, fam, **kw) and got.value == 1.0029225769042966
+        assert 0 < sum(rows) <= 40, rows
 
 
 class TestLuxemburgMatchesScalarBisection:

@@ -346,6 +346,31 @@ class TestRunContext:
                 assert [p for packings, _ in calls for p in packings] == built
                 assert all(gathered == 0 for _, gathered in calls)
 
+    def test_gradient_once_per_level(self, monkeypatch):
+        """theorem1 and the sobolev table read one |grad f| per level, for every p."""
+        fields = []
+        gradient = harness.gradient_magnitude
+
+        def counted(f):
+            fields.append(f)
+            return gradient(f)
+
+        monkeypatch.setattr(harness, "gradient_magnitude", counted)
+        cfg = load_config(json.loads((ROOT / "demos" / "configs" / "theorem1_linear.json").read_text()))
+        assert len(cfg.p_values) > 1 and cfg.refinements > 1
+        ctx = RunContext(cfg)
+        verify_theorem1(ctx)
+        harness.table_sobolev(ctx)
+        assert len(fields) == cfg.refinements
+
+    def test_runtime_ms_is_float_milliseconds(self):
+        """A table's first row carries its wall time in ms, rounded to 3 decimals."""
+        cfg = load_config(json.loads((ROOT / "demos" / "configs" / "theorem1_linear.json").read_text()))
+        first, *rest = run_table(cfg, "sobolev").rows
+        assert isinstance(first.runtime_ms, float) and first.runtime_ms > 0.0
+        assert first.runtime_ms == round(first.runtime_ms, 3)
+        assert rest and all(r.runtime_ms == 0.0 for r in rest)
+
     def test_failing_value_is_not_cached(self):
         suites = ["theorem1", "lemma21", "rh_exists", "morrey"]
         cfg = load_config(minimal_config(

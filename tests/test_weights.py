@@ -21,10 +21,10 @@ from rieszvar import (
 )
 from rieszvar.errors import InfiniteDual, NoCubes, PreconditionError
 from rieszvar.grid import region_mask
-import rieszvar.weights as weights
 from rieszvar.weights import (
     CubeFamily,
     CubeProvenance,
+    RwEstimate,
     _cube_values,
     doubling_ball_family,
 )
@@ -118,6 +118,23 @@ def reference_ap(w, p, family):
     return best
 
 
+def reference_rw(w, family, threshold, tol=1e-3, q_max=64.0):
+    """The scalar bisection over reference_ap that estimate_rw once ran."""
+    lo = 1.0 + tol
+    if reference_ap(w, lo, family) <= threshold:
+        return RwEstimate(lo, False, threshold, tol)
+    if reference_ap(w, q_max, family) > threshold:
+        return RwEstimate(q_max, True, threshold, tol)
+    hi = q_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if reference_ap(w, mid, family) <= threshold:
+            hi = mid
+        else:
+            lo = mid
+    return RwEstimate(hi, False, threshold, tol)
+
+
 def reference_a1(w, family):
     best = 0.0
     for vals in _reference_values(w, family):
@@ -152,11 +169,10 @@ class TestConstantsMatchRegionMaskReference:
         for s in (1.05, 1.5, 2.0):
             assert rh_constant(w, s, fam) == reference_rh(w, s, fam)
 
-    def test_estimate_rw_bit_equal(self, case, monkeypatch):
+    def test_estimate_rw_bit_equal(self, case):
         w, fam = case
-        got = [estimate_rw(w, fam, threshold=t) for t in (2.0, 10.0, 1000.0)]
-        monkeypatch.setattr(weights, "ap_constant", reference_ap)
-        assert got == [estimate_rw(w, fam, threshold=t) for t in (2.0, 10.0, 1000.0)]
+        for t in (2.0, 10.0, 1000.0):
+            assert estimate_rw(w, fam, threshold=t) == reference_rw(w, fam, t)
 
 
 class TestApConstant:
