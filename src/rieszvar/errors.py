@@ -37,6 +37,10 @@ class ZeroWeightOnCube(ToolkitError):
     """Weight integrates to zero on a cube, making an average undefined."""
 
 
+class WeightOverflow(ToolkitError):
+    """A cube average of the weight (or of a power of it) exceeds the float range."""
+
+
 class ZeroWeightOnBall(ToolkitError):
     """Weight integrates to zero on a ball of a doubling family."""
 

@@ -416,8 +416,7 @@ def lattice_flat(grid, k):
 
 def lattice_offsets(dim, reach):
     """Integer offsets with every component in [-reach, reach], row-major, shape (m, dim)."""
-    axes = [np.arange(-reach, reach + 1)] * dim
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    return np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
 
 
 def ball_offsets(grid, r):

@@ -9,6 +9,7 @@ a swap-based local search give certified feasible lower bounds.
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,13 @@ METHODS = (DP_1D_EXACT, GREEDY, GREEDY_PLUS_LOCAL_SEARCH)
 MAX_ITERS = 200
 # Gathered node values per block in measure_balls: bounds its scratch memory.
 _GATHER_BLOCK = 1 << 14
+# Node-centred candidate sets of at least this size decide conflicts by
+# lattice stencils; smaller ones by distance rows. A greedy pick on a
+# small set costs less as one distance row than the table and stencils
+# cost to set up (the benchmark's disk and box solves, 126-362
+# candidates and 1-9 picks); the 625-1466 candidate sets of its 2D
+# config pay for them within a few picks.
+_STENCIL_MIN = 512
 _UNCONTAINED = "measure_balls requires balls contained in the domain"
 
 
@@ -56,20 +64,67 @@ class BallScore:
     score: float
 
 
+class NodeLattice:
+    """The nodes of a grid, padded by ``pad`` on every side, and conflict stencils on them.
+
+    Node k of the grid has the flat index ``index(k)`` in the padded box,
+    so a node-centred ball reaches its lattice neighbours within ``pad``
+    steps per axis as ``index(k) + offset`` without leaving the box.
+    ``stencil(s)`` is the flat form of ``ball_offsets(grid, s)``: node
+    centres a and b are closer than s (the closed-disjointness rule of
+    ``grid.balls_disjoint`` for two radii summing to s) exactly when
+    ``b - a`` is one of its offsets. Stencils are decided on first use
+    and kept for the lattice's lifetime, which is that of the candidate
+    set that made it.
+    """
+
+    def __init__(self, grid, pad):
+        self.grid = grid
+        self.pad = pad
+        shape = [s + 2 * pad for s in grid.shape]
+        self.size = math.prod(shape)
+        self._strides = np.array([math.prod(shape[a + 1:]) for a in range(grid.dim)])
+        self._stencils = {}
+
+    def index(self, k):
+        """Padded flat indices of node multi-indices k (..., dim)."""
+        return (np.asarray(k) + self.pad) @ self._strides
+
+    def stencil(self, s):
+        flat = self._stencils.get(s)
+        if flat is None:
+            offsets = ball_offsets(self.grid, s)
+            if offsets.size and np.abs(offsets).max() > self.pad:
+                raise PreconditionError(f"radius sum {s} reaches beyond the lattice padding")
+            flat = self._stencils[s] = offsets @ self._strides
+        return flat
+
+
+def _array_fields(candidates):
+    """Names of the per-candidate arrays of a CandidateSet (every field but ``lattice``)."""
+    return [f.name for f in fields(candidates) if f.name != "lattice"]
+
+
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Candidate balls as arrays: centres (n, dim) and radii (n,); ``ball(i)`` builds one."""
+    """Candidate balls as arrays: centres (n, dim) and radii (n,); ``ball(i)`` builds one.
+
+    ``lattice`` is the NodeLattice of the grid whose nodes centre the
+    candidates, as ``candidate_balls`` records it; ``subset`` and
+    ``make_scores`` keep it, so their sets share its stencils. It is None
+    for balls with free centres.
+    """
 
     centers: np.ndarray
     radii: np.ndarray
+    lattice: NodeLattice = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+        names = _array_fields(self)
+        for name in names:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = len(self.radii)
-        if self.centers.ndim != 2 or any(
-            getattr(self, f.name).shape != (n,) for f in fields(self)[1:]
-        ):
+        if self.centers.ndim != 2 or any(getattr(self, name).shape != (n,) for name in names[1:]):
             raise BadShape("candidate centers must be (n, dim) and every other array (n,)")
 
     def __len__(self):
@@ -80,7 +135,7 @@ class CandidateSet:
 
     def subset(self, index):
         """The candidates ``index`` selects (boolean mask, index array or slice), in its order."""
-        return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self)})
+        return replace(self, **{name: getattr(self, name)[index] for name in _array_fields(self)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,15 +153,26 @@ class ScoredCandidates(CandidateSet):
 
 @dataclass(frozen=True)
 class PackingSolution:
-    """A disjoint subset of a candidate set; ``indices`` are its positions there, ascending."""
+    """A disjoint subset of a candidate set; ``indices`` are its positions there, ascending.
+
+    ``scores`` (a BallScore per index) and ``collection`` (their balls)
+    are built from the ScoredCandidates ``scored`` on first access.
+    """
 
     indices: tuple
-    collection: BallCollection = field(compare=False)
-    scores: tuple = field(compare=False)
+    scored: ScoredCandidates = field(compare=False, repr=False)
     total: float
     variation: float
     p: float
     method: str
+
+    @cached_property
+    def scores(self):
+        return tuple(self.scored.ball_score(i) for i in self.indices)
+
+    @cached_property
+    def collection(self):
+        return BallCollection(tuple(s.ball for s in self.scores))
 
 
 def candidate_balls(grid, radii_list):
@@ -126,7 +192,8 @@ def candidate_balls(grid, radii_list):
     flat, which = np.nonzero(fits)
     if not flat.size:
         raise NoCandidates("no candidate ball fits inside the domain")
-    return CandidateSet(grid.node_coordinate(flat), np.array(radii)[which])
+    lattice = NodeLattice(grid, math.ceil(2 * radii[-1] / grid.spacing))
+    return CandidateSet(grid.node_coordinate(flat), np.array(radii)[which], lattice=lattice)
 
 
 def _require_weight(w):
@@ -187,7 +254,8 @@ def make_scores(candidates, osc, mass, p):
         raise PreconditionError(f"p must be >= 1, got {p}")
     base = (np.asarray(osc, dtype=float) / candidates.radii).tolist()
     score = np.array([x ** p for x in base], dtype=float) * mass
-    return ScoredCandidates(candidates.centers, candidates.radii, osc, mass, score)
+    return ScoredCandidates(candidates.centers, candidates.radii, osc, mass, score,
+                            lattice=candidates.lattice)
 
 
 def score_ball(f, w, ball, p):
@@ -200,12 +268,10 @@ def score_ball(f, w, ball, p):
 def _solution(selected, scored, p, method):
     """PackingSolution of the selected indices; fsum makes the total order-independent."""
     indices = tuple(sorted(int(i) for i in selected))
-    chosen = tuple(scored.ball_score(i) for i in indices)
-    total = math.fsum(s.score for s in chosen)
+    total = math.fsum(scored.score[list(indices)].tolist())
     return PackingSolution(
         indices=indices,
-        collection=BallCollection(tuple(s.ball for s in chosen)),
-        scores=chosen,
+        scored=scored,
         total=total,
         variation=total ** (1.0 / p) if total > 0 else 0.0,
         p=float(p),
@@ -254,46 +320,137 @@ def pack_1d_exact(scored, p):
 
 
 class _ConflictRows:
-    """Conflicts between candidates: cached rows for selected balls, pair tests on demand.
+    """Conflicts between candidates: cached neighbour lists and rows for selected balls.
 
-    ``rows(i)[j]`` and ``rows.overlap(i, j)`` are True when candidates i
-    and j are not closed-disjoint under the rule of ``grid.balls_disjoint``
-    (``rows(i)[i]`` is True). A row costs one bool per candidate; the
-    packers build one only for a ball they select.
+    Candidates i and j conflict when they are not closed-disjoint under
+    the rule of ``grid.balls_disjoint``. ``neighbours(i)`` lists the
+    candidates that conflict with i, i included, ``rows(i)`` is that list
+    as a bool row over the candidates, and ``rows.overlap(i, j)`` decides
+    pairs elementwise. The packers build lists and rows only for balls
+    they select, each once per pack call. Here a list is one distance row
+    over every candidate; ``_StencilRows`` gathers it from lattice stencils.
     """
 
     def __init__(self, candidates):
         self._centers = candidates.centers
         self._radii = candidates.radii
+        self._lists = {}
         self._rows = {}
+
+    def neighbours(self, i):
+        nb = self._lists.get(i)
+        if nb is None:
+            nb = self._lists[i] = self._build(i)
+        return nb
 
     def __call__(self, i):
         row = self._rows.get(i)
         if row is None:
-            row = self.overlap(i, slice(None))
-            self._rows[i] = row
+            row = self._rows[i] = np.zeros(len(self._radii), dtype=bool)
+            row[self.neighbours(i)] = True
         return row
+
+    def _build(self, i):
+        return np.flatnonzero(self.overlap(i, slice(None)))
 
     def overlap(self, i, j):
         """Elementwise conflict of candidates ``i`` and ``j`` (indices, index arrays or slices)."""
         return balls_overlap(self._centers[i], self._radii[i], self._centers[j], self._radii[j])
 
 
+class _StencilRows(_ConflictRows):
+    """_ConflictRows of node-centred candidates, decided by the stencils of their NodeLattice.
+
+    Candidates (node a, r) and (node b, r') conflict exactly when ``b - a``
+    lies in ``ball_offsets(grid, r + r')``. A padded (node, radius) ->
+    candidate table, -1 where there is none, makes each neighbour list one
+    gather ``table[key_i + offsets]``, whose offsets hold the stencils of
+    i's radius with every radius of the set. ``one_per_key`` is False when
+    two candidates share a node and radius (a subset that repeats an
+    index), which the table cannot hold.
+    """
+
+    def __init__(self, candidates):
+        super().__init__(candidates)
+        lat = self._lattice = candidates.lattice
+        self._radius_set = sorted(set(self._radii.tolist()))
+        nr = len(self._radius_set)
+        k = np.rint((self._centers - lat.grid.origin) / lat.grid.spacing).astype(int)
+        self._key = lat.index(k) * nr + np.searchsorted(self._radius_set, self._radii)
+        self._table = np.full(lat.size * nr, -1, dtype=np.intp)
+        self._table[self._key] = np.arange(len(self._key))
+        self.one_per_key = np.array_equal(self._table[self._key], np.arange(len(self._key)))
+        self._offsets = {}
+        # Pair codes for ``overlap``: band a * nr + b of width span (wider
+        # than any key difference) holds the (a, b) stencil, sorted.
+        self._span = 2 * nr * lat.size + 1
+        self._codes = None
+
+    def _pair_stencil(self, a, b):
+        """Key offsets from a candidate of radius index a to its neighbours of radius index b."""
+        nr = len(self._radius_set)
+        return self._lattice.stencil(self._radius_set[a] + self._radius_set[b]) * nr + (b - a)
+
+    def _build(self, i):
+        a = int(self._key[i] % len(self._radius_set))
+        offsets = self._offsets.get(a)
+        if offsets is None:
+            offsets = self._offsets[a] = np.concatenate(
+                [self._pair_stencil(a, b) for b in range(len(self._radius_set))])
+        nb = self._table[self._key[i] + offsets]
+        return nb[nb >= 0]
+
+    def overlap(self, i, j):
+        """Elementwise stencil test: key j - key i is an offset of their radii's pair stencil."""
+        nr = len(self._radius_set)
+        if self._codes is None:
+            self._codes = np.sort(np.concatenate([
+                self._pair_stencil(a, b) + (a * nr + b) * self._span
+                for a in range(nr) for b in range(nr)]))
+        ki, kj = np.broadcast_arrays(self._key[i], self._key[j])
+        code = (kj - ki + (ki % nr * nr + kj % nr) * self._span).reshape(-1)
+        at = np.minimum(np.searchsorted(self._codes, code), self._codes.size - 1)
+        return self._codes[at] == code
+
+
+def _conflicts(candidates):
+    """The _ConflictRows of one pack call: stencils for large node-centred sets (see _STENCIL_MIN)."""
+    if candidates.lattice is not None and len(candidates) >= _STENCIL_MIN:
+        rows = _StencilRows(candidates)
+        if rows.one_per_key:
+            return rows
+    return _ConflictRows(candidates)
+
+
 def _greedy(scored, rows):
-    """Indices of the highest-score-first disjoint selection; it caches their ``rows``."""
-    blocked = np.zeros(len(scored), dtype=bool)
-    selected = []
+    """Indices of the highest-score-first disjoint selection; it caches their ``rows``.
+
+    The walk runs over the ranks of the positive scores: a pick takes its
+    rank and blocks the ranks of its neighbours, and the next pick is the
+    first rank still free.
+    """
     order = np.argsort(-scored.score, kind="stable")
-    for i in order[scored.score[order] > 0].tolist():
-        if not blocked[i]:
-            selected.append(i)
-            blocked |= rows(i)
+    order = order[scored.score[order] > 0]
+    m = order.size
+    rank = np.full(len(scored), m)  # unranked candidates block the sentinel rank m
+    rank[order] = np.arange(m)
+    free = np.ones(m + 1, dtype=bool)
+    selected = []
+    pos = 0
+    while pos < m:
+        i = int(order[pos])
+        selected.append(i)
+        free[rank[rows.neighbours(i)]] = False
+        free[pos] = False
+        pos += int(free[pos:m].argmax())
+        if not free[pos]:
+            break
     return selected
 
 
 def pack_greedy(scored, p):
     """Highest-score-first selection of mutually disjoint balls."""
-    return _solution(_greedy(scored, _ConflictRows(scored)), scored, p, GREEDY)
+    return _solution(_greedy(scored, _conflicts(scored)), scored, p, GREEDY)
 
 
 def _improve(scored, start, max_iters, rows):
@@ -346,7 +503,7 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
     that pass the count and gain tests, under the rule of
     ``grid.balls_disjoint``.
     """
-    selected = _improve(scored, initial.indices, max_iters, _ConflictRows(scored))
+    selected = _improve(scored, initial.indices, max_iters, _conflicts(scored))
     if selected is None:
         return initial
     return _solution(selected, scored, initial.p, GREEDY_PLUS_LOCAL_SEARCH)
@@ -447,7 +604,7 @@ def pack(scored, p, method, max_iters):
         raise PreconditionError(f"unknown packing method {method!r}")
     if method == DP_1D_EXACT:
         return pack_1d_exact(scored, p)
-    rows = _ConflictRows(scored)
+    rows = _conflicts(scored)
     selected = _greedy(scored, rows)
     if method == GREEDY_PLUS_LOCAL_SEARCH:
         improved = _improve(scored, selected, max_iters, rows)

@@ -24,6 +24,7 @@ bisection over ap_constant bit for bit (see estimate_rw).
 import itertools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -33,6 +34,7 @@ from .errors import (
     InfiniteDual,
     NoCubes,
     PreconditionError,
+    WeightOverflow,
     ZeroWeightOnBall,
     ZeroWeightOnCube,
 )
@@ -59,12 +61,28 @@ class CubeProvenance(Enum):
 
 
 @dataclass(frozen=True, eq=False)
+class CubeArrays(Sequence):
+    """Cubes as arrays: corners (m, dim) and sides (m,); item i is built as a Cube on access."""
+
+    corners: np.ndarray
+    sides: np.ndarray
+
+    def __len__(self):
+        return len(self.sides)
+
+    def __getitem__(self, i):
+        return Cube(self.corners[i], float(self.sides[i]))
+
+
+@dataclass(frozen=True, eq=False)
 class CubeFamily:
     """Cubes bound to a grid, each with its masked-in nodes.
 
-    ``nodes[i]`` holds the flat row-major indices of the masked-in nodes
-    of ``cubes[i]``; cubes that hold none are dropped. ``blocks`` are
-    those indices stacked by cube size (``grid.size_blocks``).
+    ``cubes`` is a sequence of Cubes or a CubeArrays (which
+    ``generate_cubes`` passes); cubes that hold no masked-in node are
+    dropped, and the kept ones stay in the form given. ``nodes[i]`` holds
+    the flat row-major indices of the masked-in nodes of ``cubes[i]``.
+    ``blocks`` are those indices stacked by cube size (``grid.size_blocks``).
     """
 
     grid: object
@@ -74,11 +92,21 @@ class CubeFamily:
     blocks: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        kept = [(c, i) for c, i in zip(self.cubes, _cube_nodes(self.grid, self.cubes)) if i.size]
+        arrays = isinstance(self.cubes, CubeArrays)
+        given = self.cubes if arrays else tuple(self.cubes)
+        if arrays:
+            corners, sides = given.corners, given.sides
+        else:
+            corners = np.array([c.corner for c in given], dtype=float).reshape(
+                len(given), self.grid.dim)
+            sides = np.array([c.side for c in given], dtype=float)
+        nodes = _cube_nodes(self.grid, corners, sides)
+        kept = [k for k, i in enumerate(nodes) if i.size]
         if not kept:
             raise NoCubes("no cube of the family holds a masked-in node")
-        object.__setattr__(self, "cubes", tuple(c for c, _ in kept))
-        object.__setattr__(self, "nodes", tuple(i for _, i in kept))
+        cubes = CubeArrays(corners[kept], sides[kept]) if arrays else tuple(given[k] for k in kept)
+        object.__setattr__(self, "cubes", cubes)
+        object.__setattr__(self, "nodes", tuple(nodes[k] for k in kept))
         object.__setattr__(self, "blocks", size_blocks(self.nodes))
 
     def __len__(self):
@@ -88,23 +116,22 @@ class CubeFamily:
         return iter(self.cubes)
 
 
-def _cube_nodes(grid, cubes):
-    """Per cube, the flat row-major indices of its masked-in nodes.
+def _cube_nodes(grid, corners, sides):
+    """Per cube (corners (m, dim), sides (m,)), the flat row-major indices of its masked-in nodes.
 
     Along axis a a closed cube holds the nodes with ``corner - tol <= x <=
     corner + side + tol``, ``tol = ATOL * max(1, side)``: the index range
     ``first + arange(count)``. Cubes with equal counts are gathered as one
     base + offsets block, whose rows are then cut to the mask.
     """
-    corners = np.array([c.corner for c in cubes], dtype=float).reshape(len(cubes), grid.dim)
-    sides = np.array([c.side for c in cubes], dtype=float)[:, None]
+    sides = sides[:, None]
     tol = ATOL * np.maximum(1.0, sides)
     coords = [grid.axis_coords(a) for a in range(grid.dim)]
     first = np.stack([np.searchsorted(x, lo) for x, lo in zip(coords, (corners - tol).T)], 1)
     count = np.stack([np.searchsorted(x, hi, side="right") for x, hi in
                       zip(coords, (corners + sides + tol).T)], 1) - first
     mask = grid.mask.reshape(-1)
-    nodes = [np.empty(0, dtype=np.intp)] * len(cubes)
+    nodes = [np.empty(0, dtype=np.intp)] * len(corners)
     # sorted(set()) rather than np.unique, which imports numpy.ma.
     for shape in sorted(set(map(tuple, count.tolist()))):
         if 0 in shape:
@@ -148,7 +175,7 @@ def generate_cubes(grid, min_side, levels, shifts=1):
         raise PreconditionError("levels and shifts must be >= 1")
     lo = grid.bbox_lo
     hi = grid.bbox_hi
-    cubes = []
+    corners, sides = [], []
     for level in range(levels):
         side = min_side * 2**level
         tol = ATOL * max(1.0, side)
@@ -159,9 +186,11 @@ def generate_cubes(grid, min_side, levels, shifts=1):
             axes = [c[(c >= lo[a] - tol) & (c + side <= hi[a] + tol)]
                     for a, c in enumerate(axes)]
             mesh = np.meshgrid(*axes, indexing="ij")
-            cubes += [Cube(c, side) for c in np.stack([m.reshape(-1) for m in mesh], axis=-1)]
+            corners.append(np.stack([m.reshape(-1) for m in mesh], axis=-1))
+            sides.append(np.full(len(corners[-1]), side))
     provenance = CubeProvenance.DYADIC if shifts == 1 else CubeProvenance.SHIFTED_DYADIC
-    return CubeFamily(grid, tuple(cubes), provenance)
+    return CubeFamily(grid, CubeArrays(np.concatenate(corners), np.concatenate(sides)),
+                      provenance)
 
 
 def _cube_values(w, family):
@@ -172,9 +201,18 @@ def _cube_values(w, family):
     return [flat[block] for _, block in family.blocks]
 
 
+def _row_means(vals, what):
+    """Per-cube means of one block of ``what``; a node sum past the float range raises."""
+    with np.errstate(over="ignore"):
+        means = vals.mean(axis=1)
+    if np.isinf(means).any():
+        raise WeightOverflow(f"the node sum of {what} on a cube overflows the float range")
+    return means
+
+
 def _cube_means(vals):
-    """Per-cube node means of one block, as Python floats; a zero mean raises."""
-    mean_w = vals.mean(axis=1)
+    """Per-cube node means of one block, as Python floats; a zero or overflowing mean raises."""
+    mean_w = _row_means(vals, "the weight")
     if (mean_w == 0.0).any():
         raise ZeroWeightOnCube("weight integrates to zero on a cube")
     return mean_w.tolist()
@@ -213,7 +251,7 @@ def a1_constant(w, family):
         mn = vals.min(axis=1)
         if (mn == 0.0).any():
             return float("inf")
-        best = max(best, float((vals.mean(axis=1) / mn).max()))
+        best = max(best, float((_row_means(vals, "the weight") / mn).max()))
     return best
 
 
@@ -224,7 +262,9 @@ def rh_constant(w, s, family):
     best = 0.0
     for vals in _cube_values(w, family):
         mean_w = _cube_means(vals)
-        for mw, ms in zip(mean_w, (vals**s).mean(axis=1).tolist()):
+        with np.errstate(over="ignore"):
+            powers = vals**s
+        for mw, ms in zip(mean_w, _row_means(powers, f"w^{s}").tolist()):
             best = max(best, ms ** (1.0 / s) / mw)
     return best
 

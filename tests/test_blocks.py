@@ -32,6 +32,7 @@ from rieszvar.grid import (
     balls_overlap,
     eroded_mask,
     gradient_magnitude,
+    lattice_offsets,
     region_mask,
     same_nodes,
     size_blocks,
@@ -182,6 +183,11 @@ def frozen_eroded_mask(grid, r):
                 dst, src = _shift_slices(delta, grid.shape)
                 ok[dst] &= grid.mask[src]
     return ok
+
+
+def frozen_lattice_offsets(dim, reach):
+    axes = [np.arange(-reach, reach + 1)] * dim
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
 
 
 def frozen_collection_error(balls):
@@ -608,6 +614,15 @@ class TestErodedMaskMatchesPerOffsetLoop:
                 assert np.array_equal(eroded_mask(g, r), frozen_eroded_mask(g, r))
 
 
+class TestLatticeOffsetsMatchMeshgrid:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_and_order(self, dim):
+        for reach in range(9):
+            got, want = lattice_offsets(dim, reach), frozen_lattice_offsets(dim, reach)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert (got == want).all()
+
+
 class TestBallCollectionMatchesPairLoop:
     def test_first_overlap_and_message(self):
         rng = np.random.default_rng(5)
@@ -676,6 +691,22 @@ class TestCubeFamilyMatchesPerCubeLoop:
             assert len(kept) < n_in_box
             full = {round(c.side / grid.spacing + 1) ** 2 for c, _ in kept}
             assert any(idx.size not in full for _, idx in kept)
+
+    def test_generated_family_builds_no_cube_objects(self, monkeypatch):
+        # Corners and sides stay arrays; fam.cubes builds a Cube only when read.
+        built = []
+
+        class CountedCube(Cube):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(rieszvar.weights, "Cube", CountedCube)
+        fam = generate_cubes(verify_2d_grid(), 0.25, 3, 2)
+        assert not built and len(fam) == 143
+        first = fam.cubes[0]
+        assert len(built) == 1 and isinstance(first, Cube)
+        assert [c.side for c in fam] == fam.cubes.sides.tolist()
 
     def test_user_family_any_cubes(self):
         grid = holes_grid()

@@ -183,6 +183,15 @@ class TestRunConfig:
         (rw,) = [r for r in run_table(cfg, "weights").rows if r.quantity == "rw"]
         assert "at_max=True" in rw.params and rw.value == 64.0
 
+    def test_weight_overflow_is_one_error_row(self):
+        """Cube sums past DBL_MAX cost the weights table one error row, not a traceback."""
+        raw = json.loads((ROOT / "perfbench" / "configs" / "verify_2d.json").read_text())
+        raw["weight"] = {"catalog": "constant", "params": {"value": 1e307}}
+        rows = run_table(load_config(raw), "weights").rows
+        assert [(r.experiment, r.quantity, r.status) for r in rows] == [
+            ("weights", "error", "error")]
+        assert "overflows the float range" in rows[0].params
+
     @pytest.mark.parametrize("name", ["theorem1_linear", "weak_type_hat"])
     def test_no_rw_at_max_row_on_demo_configs(self, name):
         raw = json.loads((ROOT / "demos" / "configs" / f"{name}.json").read_text())

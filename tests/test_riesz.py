@@ -459,21 +459,27 @@ class TestGreedyAndLocalSearch:
         assert set(ls.indices) == ref_selected
         assert ls.total == ref_total
 
-    def test_pack_builds_each_conflict_row_once(self, monkeypatch):
-        """Greedy hands its conflict rows to local search within one pack call."""
+    @pytest.mark.parametrize("stencil_min", [riesz._STENCIL_MIN, 0])
+    def test_pack_builds_each_conflict_row_once(self, monkeypatch, stencil_min):
+        """Greedy hands its neighbour lists to local search within one pack call.
+
+        With the default size threshold this set takes distance rows; with
+        threshold 0 it takes lattice stencils.
+        """
+        monkeypatch.setattr(riesz, "_STENCIL_MIN", stencil_min)
         g = unit_disk(0.125)
         f = sample_catalog(g, "sinusoid", {"freq": 2.0})
         cands = candidate_balls(g, [0.25, 0.5])
         scored = make_scores(cands, *measure_balls(f, const_weight(g), cands), 2.0)
+        stencil = type(riesz._conflicts(scored)) is riesz._StencilRows
+        assert stencil == (stencil_min == 0)
         built = Counter()
-        overlap = riesz._ConflictRows.overlap
-
-        def counted(rows, i, j):
-            if isinstance(j, slice):
+        for cls in (riesz._ConflictRows, riesz._StencilRows):
+            def counted(rows, i, build=cls._build):
                 built[int(i)] += 1
-            return overlap(rows, i, j)
+                return build(rows, i)
 
-        monkeypatch.setattr(riesz._ConflictRows, "overlap", counted)
+            monkeypatch.setattr(cls, "_build", counted)
         sol = pack(scored, 2.0, riesz.GREEDY_PLUS_LOCAL_SEARCH, MAX_ITERS)
         assert sol.method == riesz.GREEDY_PLUS_LOCAL_SEARCH
         assert set(sol.indices) <= set(built)
@@ -654,6 +660,8 @@ class TestRieszVariation:
             for packer in packers:
                 built.clear()
                 sol = packer()
+                assert not built  # balls are built when a solution's collection is read
+                assert len(sol.collection) == len(sol.indices)
                 assert len(built) == len(sol.indices) < len(cands)
                 for i, s in zip(sol.indices, sol.scores):
                     assert np.array_equal(s.ball.center, cands.centers[i])

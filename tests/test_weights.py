@@ -19,7 +19,7 @@ from rieszvar import (
     rh_constant,
     sample_catalog,
 )
-from rieszvar.errors import InfiniteDual, NoCubes, PreconditionError
+from rieszvar.errors import InfiniteDual, NoCubes, PreconditionError, WeightOverflow
 from rieszvar.grid import region_mask
 from rieszvar.weights import (
     CubeFamily,
@@ -311,6 +311,27 @@ class TestEstimateRw:
         loose = estimate_rw(w, fam, threshold=1e6, tol=1e-3)
         tight = estimate_rw(w, fam, threshold=10.0, tol=1e-3)
         assert tight.value >= loose.value - 1e-3
+
+
+class TestCubeSumOverflow:
+    """A cube sum (or a sum of powers) past DBL_MAX raises WeightOverflow, with no numpy warning."""
+
+    def test_constants_and_rw(self, disk_grid):
+        w = const_weight(disk_grid, 1e307)
+        fam = generate_cubes(disk_grid, 0.4, 2)
+        for constant in (lambda: ap_constant(w, 2.0, fam), lambda: a1_constant(w, fam),
+                         lambda: rh_constant(w, 1.5, fam), lambda: estimate_rw(w, fam)):
+            with pytest.raises(WeightOverflow, match="overflows the float range"):
+                constant()
+
+    def test_power_overflow_in_rh(self, disk_grid):
+        # The weight's own sums are finite; w^2 passes DBL_MAX at every node.
+        w = const_weight(disk_grid, 1e200)
+        fam = generate_cubes(disk_grid, 0.4, 2)
+        assert ap_constant(w, 2.0, fam) == pytest.approx(1.0)
+        assert rh_constant(w, 1.25, fam) == pytest.approx(1.0)
+        with pytest.raises(WeightOverflow, match="w\\^2.0"):
+            rh_constant(w, 2.0, fam)
 
 
 class TestDoubling:
