@@ -65,11 +65,12 @@ class BallScore:
 
 
 class NodeLattice:
-    """The nodes of a grid, padded by ``pad`` on every side, and conflict stencils on them.
+    """The nodes of a grid, padded on every side, and conflict stencils of balls on them.
 
-    Node k of the grid has the flat index ``index(k)`` in the padded box,
-    so a node-centred ball reaches its lattice neighbours within ``pad``
-    steps per axis as ``index(k) + offset`` without leaving the box.
+    ``radii`` are the candidate radii, ascending. Node k of the grid has
+    the flat index ``index(k)`` in the box padded by ``pad`` (twice the
+    largest radius, in node steps), so a node-centred ball reaches every
+    node closer than two radii as ``index(k) + offset`` inside the box.
     ``stencil(s)`` is the flat form of ``ball_offsets(grid, s)``: node
     centres a and b are closer than s (the closed-disjointness rule of
     ``grid.balls_disjoint`` for two radii summing to s) exactly when
@@ -78,9 +79,10 @@ class NodeLattice:
     set that made it.
     """
 
-    def __init__(self, grid, pad):
+    def __init__(self, grid, radii):
         self.grid = grid
-        self.pad = pad
+        self.radii = radii
+        self.pad = pad = math.ceil(2 * radii[-1] / grid.spacing)
         shape = [s + 2 * pad for s in grid.shape]
         self.size = math.prod(shape)
         self._strides = np.array([math.prod(shape[a + 1:]) for a in range(grid.dim)])
@@ -192,8 +194,8 @@ def candidate_balls(grid, radii_list):
     flat, which = np.nonzero(fits)
     if not flat.size:
         raise NoCandidates("no candidate ball fits inside the domain")
-    lattice = NodeLattice(grid, math.ceil(2 * radii[-1] / grid.spacing))
-    return CandidateSet(grid.node_coordinate(flat), np.array(radii)[which], lattice=lattice)
+    return CandidateSet(grid.node_coordinate(flat), np.array(radii)[which],
+                        lattice=NodeLattice(grid, radii))
 
 
 def _require_weight(w):
@@ -373,7 +375,7 @@ class _StencilRows(_ConflictRows):
     def __init__(self, candidates):
         super().__init__(candidates)
         lat = self._lattice = candidates.lattice
-        self._radius_set = sorted(set(self._radii.tolist()))
+        self._radius_set = [r for r in lat.radii if (self._radii == r).any()]
         nr = len(self._radius_set)
         k = np.rint((self._centers - lat.grid.origin) / lat.grid.spacing).astype(int)
         self._key = lat.index(k) * nr + np.searchsorted(self._radius_set, self._radii)
