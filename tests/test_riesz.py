@@ -459,20 +459,16 @@ class TestGreedyAndLocalSearch:
         assert set(ls.indices) == ref_selected
         assert ls.total == ref_total
 
-    @pytest.mark.parametrize("stencil_min", [riesz._STENCIL_MIN, 0])
-    def test_pack_builds_each_conflict_row_once(self, monkeypatch, stencil_min):
+    def test_pack_builds_each_conflict_row_once(self, monkeypatch):
         """Greedy hands its neighbour lists to local search within one pack call.
 
         With the default size threshold this set takes distance rows; with
         threshold 0 it takes lattice stencils.
         """
-        monkeypatch.setattr(riesz, "_STENCIL_MIN", stencil_min)
         g = unit_disk(0.125)
         f = sample_catalog(g, "sinusoid", {"freq": 2.0})
         cands = candidate_balls(g, [0.25, 0.5])
         scored = make_scores(cands, *measure_balls(f, const_weight(g), cands), 2.0)
-        stencil = type(riesz._conflicts(scored)) is riesz._StencilRows
-        assert stencil == (stencil_min == 0)
         built = Counter()
         for cls in (riesz._ConflictRows, riesz._StencilRows):
             def counted(rows, i, build=cls._build):
@@ -480,10 +476,15 @@ class TestGreedyAndLocalSearch:
                 return build(rows, i)
 
             monkeypatch.setattr(cls, "_build", counted)
-        sol = pack(scored, 2.0, riesz.GREEDY_PLUS_LOCAL_SEARCH, MAX_ITERS)
-        assert sol.method == riesz.GREEDY_PLUS_LOCAL_SEARCH
-        assert set(sol.indices) <= set(built)
-        assert set(built.values()) == {1}
+        for stencil_min in (riesz._STENCIL_MIN, 0):
+            monkeypatch.setattr(riesz, "_STENCIL_MIN", stencil_min)
+            stencil = type(riesz._conflicts(scored)) is riesz._StencilRows
+            assert stencil == (stencil_min == 0)
+            built.clear()
+            sol = pack(scored, 2.0, riesz.GREEDY_PLUS_LOCAL_SEARCH, MAX_ITERS)
+            assert sol.method == riesz.GREEDY_PLUS_LOCAL_SEARCH
+            assert set(sol.indices) <= set(built)
+            assert set(built.values()) == {1}
 
     @pytest.mark.parametrize("function", ["sinusoid", "bump"])
     def test_disk129_selections_pinned(self, function):
