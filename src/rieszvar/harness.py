@@ -308,11 +308,11 @@ def suite_embedding(ctx):
     w_total = float(w.values[grid.mask].sum() * grid.cell_volume())
     for p1, p2 in p_pairs:
         sol2 = lvl.packing(p2)
-        if len(sol2.collection) == 0:
+        if not sol2.indices:
             continue
-        total1 = math.fsum(
-            (s.oscillation / s.ball.radius) ** p1 * s.weight_mass for s in sol2.scores
-        )
+        scored, at = sol2.scored, list(sol2.indices)
+        terms = zip(*(a[at].tolist() for a in (scored.oscillation, scored.radii, scored.weight_mass)))
+        total1 = math.fsum((o / r) ** p1 * m for o, r, m in terms)
         lhs = total1 ** (1.0 / p1)
         rhs = sol2.total ** (1.0 / p2) * w_total ** (1.0 / p1 - 1.0 / p2)
         ok = lhs <= rhs * (1.0 + 1e-8)

@@ -136,6 +136,19 @@ class CandidateSet:
         """The candidates ``index`` selects (boolean mask, index array or slice), in its order."""
         return replace(self, **{name: getattr(self, name)[index] for name in _array_fields(self)})
 
+    @cached_property
+    def _conflicts(self):
+        """The _ConflictRows every packer on this set shares (a new set builds its own).
+
+        Lattice sets of at least ``_STENCIL_MIN`` candidates, one per
+        (node, radius), take stencils; the rest distance rows.
+        """
+        if self.lattice is not None and len(self) >= _STENCIL_MIN:
+            rows = _StencilRows(self)
+            if rows.one_per_key:
+                return rows
+        return _ConflictRows(self)
+
 
 @dataclass(frozen=True, eq=False)
 class ScoredCandidates(CandidateSet):
@@ -319,35 +332,27 @@ def pack_1d_exact(scored, p):
 
 
 class _ConflictRows:
-    """Conflicts between candidates: cached neighbour lists and rows for selected balls.
+    """Conflicts between candidates as cached neighbour lists.
 
     Candidates i and j conflict when they are not closed-disjoint under
     the rule of ``grid.balls_disjoint``. ``neighbours(i)`` lists the
-    candidates that conflict with i, i included, ``rows(i)`` is that list
-    as a bool row over the candidates, and ``rows.overlap(i, j)`` decides
-    pairs elementwise. The packers build lists and rows only for balls
-    they select, each once per pack call. Here a list is one distance row
-    over every candidate; ``_StencilRows`` gathers it from lattice stencils.
+    candidates that conflict with i, i included, built on first use and
+    kept for the candidate set's lifetime; the packers build lists only
+    for balls they select. ``overlap(i, j)`` decides pairs elementwise.
+    Here a list is one distance row over every candidate; ``_StencilRows``
+    gathers it from lattice stencils.
     """
 
     def __init__(self, candidates):
         self._centers = candidates.centers
         self._radii = candidates.radii
         self._lists = {}
-        self._rows = {}
 
     def neighbours(self, i):
         nb = self._lists.get(i)
         if nb is None:
             nb = self._lists[i] = self._build(i)
         return nb
-
-    def __call__(self, i):
-        row = self._rows.get(i)
-        if row is None:
-            row = self._rows[i] = np.zeros(len(self._radii), dtype=bool)
-            row[self.neighbours(i)] = True
-        return row
 
     def _build(self, i):
         return np.flatnonzero(self.overlap(i, slice(None)))
@@ -358,7 +363,7 @@ class _ConflictRows:
 
 
 class _StencilRows(_ConflictRows):
-    """_ConflictRows of node-centred candidates, decided by the stencils of their NodeLattice.
+    """_ConflictRows of node-centred candidates, listed from the stencils of their NodeLattice.
 
     Candidates (node a, r) and (node b, r') conflict exactly when ``b - a``
     lies in ``ball_offsets(grid, r + r')``. A padded (node, radius) ->
@@ -366,7 +371,8 @@ class _StencilRows(_ConflictRows):
     gather ``table[key_i + offsets]``, whose offsets hold the stencils of
     i's radius with every radius of the set. ``one_per_key`` is False when
     two candidates share a node and radius (a subset that repeats an
-    index), which the table cannot hold.
+    index), which the table cannot hold. Pairs are decided by the
+    inherited distance ``overlap``, which agrees with the stencil rule.
     """
 
     def __init__(self, candidates):
@@ -380,54 +386,27 @@ class _StencilRows(_ConflictRows):
         self._table[self._key] = np.arange(len(self._key))
         self.one_per_key = np.array_equal(self._table[self._key], np.arange(len(self._key)))
         self._offsets = {}
-        # Pair codes for ``overlap``: band a * nr + b of width span (wider
-        # than any key difference) holds the (a, b) stencil, sorted.
-        self._span = 2 * nr * lat.size + 1
-        self._codes = None
-
-    def _pair_stencil(self, a, b):
-        """Key offsets from a candidate of radius index a to its neighbours of radius index b."""
-        nr = len(self._radius_set)
-        return self._lattice.stencil(self._radius_set[a] + self._radius_set[b]) * nr + (b - a)
 
     def _build(self, i):
-        a = int(self._key[i] % len(self._radius_set))
+        radii, nr = self._radius_set, len(self._radius_set)
+        a = int(self._key[i] % nr)
         offsets = self._offsets.get(a)
         if offsets is None:
+            # Key offsets to the neighbours of each radius index b.
             offsets = self._offsets[a] = np.concatenate(
-                [self._pair_stencil(a, b) for b in range(len(self._radius_set))])
+                [self._lattice.stencil(radii[a] + radii[b]) * nr + (b - a) for b in range(nr)])
         nb = self._table[self._key[i] + offsets]
         return nb[nb >= 0]
 
-    def overlap(self, i, j):
-        """Elementwise stencil test: key j - key i is an offset of their radii's pair stencil."""
-        nr = len(self._radius_set)
-        if self._codes is None:
-            self._codes = np.sort(np.concatenate([
-                self._pair_stencil(a, b) + (a * nr + b) * self._span
-                for a in range(nr) for b in range(nr)]))
-        ki, kj = np.broadcast_arrays(self._key[i], self._key[j])
-        code = (kj - ki + (ki % nr * nr + kj % nr) * self._span).reshape(-1)
-        at = np.minimum(np.searchsorted(self._codes, code), self._codes.size - 1)
-        return self._codes[at] == code
 
-
-def _conflicts(candidates):
-    """The _ConflictRows of one pack call: stencils for large node-centred sets (see _STENCIL_MIN)."""
-    if candidates.lattice is not None and len(candidates) >= _STENCIL_MIN:
-        rows = _StencilRows(candidates)
-        if rows.one_per_key:
-            return rows
-    return _ConflictRows(candidates)
-
-
-def _greedy(scored, rows):
-    """Indices of the highest-score-first disjoint selection; it caches their ``rows``.
+def pack_greedy(scored, p):
+    """Highest-score-first selection of mutually disjoint balls.
 
     The walk runs over the ranks of the positive scores: a pick takes its
     rank and blocks the ranks of its neighbours, and the next pick is the
     first rank still free.
     """
+    rows = scored._conflicts
     order = np.argsort(-scored.score, kind="stable")
     order = order[scored.score[order] > 0]
     m = order.size
@@ -444,34 +423,7 @@ def _greedy(scored, rows):
         pos += int(free[pos:m].argmax())
         if not free[pos]:
             break
-    return selected
-
-
-def pack_greedy(scored, p):
-    """Highest-score-first selection of mutually disjoint balls."""
-    return _solution(_greedy(scored, _conflicts(scored)), scored, p, GREEDY)
-
-
-def _improve(scored, start, max_iters, rows):
-    """Indices local search reaches from the selection ``start``; see pack_local_search.
-
-    None when the total falls below the total of ``start``; ``rows`` are
-    the candidates' _ConflictRows.
-    """
-    selected = set(start)
-    scores = scored.score
-    total = start_total = math.fsum(scores[sorted(selected)])
-    eps = 1e-12 * max(1.0, abs(total))
-    for _ in range(max_iters):
-        move = _first_improvement(rows, scores, selected, eps)
-        if move is None:
-            break
-        removed, inserted = move
-        selected -= removed
-        selected |= inserted
-        total = math.fsum(scores[sorted(selected)])
-        eps = 1e-12 * max(1.0, abs(total))
-    return None if total < start_total else selected
+    return _solution(selected, scored, p, GREEDY)
 
 
 def pack_local_search(initial, scored, max_iters=MAX_ITERS):
@@ -480,7 +432,8 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
     Removes at most two selected balls and inserts one or two candidates,
     accepting only strict total increases; the total never decreases and
     the search stops at a local optimum or after max_iters moves.
-    ``initial`` is a PackingSolution of the same scored candidates.
+    ``initial`` is a PackingSolution of the same scored candidates, and
+    it is returned when the search would end below its total.
 
     Moves are tried in a fixed order, single insertions by index and then
     pairs (ia < ib) lexicographically, but pairs are evaluated only where
@@ -502,8 +455,21 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
     that pass the count and gain tests, under the rule of
     ``grid.balls_disjoint``.
     """
-    selected = _improve(scored, initial.indices, max_iters, _conflicts(scored))
-    if selected is None:
+    rows = scored._conflicts
+    scores = scored.score
+    selected = set(initial.indices)
+    total = start_total = math.fsum(scores[sorted(selected)])
+    eps = 1e-12 * max(1.0, abs(total))
+    for _ in range(max_iters):
+        move = _first_improvement(rows, scores, selected, eps)
+        if move is None:
+            break
+        removed, inserted = move
+        selected -= removed
+        selected |= inserted
+        total = math.fsum(scores[sorted(selected)])
+        eps = 1e-12 * max(1.0, abs(total))
+    if total < start_total:
         return initial
     return _solution(selected, scored, initial.p, GREEDY_PLUS_LOCAL_SEARCH)
 
@@ -520,16 +486,18 @@ def _first_improvement(rows, scores, selected, eps):
     sel = np.array(sorted(selected), dtype=int)
     k = sel.size
     n = scores.size
-    # hits[q, j]: candidate j overlaps the q-th selected ball. The all-True
-    # last row is a sentinel, so argmax yields position k when there is none.
-    hits = np.ones((k + 1, n), dtype=bool)
-    for q, j in enumerate(sel):
-        hits[q] = rows(j)
-    count = hits[:k].sum(axis=0)
-    first = hits.argmax(axis=0)
-    some = first < k
-    hits[first[some], np.flatnonzero(some)] = False
-    second = hits.argmax(axis=0)
+    lists = [rows.neighbours(j) for j in sel]
+    # Each selected ball's neighbours tagged with its position q, then one
+    # sentinel per candidate at position k. A stable sort by candidate keeps
+    # q ascending inside each group, so a group reads first, second, ..., k.
+    cand = np.concatenate(lists + [np.arange(n)])
+    tag = np.repeat(np.arange(k + 1), [nb.size for nb in lists] + [n])
+    group = np.bincount(cand, minlength=n)
+    count = group - 1
+    start = np.cumsum(group) - group
+    tag = tag[np.argsort(cand, kind="stable")]
+    first = tag[start]
+    second = tag[start + (count > 0)]
     owner = np.append(sel, -1)
     owner_score = np.append(scores[sel], 0.0)
     removal = owner_score[first] + owner_score[second]
@@ -570,8 +538,8 @@ def _first_improvement(rows, scores, selected, eps):
     margin = 1e-3 * eps + 1e-15 * float(size.max(initial=0.0))
     floor = eps + 2.0 * float(owner_score.min()) - margin
     best = n * n
-    for j in sel:
-        members = np.flatnonzero(rows(j) & insertable)
+    for nb in lists:
+        members = nb[insertable[nb]]
         s, sl = scores[members], slack[members]
         kept = members[(sl + s.max(initial=-np.inf) > floor)
                        & (s + sl.max(initial=-np.inf) > floor)]
@@ -603,14 +571,10 @@ def pack(scored, p, method, max_iters):
         raise PreconditionError(f"unknown packing method {method!r}")
     if method == DP_1D_EXACT:
         return pack_1d_exact(scored, p)
-    rows = _conflicts(scored)
-    selected = _greedy(scored, rows)
+    greedy = pack_greedy(scored, p)
     if method == GREEDY_PLUS_LOCAL_SEARCH:
-        improved = _improve(scored, selected, max_iters, rows)
-        if improved is not None:
-            return _solution(improved, scored, p, method)
-        method = GREEDY
-    return _solution(selected, scored, p, method)
+        return pack_local_search(greedy, scored, max_iters)
+    return greedy
 
 
 def riesz_variation(f, w, p, radii_list, method="auto", max_iters=MAX_ITERS):

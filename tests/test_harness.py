@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -268,6 +269,30 @@ class TestRunContext:
         assert "gd_equivalence" in cfg.suites
         run_config(cfg)
         assert len(calls) == len({id(g) for g in calls}) == cfg.refinements
+
+    def test_embedding_builds_no_balls(self, monkeypatch):
+        """suite_embedding reads the packed candidates' arrays, with the BallScore form's bits."""
+        built = []
+
+        class CountedBall(Ball):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(rieszvar.riesz, "Ball", CountedBall)
+        path = ROOT / "perfbench" / "configs" / "verify_2d.json"
+        ctx = RunContext(load_config(dict(json.loads(path.read_text()), suites=["embedding"])))
+        rows = harness.suite_embedding(ctx)
+        assert not built
+        lvl = ctx.levels[0]
+        grid, _, w, _ = lvl.fields
+        w_total = float(w.values[grid.mask].sum() * grid.cell_volume())
+        p1, p2 = ctx.config.p_values  # the config's one pair
+        sol2 = lvl.packing(p2)
+        total1 = math.fsum((s.oscillation / s.ball.radius) ** p1 * s.weight_mass
+                           for s in sol2.scores)
+        rhs = sol2.total ** (1.0 / p2) * w_total ** (1.0 / p1 - 1.0 / p2)
+        assert [r.value for r in rows] == [rhs - total1 ** (1.0 / p1)]
 
     def test_each_region_gathered_once(self, monkeypatch):
         """Node sets come from index arithmetic, each level's values are built once.

@@ -459,6 +459,18 @@ class TestGreedyAndLocalSearch:
         assert set(ls.indices) == ref_selected
         assert ls.total == ref_total
 
+    @staticmethod
+    def count_list_builds(monkeypatch):
+        """A Counter of neighbour-list builds per candidate, on both conflict classes."""
+        built = Counter()
+        for cls in (riesz._ConflictRows, riesz._StencilRows):
+            def counted(rows, i, build=cls._build):
+                built[int(i)] += 1
+                return build(rows, i)
+
+            monkeypatch.setattr(cls, "_build", counted)
+        return built
+
     def test_pack_builds_each_conflict_row_once(self, monkeypatch):
         """Greedy hands its neighbour lists to local search within one pack call.
 
@@ -468,23 +480,34 @@ class TestGreedyAndLocalSearch:
         g = unit_disk(0.125)
         f = sample_catalog(g, "sinusoid", {"freq": 2.0})
         cands = candidate_balls(g, [0.25, 0.5])
-        scored = make_scores(cands, *measure_balls(f, const_weight(g), cands), 2.0)
-        built = Counter()
-        for cls in (riesz._ConflictRows, riesz._StencilRows):
-            def counted(rows, i, build=cls._build):
-                built[int(i)] += 1
-                return build(rows, i)
-
-            monkeypatch.setattr(cls, "_build", counted)
+        osc, mass = measure_balls(f, const_weight(g), cands)
+        built = self.count_list_builds(monkeypatch)
         for stencil_min in (riesz._STENCIL_MIN, 0):
             monkeypatch.setattr(riesz, "_STENCIL_MIN", stencil_min)
-            stencil = type(riesz._conflicts(scored)) is riesz._StencilRows
+            scored = make_scores(cands, osc, mass, 2.0)
+            stencil = type(scored._conflicts) is riesz._StencilRows
             assert stencil == (stencil_min == 0)
             built.clear()
             sol = pack(scored, 2.0, riesz.GREEDY_PLUS_LOCAL_SEARCH, MAX_ITERS)
             assert sol.method == riesz.GREEDY_PLUS_LOCAL_SEARCH
             assert set(sol.indices) <= set(built)
             assert set(built.values()) == {1}
+
+    @pytest.mark.parametrize("stencil_min", [riesz._STENCIL_MIN, 0])
+    def test_greedy_and_local_search_share_the_lists(self, stencil_min, monkeypatch):
+        """Separate greedy and local-search calls on one scored set build each list once."""
+        monkeypatch.setattr(riesz, "_STENCIL_MIN", stencil_min)
+        g = unit_disk(0.125)
+        f = sample_catalog(g, "sinusoid", {"freq": 2.0})
+        cands = candidate_balls(g, [0.25, 0.5])
+        scored = make_scores(cands, *measure_balls(f, const_weight(g), cands), 2.0)
+        assert (type(scored._conflicts) is riesz._StencilRows) == (stencil_min == 0)
+        built = self.count_list_builds(monkeypatch)
+        greedy = pack_greedy(scored, 2.0)
+        sol = pack_local_search(greedy, scored)
+        assert sol.indices != greedy.indices
+        assert set(greedy.indices) | set(sol.indices) <= set(built)
+        assert set(built.values()) == {1}
 
     @pytest.mark.parametrize("function", ["sinusoid", "bump"])
     def test_disk129_selections_pinned(self, function):
@@ -500,6 +523,26 @@ class TestGreedyAndLocalSearch:
         assert sol.method == pinned["method"]
         assert list(sol.indices) == pinned["indices"]
         assert sol.total == pinned["total"]
+
+    @pytest.mark.parametrize("function", ["bump", "sinusoid"])
+    def test_box17_stencil_selections_pinned(self, function):
+        # Indices and totals recorded before local search read neighbour
+        # lists: a 17^3 box (h = 1/8) with radii 2h and 4h at p = 3, 2926
+        # candidates, so the default threshold takes lattice stencils.
+        pinned = json.loads((DATA / "pack_box17.json").read_text())[function]
+        h = 1 / 8
+        g = build_grid(3, [-1.0] * 3, h, [17] * 3)
+        cands = candidate_balls(g, [2 * h, 4 * h])
+        f = sample_catalog(g, function, pinned["params"])
+        w = sample_catalog(g, pinned["weight"], pinned["wparams"])
+        scored = make_scores(cands, *measure_balls(f, w, cands), 3.0)
+        assert type(scored._conflicts) is riesz._StencilRows
+        greedy = pack_greedy(scored, 3.0)
+        assert greedy.total == pinned["greedy_total"]
+        sol = pack(scored, 3.0, riesz.GREEDY_PLUS_LOCAL_SEARCH, MAX_ITERS)
+        assert sol.method == pinned["method"]
+        assert list(sol.indices) == pinned["indices"]
+        assert sol.total == pinned["total"] > greedy.total
 
     def test_local_search_from_empty_greedy(self):
         scored = scored_set([([0.2 * i, 0.5], 0.1, -float(i % 2)) for i in range(6)])
@@ -569,6 +612,23 @@ class TestRieszVariation:
         f = sample_catalog(disk_grid, "linear", {"slope": [1.0, 0.0]})
         with pytest.raises(PreconditionError, match="only available in one dimension"):
             riesz_variation(f, const_weight(disk_grid), 2.0, [0.25], method="dp_1d_exact")
+
+    @pytest.mark.parametrize("method, calls", [
+        ("auto", {"pack_greedy": 1, "pack_local_search": 1}),
+        ("greedy", {"pack_greedy": 1}),
+    ])
+    def test_pack_runs_the_public_packers(self, disk_grid, method, calls, monkeypatch):
+        """pack calls pack_greedy and pack_local_search as module attributes, as a tracer patches them."""
+        made = Counter()
+        for name in ("pack_greedy", "pack_local_search"):
+            def counted(*args, name=name, packer=getattr(riesz, name)):
+                made[name] += 1
+                return packer(*args)
+
+            monkeypatch.setattr(riesz, name, counted)
+        f = sample_catalog(disk_grid, "linear", {"slope": [1.0, 0.0]})
+        riesz_variation(f, const_weight(disk_grid), 2.0, [0.2, 0.3], method=method)
+        assert made == calls
 
     def test_pack_auto_matches_each_method(self, unit_grid, disk_grid):
         f, w = linear(unit_grid), const_weight(unit_grid)

@@ -18,7 +18,7 @@ from rieszvar import riesz
 from rieszvar.config import load_config
 from rieszvar.grid import balls_overlap
 from rieszvar.harness import run_config
-from rieszvar.riesz import _conflicts, _StencilRows, make_scores, measure_balls
+from rieszvar.riesz import _StencilRows, make_scores, measure_balls
 
 from conftest import ball_scores, const_weight, unit_disk
 from test_riesz import reference_greedy, reference_local_search
@@ -69,10 +69,10 @@ class TestStencilRuleMatchesDistance:
         f = sample_catalog(g, "sinusoid", {"freq": 2.0})
         cands = candidate_balls(g, [0.25, 0.5])
         scored = make_scores(cands, *measure_balls(f, const_weight(g), cands), 2.0)
-        assert isinstance(_conflicts(scored), _StencilRows)
+        assert isinstance(scored._conflicts, _StencilRows)
         twice = scored.subset(np.r_[np.arange(len(scored)), 0])
         assert twice.lattice is cands.lattice
-        assert type(_conflicts(twice)) is riesz._ConflictRows
+        assert type(twice._conflicts) is riesz._ConflictRows
         assert set(pack_greedy(twice, 2.0).indices) == reference_greedy(ball_scores(twice))
 
 
@@ -91,7 +91,7 @@ class TestStencilPackingMatchesReference:
         f = sample_catalog(g, name, params)
         cands = candidate_balls(g, radii)
         scored = make_scores(cands, *measure_balls(f, const_weight(g), cands), 2.0)
-        assert isinstance(_conflicts(scored), _StencilRows)
+        assert isinstance(scored._conflicts, _StencilRows)
         ref = ball_scores(scored)
         greedy = pack_greedy(scored, 2.0)
         expected = reference_greedy(ref)
