@@ -38,7 +38,8 @@ class ZeroWeightOnCube(ToolkitError):
 
 
 class WeightOverflow(ToolkitError):
-    """A cube average of the weight (or of a power of it) exceeds the float range."""
+    """A weight sum exceeds the float range: a cube average (or one of a power of the
+    weight), a ball mass, the total weight or a weighted L^p sum."""
 
 
 class ZeroWeightOnBall(ToolkitError):

@@ -8,7 +8,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .config import materialize_level
-from .errors import PreconditionError, ToolkitError
+from .errors import PreconditionError, ToolkitError, WeightOverflow
 from .grid import gradient_magnitude
 from .report import Report, ReportRow, params_string
 from .riesz import (
@@ -305,7 +305,10 @@ def suite_embedding(ctx):
     p_pairs = [(p1, p2) for p1 in p_values for p2 in p_values if p1 < p2]
     if not p_pairs:
         p_pairs = [(2.0, 4.0)]
-    w_total = float(w.values[grid.mask].sum() * grid.cell_volume())
+    with np.errstate(over="ignore"):
+        w_total = float(w.values[grid.mask].sum() * grid.cell_volume())
+    if w_total == math.inf:
+        raise WeightOverflow("the total weight overflows the float range")
     for p1, p2 in p_pairs:
         sol2 = lvl.packing(p2)
         if not sol2.indices:

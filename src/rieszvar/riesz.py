@@ -19,6 +19,7 @@ from .errors import (
     NoCandidates,
     PreconditionError,
     UnboundedSupport,
+    WeightOverflow,
     ZeroVariation,
 )
 from .grid import (
@@ -252,7 +253,10 @@ def measure_balls(f, w, candidates):
                 raise PreconditionError(_UNCONTAINED)
             vals = fv[nodes]
             osc[rows] = vals.max(axis=1) - vals.min(axis=1)
-            mass[rows] = wv[nodes].sum(axis=1) * grid.cell_volume()
+            with np.errstate(over="ignore"):
+                mass[rows] = wv[nodes].sum(axis=1) * grid.cell_volume()
+    if not np.isfinite(mass).all():
+        raise WeightOverflow("the weight mass of a ball overflows the float range")
     return osc, mass
 
 

@@ -10,6 +10,7 @@ from .errors import (
     EmptyRegion,
     ErodedEmpty,
     PreconditionError,
+    WeightOverflow,
 )
 from .grid import (
     Ball,
@@ -37,7 +38,10 @@ def weighted_lp_norm(f, w, p, region=None):
     if not member.any():
         raise EmptyRegion("no masked-in node lies in the region")
     vol = f.grid.cell_volume()
-    s = float(np.sum(np.abs(f.values[member]) ** p * w.values[member]) * vol)
+    with np.errstate(over="ignore"):
+        s = float(np.sum(np.abs(f.values[member]) ** p * w.values[member]) * vol)
+    if s == math.inf:
+        raise WeightOverflow("the weighted L^p sum overflows the float range")
     return s ** (1.0 / p)
 
 

@@ -1,8 +1,9 @@
 """Variable-exponent machinery: Luxemburg norms, sequence norms, and RBV^{p(.)}.
 
 The Luxemburg norm of f is the infimal lambda with modular(f/lambda) <= 1;
-every norm here is a bisection on that monotone modular, run in verified
-speculative rounds over the rows of an equal-size block (or one row). The
+every norm here is a bisection on that monotone modular, run over the rows
+of an equal-size block (or one row) from a certified bracket: a step more
+than a rounding margin away from it is settled without the modular. The
 variable-exponent variation seminorm reuses the constant-exponent packing
 optimizer as a proposal generator and evaluates the exact Luxemburg value
 on each proposed disjoint family, so reported values are lower bounds.
@@ -11,12 +12,12 @@ Proposed balls are gathered as centre plus stencil, other families by region.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BadParams, EmptyRegion, PreconditionError, UnknownCatalogEntry
 from .grid import (
-    BallCollection,
     FieldKind,
     SampledField,
     ball_offsets,
@@ -28,7 +29,8 @@ from .grid import (
     size_blocks,
 )
 from .report import ReportRow, params_string
-from .riesz import _GATHER_BLOCK, MAX_ITERS, candidate_balls, make_scores, measure_balls, pack
+from .riesz import (_GATHER_BLOCK, MAX_ITERS, PackingSolution, candidate_balls, make_scores,
+                    measure_balls, pack)
 
 # Relative bisection tolerance of every Luxemburg norm unless a caller sets one.
 TOL = 1e-10
@@ -153,56 +155,72 @@ def modular(f, pfun, region=None):
     return float(terms.sum() * f.grid.cell_volume())
 
 
+# A row's pair is x(1 -+ _ETA) about its estimate x; no step of the scalar loop
+# lies below _CUT; pairs stop after _PAIR_ROUNDS rounds, so every row ends; a
+# computed modular of at least _ACCURATE obeys the error bound of _luxemburg.
+_ETA, _CUT, _PAIR_ROUNDS, _ACCURATE = 1e-12, 1e-300, 8, 1e-270
+
+
 def _modular(av, pv, rows, lam, weight):
-    """Per pair (k, lam) of ``rows`` and ``lam``: terms (av[k]/lam)^pv[k] and their sum * weight."""
-    with np.errstate(over="ignore"):
-        terms = av[rows] / lam[:, None]
-        terms **= pv[rows]
-        return terms, terms.sum(axis=1) * weight
+    """Per pair (k, lam) of ``rows`` and ``lam``: sum_j t_j * weight with the terms
+    t_j = (av[k, j]/lam)^pv[k, j], and the moments sum_j t_j p_j and sum_j t_j p_j^2."""
+    with np.errstate(all="ignore"):
+        q = pv[rows]
+        terms = (av[rows] / lam[:, None]) ** q
+        rho = np.add.reduce(terms, axis=1) * weight
+        terms *= q
+        return rho, np.add.reduce(terms, axis=1), np.add.reduce(terms * q, axis=1)
 
 
-def _advance(st, points, vals, tol, cap):
-    """One row's round: replay its last walk, then walk the next (no point once the row is done).
+def _estimate(x, rho, first, second):
+    """Root of log rho(x e^u) to second order in u, from rho(x) and its moments times weight
+    (slope -m, curvature the variance of p); first order where the parabola has none."""
+    try:
+        y, m = math.log(rho), first / rho
+        d = m * m - 2.0 * (second / rho - m * m) * y
+        return x * math.exp(2.0 * y / (m + math.sqrt(d)) if d >= 0.0 else y / m)
+    except (ArithmeticError, ValueError):
+        return 0.0
 
-    ``st``: [lo, hi, rho(lo), rho(hi), x3, rho(x3), halving?, guess]. The replay takes the
-    walk's steps with the real ``vals`` up to the first the guess got wrong (a halving it
-    ended too soon resets it to 0); the walk takes up to ``cap`` scalar steps, each as the
-    guess predicts (rho(x) <= 1 iff x >= guess): the log-log chord's root through the
-    bracket ends after a Newton step on the parabola through x3, else the midpoint.
+
+def _advance(st, tol, cap, pair, walk):
+    """Replay a row's loop to its first pending step; the points its next round needs.
+
+    ``st`` starts [lo, hi, halving?, A, B, {x: rho} evaluated, estimate g, delta]. Past
+    that step it walks on as g predicts (rho(x) <= 1 iff x >= g): with ``pair`` only if
+    ``walk``, adding the steps within the margin of the pair, which it returns too;
+    else adding each pending step, up to ``cap``. An empty list: the loop has ended.
     """
-    lo, hi, r_lo, r_hi, x3, r3, halving, g = st
-    for x, v in zip(points, vals):
-        ok = v <= 1.0
-        if ok:
-            x3, r3, hi, r_hi = hi, r_hi, x, v
-            lo = 0.5 * x if halving else lo
-        else:
-            x3, r3, lo, r_lo, halving = lo, r_lo, x, v, False
-        if ok != (x >= g):
-            g = 0.0
-            break
-    if not halving and hi - lo > tol * hi:
-        try:
-            y, width = math.log(r_lo), math.log(hi / lo)
-            drop = math.log(r_hi) - y
-            t = -y / drop
-            if r3 and r3 < math.inf and x3 not in (lo, hi):
-                u = math.log(x3 / lo) / width
-                curve = (math.log(r3) - y - drop * u) / (u * (u - 1.0))
-                t -= curve * t * (t - 1.0) / (drop + curve * (2.0 * t - 1.0))
-            g = lo * math.exp(t * width)
-        except (ArithmeticError, TypeError, ValueError):
-            g = 0.5 * (lo + hi)
-    st[:] = lo, hi, r_lo, r_hi, x3, r3, halving, g
-    points = []
-    while len(points) < cap and (lo >= 1e-300 if halving else hi - lo > tol * hi):
+    lo, hi, halving, a, b, seen, g, delta = st[:8]
+    g = min(max(g, a, _CUT), b) if g > 0.0 else 0.0
+    pair = pair and g > 0.0
+    walk = walk or not pair
+    below, above = a * (1.0 - delta), b * (1.0 + delta)
+    near = (g * (1.0 - _ETA) * (1.0 - delta), g * (1.0 + _ETA) * (1.0 + delta)) if pair else (
+        0.0, math.inf)
+    points, commit = [], None
+    while lo >= _CUT if halving else hi - lo > tol * hi:
         x = lo if halving else 0.5 * (lo + hi)
-        points.append(x)
-        if x < g:
-            lo, halving = x, False
+        if x <= below or x >= above:
+            ok = x >= above
+        elif x in seen:
+            ok = seen[x] <= 1.0
         else:
+            if commit is None:
+                commit = lo, hi, halving
+                if not walk:
+                    break
+            ok = x >= g
+            if near[0] < x < near[1]:
+                if len(points) == cap:
+                    break
+                points.append(x)
+        if ok:
             hi, lo = x, 0.5 * x if halving else lo
-    return points
+        else:
+            lo, halving = x, False
+    st[:3] = commit or (lo, hi, halving)
+    return points + [g * (1.0 - _ETA), g * (1.0 + _ETA)] if pair and commit else points
 
 
 def _luxemburg(av, pv, weight, tol):
@@ -210,53 +228,95 @@ def _luxemburg(av, pv, weight, tol):
 
     Each row takes the scalar bisection's steps: from hi = 2 max(1, rho(1))^(1/min p),
     lo = hi/2 it halves while rho(lo) <= 1 (0 once lo < 1e-300), then bisects until
-    hi - lo <= tol * hi and returns hi, so the modular there is <= 1. A row whose av
-    vanishes (or an empty row) gets 0. Each distinct row walks ahead toward a guess of
-    its root, the modular is evaluated at all walked points in one block of at most
-    ``_GATHER_BLOCK`` terms (a point a row at least), and each walk is replayed with the
-    real outcomes (``_advance``). Every step applied is the scalar loop's own, so each
-    row's value is a one-row call's, bit for bit.
+    hi - lo <= tol * hi and returns hi. A row whose av vanishes (or an empty row) gets 0,
+    one with rho(1) = inf gets inf, and equal rows are solved once.
+
+    Round 1 evaluates rho(1). Each later round evaluates, in one ``_modular`` block of
+    at most ``_GATHER_BLOCK`` terms beyond three points a row, each unfinished row's
+    pending points and, while its bracket [A, B] is wider, the pair x(1 -+ 1e-12) about
+    its estimate x: a second-order log-log step from the round's point with rho nearest
+    1 (``_estimate``; without one the row predicts rho <= 1 and walks its halvings). The
+    loop is replayed on Python floats (``_advance``): a step at x <= A(1 - delta) has
+    rho > 1, one at x >= B(1 + delta) rho <= 1, one at an evaluated point its value;
+    any other is pending. The estimate only decides how many are pending, so each
+    value is a one-row call's, bit for bit.
+
+    The margin. With rho the exact modular, rho^ the computed one and p in [p_min, p_max],
+    log rho falls by p_min to p_max times log(x/y) from y up to x. So a point y with
+    rho^(y) = r in [1e-270, inf) puts the root between y r^(1/p_max) and y r^(1/p_min),
+    a point with any other r at y on its own side; A is the largest lower and B the
+    smallest upper end. rho^ has relative error at most eps = (p_max + ceil(log2 s) + 20)
+    2^-53: av/x carries one rounding, which the power raises to p_max; ``pow`` a few
+    ulps; numpy's pairwise row sum of positive terms (8-way blocks of 128) at most
+    ceil(log2 s) + 12; the product with ``weight`` one more; underflowed terms, 2^-1074
+    each, stay far below eps r. With delta = 100 eps / p_min, log rho at x <= A(1 - delta)
+    exceeds its bound by p_min delta = 100 eps, more than the error 2 eps of rho^ at y
+    and at x and the few ulps of A: rho^(x) > 1. The mirror bound settles x >= B(1 +
+    delta), the same kind of certificate as ``weights.estimate_rw``'s exp(1e-9 q) margin.
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     out = np.zeros(av.shape[0])
     if av.shape[1] == 0:
         return out
-    block, first = np.hstack([av, pv]), {}  # equal rows are bisected once
-    keys = block.view(f"V{block.itemsize * block.shape[1]}").ravel().tolist()
-    same = [first.setdefault(key, k) for k, key in enumerate(keys)]
-    live = np.array(list(first.values()), dtype=int)
+    same, live = [0], np.zeros(1, dtype=int)
+    if av.shape[0] > 1:  # equal rows are solved once
+        block, first = np.hstack([av, pv]), {}
+        keys = block.view(f"V{block.itemsize * block.shape[1]}").ravel().tolist()
+        same = [first.setdefault(key, k) for k, key in enumerate(keys)]
+        live = np.array(list(first.values()), dtype=int)
     live = live[av[live].any(axis=1)]
-    av, pv = av[live], pv[live]
-    terms, hint = _modular(av, pv, np.arange(live.size), np.ones(live.size), weight)
-    with np.errstate(all="ignore"):
-        mean = (moment := terms * pv).sum(axis=1) * weight / hint
-        var = (moment * pv).sum(axis=1) * weight / hint - mean * mean
-    result, state, walks = [math.inf] * live.size, {}, {}
-    for k, (h, p_lo, q1, q2) in enumerate(zip(hint.tolist(), pv.min(axis=1).tolist(),
-                                            mean.tolist(), var.tolist())):
-        hi = 2.0 * max(1.0, h) ** (1.0 / p_lo)  # Python floats: C library pow
-        if hi < math.inf:  # else lo = inf halves to itself, rho(inf) = 0: the result is inf
-            try:  # first guess: the root of log rho(e^x) to second order in x
-                y = math.log(h)
-                g = math.exp(2.0 * y / (q1 + math.sqrt(q1 * q1 - 2.0 * q2 * y)))
-            except (ArithmeticError, ValueError):
-                g = 0.0
-            state[k] = [hi / 2.0, hi, None, None, 1.0, h, True, g]
-            walks[k] = _advance(state[k], (), (), tol, max(1, _GATHER_BLOCK // av.size))
-    while walks:
-        lam = np.array([x for points in walks.values() for x in points])
-        rows = np.repeat(list(walks), [len(points) for points in walks.values()])
-        vals = _modular(av, pv, rows, lam, weight)[1].tolist()
-        start, last, walks = 0, walks, {}
-        cap = max(1, _GATHER_BLOCK // (av.shape[1] * len(last)))
+    if live.size < av.shape[0]:
+        av, pv = av[live], pv[live]
+    s = av.shape[1]
+    eps = (math.ceil(math.log2(s)) + 20) * 2.0**-53
+    p_lo, p_hi = np.minimum.reduce(pv, axis=1).tolist(), np.maximum.reduce(pv, axis=1).tolist()
+    result, state, n_round = [math.inf] * live.size, {}, 0
+    todo = {k: [1.0] for k in range(live.size)}
+    while todo:
+        n_round += 1
+        lam = [x for points in todo.values() for x in points]
+        rows = np.array([k for k, points in todo.items() for _ in points])
+        vals, m1, m2 = (v.tolist() for v in _modular(av, pv, rows, np.array(lam), weight))
+        cap = max(1, _GATHER_BLOCK // (s * len(todo)) - 2)
+        stop, last, todo = 0, todo, {}
         for k, points in last.items():
-            walk = _advance(state[k], points, vals[start:start + len(points)], tol, cap)
-            start += len(points)
-            if not walk:  # 0 once lo < 1e-300 while halving, else hi
-                result[k] = 0.0 if state[k][6] else state[k][1]
-            else:
-                walks[k] = walk
+            start, stop = stop, stop + len(points)
+            if n_round == 1:
+                hi = 2.0 * max(1.0, vals[start]) ** (1.0 / p_lo[k])  # Python floats: C library pow
+                if hi == math.inf:
+                    continue
+                delta = 100.0 * (p_hi[k] * 2.0**-53 + eps) / p_lo[k]
+                state[k] = [hi / 2.0, hi, True, 0.0, hi, {}, 0.0, delta, 1.0 / p_lo[k],
+                            1.0 / p_hi[k]]
+            st = state[k]
+            a, b, seen, best, score = st[3], st[4], st[5], -1, math.inf
+            for i in range(start, stop):
+                x = lam[i]
+                seen[x] = v = vals[i]
+                if _ACCURATE <= v < math.inf:
+                    lower, upper = (x * v ** st[9], x * v ** st[8]) if v > 1.0 else (
+                        x * v ** st[8], x * v ** st[9])
+                    a, b = lower if lower > a else a, upper if upper < b else b
+                    if (v if v > 1.0 else 1.0 / v) < score:
+                        best, score = i, v if v > 1.0 else 1.0 / v
+                elif v > 1.0:
+                    a = x if x > a else a
+                elif x < b:
+                    b = x
+            st[3], st[4] = a, b
+            wide, walk = b > a * (1.0 + 4.0 * _ETA), True
+            if wide or best >= 0:
+                g = 0.0 if best < 0 else _estimate(
+                    lam[best], vals[best], m1[best] * weight, m2[best] * weight)
+                # Walk ahead once the estimate has settled: the next one then lies
+                # within about eta of the root, so its pair likely brackets it.
+                walk, st[6] = abs(g - st[6]) < 1e-4 * g, g
+            points = _advance(st, tol, cap, wide and n_round < _PAIR_ROUNDS, walk)
+            if points:
+                todo[k] = points
+            else:  # 0 once lo < 1e-300 while halving, else hi
+                result[k] = 0.0 if st[2] else st[1]
     out[live] = result
     return out[same]
 
@@ -345,10 +405,12 @@ class PackingTerms:
     Per ball k: ``nodes[k]`` are its masked-in flat node indices, ``a[k]``
     is osc_B(f)/r_B, ``p_ball[k]`` the harmonic-mean exponent and
     ``char[k]`` the indicator norm; ``norm`` is the Luxemburg value of the
-    variation modular. It iterates over its balls like ``collection``.
+    variation modular. ``family`` is the BallCollection, or the
+    PackingSolution that packed it, whose balls ``collection`` builds on
+    first access. It iterates over its balls like ``collection``.
     """
 
-    collection: BallCollection
+    family: object
     f: SampledField
     pfun: ExponentFunction
     nodes: tuple
@@ -357,8 +419,12 @@ class PackingTerms:
     char: np.ndarray
     norm: float
 
+    @cached_property
+    def collection(self):
+        return self.family.collection if isinstance(self.family, PackingSolution) else self.family
+
     def __len__(self):
-        return len(self.collection)
+        return len(self.nodes)
 
     def __iter__(self):
         return iter(self.collection)
@@ -373,7 +439,7 @@ def packing_terms(f, collection, pfun):
 
 
 def _packing_terms(f, pfun, families):
-    """PackingTerms per (collection, nodes, a) from ``_gather``; p_B and char per ball size."""
+    """PackingTerms per (family, nodes, a) from ``_gather``; p_B and char per ball size."""
     nodes = [idx for _, ball_nodes, _ in families for idx in ball_nodes]
     if any(not idx.size for idx in nodes):
         raise EmptyRegion("packing ball contains no masked-in node")
@@ -387,11 +453,11 @@ def _packing_terms(f, pfun, families):
         char[positions] = _luxemburg(np.ones(pv.shape), pv, vol, TOL)
     terms = []
     start = 0
-    for collection, ball_nodes, a in families:
+    for family, ball_nodes, a in families:
         k = slice(start, start + len(ball_nodes))
         start = k.stop
         norm = seq_norm(VariableSequence(a * char[k], p_ball[k]))
-        terms.append(PackingTerms(collection, f, pfun, ball_nodes, a, p_ball[k], char[k], norm))
+        terms.append(PackingTerms(family, f, pfun, ball_nodes, a, p_ball[k], char[k], norm))
     return terms
 
 
@@ -466,7 +532,7 @@ def packing_proposals(f, pfun, candidates, osc, method, max_iters):
         if key and key not in seen:
             seen.add(key)
             nodes = tuple(flat[i] + stencils[radii[i]] for i in key)
-            families.append((sol.collection, nodes, a[list(key)]))
+            families.append((sol, nodes, a[list(key)]))
     return _packing_terms(f, pfun, families)
 
 

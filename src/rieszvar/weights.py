@@ -53,6 +53,7 @@ from .grid import (
 
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
+_DUAL_OVERFLOW = "the A_p dual term of a cube overflows the float range"
 
 
 class CubeProvenance(Enum):
@@ -236,9 +237,12 @@ def ap_constant(w, p, family):
         raise PreconditionError("ap_constant requires a weight field")
     best = 0.0
     expo = 1.0 / (1.0 - p)
-    for vals in _cube_values(w, family):
-        for mw, md in zip(_cube_means(vals), _dual_means(vals, expo)):
-            best = max(best, mw * md ** (p - 1.0))
+    try:
+        for vals in _cube_values(w, family):
+            for mw, md in zip(_cube_means(vals), _dual_means(vals, expo)):
+                best = max(best, mw * md ** (p - 1.0))
+    except OverflowError:  # the float power of a finite dual mean (subnormal weights)
+        raise WeightOverflow(_DUAL_OVERFLOW) from None
     return best
 
 
@@ -302,8 +306,8 @@ def estimate_rw(w, family, threshold=1000.0, tol=1e-3, q_max=64.0):
     likeliest to exceed first, and the step stops at the first one that
     does. So the step sequence and the RwEstimate are those of bisecting
     over ap_constant, bit for bit, errors included: a cube whose minimum
-    is subnormal can overflow ``md ** (q - 1)`` there, so a family holding
-    one evaluates every uncleared cube before it answers.
+    is subnormal can overflow ``md ** (q - 1)`` there (WeightOverflow), so a
+    family holding one evaluates every uncleared cube before it answers.
     """
     if threshold <= 1:
         raise PreconditionError("threshold must be > 1")
@@ -362,14 +366,17 @@ def _ap_exceeds(w, family, threshold):
         todo = todo[np.argsort(np.where(peak[todo] > peak_hi, -np.inf, -ratio[todo]),
                                kind="stable")]
         best = 0.0
-        for part in (todo[:1], todo[1:]) if stop_early else (todo,):
-            block_of = np.searchsorted(starts, part, side="right") - 1
-            for b in sorted(set(block_of.tolist())):
-                rows = part[block_of == b] - starts[b]
-                for r, md in zip(rows.tolist(), _dual_means(blocks[b][rows], expo)):
-                    best = max(best, means[b][r] * md ** (q - 1.0))
-                    if stop_early and best > threshold:
-                        return True
+        try:
+            for part in (todo[:1], todo[1:]) if stop_early else (todo,):
+                block_of = np.searchsorted(starts, part, side="right") - 1
+                for b in sorted(set(block_of.tolist())):
+                    rows = part[block_of == b] - starts[b]
+                    for r, md in zip(rows.tolist(), _dual_means(blocks[b][rows], expo)):
+                        best = max(best, means[b][r] * md ** (q - 1.0))
+                        if stop_early and best > threshold:
+                            return True
+        except OverflowError:
+            raise WeightOverflow(_DUAL_OVERFLOW) from None
         return not best <= threshold
 
     return exceeds

@@ -20,7 +20,14 @@ import rieszvar.varexp
 import rieszvar.weights
 from rieszvar import Ball, BallCollection, build_grid, generate_cubes, sample_catalog
 from rieszvar.config import load_config_file, materialize_level
-from rieszvar.errors import BadShape, NoCubes, PreconditionError, ToolkitError, ZeroWeightOnCube
+from rieszvar.errors import (
+    BadShape,
+    NoCubes,
+    PreconditionError,
+    ToolkitError,
+    WeightOverflow,
+    ZeroWeightOnCube,
+)
 from rieszvar.grid import (
     ATOL,
     Cube,
@@ -37,7 +44,13 @@ from rieszvar.grid import (
     same_nodes,
     size_blocks,
 )
-from rieszvar.riesz import candidate_balls, make_scores, measure_balls, pack_1d_exact
+from rieszvar.riesz import (
+    _GATHER_BLOCK,
+    candidate_balls,
+    make_scores,
+    measure_balls,
+    pack_1d_exact,
+)
 from rieszvar.varexp import (
     TOL,
     VariableSequence,
@@ -428,11 +441,14 @@ class TestRwSearchMatchesFrozenBisection:
                 for q_max in (2.0, 64.0):
                     kw = dict(threshold=threshold, tol=tol, q_max=q_max)
                     got = outcome(estimate_rw, w, fam, **kw)
-                    assert got == outcome(frozen_rw, w, fam, **kw), kw
+                    want = outcome(frozen_rw, w, fam, **kw)
+                    if case == "subnormal" and q_max == 64.0:
+                        # The overflowing float power is reported as a ToolkitError.
+                        assert want[0] is OverflowError and got[0] is WeightOverflow, kw
+                    else:
+                        assert got == want, kw
                     if case == "disk_zero_node":
                         assert got == RwEstimate(q_max, True, threshold, tol)
-                    if case == "subnormal" and q_max == 64.0:
-                        assert got[0] is OverflowError
 
     def test_rounding_above_the_ratio(self, disk_grid):
         """Constant weights have A_1 ratio 1, but A_q computes a few ulps above
@@ -589,6 +605,94 @@ class TestLuxemburgMatchesScalarBisection:
             ratios.append(gval / t.norm)
         rows = gd_equivalence_check(f, pfun, packings)
         assert [r.value for r in rows if r.quantity == "ratio"] == ratios
+
+
+class TestLuxemburgBracket:
+    """Steps outside the margin of the bracket are settled without the modular: few
+    points a row, and the scalar loop's values where a root sits on one of its steps
+    or the exponent varies 64-fold."""
+
+    @staticmethod
+    def evaluated(monkeypatch):
+        """A list that receives the points of every ``_modular`` call from now on."""
+        points = []
+        modular = rieszvar.varexp._modular
+
+        def counted(*args):
+            points.append(args[3].tolist())
+            return modular(*args)
+
+        monkeypatch.setattr(rieszvar.varexp, "_modular", counted)
+        return points
+
+    def test_few_points_on_verify_2d(self, monkeypatch):
+        """At most 8 points per distinct row (a full bisection takes 36 to 41) on the
+        G_D f block and the gradient row of the 2D benchmark config's first level."""
+        cfg = load_config_file(Path(__file__).parents[1] / "perfbench/configs/verify_2d.json")
+        grid, f, _, pfun = materialize_level(cfg, 0)
+        m, vol = grid.mask, grid.cell_volume()
+        g = np.stack([np.abs(g_operator(f, t).values[m])
+                      for t in explore_packings(f, pfun, cfg.radii, method=cfg.method)])
+        blocks = [(g, np.broadcast_to(pfun.values[m], g.shape)),
+                  (gradient_magnitude(f).values[m][None], pfun.values[m][None])]
+        assert [av.shape for av, _ in blocks] == [(3, 1089), (1, 1089)]
+        calls = self.evaluated(monkeypatch)
+        for av, pv in blocks:
+            calls.clear()
+            assert _luxemburg(av, pv, vol, TOL).tolist() == [
+                frozen_luxemburg(a, q, vol, TOL) for a, q in zip(av, pv)]
+            assert sum(map(len, calls)) <= 8 * len({a.tobytes() for a in av}), calls
+
+    def test_roots_on_midpoints(self, monkeypatch):
+        """Constant-p rows whose root is the loop's midpoint odd/2^k: rho there is 1 up to
+        rounding, so no bracket settles that step and it is evaluated as a pending one."""
+        rng = np.random.default_rng(5)
+        calls = self.evaluated(monkeypatch)
+        for p in (1.0, 1.5, 2.0, 3.7, 9.0):
+            for s, weight in ((1, 1.0), (7, 1 / 4096), (40, 0.01)):
+                for k in (3, 9, 17, 26, 33):
+                    root = (2 * int(rng.integers(2 ** (k - 2), 2 ** (k - 1))) + 1) / 2.0**k
+                    c = root * (s * weight) ** (-1.0 / p)
+                    for scale in (math.nextafter(c, 0.0), c, math.nextafter(c, 2.0)):
+                        av, pv = np.full((1, s), scale), np.full((1, s), p)
+                        calls.clear()
+                        assert _luxemburg(av, pv, weight, TOL).tolist() == [
+                            frozen_luxemburg(av[0], pv[0], weight, TOL)]
+                        assert any(root in points for points in calls), (p, s, k)
+
+    def test_wide_exponent_ranges(self):
+        """Rows whose exponents span up to 64-fold; some overflow rho(1)."""
+        rng = np.random.default_rng(23)
+        for ratio in (2.0, 8.0, 64.0):
+            for _ in range(25):
+                m, s = int(rng.integers(1, 8)), int(rng.integers(2, 120))
+                av = rng.random((m, s)) * 10.0 ** rng.uniform(-6, 6, (m, 1))
+                pv = (1.0 + 2.0 * rng.random((m, 1))) * ratio ** rng.random((m, s))
+                pv[:, 0] = pv.min(axis=1)
+                pv[:, 1] = pv[:, 0] * ratio
+                weight = float(rng.choice([1.0, 1 / 4096]))
+                for tol in (TOL, 1e-3):
+                    assert _luxemburg(av, pv, weight, tol).tolist() == [
+                        frozen_luxemburg(a, q, weight, tol) for a, q in zip(av, pv)]
+
+    def test_cut_and_overflow_rows_take_few_calls(self, monkeypatch):
+        """Rows whose norm falls under the 1e-300 cut, and rows with rho(1) = inf: no more
+        modular calls than a walk evaluating all 997 halvings down to the cut, as many as
+        a round's ``_GATHER_BLOCK`` terms hold, would make; one for rho(1) = inf."""
+        calls = self.evaluated(monkeypatch)
+        kinds = []
+        for av, pv, weight in TestLuxemburgMatchesScalarBisection().rows():
+            with np.errstate(over="ignore"):
+                rho1 = ((av**pv).sum(axis=1) * weight).tolist()
+            for a, q, r in zip(av, pv, rho1):
+                if r == math.inf or (a == 1e-305).all():
+                    calls.clear()
+                    assert _luxemburg(a[None], q[None], weight, TOL).tolist() == [
+                        frozen_luxemburg(a, q, weight, TOL)]
+                    walk = 1 + math.ceil(997 / (_GATHER_BLOCK // a.size))
+                    assert len(calls) <= (1 if r == math.inf else walk), (a.size, calls)
+                    kinds.append(r == math.inf)
+        assert kinds.count(True) >= 5 and kinds.count(False) >= 10
 
 
 class TestErodedMaskMatchesPerOffsetLoop:

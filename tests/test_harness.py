@@ -193,6 +193,21 @@ class TestRunConfig:
             ("weights", "error", "error")]
         assert "overflows the float range" in rows[0].params
 
+    @pytest.mark.parametrize("value, commands", [(1e-310, ["verify", "weights"]),
+                                                 (1e307, ["verify", "sobolev"])])
+    def test_extreme_weights_exit_2_with_error_rows(self, tmp_path, value, commands):
+        """A subnormal weight overflows the A_p dual power; one near DBL_MAX the ball
+        masses, the total weight and the weighted L^p sums. Each costs error rows and
+        exit 2, with no traceback and no leaked RuntimeWarning."""
+        raw = json.loads((ROOT / "perfbench" / "configs" / "verify_2d.json").read_text())
+        raw["weight"] = {"catalog": "constant", "params": {"value": value}}
+        path = tmp_path / "extreme_weight.json"
+        path.write_text(json.dumps(raw))
+        for command in commands:
+            result = CliRunner().invoke(main, [command, "--config", str(path)])
+            assert result.exit_code == 2, (command, result.output)
+            assert ",error," in result.output and "overflows the float range" in result.output
+
     @pytest.mark.parametrize("name", ["theorem1_linear", "weak_type_hat"])
     def test_no_rw_at_max_row_on_demo_configs(self, name):
         raw = json.loads((ROOT / "demos" / "configs" / f"{name}.json").read_text())

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from rieszvar import (
     seq_norm,
     varexp_sobolev_equivalence,
 )
+from rieszvar.config import load_config_file
 from rieszvar.errors import BadParams, EmptyRegion, PreconditionError
 from rieszvar.grid import FieldKind, region_mask
+from rieszvar.harness import run_config
 from rieszvar.varexp import (
     ExponentFunction,
     PackingTerms,
@@ -453,6 +456,32 @@ class TestOneGatherPerBall:
             assert rec.norm == rbv_collection_norm(f, rec.collection, p_affine) > 0
             twice = SampledField(unit_grid, 2.0 * f.values)
             assert rbv_collection_norm(twice, rec, p_affine) == pytest.approx(2.0 * rec.norm)
+
+    def test_proposals_build_no_balls(self, monkeypatch):
+        """Proposals keep their PackingSolution and count balls by their node sets: a
+        run of ``perfbench/configs/verify_2d.json`` builds no BallCollection, and a
+        proposal builds its balls on first access, as the packing's own."""
+        built = []
+        check = BallCollection.__post_init__
+
+        def counted(self):
+            built.append(len(self.balls))
+            check(self)
+
+        monkeypatch.setattr(BallCollection, "__post_init__", counted)
+        path = Path(__file__).parents[1] / "perfbench" / "configs" / "verify_2d.json"
+        rows = run_config(load_config_file(path)).rows
+        assert any(r.experiment == "gd_equivalence" and r.quantity == "ratio" for r in rows)
+        assert not built
+        grid = unit_disk(0.125)
+        pfun = exponent_catalog(grid, "affine", {"intercept": 3.5, "slope": [0.25, 0.25]})
+        f = sample_catalog(grid, "bump", {"radius": 0.75, "center": [0.1, -0.05]})
+        records = explore_packings(f, pfun, [0.25, 0.375], method="greedy")
+        assert len(records) > 1 and all(len(rec) == len(rec.nodes) for rec in records)
+        assert not built
+        for rec in records:
+            assert rec.collection is rec.family.collection and list(rec) == list(rec.collection)
+        assert built == [len(rec) for rec in records]
 
     def test_empty_ball_rejected(self, unit_grid, p_affine):
         with pytest.raises(EmptyRegion):

@@ -20,7 +20,9 @@ from rieszvar import (
     sample_catalog,
 )
 from rieszvar.errors import InfiniteDual, NoCubes, PreconditionError, WeightOverflow
-from rieszvar.grid import region_mask
+from rieszvar.grid import FieldKind, SampledField, region_mask
+from rieszvar.riesz import candidate_balls, measure_balls
+from rieszvar.sobolev import weighted_lp_norm
 from rieszvar.weights import (
     CubeFamily,
     CubeProvenance,
@@ -332,6 +334,26 @@ class TestCubeSumOverflow:
         assert rh_constant(w, 1.25, fam) == pytest.approx(1.0)
         with pytest.raises(WeightOverflow, match="w\\^2.0"):
             rh_constant(w, 2.0, fam)
+
+    def test_subnormal_weight_overflows_the_dual_power(self, disk_grid):
+        """A subnormal weight keeps some dual means finite whose float power is not."""
+        w = const_weight(disk_grid, 1e-310)
+        fam = generate_cubes(disk_grid, 0.4, 2)
+        assert ap_constant(w, 2.0, fam) == math.inf  # there the dual mean itself is inf
+        for constant in (lambda: ap_constant(w, 3.0, fam), lambda: estimate_rw(w, fam)):
+            with pytest.raises(WeightOverflow, match="A_p dual term"):
+                constant()
+
+    def test_ball_masses_and_weighted_norms(self, disk_grid):
+        w = const_weight(disk_grid, 1e307)
+        f = SampledField(disk_grid, np.ones(disk_grid.shape), FieldKind.FUNCTION)
+        with pytest.raises(WeightOverflow, match="mass of a ball"):
+            measure_balls(f, w, candidate_balls(disk_grid, [0.25]))
+        with pytest.raises(WeightOverflow, match="weighted L\\^p sum"):
+            weighted_lp_norm(f, w, 2.0)
+        small = const_weight(disk_grid, 1e300)
+        assert math.isfinite(weighted_lp_norm(f, small, 2.0))
+        assert np.isfinite(measure_balls(f, small, candidate_balls(disk_grid, [0.25]))[1]).all()
 
 
 class TestDoubling:
