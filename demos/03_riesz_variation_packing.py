@@ -30,7 +30,7 @@ for k in (8, 9, 10):
     for p in (2.0, 4.0):
         sol = riesz_variation(f, w, p, usable, method="dp_1d_exact")
         print(f"  h=2^-{k}, p={p}: variation={sol.variation:.5f} "
-              f"using {len(sol.collection)} balls")
+              f"using {len(sol.indices)} balls")
 
 # The greedy heuristic and local search bracket the DP optimum.
 grid = build_grid(1, [0.0], 1 / 512, [513])

@@ -30,9 +30,7 @@ from .grid import (
 )
 from .report import Report, ReportRow, emit_report
 from .riesz import (
-    BallScore,
     CandidateSet,
-    LipschitzField,
     PackingSolution,
     ScoredCandidates,
     candidate_balls,

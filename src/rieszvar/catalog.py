@@ -13,42 +13,32 @@ from .errors import BadParams, UnknownCatalogEntry
 from .grid import FieldKind, SampledField
 
 
-def _center(grid, params):
-    c = params.get("center", 0.0)
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.size == 1 and grid.dim > 1:
-        c = np.full(grid.dim, float(c[0]))
-    if c.size != grid.dim:
-        raise BadParams(f"center has {c.size} entries, expected {grid.dim}")
-    return c
-
-
-def _slope(grid, params, default=1.0):
-    s = params.get("slope", default)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.size == 1 and grid.dim > 1:
-        s = np.full(grid.dim, float(s[0]))
-    if s.size != grid.dim:
-        raise BadParams(f"slope has {s.size} entries, expected {grid.dim}")
-    return s
+def vector_param(grid, params, key, default):
+    """``params[key]`` (else ``default``) as a dim-vector; a scalar is repeated on every axis."""
+    v = np.atleast_1d(np.asarray(params.get(key, default), dtype=float))
+    if v.size == 1 and grid.dim > 1:
+        v = np.full(grid.dim, float(v[0]))
+    if v.size != grid.dim:
+        raise BadParams(f"{key} has {v.size} entries, expected {grid.dim}")
+    return v
 
 
 def _radial(grid, params):
     """(points - center, |points - center|) for radial families."""
     pts = grid.points()
-    c = _center(grid, params)
+    c = vector_param(grid, params, "center", 0.0)
     diff = pts - c
     return diff, np.sqrt(np.sum(diff**2, axis=-1))
 
 
 def _linear(grid, params):
-    s = _slope(grid, params)
+    s = vector_param(grid, params, "slope", 1.0)
     b = float(params.get("intercept", 0.0))
     return b + np.tensordot(grid.points(), s, axes=([-1], [0]))
 
 
 def _linear_grad(grid, params):
-    s = _slope(grid, params)
+    s = vector_param(grid, params, "slope", 1.0)
     return [np.full(grid.shape, s[a]) for a in range(grid.dim)]
 
 

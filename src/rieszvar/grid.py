@@ -95,12 +95,6 @@ class Grid:
         """All node coordinates, shape (*grid.shape, dim)."""
         return np.stack(self.coords(), axis=-1)
 
-    def flat_index(self, multi_index):
-        return int(np.ravel_multi_index(tuple(multi_index), self.shape))
-
-    def multi_index(self, flat):
-        return tuple(int(i) for i in np.unravel_index(int(flat), self.shape))
-
     def node_coordinate(self, flat):
         """Coordinates of a flat node index, shape (dim,); of an index array, shape (n, dim)."""
         k = np.stack(np.unravel_index(flat, self.shape), axis=-1)
@@ -135,9 +129,6 @@ class SampledField:
             raise BadShape("field has non-finite values at masked-in nodes")
         if self.kind == FieldKind.WEIGHT and np.any(masked < 0):
             raise BadShape("weight has negative values at masked-in nodes")
-
-    def masked_values(self):
-        return self.values[self.grid.mask]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from .errors import PreconditionError, ToolkitError, WeightOverflow
 from .grid import gradient_magnitude
 from .report import Report, ReportRow, params_string
 from .riesz import (
-    MAX_ITERS,
     candidate_balls,
     lipschitz_field,
     make_scores,
@@ -65,7 +64,7 @@ class LevelContext:
 
     @cached_property
     def lipschitz(self):
-        """The LipschitzField of f over a shell of ``shell_factor`` node spacings."""
+        """``lipschitz_field`` of f over a shell of ``shell_factor`` node spacings."""
         grid, f, _, _ = self.fields
         return lipschitz_field(f, self.config.shell_factor * grid.spacing)
 
@@ -97,15 +96,14 @@ class LevelContext:
         """The packing ``riesz_variation(f, w, p, radii, method)`` computes."""
         if p not in self._packings:
             scored = make_scores(self.candidates, *self.measures, p)
-            self._packings[p] = pack(scored, p, self.config.method, MAX_ITERS)
+            self._packings[p] = pack(scored, p, self.config.method)
         return self._packings[p]
 
     @cached_property
     def explored(self):
         """The PackingTerms ``explore_packings(f, pfun, radii, method)`` proposes."""
         _, f, _, pfun = self.fields
-        return packing_proposals(f, pfun, self.candidates, self.measures[0],
-                                 self.config.method, MAX_ITERS)
+        return packing_proposals(f, pfun, self.candidates, self.measures[0], self.config.method)
 
 
 class RunContext:
@@ -500,9 +498,11 @@ def table_riesz_var(ctx):
         rows += [_info("riesz-var", "variation", sol.variation, **params),
                  _info("riesz-var", "total", sol.total, **params),
                  _info("riesz-var", "n_balls", float(len(sol.indices)), **params)]
-        rows += [_info("riesz-var", "ball", s.score, p=p, center=s.ball.center.tolist(),
-                       radius=s.ball.radius, osc=s.oscillation, mass=s.weight_mass)
-                 for s in sol.scores]
+        scored, at = sol.scored, list(sol.indices)
+        rows += [_info("riesz-var", "ball", s, p=p, center=c, radius=r, osc=o, mass=m)
+                 for c, r, o, m, s in zip(*(a[at].tolist() for a in (
+                     scored.centers, scored.radii, scored.oscillation, scored.weight_mass,
+                     scored.score)))]
     return rows
 
 

@@ -27,6 +27,7 @@ from .grid import (
     Ball,
     BallCollection,
     FieldKind,
+    SampledField,
     ball_offsets,
     balls_overlap,
     eroded_mask,
@@ -53,16 +54,6 @@ _GATHER_BLOCK = 1 << 14
 # config pay for them within a few picks.
 _STENCIL_MIN = 512
 _UNCONTAINED = "measure_balls requires balls contained in the domain"
-
-
-@dataclass(frozen=True)
-class BallScore:
-    """One packing summand: (osc/r)^p times the weight mass of the ball."""
-
-    ball: Ball
-    oscillation: float
-    weight_mass: float
-    score: float
 
 
 class NodeLattice:
@@ -159,17 +150,14 @@ class ScoredCandidates(CandidateSet):
     weight_mass: np.ndarray
     score: np.ndarray
 
-    def ball_score(self, i):
-        return BallScore(self.ball(i), float(self.oscillation[i]),
-                         float(self.weight_mass[i]), float(self.score[i]))
-
 
 @dataclass(frozen=True)
 class PackingSolution:
     """A disjoint subset of a candidate set; ``indices`` are its positions there, ascending.
 
-    ``scores`` (a BallScore per index) and ``collection`` (their balls)
-    are built from the ScoredCandidates ``scored`` on first access.
+    The per-ball oscillation, weight mass and score are the arrays of the
+    ScoredCandidates ``scored`` at ``indices``; ``collection`` (the balls)
+    is built from them on first access.
     """
 
     indices: tuple
@@ -180,12 +168,8 @@ class PackingSolution:
     method: str
 
     @cached_property
-    def scores(self):
-        return tuple(self.scored.ball_score(i) for i in self.indices)
-
-    @cached_property
     def collection(self):
-        return BallCollection(tuple(s.ball for s in self.scores))
+        return BallCollection(tuple(self.scored.ball(i) for i in self.indices))
 
 
 def candidate_balls(grid, radii_list):
@@ -220,7 +204,8 @@ def measure_balls(f, w, candidates):
     Every ball of the CandidateSet must be centred at a node and contained
     in the domain, as ``candidate_balls`` makes them; its nodes are then the
     ``ball_offsets`` stencil about the centre, gathered in row-major order
-    like ``values[member]``.
+    like ``values[member]``. A mass past the float range is ``inf``, which
+    ``make_scores`` rejects.
     """
     _require_weight(w)
     grid = f.grid
@@ -255,8 +240,6 @@ def measure_balls(f, w, candidates):
             osc[rows] = vals.max(axis=1) - vals.min(axis=1)
             with np.errstate(over="ignore"):
                 mass[rows] = wv[nodes].sum(axis=1) * grid.cell_volume()
-    if not np.isfinite(mass).all():
-        raise WeightOverflow("the weight mass of a ball overflows the float range")
     return osc, mass
 
 
@@ -264,10 +247,13 @@ def make_scores(candidates, osc, mass, p):
     """ScoredCandidates with score (osc/r)^p * mass per candidate.
 
     Powers are taken on Python floats (C library pow): numpy's vectorised
-    power can differ by one ulp, which can flip a greedy or DP tie.
+    power can differ by one ulp, which can flip a greedy or DP tie. A
+    non-finite mass raises WeightOverflow.
     """
     if p < 1:
         raise PreconditionError(f"p must be >= 1, got {p}")
+    if not np.isfinite(mass).all():
+        raise WeightOverflow("the weight mass of a ball overflows the float range")
     base = (np.asarray(osc, dtype=float) / candidates.radii).tolist()
     score = np.array([x ** p for x in base], dtype=float) * mass
     return ScoredCandidates(candidates.centers, candidates.radii, osc, mass, score,
@@ -275,10 +261,11 @@ def make_scores(candidates, osc, mass, p):
 
 
 def score_ball(f, w, ball, p):
-    """Score a single ball, anywhere in the domain; see BallScore."""
+    """The score (osc/r)^p * w(ball) of any ball (off the nodes, clipped), as a float."""
     _require_weight(w)
-    osc, mass = oscillation(f, ball), weighted_measure(w, ball)
-    return make_scores(CandidateSet([ball.center], [ball.radius]), [osc], [mass], p).ball_score(0)
+    if p < 1:
+        raise PreconditionError(f"p must be >= 1, got {p}")
+    return float((oscillation(f, ball) / ball.radius) ** p * weighted_measure(w, ball))
 
 
 def _solution(selected, scored, p, method):
@@ -559,7 +546,7 @@ def _first_improvement(rows, scores, selected, eps):
     return removed(first[ia], second[ia], first[ib], second[ib]), {ia, ib}
 
 
-def pack(scored, p, method, max_iters):
+def pack(scored, p, method):
     """Disjoint subset of the ScoredCandidates chosen by ``method``.
 
     ``method`` is one of METHODS or "auto", which picks the DP for 1D
@@ -577,15 +564,15 @@ def pack(scored, p, method, max_iters):
         return pack_1d_exact(scored, p)
     greedy = pack_greedy(scored, p)
     if method == GREEDY_PLUS_LOCAL_SEARCH:
-        return pack_local_search(greedy, scored, max_iters)
+        return pack_local_search(greedy, scored)
     return greedy
 
 
-def riesz_variation(f, w, p, radii_list, method="auto", max_iters=MAX_ITERS):
+def riesz_variation(f, w, p, radii_list, method="auto"):
     """Lower bound of V_p(f; domain, w) over the candidate set; ``method`` as in ``pack``."""
     candidates = candidate_balls(f.grid, radii_list)
     osc, mass = measure_balls(f, w, candidates)
-    return pack(make_scores(candidates, osc, mass, p), p, method, max_iters)
+    return pack(make_scores(candidates, osc, mass, p), p, method)
 
 
 def finest_partition(grid):
@@ -623,14 +610,6 @@ def classical_riesz_1d(f, p, partition=None):
     return float(math.fsum(df**p / dx ** (p - 1.0)))
 
 
-@dataclass(frozen=True)
-class LipschitzField:
-    """Per-node discrete local Lipschitz estimate over a neighbor shell."""
-
-    grid: object
-    values: np.ndarray
-
-
 def _shell_offsets(grid, shell_radius):
     """Lattice offsets (m, dim), row-major, with 0 < h|delta| <= shell_radius, and those distances."""
     deltas = lattice_offsets(grid.dim, int(math.floor(shell_radius / grid.spacing + ATOL)))
@@ -643,7 +622,8 @@ def lipschitz_field(f, shell_radius):
     """Discrete surrogate of the local Lipschitz constant.
 
     Max over nodes y with 0 < |y - x| <= shell_radius of
-    |f(x) - f(y)| / |x - y|; nodes with no masked neighbor get 0.
+    |f(x) - f(y)| / |x - y|; nodes with no masked neighbor get 0. A
+    SampledField of kind function.
     """
     grid = f.grid
     if shell_radius < grid.spacing:
@@ -656,7 +636,7 @@ def lipschitz_field(f, shell_radius):
         ratio[usable] = np.abs(f.values[usable] - nv[usable]) / dist
         np.maximum(best, ratio, out=best)
     best[~grid.mask] = 0.0
-    return LipschitzField(grid, best)
+    return SampledField(grid, best, FieldKind.FUNCTION)
 
 
 def _boundary_nodes(grid):
@@ -693,7 +673,7 @@ def require_compact_support(f):
 
 
 def weak_type_rows(w, packing, lip, t_grid, k_max=None):
-    """The rows of ``weak_type_check`` from the LipschitzField ``lip`` of f; no support check."""
+    """The rows of ``weak_type_check`` from ``lip = lipschitz_field(f, ...)``; no support check."""
     grid, p, vp_pow = lip.grid, packing.p, packing.total
     k_max = 32.0 * 2.0**p if k_max is None else k_max
     rows = []

@@ -18,11 +18,9 @@ from .grid import (
     SampledField,
     ball_offsets,
     eroded_mask,
-    gradient_fd,
     gradient_magnitude,
     node_set,
     region_mask,
-    riemann_integral,
     shifted,
 )
 from .report import ReportRow, params_string

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .catalog import vector_param
 from .errors import BadParams, EmptyRegion, PreconditionError, UnknownCatalogEntry
 from .grid import (
     FieldKind,
@@ -29,7 +30,7 @@ from .grid import (
     size_blocks,
 )
 from .report import ReportRow, params_string
-from .riesz import (_GATHER_BLOCK, MAX_ITERS, PackingSolution, candidate_balls, make_scores,
+from .riesz import (_GATHER_BLOCK, PackingSolution, candidate_balls, make_scores,
                     measure_balls, pack)
 
 # Relative bisection tolerance of every Luxemburg norm unless a caller sets one.
@@ -69,12 +70,7 @@ def exponent_catalog(grid, name, params=None):
     if name == "constant":
         vals = np.full(grid.shape, float(params.get("value", 2.0)))
     elif name == "affine":
-        slope = params.get("slope", 1.0)
-        slope = np.atleast_1d(np.asarray(slope, dtype=float))
-        if slope.size == 1 and grid.dim > 1:
-            slope = np.full(grid.dim, float(slope[0]))
-        if slope.size != grid.dim:
-            raise BadParams(f"slope has {slope.size} entries, expected {grid.dim}")
+        slope = vector_param(grid, params, "slope", 1.0)
         vals = float(params.get("intercept", 2.0)) + np.tensordot(
             grid.points(), slope, axes=([-1], [0])
         )
@@ -489,7 +485,7 @@ def rbv_collection_norm(f, collection, pfun):
     return _terms(f, collection, pfun).norm
 
 
-def explore_packings(f, pfun, radii_list, method="auto", max_iters=MAX_ITERS):
+def explore_packings(f, pfun, radii_list, method="auto"):
     """Candidate disjoint families for the variable-exponent supremum, as PackingTerms.
 
     Proposals come from the constant-exponent optimizer at p_minus; see
@@ -498,10 +494,10 @@ def explore_packings(f, pfun, radii_list, method="auto", max_iters=MAX_ITERS):
     candidates = candidate_balls(f.grid, radii_list)
     lebesgue = SampledField(f.grid, np.ones(f.grid.shape), FieldKind.WEIGHT)
     osc, _ = measure_balls(f, lebesgue, candidates)
-    return packing_proposals(f, pfun, candidates, osc, method, max_iters)
+    return packing_proposals(f, pfun, candidates, osc, method)
 
 
-def packing_proposals(f, pfun, candidates, osc, method, max_iters):
+def packing_proposals(f, pfun, candidates, osc, method):
     """PackingTerms of the packings of f over the CandidateSet at p_minus, Lebesgue weight.
 
     ``osc`` holds the oscillation of f on each candidate, as
@@ -527,7 +523,7 @@ def packing_proposals(f, pfun, candidates, osc, method, max_iters):
     subsets = [np.ones(len(scored), dtype=bool)]
     subsets += [scored.radii == r for r in stencils]
     for keep in subsets:
-        sol = pack(scored.subset(keep), p, method, max_iters)
+        sol = pack(scored.subset(keep), p, method)
         key = tuple(np.flatnonzero(keep)[list(sol.indices)].tolist())
         if key and key not in seen:
             seen.add(key)
@@ -536,10 +532,9 @@ def packing_proposals(f, pfun, candidates, osc, method, max_iters):
     return _packing_terms(f, pfun, families)
 
 
-def rbv_var_seminorm(f, pfun, radii_list, method="auto", max_iters=MAX_ITERS):
+def rbv_var_seminorm(f, pfun, radii_list, method="auto"):
     """Lower bound of the RBV^{p(.)} seminorm: max Luxemburg value over proposals."""
-    return max((t.norm for t in explore_packings(f, pfun, radii_list, method, max_iters)),
-               default=0.0)
+    return max((t.norm for t in explore_packings(f, pfun, radii_list, method)), default=0.0)
 
 
 def _row(experiment, quantity, params, value, tolerance, status="info"):

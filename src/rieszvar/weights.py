@@ -79,34 +79,30 @@ class CubeArrays(Sequence):
 class CubeFamily:
     """Cubes bound to a grid, each with its masked-in nodes.
 
-    ``cubes`` is a sequence of Cubes or a CubeArrays (which
-    ``generate_cubes`` passes); cubes that hold no masked-in node are
-    dropped, and the kept ones stay in the form given. ``nodes[i]`` holds
-    the flat row-major indices of the masked-in nodes of ``cubes[i]``.
-    ``blocks`` are those indices stacked by cube size (``grid.size_blocks``).
+    ``cubes`` is given as a CubeArrays (as ``generate_cubes`` passes it)
+    or a sequence of Cubes, and kept as the CubeArrays of the cubes that
+    hold a masked-in node. ``nodes[i]`` holds the flat row-major indices
+    of the masked-in nodes of ``cubes[i]``. ``blocks`` are those indices
+    stacked by cube size (``grid.size_blocks``).
     """
 
     grid: object
-    cubes: tuple
+    cubes: CubeArrays
     provenance: CubeProvenance
     nodes: tuple = field(init=False, repr=False)
     blocks: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        arrays = isinstance(self.cubes, CubeArrays)
-        given = self.cubes if arrays else tuple(self.cubes)
-        if arrays:
-            corners, sides = given.corners, given.sides
-        else:
-            corners = np.array([c.corner for c in given], dtype=float).reshape(
-                len(given), self.grid.dim)
-            sides = np.array([c.side for c in given], dtype=float)
-        nodes = _cube_nodes(self.grid, corners, sides)
+        cubes = self.cubes
+        if not isinstance(cubes, CubeArrays):
+            cubes = tuple(cubes)
+            cubes = CubeArrays(np.reshape([c.corner for c in cubes], (len(cubes), self.grid.dim)),
+                               np.array([c.side for c in cubes], dtype=float))
+        nodes = _cube_nodes(self.grid, cubes.corners, cubes.sides)
         kept = [k for k, i in enumerate(nodes) if i.size]
         if not kept:
             raise NoCubes("no cube of the family holds a masked-in node")
-        cubes = CubeArrays(corners[kept], sides[kept]) if arrays else tuple(given[k] for k in kept)
-        object.__setattr__(self, "cubes", cubes)
+        object.__setattr__(self, "cubes", CubeArrays(cubes.corners[kept], cubes.sides[kept]))
         object.__setattr__(self, "nodes", tuple(nodes[k] for k in kept))
         object.__setattr__(self, "blocks", size_blocks(self.nodes))
 

@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -53,9 +55,14 @@ def scored_set(entries):
                             [s for _, _, s in entries])
 
 
+BallScore = namedtuple("BallScore", "ball oscillation weight_mass score")
+
+
 def ball_scores(scored):
-    """Every candidate of a ScoredCandidates as a BallScore, in order."""
-    return [scored.ball_score(i) for i in range(len(scored))]
+    """Every candidate of a ScoredCandidates as a per-ball record, in order."""
+    return [BallScore(scored.ball(i), float(scored.oscillation[i]),
+                      float(scored.weight_mass[i]), float(scored.score[i]))
+            for i in range(len(scored))]
 
 
 def as_balls(candidates):

@@ -342,7 +342,7 @@ def test_criterion_9_numerical_hygiene():
         from rieszvar import score_ball
 
         rescored = math.fsum(
-            score_ball(SampledField(grid, alpha * f.values), w, s.ball, 2.0).score
-            for s in base.scores
+            score_ball(SampledField(grid, alpha * f.values), w, b, 2.0)
+            for b in base.collection
         )
         assert rescored**0.5 == pytest.approx(abs(alpha) * base.variation, rel=1e-12)

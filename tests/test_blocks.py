@@ -65,6 +65,7 @@ from rieszvar.varexp import (
     seq_norm,
 )
 from rieszvar.weights import (
+    CubeArrays,
     CubeFamily,
     RwEstimate,
     a1_constant,
@@ -818,7 +819,9 @@ class TestCubeFamilyMatchesPerCubeLoop:
                  Cube([0.0, 0.0], 1.0), Cube([2.0, 2.0], 0.5), Cube([0.52, 0.013], 0.25)]
         fam = CubeFamily(grid, tuple(cubes), None)
         kept = frozen_family(grid, cubes)
-        assert list(fam.cubes) == [c for c, _ in kept]
+        assert isinstance(fam.cubes, CubeArrays)
+        assert [(c.corner.tolist(), c.side) for c in fam.cubes] == [
+            (c.corner.tolist(), c.side) for c, _ in kept]
         assert [idx.tolist() for idx in fam.nodes] == [idx.tolist() for _, idx in kept]
 
     def test_errors_as_before(self, disk_grid):

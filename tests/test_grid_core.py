@@ -254,7 +254,8 @@ class TestBallStencil:
                 if eroded[flat]:
                     expected.append((flat, radii.index(r), tuple(ball.center)))
         balls = as_balls(candidate_balls(g, radii))
-        got = [(g.flat_index(np.rint((b.center - g.origin) / h).astype(int)),
+        got = [(int(np.ravel_multi_index(tuple(np.rint((b.center - g.origin) / h).astype(int)),
+                                          g.shape)),
                 radii.index(b.radius), tuple(b.center)) for b in balls]
         assert got == sorted(expected)
 

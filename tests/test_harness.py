@@ -25,7 +25,7 @@ from rieszvar.config import (
 from rieszvar.errors import ConfigError
 from rieszvar.grid import region_mask
 import rieszvar.harness as harness
-from rieszvar.riesz import METHODS
+from rieszvar.riesz import METHODS, score_ball
 import rieszvar.varexp as varexp
 import rieszvar.weights as weights
 from rieszvar.harness import TABLES, RunContext, run_config, run_table, verify_theorem1
@@ -208,6 +208,25 @@ class TestRunConfig:
             assert result.exit_code == 2, (command, result.output)
             assert ",error," in result.output and "overflows the float range" in result.output
 
+    def test_weight_free_proposals_survive_mass_overflow(self):
+        """Ball masses past DBL_MAX cost the weighted suites their rows, not the
+        variable-exponent ones: their proposals are scored with the Lebesgue weight,
+        so their rows equal the pinned verify_2d report."""
+        raw = json.loads((ROOT / "perfbench" / "configs" / "verify_2d.json").read_text())
+        raw["weight"] = {"catalog": "constant", "params": {"value": 1e307}}
+        rows = run_config(load_config(raw)).rows
+        free = ("gd_equivalence", "varexp_sobolev")
+        got = [r for r in rows if r.experiment in free]
+        pinned = ROOT / "tests" / "data" / "verify_2d" / "verify_2d.verify.csv"
+        want = [r for r in csv.DictReader(pinned.open()) if r["experiment"] in free]
+        assert [(r.experiment, r.quantity, r.params, r.status) for r in got] == [
+            (r["experiment"], r["quantity"], r["params"], r["status"]) for r in want]
+        assert [r.value for r in got] == [
+            pytest.approx(float(r["value"]), rel=1e-9) for r in want]
+        assert {r.experiment for r in rows if r.status == "error"} == {
+            "theorem1", "weak_type", "lemma21", "rh_exists", "embedding", "morrey",
+            "mollify_bound"}
+
     @pytest.mark.parametrize("name", ["theorem1_linear", "weak_type_hat"])
     def test_no_rw_at_max_row_on_demo_configs(self, name):
         raw = json.loads((ROOT / "demos" / "configs" / f"{name}.json").read_text())
@@ -285,8 +304,9 @@ class TestRunContext:
         run_config(cfg)
         assert len(calls) == len({id(g) for g in calls}) == cfg.refinements
 
-    def test_embedding_builds_no_balls(self, monkeypatch):
-        """suite_embedding reads the packed candidates' arrays, with the BallScore form's bits."""
+    @staticmethod
+    def count_balls(monkeypatch):
+        """The list every Ball the packing module builds is appended to."""
         built = []
 
         class CountedBall(Ball):
@@ -295,6 +315,11 @@ class TestRunContext:
                 super().__post_init__()
 
         monkeypatch.setattr(rieszvar.riesz, "Ball", CountedBall)
+        return built
+
+    def test_embedding_builds_no_balls(self, monkeypatch):
+        """suite_embedding reads the packed candidates' arrays, with score_ball's bits."""
+        built = self.count_balls(monkeypatch)
         path = ROOT / "perfbench" / "configs" / "verify_2d.json"
         ctx = RunContext(load_config(dict(json.loads(path.read_text()), suites=["embedding"])))
         rows = harness.suite_embedding(ctx)
@@ -304,10 +329,17 @@ class TestRunContext:
         w_total = float(w.values[grid.mask].sum() * grid.cell_volume())
         p1, p2 = ctx.config.p_values  # the config's one pair
         sol2 = lvl.packing(p2)
-        total1 = math.fsum((s.oscillation / s.ball.radius) ** p1 * s.weight_mass
-                           for s in sol2.scores)
+        total1 = math.fsum(score_ball(lvl.fields[1], w, b, p1) for b in sol2.collection)
         rhs = sol2.total ** (1.0 / p2) * w_total ** (1.0 / p1 - 1.0 / p2)
         assert [r.value for r in rows] == [rhs - total1 ** (1.0 / p1)]
+
+    def test_riesz_var_table_builds_no_balls(self, monkeypatch):
+        """table_riesz_var reads each packed ball's row off the scored candidate arrays."""
+        built = self.count_balls(monkeypatch)
+        path = ROOT / "perfbench" / "configs" / "verify_2d.json"
+        rows = run_table(load_config(json.loads(path.read_text())), "riesz-var").rows
+        assert not built
+        assert [r for r in rows if r.quantity == "ball"]
 
     def test_each_region_gathered_once(self, monkeypatch):
         """Node sets come from index arithmetic, each level's values are built once.

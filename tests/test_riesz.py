@@ -32,9 +32,8 @@ from rieszvar.errors import (
     UnboundedSupport,
 )
 from rieszvar import riesz
-from rieszvar.grid import FieldKind, balls_disjoint, region_mask
+from rieszvar.grid import FieldKind, balls_disjoint, oscillation, region_mask, weighted_measure
 from rieszvar.riesz import (
-    MAX_ITERS,
     CandidateSet,
     finest_partition,
     make_scores,
@@ -212,21 +211,22 @@ class TestScoreBall:
     def test_linear_p2(self, fine_unit_grid):
         f = linear(fine_unit_grid)
         w = const_weight(fine_unit_grid)
-        s = score_ball(f, w, Ball([0.5], 0.25), 2.0)
-        assert s.oscillation == pytest.approx(0.5, abs=0.01)
-        assert s.weight_mass == pytest.approx(0.5, abs=0.01)
-        assert s.score == pytest.approx(2.0, abs=0.1)
+        ball = Ball([0.5], 0.25)
+        s = score_ball(f, w, ball, 2.0)
+        assert oscillation(f, ball) == pytest.approx(0.5, abs=0.01)
+        assert weighted_measure(w, ball) == pytest.approx(0.5, abs=0.01)
+        assert type(s) is float and s == pytest.approx(2.0, abs=0.1)
 
     def test_linear_p1(self, fine_unit_grid):
         f = linear(fine_unit_grid)
         w = const_weight(fine_unit_grid)
         s = score_ball(f, w, Ball([0.5], 0.25), 1.0)
-        assert s.score == pytest.approx(1.0, abs=0.05)
+        assert s == pytest.approx(1.0, abs=0.05)
 
     def test_constant_zero(self, fine_unit_grid):
         s = score_ball(const_weight(fine_unit_grid, 3.0), const_weight(fine_unit_grid),
                        Ball([0.5], 0.25), 2.0)
-        assert s.score == 0.0
+        assert s == 0.0
 
 
 class TestMeasureBalls:
@@ -253,8 +253,8 @@ class TestMeasureBalls:
         cands = candidate_balls(unit_grid, [0.05, 0.1]).subset(slice(None, None, -1))
         osc, mass = measure_balls(f, w, cands)
         for i, ball in enumerate(as_balls(cands)):
-            assert osc[i] == score_ball(f, w, ball, 2.0).oscillation
-            assert mass[i] == score_ball(f, w, ball, 2.0).weight_mass
+            assert osc[i] == oscillation(f, ball)
+            assert mass[i] == weighted_measure(w, ball)
 
     def test_empty_list(self, unit_grid):
         osc, mass = measure_balls(linear(unit_grid), const_weight(unit_grid),
@@ -281,10 +281,12 @@ class TestMeasureBalls:
 
     def test_score_ball_accepts_any_ball(self, fine_unit_grid):
         f, w = linear(fine_unit_grid), const_weight(fine_unit_grid)
-        off_node = score_ball(f, w, Ball([0.5 + fine_unit_grid.spacing / 3], 0.25), 2.0)
-        assert off_node.oscillation == pytest.approx(0.5, abs=0.01)
-        sticking_out = score_ball(f, w, Ball([0.0], 0.25), 2.0)
-        assert sticking_out.weight_mass == pytest.approx(0.25, abs=0.01)
+        off_node = Ball([0.5 + fine_unit_grid.spacing / 3], 0.25)
+        assert score_ball(f, w, off_node, 2.0) == pytest.approx(2.0, abs=0.1)
+        assert oscillation(f, off_node) == pytest.approx(0.5, abs=0.01)
+        sticking_out = Ball([0.0], 0.25)
+        assert score_ball(f, w, sticking_out, 2.0) == pytest.approx(0.25, abs=0.02)
+        assert weighted_measure(w, sticking_out) == pytest.approx(0.25, abs=0.01)
 
 
 class TestPack1dExact:
@@ -488,7 +490,7 @@ class TestGreedyAndLocalSearch:
             stencil = type(scored._conflicts) is riesz._StencilRows
             assert stencil == (stencil_min == 0)
             built.clear()
-            sol = pack(scored, 2.0, riesz.GREEDY_PLUS_LOCAL_SEARCH, MAX_ITERS)
+            sol = pack(scored, 2.0, riesz.GREEDY_PLUS_LOCAL_SEARCH)
             assert sol.method == riesz.GREEDY_PLUS_LOCAL_SEARCH
             assert set(sol.indices) <= set(built)
             assert set(built.values()) == {1}
@@ -519,7 +521,7 @@ class TestGreedyAndLocalSearch:
         cands = candidate_balls(g, [2 * h, 4 * h])
         f = sample_catalog(g, function, pinned["params"])
         scored = make_scores(cands, *measure_balls(f, const_weight(g), cands), 2.0)
-        sol = pack(scored, 2.0, riesz.GREEDY_PLUS_LOCAL_SEARCH, MAX_ITERS)
+        sol = pack(scored, 2.0, riesz.GREEDY_PLUS_LOCAL_SEARCH)
         assert sol.method == pinned["method"]
         assert list(sol.indices) == pinned["indices"]
         assert sol.total == pinned["total"]
@@ -539,7 +541,7 @@ class TestGreedyAndLocalSearch:
         assert type(scored._conflicts) is riesz._StencilRows
         greedy = pack_greedy(scored, 3.0)
         assert greedy.total == pinned["greedy_total"]
-        sol = pack(scored, 3.0, riesz.GREEDY_PLUS_LOCAL_SEARCH, MAX_ITERS)
+        sol = pack(scored, 3.0, riesz.GREEDY_PLUS_LOCAL_SEARCH)
         assert sol.method == pinned["method"]
         assert list(sol.indices) == pinned["indices"]
         assert sol.total == pinned["total"] > greedy.total
@@ -634,27 +636,24 @@ class TestRieszVariation:
         f, w = linear(unit_grid), const_weight(unit_grid)
         cands = candidate_balls(unit_grid, [0.1, 0.25])
         scored = make_scores(cands, *measure_balls(f, w, cands), 2.0)
-        assert pack(scored, 2.0, "auto", 200) == pack_1d_exact(scored, 2.0)
+        assert pack(scored, 2.0, "auto") == pack_1d_exact(scored, 2.0)
         g = sample_catalog(disk_grid, "linear", {"slope": [1.0, 0.0]})
         cands = candidate_balls(disk_grid, [0.25])
         scored = make_scores(cands, *measure_balls(g, const_weight(disk_grid), cands), 2.0)
         greedy = pack_greedy(scored, 2.0)
-        assert pack(scored, 2.0, "greedy", 200) == greedy
-        assert pack(scored, 2.0, "auto", 200) == pack_local_search(greedy, scored)
+        assert pack(scored, 2.0, "greedy") == greedy
+        assert pack(scored, 2.0, "auto") == pack_local_search(greedy, scored)
         with pytest.raises(NoCandidates):
-            pack(scored.subset([]), 2.0, "auto", 200)
+            pack(scored.subset([]), 2.0, "auto")
         with pytest.raises(PreconditionError):
-            pack(scored, 2.0, "greedy_local", 200)
+            pack(scored, 2.0, "greedy_local")
 
     def test_scaling_seminorm_exact_on_fixed_packing(self, unit_grid):
         f, w = linear(unit_grid), const_weight(unit_grid)
         base = riesz_variation(f, w, 2.0, [0.1, 0.25], method="dp_1d_exact")
         alpha = -3.5
         scaled_f = SampledField(unit_grid, alpha * f.values)
-        rescored = [
-            score_ball(scaled_f, w, s.ball, 2.0) for s in base.scores
-        ]
-        total = math.fsum(s.score for s in rescored)
+        total = math.fsum(score_ball(scaled_f, w, b, 2.0) for b in base.collection)
         assert total ** 0.5 == pytest.approx(abs(alpha) * base.variation, rel=1e-12)
 
     def test_triangle_on_shared_packing(self, unit_grid):
@@ -663,8 +662,8 @@ class TestRieszVariation:
         w = const_weight(unit_grid)
         fg = SampledField(unit_grid, f.values + g.values)
         packing = riesz_variation(fg, w, 2.0, [0.1, 0.25], method="dp_1d_exact")
-        vf = math.fsum(score_ball(f, w, s.ball, 2.0).score for s in packing.scores) ** 0.5
-        vg = math.fsum(score_ball(g, w, s.ball, 2.0).score for s in packing.scores) ** 0.5
+        vf = math.fsum(score_ball(f, w, b, 2.0) for b in packing.collection) ** 0.5
+        vg = math.fsum(score_ball(g, w, b, 2.0) for b in packing.collection) ** 0.5
         assert packing.variation <= vf + vg + 1e-12
 
     def test_monotone_refinement(self):
@@ -681,9 +680,7 @@ class TestRieszVariation:
         w = const_weight(unit_grid)
         p1, p2 = 2.0, 4.0
         sol2 = riesz_variation(f, w, p2, [0.05, 0.1], method="dp_1d_exact")
-        total1 = math.fsum(
-            (s.oscillation / s.ball.radius) ** p1 * s.weight_mass for s in sol2.scores
-        )
+        total1 = math.fsum(score_ball(f, w, b, p1) for b in sol2.collection)
         w_total = float(w.values[unit_grid.mask].sum() * unit_grid.cell_volume())
         lhs = total1 ** (1 / p1)
         rhs = sol2.total ** (1 / p2) * w_total ** (1 / p1 - 1 / p2)
@@ -717,18 +714,16 @@ class TestRieszVariation:
             else:
                 greedy = pack_greedy(scored, 2.0)
                 packers.append(partial(pack_local_search, greedy, scored))
-                packers.append(partial(pack, scored, 2.0, "greedy_plus_local_search", MAX_ITERS))
+                packers.append(partial(pack, scored, 2.0, "greedy_plus_local_search"))
             for packer in packers:
                 built.clear()
                 sol = packer()
                 assert not built  # balls are built when a solution's collection is read
                 assert len(sol.collection) == len(sol.indices)
                 assert len(built) == len(sol.indices) < len(cands)
-                for i, s in zip(sol.indices, sol.scores):
-                    assert np.array_equal(s.ball.center, cands.centers[i])
-                    assert s.ball.radius == cands.radii[i]
-                    assert (s.oscillation, s.weight_mass, s.score) == (
-                        scored.oscillation[i], scored.weight_mass[i], scored.score[i])
+                for i, b in zip(sol.indices, sol.collection):
+                    assert np.array_equal(b.center, cands.centers[i])
+                    assert b.radius == cands.radii[i]
 
 
 class TestClassicalRiesz:
@@ -760,6 +755,7 @@ class TestClassicalRiesz:
 class TestLipschitzField:
     def test_affine_slope(self, unit_grid):
         lf = lipschitz_field(linear(unit_grid, slope=3.0), 3 * unit_grid.spacing)
+        assert isinstance(lf, SampledField) and lf.kind == FieldKind.FUNCTION
         interior = unit_grid.mask.copy()
         interior[:3] = interior[-3:] = False
         assert np.allclose(lf.values[interior], 3.0, atol=1e-10)

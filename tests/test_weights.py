@@ -21,9 +21,10 @@ from rieszvar import (
 )
 from rieszvar.errors import InfiniteDual, NoCubes, PreconditionError, WeightOverflow
 from rieszvar.grid import FieldKind, SampledField, region_mask
-from rieszvar.riesz import candidate_balls, measure_balls
+from rieszvar.riesz import candidate_balls, make_scores, measure_balls, riesz_variation
 from rieszvar.sobolev import weighted_lp_norm
 from rieszvar.weights import (
+    CubeArrays,
     CubeFamily,
     CubeProvenance,
     RwEstimate,
@@ -79,7 +80,9 @@ class TestCubeFamilyNodes:
         centre = Cube([-0.2, -0.2], 0.4)
         assert not region_mask(disk_grid, corner).any()
         fam = CubeFamily(disk_grid, (corner, centre), CubeProvenance.DYADIC)
-        assert fam.cubes == (centre,)
+        assert isinstance(fam.cubes, CubeArrays)
+        assert fam.cubes.corners.tolist() == [centre.corner.tolist()]
+        assert fam.cubes.sides.tolist() == [centre.side]
         assert np.array_equal(fam.nodes[0], np.flatnonzero(region_mask(disk_grid, centre)))
         with pytest.raises(NoCubes):
             CubeFamily(disk_grid, (corner,), CubeProvenance.DYADIC)
@@ -347,8 +350,13 @@ class TestCubeSumOverflow:
     def test_ball_masses_and_weighted_norms(self, disk_grid):
         w = const_weight(disk_grid, 1e307)
         f = SampledField(disk_grid, np.ones(disk_grid.shape), FieldKind.FUNCTION)
+        cands = candidate_balls(disk_grid, [0.25])
+        osc, mass = measure_balls(f, w, cands)
+        assert np.isposinf(mass).all()
         with pytest.raises(WeightOverflow, match="mass of a ball"):
-            measure_balls(f, w, candidate_balls(disk_grid, [0.25]))
+            make_scores(cands, osc, mass, 2.0)
+        with pytest.raises(WeightOverflow, match="mass of a ball"):
+            riesz_variation(f, w, 2.0, [0.25])
         with pytest.raises(WeightOverflow, match="weighted L\\^p sum"):
             weighted_lp_norm(f, w, 2.0)
         small = const_weight(disk_grid, 1e300)
