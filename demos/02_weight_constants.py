@@ -8,8 +8,6 @@ told here: constant weights sit exactly at 1, while the power weight
 provided a node comes close enough to the singularity to see it.
 """
 
-import numpy as np
-
 from rieszvar import (
     Ball,
     a1_constant,

@@ -12,17 +12,13 @@ import numpy as np
 
 from rieszvar import (
     Ball,
-    BallCollection,
-    SampledField,
     VariableSequence,
     build_grid,
     exponent_catalog,
-    g_operator,
     gd_equivalence_check,
     harmonic_mean_exponent,
     lh_constants,
     luxemburg_norm,
-    rbv_var_seminorm,
     sample_catalog,
     seq_norm,
     varexp_sobolev_equivalence,

@@ -44,7 +44,8 @@ GREEDY = "greedy"
 GREEDY_PLUS_LOCAL_SEARCH = "greedy_plus_local_search"
 METHODS = (DP_1D_EXACT, GREEDY, GREEDY_PLUS_LOCAL_SEARCH)
 MAX_ITERS = 200
-# Gathered node values per block in measure_balls: bounds its scratch memory.
+# Scratch budget of one numpy pass: gathered node values per block in
+# measure_balls, candidate pairs per chunk in local search.
 _GATHER_BLOCK = 1 << 14
 # Node-centred candidate sets of at least this size decide conflicts by
 # lattice stencils; smaller ones by distance rows. A greedy pick on a
@@ -157,7 +158,9 @@ class PackingSolution:
 
     The per-ball oscillation, weight mass and score are the arrays of the
     ScoredCandidates ``scored`` at ``indices``; ``collection`` (the balls)
-    is built from them on first access.
+    is built from them on first access. ``moves`` counts the local-search
+    moves made (0 for the DP and greedy), and ``capped`` is True when the
+    search stopped at its move cap before it could confirm a local optimum.
     """
 
     indices: tuple
@@ -166,6 +169,8 @@ class PackingSolution:
     variation: float
     p: float
     method: str
+    moves: int = 0
+    capped: bool = False
 
     @cached_property
     def collection(self):
@@ -268,7 +273,7 @@ def score_ball(f, w, ball, p):
     return float((oscillation(f, ball) / ball.radius) ** p * weighted_measure(w, ball))
 
 
-def _solution(selected, scored, p, method):
+def _solution(selected, scored, p, method, moves=0, capped=False):
     """PackingSolution of the selected indices; fsum makes the total order-independent."""
     indices = tuple(sorted(int(i) for i in selected))
     total = math.fsum(scored.score[list(indices)].tolist())
@@ -279,6 +284,8 @@ def _solution(selected, scored, p, method):
         variation=total ** (1.0 / p) if total > 0 else 0.0,
         p=float(p),
         method=method,
+        moves=moves,
+        capped=capped,
     )
 
 
@@ -422,9 +429,11 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
 
     Removes at most two selected balls and inserts one or two candidates,
     accepting only strict total increases; the total never decreases and
-    the search stops at a local optimum or after max_iters moves.
-    ``initial`` is a PackingSolution of the same scored candidates, and
-    it is returned when the search would end below its total.
+    the search stops at a local optimum or after max_iters moves. The
+    solution records the moves made and whether the cap stopped it
+    (``moves``, ``capped``). ``initial`` is a PackingSolution of the same
+    scored candidates, and it is returned when the search would end below
+    its total.
 
     Moves are tried in a fixed order, single insertions by index and then
     pairs (ia < ib) lexicographically, but pairs are evaluated only where
@@ -434,35 +443,41 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
     removes) at most eps. A pair (a, b) removes the selected balls it
     overlaps, a's among them and at most two, so it gains at most
     slack_a + s_b - 2m and slack_b + s_a - 2m, m = min(0, least selected
-    score). Two candidates that overlap a common selected ball are tried
-    together once per such ball, and only if both pass these bounds
-    against the block's largest s and slack: each must exceed eps + 2m - d.
-    Any other pair removes two disjoint sets and gains the sum of its two
-    slacks, so it can only improve when one slack exceeds eps/2 - d and
-    the other exceeds -d. The margin d (eps/1000 plus 1e-15 times the
-    largest |score| + |removal| of an insertable candidate and twice the
-    largest |selected score|) bounds the rounding of these sums. Whether
-    the two balls of a pair are disjoint is decided last, for the pairs
-    that pass the count and gain tests, under the rule of
-    ``grid.balls_disjoint``.
+    score). So the candidates that overlap a common selected ball (its
+    block) are paired only among the members that pass these bounds
+    against the block's largest s and slack: each must exceed
+    eps + 2m - d. Any other pair removes two disjoint sets and gains the
+    sum of its two slacks, so it can only improve when one slack exceeds
+    eps/2 - d and the other exceeds -d. The margin d (eps/1000 plus 1e-15
+    times the largest |score| + |removal| of an insertable candidate and
+    twice the largest |selected score|) bounds the rounding of these
+    sums. The pairs of every block and of the slack band are evaluated
+    together in one batched pass per move, chunked to bound its memory,
+    so a move costs a fixed number of numpy passes over the neighbour
+    lists and the pairs, with no sort. Whether the two balls of a pair are
+    disjoint is decided last, for the pairs that pass the count and gain
+    tests, under the rule of ``grid.balls_disjoint``.
     """
     rows = scored._conflicts
     scores = scored.score
     selected = set(initial.indices)
     total = start_total = math.fsum(scores[sorted(selected)])
     eps = 1e-12 * max(1.0, abs(total))
-    for _ in range(max_iters):
+    moves, capped = 0, True
+    while moves < max_iters:
         move = _first_improvement(rows, scores, selected, eps)
         if move is None:
+            capped = False
             break
         removed, inserted = move
         selected -= removed
         selected |= inserted
+        moves += 1
         total = math.fsum(scores[sorted(selected)])
         eps = 1e-12 * max(1.0, abs(total))
     if total < start_total:
         return initial
-    return _solution(selected, scored, initial.p, GREEDY_PLUS_LOCAL_SEARCH)
+    return _solution(selected, scored, initial.p, GREEDY_PLUS_LOCAL_SEARCH, moves, capped)
 
 
 def _first_improvement(rows, scores, selected, eps):
@@ -472,32 +487,37 @@ def _first_improvement(rows, scores, selected, eps):
     second selected ball each candidate overlaps are tracked. Removal sums
     add at most two nonzero scores, which makes them bit-identical to a
     plain sum over the removed set in any order. Pairs are evaluated only
-    where a score bound says they can improve; see pack_local_search.
+    where a score bound says they can improve (see pack_local_search):
+    each block's trimmed members give their upper-triangle pairs and each
+    candidate of the slack band its pairs with ``low``. All of them are
+    ordered as (min, max) and evaluated together, in chunks of whole
+    rows (a member with the members after it, a band candidate with
+    ``low``) of at most ``_GATHER_BLOCK`` pairs, a longer row alone; each
+    chunk drops the pairs whose key cannot beat the least improving key
+    found so far.
     """
-    sel = np.array(sorted(selected), dtype=int)
+    order = sorted(selected)
+    sel = np.array(order, dtype=int)
     k = sel.size
     n = scores.size
-    lists = [rows.neighbours(j) for j in sel]
-    # Each selected ball's neighbours tagged with its position q, then one
-    # sentinel per candidate at position k. A stable sort by candidate keeps
-    # q ascending inside each group, so a group reads first, second, ..., k.
-    cand = np.concatenate(lists + [np.arange(n)])
-    tag = np.repeat(np.arange(k + 1), [nb.size for nb in lists] + [n])
-    group = np.bincount(cand, minlength=n)
-    count = group - 1
-    start = np.cumsum(group) - group
-    tag = tag[np.argsort(cand, kind="stable")]
-    first = tag[start]
-    second = tag[start + (count > 0)]
-    owner = np.append(sel, -1)
+    lists = [rows.neighbours(j) for j in order]
+    # Each selected ball's neighbours tagged with its position q. Tags never
+    # decrease along the concatenation, so each block below is one run.
+    cand = np.concatenate([np.empty(0, dtype=np.intp)] + lists)
+    tag = np.repeat(np.arange(k), [nb.size for nb in lists])
+    count = np.bincount(cand, minlength=n)
+    first = np.full(n, k)
+    np.minimum.at(first, cand, tag)
+    other = tag != first[cand]
+    second = np.full(n, k)
+    np.minimum.at(second, cand[other], tag[other])
     owner_score = np.append(scores[sel], 0.0)
     removal = owner_score[first] + owner_score[second]
-    insertable = np.ones(n, dtype=bool)
+    insertable = count <= 2
     insertable[sel] = False
-    insertable &= count <= 2
 
     def removed(*positions):
-        return {int(owner[q]) for q in positions if q < k}
+        return {order[q] for q in positions if q < k}
 
     # Single insertion with up to two removals.
     slack = scores - removal
@@ -506,40 +526,55 @@ def _first_improvement(rows, scores, selected, eps):
         i = int(single.argmax())
         return removed(first[i], second[i]), {i}
 
-    def least_improving(ra, rb):
-        """Smallest key ia * n + ib over the improving pairs of ra x rb with ia < ib; n * n if none."""
-        ia, ib = ra[:, None], rb[None, :]
+    # Pair insertion with up to two removals. Pairs that overlap a common
+    # selected ball come from that ball's block, among the members that
+    # pass the gain bounds against the block's largest s and slack
+    # (owner_score ends in 0, so its min is m); pairs with disjoint removal
+    # sets gain the sum of their slacks and need one slack near eps / 2.
+    size = (np.abs(scores) + np.abs(removal)).max(where=insertable, initial=0.0)
+    margin = 1e-3 * eps + 1e-15 * float(size + 2 * np.abs(owner_score).max())
+    floor = eps + 2.0 * float(owner_score.min()) - margin
+    ins = insertable[cand]
+    members, block = cand[ins], tag[ins]
+    s, sl = scores[members], slack[members]
+    s_max, sl_max = np.full(k, -np.inf), np.full(k, -np.inf)
+    np.maximum.at(s_max, block, s)
+    np.maximum.at(sl_max, block, sl)
+    keep = (sl + s_max[block] > floor) & (s + sl_max[block] > floor)
+    kept, block = members[keep], block[keep]
+    # Kept member e pairs with the later[e] members after it in its block;
+    # each band candidate pairs with every candidate of low. Pair units
+    # (these rows) are gathered in order, as many as fit the budget.
+    later = np.cumsum(np.bincount(block, minlength=k))[block] - 1 - np.arange(kept.size)
+    band = np.flatnonzero(insertable & (slack > 0.5 * eps - margin))
+    low = np.flatnonzero(insertable & (slack > -margin))
+    units = np.concatenate([later, np.full(band.size, low.size)])
+    ends = np.cumsum(units)
+    pairs = int(units.sum())
+    best, done = n * n, 0
+    while done < pairs:
+        u0 = int(np.searchsorted(ends, done, side="right"))
+        u1 = max(int(np.searchsorted(ends, done + _GATHER_BLOCK, side="right")), u0 + 1)
+        done = ends[u1 - 1]
+        c = later[u0:u1]
+        left = np.repeat(np.arange(u0, u0 + c.size), c)
+        right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(c) - c, c)
+        a = band[max(u0 - kept.size, 0):max(u1 - kept.size, 0)]
+        ia = np.concatenate([kept[left], np.repeat(a, low.size)])
+        ib = np.concatenate([kept[right], np.tile(low, a.size)])
+        ia, ib = np.minimum(ia, ib), np.maximum(ia, ib)
+        live = (ia < ib) & (ia * n + ib < best)
+        ia, ib = ia[live], ib[live]
         a1, a2 = first[ia], second[ia]
         b1, b2 = first[ib], second[ib]
         new1 = (b1 < k) & (b1 != a1) & (b1 != a2)
         new2 = (b2 < k) & (b2 != a1) & (b2 != a2)
         extra = np.where(new1, owner_score[b1], 0.0) + np.where(new2, owner_score[b2], 0.0)
         gain = scores[ia] + scores[ib] - (removal[ia] + extra)
-        pa, pb = np.nonzero((ia < ib) & (count[ia] + new1 + new2 <= 2) & (gain > eps))
-        ia, ib = ra[pa], rb[pb]
+        ok = (count[ia] + new1 + new2 <= 2) & (gain > eps)
+        ia, ib = ia[ok], ib[ok]
         ok = ~rows.overlap(ia, ib)
-        return int((ia[ok] * n + ib[ok]).min(initial=n * n))
-
-    # Pair insertion with up to two removals. Pairs that overlap a common
-    # selected ball are scanned per such ball, among the members that pass
-    # the gain bounds (owner_score ends in 0, so its min is m); pairs with
-    # disjoint removal sets gain the sum of their slacks and need one
-    # slack near eps / 2.
-    size = np.abs(scores[insertable]) + np.abs(removal[insertable]) + 2 * np.abs(owner_score).max()
-    margin = 1e-3 * eps + 1e-15 * float(size.max(initial=0.0))
-    floor = eps + 2.0 * float(owner_score.min()) - margin
-    best = n * n
-    for nb in lists:
-        members = nb[insertable[nb]]
-        s, sl = scores[members], slack[members]
-        kept = members[(sl + s.max(initial=-np.inf) > floor)
-                       & (s + sl.max(initial=-np.inf) > floor)]
-        if kept.size > 1:
-            best = min(best, least_improving(kept, kept))
-    low = np.flatnonzero(insertable & (slack > -margin))
-    for a in np.flatnonzero(insertable & (slack > 0.5 * eps - margin)):
-        one = np.array([a])
-        best = min(best, least_improving(one, low), least_improving(low, one))
+        best = int((ia[ok] * n + ib[ok]).min(initial=best))
     if best == n * n:
         return None
     ia, ib = divmod(best, n)

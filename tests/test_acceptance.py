@@ -33,7 +33,7 @@ from rieszvar import (
     weak_type_check,
     weighted_lp_norm,
 )
-from rieszvar.grid import FieldKind, balls_disjoint, gradient_fd, region_mask
+from rieszvar.grid import balls_disjoint, gradient_fd, region_mask
 from rieszvar.varexp import explore_packings
 from rieszvar.weights import ap_constant, generate_cubes, rh_constant
 

@@ -26,7 +26,6 @@ from rieszvar.errors import ConfigError
 from rieszvar.grid import region_mask
 import rieszvar.harness as harness
 from rieszvar.riesz import METHODS, score_ball
-import rieszvar.varexp as varexp
 import rieszvar.weights as weights
 from rieszvar.harness import TABLES, RunContext, run_config, run_table, verify_theorem1
 from rieszvar.report import (

@@ -6,8 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rieszvar import (
     Ball,
@@ -35,7 +33,6 @@ from rieszvar import riesz
 from rieszvar.grid import FieldKind, balls_disjoint, oscillation, region_mask, weighted_measure
 from rieszvar.riesz import (
     CandidateSet,
-    finest_partition,
     make_scores,
     measure_balls,
 )
@@ -583,6 +580,105 @@ class TestGreedyAndLocalSearch:
         assert set(frozen.indices) == {1}
         assert frozen.total == 4.0
         assert pack_local_search(greedy, scored).total == 6.0
+
+    def test_moves_and_capped(self):
+        scored = scored_set([
+            ([0.3, 0.5], 0.1, 3.0),
+            ([0.4, 0.5], 0.1, 4.0),
+            ([0.5, 0.5], 0.1, 3.0),
+        ])
+        greedy = pack_greedy(scored, 2.0)
+        assert (greedy.moves, greedy.capped) == (0, False)
+        sol = pack_local_search(greedy, scored)
+        assert (sol.moves, sol.capped) == (1, False)
+        for max_iters in (0, 1):
+            cut = pack_local_search(greedy, scored, max_iters=max_iters)
+            assert (cut.moves, cut.capped) == (max_iters, True)
+        dp = pack_1d_exact(scored_set([([0.4], 0.1, 4.0)]), 2.0)
+        assert (dp.moves, dp.capped) == (0, False)
+
+    def test_pair_move_from_empty_selection(self):
+        # No ball is selected, so there are no blocks: the only improving
+        # move is the pair of the two disjoint slack-band candidates.
+        scored = scored_set([
+            ([0.2, 0.5], 0.1, 0.75e-12),
+            ([0.5, 0.5], 0.1, 0.75e-12),
+            ([0.35, 0.5], 0.1, 0.5e-12),
+        ])
+        assert riesz._first_improvement(scored._conflicts, scored.score, set(), 1e-12) == (
+            set(), {0, 1})
+        start = riesz._solution([], scored, 2.0, riesz.GREEDY)
+        sol = pack_local_search(start, scored)
+        ref_selected, ref_total = reference_local_search(set(), ball_scores(scored))
+        assert set(sol.indices) == ref_selected == {0, 1}
+        assert sol.total == ref_total
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("band_first", [True, False])
+    def test_block_and_band_pairs_compete(self, band_first, budget, monkeypatch):
+        # a and b each replace one selected ball (s1, s2) with slack 0.75 eps,
+        # so only their pair, from the slack band, gains (1.5 eps); c and d
+        # both overlap s3 and gain 0.2 as a pair from its block. The first
+        # move is the pair with the smaller key (indices 3 and 4); a budget
+        # of one pair gathers every block row and band row alone.
+        if budget is not None:
+            monkeypatch.setattr(riesz, "_GATHER_BLOCK", budget)
+        eps = 1.5e-12
+        selected = [([0.2, 0.5], 0.1, 0.25), ([0.8, 0.5], 0.1, 0.25), ([0.5, 0.2], 0.1, 1.0)]
+        band = [([0.25, 0.5], 0.1, 0.25 + 0.75 * eps), ([0.75, 0.5], 0.1, 0.25 + 0.75 * eps)]
+        block = [([0.45, 0.2], 0.05, 0.6), ([0.55, 0.2], 0.05, 0.6)]
+        scored = scored_set(selected + (band + block if band_first else block + band))
+        start = riesz._solution([0, 1, 2], scored, 2.0, riesz.GREEDY)
+        first = pack_local_search(start, scored, max_iters=1)
+        assert {3, 4} < set(first.indices)
+        final = pack_local_search(start, scored)
+        assert set(final.indices) == {3, 4, 5, 6} and final.moves == 2
+        for sol, max_iters in ((first, 1), (final, 200)):
+            ref_selected, ref_total = reference_local_search({0, 1, 2}, ball_scores(scored), max_iters)
+            assert set(sol.indices) == ref_selected
+            assert sol.total == ref_total
+
+    @pytest.mark.parametrize("case", ["disk17", "box9"])
+    def test_stencil_lists_match_reference(self, case, monkeypatch):
+        # Stencil neighbour lists run radius by radius, so they are not sorted.
+        monkeypatch.setattr(riesz, "_STENCIL_MIN", 0)
+        h = 0.125
+        if case == "disk17":
+            g = unit_disk(h)
+            f = sample_catalog(g, "sinusoid", {"freq": 2.0})
+            w = const_weight(g)
+        else:
+            g = build_grid(3, [-0.5] * 3, h, [9] * 3)
+            f = sample_catalog(g, "sinusoid", {"freq": 3.0})
+            w = sample_catalog(g, "power_weight", {"alpha": 1.0, "center": [0.0625, -0.1875, 0.0]})
+        cands = candidate_balls(g, [2 * h, 4 * h])
+        scored = make_scores(cands, *measure_balls(f, w, cands), 2.0)
+        assert type(scored._conflicts) is riesz._StencilRows
+        ref = ball_scores(scored)
+        expected = reference_greedy(ref)
+        ls = pack_local_search(pack_greedy(scored, 2.0), scored)
+        lists = [scored._conflicts.neighbours(i) for i in ls.indices]
+        assert any(np.any(np.diff(nb) < 0) for nb in lists)
+        ref_selected, ref_total = reference_local_search(expected, ref)
+        assert ref_selected != expected
+        assert set(ls.indices) == ref_selected
+        assert ls.total == ref_total
+
+    @pytest.mark.parametrize("stencil_min", [riesz._STENCIL_MIN, 0])
+    def test_pair_budget_keeps_the_moves(self, stencil_min, monkeypatch):
+        """A pair budget of a few pairs splits every move's pass into many chunks, same moves."""
+        monkeypatch.setattr(riesz, "_STENCIL_MIN", stencil_min)
+        g = unit_disk(0.125)
+        f = sample_catalog(g, "sinusoid", {"freq": 2.0})
+        cands = candidate_balls(g, [0.25, 0.5])
+        osc, mass = measure_balls(f, const_weight(g), cands)
+        solutions = []
+        for budget in (riesz._GATHER_BLOCK, 3):
+            monkeypatch.setattr(riesz, "_GATHER_BLOCK", budget)
+            scored = make_scores(cands, osc, mass, 2.0)
+            solutions.append(pack(scored, 2.0, riesz.GREEDY_PLUS_LOCAL_SEARCH))
+        assert solutions[0].moves > 0
+        assert solutions[0] == solutions[1]
 
     def test_p_is_required(self):
         scored = scored_set([([0.5], 0.1, 2.0)])

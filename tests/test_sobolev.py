@@ -16,7 +16,7 @@ from rieszvar import (
     weighted_lp_norm,
 )
 from rieszvar.errors import ErodedEmpty, PreconditionError
-from rieszvar.grid import FieldKind, gradient_fd, gradient_magnitude
+from rieszvar.grid import FieldKind, gradient_fd
 from rieszvar.sobolev import choose_morrey_q, eroded_mask, mollify_gradient_bound
 
 from conftest import const_weight, linear
