@@ -497,8 +497,7 @@ def _first_improvement(rows, scores, selected, eps):
     found so far.
     """
     order = sorted(selected)
-    sel = np.array(order, dtype=int)
-    k = sel.size
+    k = len(order)
     n = scores.size
     lists = [rows.neighbours(j) for j in order]
     # Each selected ball's neighbours tagged with its position q. Tags never
@@ -511,10 +510,10 @@ def _first_improvement(rows, scores, selected, eps):
     other = tag != first[cand]
     second = np.full(n, k)
     np.minimum.at(second, cand[other], tag[other])
-    owner_score = np.append(scores[sel], 0.0)
+    owner_score = np.append(scores[order], 0.0)
     removal = owner_score[first] + owner_score[second]
     insertable = count <= 2
-    insertable[sel] = False
+    insertable[order] = False
 
     def removed(*positions):
         return {order[q] for q in positions if q < k}
