@@ -2,12 +2,13 @@
 
 The Luxemburg norm of f is the infimal lambda with modular(f/lambda) <= 1;
 every norm here is a bisection on that monotone modular, run over the rows
-of an equal-size block (or one row) from a certified bracket: a step more
-than a rounding margin away from it is settled without the modular. The
-variable-exponent variation seminorm reuses the constant-exponent packing
-optimizer as a proposal generator and evaluates the exact Luxemburg value
-on each proposed disjoint family, so reported values are lower bounds.
-Proposed balls are gathered as centre plus stencil, other families by region.
+of an equal-size block (or one row) in two phases: Newton points narrow a
+certified bracket of each root, then a replay of the bisection evaluates
+only the steps within a rounding margin of it. The variable-exponent
+variation seminorm reuses the constant-exponent packing optimizer as a
+proposal generator and evaluates the exact Luxemburg value on each proposed
+disjoint family, so reported values are lower bounds. Proposed balls are
+gathered as centre plus stencil, other families by region.
 """
 
 import math
@@ -30,8 +31,7 @@ from .grid import (
     size_blocks,
 )
 from .report import ReportRow, params_string
-from .riesz import (_GATHER_BLOCK, PackingSolution, candidate_balls, make_scores,
-                    measure_balls, pack)
+from .riesz import PackingSolution, candidate_balls, make_scores, measure_balls, pack
 
 # Relative bisection tolerance of every Luxemburg norm unless a caller sets one.
 TOL = 1e-10
@@ -151,10 +151,9 @@ def modular(f, pfun, region=None):
     return float(terms.sum() * f.grid.cell_volume())
 
 
-# A row's pair is x(1 -+ _ETA) about its estimate x; no step of the scalar loop
-# lies below _CUT; pairs stop after _PAIR_ROUNDS rounds, so every row ends; a
-# computed modular of at least _ACCURATE obeys the error bound of _luxemburg.
-_ETA, _CUT, _PAIR_ROUNDS, _ACCURATE = 1e-12, 1e-300, 8, 1e-270
+# No step of the scalar loop lies below _CUT; a computed modular of at least _ACCURATE
+# obeys the error bound of _luxemburg; Newton points end with round _NEWTON_ROUNDS.
+_CUT, _ACCURATE, _NEWTON_ROUNDS = 1e-300, 1e-270, 8
 
 
 def _modular(av, pv, rows, lam, weight):
@@ -168,55 +167,41 @@ def _modular(av, pv, rows, lam, weight):
         return rho, np.add.reduce(terms, axis=1), np.add.reduce(terms * q, axis=1)
 
 
-def _estimate(x, rho, first, second):
-    """Root of log rho(x e^u) to second order in u, from rho(x) and its moments times weight
-    (slope -m, curvature the variance of p); first order where the parabola has none."""
-    try:
-        y, m = math.log(rho), first / rho
-        d = m * m - 2.0 * (second / rho - m * m) * y
-        return x * math.exp(2.0 * y / (m + math.sqrt(d)) if d >= 0.0 else y / m)
-    except (ArithmeticError, ValueError):
-        return 0.0
-
-
-def _advance(st, tol, cap, pair, walk):
-    """Replay a row's loop to its first pending step; the points its next round needs.
-
-    ``st`` starts [lo, hi, halving?, A, B, {x: rho} evaluated, estimate g, delta]. Past
-    that step it walks on as g predicts (rho(x) <= 1 iff x >= g): with ``pair`` only if
-    ``walk``, adding the steps within the margin of the pair, which it returns too;
-    else adding each pending step, up to ``cap``. An empty list: the loop has ended.
-    """
-    lo, hi, halving, a, b, seen, g, delta = st[:8]
-    g = min(max(g, a, _CUT), b) if g > 0.0 else 0.0
-    pair = pair and g > 0.0
-    walk = walk or not pair
+def _replay(hi, a, b, delta, seen, tol):
+    """The scalar loop from ``hi`` on Python floats: (True, its result), or (False, its
+    first step x in (a(1 - delta), b(1 + delta)) that has no evaluated value seen[x])."""
+    lo, halving = 0.5 * hi, True
     below, above = a * (1.0 - delta), b * (1.0 + delta)
-    near = (g * (1.0 - _ETA) * (1.0 - delta), g * (1.0 + _ETA) * (1.0 + delta)) if pair else (
-        0.0, math.inf)
-    points, commit = [], None
     while lo >= _CUT if halving else hi - lo > tol * hi:
         x = lo if halving else 0.5 * (lo + hi)
-        if x <= below or x >= above:
-            ok = x >= above
-        elif x in seen:
+        if below < x < above:
+            if x not in seen:
+                return False, x
             ok = seen[x] <= 1.0
         else:
-            if commit is None:
-                commit = lo, hi, halving
-                if not walk:
-                    break
-            ok = x >= g
-            if near[0] < x < near[1]:
-                if len(points) == cap:
-                    break
-                points.append(x)
+            ok = x >= above
         if ok:
             hi, lo = x, 0.5 * x if halving else lo
         else:
             lo, halving = x, False
-    st[:3] = commit or (lo, hi, halving)
-    return points + [g * (1.0 - _ETA), g * (1.0 + _ETA)] if pair and commit else points
+    return True, 0.0 if halving else hi
+
+
+def _newton_points(a, b, x, y, m, q):
+    """Points inside the finite bracket [a, b]: the second-order log-log root estimate from
+    x, y = log rho(x) and the t-weighted means m of p and q of p^2 at x, clamped to [a, b],
+    and the geometric midpoint where that estimate falls in the outer 1% of log [a, b]."""
+    la, lb = math.log(a), math.log(b)
+    # log rho(x e^u) = y - m u + (q - m^2) u^2 / 2 + ...: the slope is minus the mean of p
+    # and the curvature its variance.
+    d = m * m - 2.0 * (q - m * m) * y
+    u = 2.0 * y / (m + math.sqrt(d)) if d >= 0.0 else y / m
+    lg = min(max(math.log(x) + u, la), lb)
+    if la + 0.01 * (lb - la) < lg < lb - 0.01 * (lb - la):
+        return [math.exp(lg)]
+    # Near an end the estimate is either the root, where that end's bound is tight, or
+    # a slow step towards it, as under a wide exponent range: the midpoint covers both.
+    return [math.exp(lg), math.exp(0.5 * (la + lb))]
 
 
 def _luxemburg(av, pv, weight, tol):
@@ -227,15 +212,15 @@ def _luxemburg(av, pv, weight, tol):
     hi - lo <= tol * hi and returns hi. A row whose av vanishes (or an empty row) gets 0,
     one with rho(1) = inf gets inf, and equal rows are solved once.
 
-    Round 1 evaluates rho(1). Each later round evaluates, in one ``_modular`` block of
-    at most ``_GATHER_BLOCK`` terms beyond three points a row, each unfinished row's
-    pending points and, while its bracket [A, B] is wider, the pair x(1 -+ 1e-12) about
-    its estimate x: a second-order log-log step from the round's point with rho nearest
-    1 (``_estimate``; without one the row predicts rho <= 1 and walks its halvings). The
-    loop is replayed on Python floats (``_advance``): a step at x <= A(1 - delta) has
-    rho > 1, one at x >= B(1 + delta) rho <= 1, one at an evaluated point its value;
-    any other is pending. The estimate only decides how many are pending, so each
-    value is a one-row call's, bit for bit.
+    Round 1 evaluates rho(1), which sets hi, and rho(max_j av), which lies in
+    [weight, s weight] and so brackets the root even where rho(1) underflows or
+    overflows. Every evaluated point narrows a bracket [A, B] of the root (below).
+    After each round an unfinished row replays the loop from hi (``_replay``). At the
+    first step that the bracket and the values so far do not settle, it evaluates in
+    the next round its safeguarded Newton points (``_newton_points``) while [A, B] is
+    wider than 4e-12 relative, up to round ``_NEWTON_ROUNDS``, else that step. All rows
+    share one ``_modular`` call a round. The points only decide which steps need the
+    modular, so each value is a one-row call's, bit for bit.
 
     The margin. With rho the exact modular, rho^ the computed one and p in [p_min, p_max],
     log rho falls by p_min to p_max times log(x/y) from y up to x. So a point y with
@@ -264,17 +249,16 @@ def _luxemburg(av, pv, weight, tol):
     live = live[av[live].any(axis=1)]
     if live.size < av.shape[0]:
         av, pv = av[live], pv[live]
-    s = av.shape[1]
-    eps = (math.ceil(math.log2(s)) + 20) * 2.0**-53
+    eps = (math.ceil(math.log2(av.shape[1])) + 20) * 2.0**-53
     p_lo, p_hi = np.minimum.reduce(pv, axis=1).tolist(), np.maximum.reduce(pv, axis=1).tolist()
+    delta = [100.0 * (p * 2.0**-53 + eps) / q for p, q in zip(p_hi, p_lo)]
     result, state, n_round = [math.inf] * live.size, {}, 0
-    todo = {k: [1.0] for k in range(live.size)}
+    todo = dict(enumerate([1.0, top] for top in np.maximum.reduce(av, axis=1).tolist()))
     while todo:
         n_round += 1
         lam = [x for points in todo.values() for x in points]
         rows = np.array([k for k, points in todo.items() for _ in points])
         vals, m1, m2 = (v.tolist() for v in _modular(av, pv, rows, np.array(lam), weight))
-        cap = max(1, _GATHER_BLOCK // (s * len(todo)) - 2)
         stop, last, todo = 0, todo, {}
         for k, points in last.items():
             start, stop = stop, stop + len(points)
@@ -282,37 +266,33 @@ def _luxemburg(av, pv, weight, tol):
                 hi = 2.0 * max(1.0, vals[start]) ** (1.0 / p_lo[k])  # Python floats: C library pow
                 if hi == math.inf:
                     continue
-                delta = 100.0 * (p_hi[k] * 2.0**-53 + eps) / p_lo[k]
-                state[k] = [hi / 2.0, hi, True, 0.0, hi, {}, 0.0, delta, 1.0 / p_lo[k],
-                            1.0 / p_hi[k]]
-            st = state[k]
-            a, b, seen, best, score = st[3], st[4], st[5], -1, math.inf
+                # [hi, A, B, {x: rho} evaluated, (|y|, x, y, m, q) at the x with rho nearest 1]
+                state[k] = [hi, 0.0, math.inf, {}, (math.inf,)]
+            hi, a, b, seen, nearest = state[k]
             for i in range(start, stop):
                 x = lam[i]
                 seen[x] = v = vals[i]
                 if _ACCURATE <= v < math.inf:
-                    lower, upper = (x * v ** st[9], x * v ** st[8]) if v > 1.0 else (
-                        x * v ** st[8], x * v ** st[9])
+                    lower, upper = x * v ** (1.0 / p_lo[k]), x * v ** (1.0 / p_hi[k])
+                    if v > 1.0:
+                        lower, upper = upper, lower
                     a, b = lower if lower > a else a, upper if upper < b else b
-                    if (v if v > 1.0 else 1.0 / v) < score:
-                        best, score = i, v if v > 1.0 else 1.0 / v
+                    y = math.log(v)
+                    if abs(y) < nearest[0]:
+                        nearest = abs(y), x, y, m1[i] * weight / v, m2[i] * weight / v
                 elif v > 1.0:
                     a = x if x > a else a
                 elif x < b:
                     b = x
-            st[3], st[4] = a, b
-            wide, walk = b > a * (1.0 + 4.0 * _ETA), True
-            if wide or best >= 0:
-                g = 0.0 if best < 0 else _estimate(
-                    lam[best], vals[best], m1[best] * weight, m2[best] * weight)
-                # Walk ahead once the estimate has settled: the next one then lies
-                # within about eta of the root, so its pair likely brackets it.
-                walk, st[6] = abs(g - st[6]) < 1e-4 * g, g
-            points = _advance(st, tol, cap, wide and n_round < _PAIR_ROUNDS, walk)
-            if points:
-                todo[k] = points
-            else:  # 0 once lo < 1e-300 while halving, else hi
-                result[k] = 0.0 if st[2] else st[1]
+            state[k][1:] = a, b, seen, nearest
+            done, x = _replay(hi, a, b, delta[k], seen, tol)
+            if done:
+                result[k] = x
+            elif (n_round < _NEWTON_ROUNDS and len(nearest) > 1
+                  and 0.0 < a * (1.0 + 4e-12) < b < math.inf):
+                todo[k] = _newton_points(a, b, *nearest[1:])
+            else:
+                todo[k] = [x]
     out[live] = result
     return out[same]
 

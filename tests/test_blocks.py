@@ -676,6 +676,27 @@ class TestLuxemburgBracket:
                     assert _luxemburg(av, pv, weight, tol).tolist() == [
                         frozen_luxemburg(a, q, weight, tol) for a, q in zip(av, pv)]
 
+    def test_wide_exponents_at_coarse_tol(self, monkeypatch):
+        """1500 seeded blocks with p_max/p_min in [8, 64] and tol in [0.3, 0.5], where the
+        loop is a few halvings: every row is the scalar loop's, in fewer modular calls in
+        total than the former pair-about-the-estimate rounds made (6174 on these blocks)."""
+        rng = np.random.default_rng(0)
+        calls, per_block = self.evaluated(monkeypatch), []
+        for _ in range(1500):
+            m, s = int(rng.integers(1, 8)), int(rng.integers(2, 60))
+            ratio = 8.0 ** (1.0 + rng.random())
+            # av <= 10 keeps rho(1) finite: on inf the reference runs all 4096 expansions.
+            av = rng.random((m, s)) * 10.0 ** rng.uniform(-6, 1, (m, 1))
+            pv = (1.0 + 2.0 * rng.random((m, 1))) * ratio ** rng.random((m, s))
+            pv[:, 0] = pv.min(axis=1)
+            pv[:, 1] = pv[:, 0] * ratio
+            weight, tol = float(rng.choice([1.0, 1 / 4096])), float(rng.uniform(0.3, 0.5))
+            before = len(calls)
+            assert _luxemburg(av, pv, weight, tol).tolist() == [
+                frozen_luxemburg(a, q, weight, tol) for a, q in zip(av, pv)]
+            per_block.append(len(calls) - before)
+        assert sum(per_block) <= 5000 and max(per_block) <= 7, (sum(per_block), max(per_block))
+
     def test_cut_and_overflow_rows_take_few_calls(self, monkeypatch):
         """Rows whose norm falls under the 1e-300 cut, and rows with rho(1) = inf: no more
         modular calls than a walk evaluating all 997 halvings down to the cut, as many as
