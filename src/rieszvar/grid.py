@@ -11,7 +11,7 @@ shared by every other module, so they live here.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -48,6 +48,7 @@ class Grid:
     spacing: float
     shape: tuple
     mask: np.ndarray
+    _stencils: dict = field(default_factory=dict, init=False, repr=False)  # ball_offsets by r
 
     def __post_init__(self):
         origin = np.asarray(self.origin, dtype=float).reshape(-1)
@@ -411,9 +412,17 @@ def lattice_offsets(dim, reach):
 
 
 def ball_offsets(grid, r):
-    """Integer offsets (m, dim), row-major, of the nodes in the open r-ball about any node."""
-    deltas = lattice_offsets(grid.dim, int(math.ceil(r / grid.spacing)))
-    return deltas[_inside(np.sum((deltas * grid.spacing) ** 2, axis=1), r)]
+    """Integer offsets (m, dim), row-major, of the nodes in the open r-ball about any node.
+
+    Decided once per grid and radius; every call returns that read-only array.
+    """
+    deltas = grid._stencils.get(r)
+    if deltas is None:
+        deltas = lattice_offsets(grid.dim, int(math.ceil(r / grid.spacing)))
+        deltas = deltas[_inside(np.sum((deltas * grid.spacing) ** 2, axis=1), r)]
+        deltas.flags.writeable = False
+        grid._stencils[r] = deltas
+    return deltas
 
 
 def eroded_mask(grid, r):

@@ -224,7 +224,7 @@ def suite_weak_type(ctx):
     return rows
 
 
-def suite_lemma21(ctx, n_subsets=200):
+def suite_lemma21(ctx):
     """Measure-ratio inequality on seeded random node subsets of family cubes."""
     rows = []
     lvl = ctx.levels[0]
@@ -245,7 +245,7 @@ def suite_lemma21(ctx, n_subsets=200):
         w_flat = w.values.reshape(-1)
         if cube_mass is None:
             cube_mass = [float(w_flat[nodes].sum()) for nodes in family.nodes]
-        for k in range(n_subsets):
+        for k in range(200):
             cube = int(rng.integers(0, len(family)))
             member = family.nodes[cube]
             size = int(rng.integers(1, member.size + 1))
@@ -262,7 +262,7 @@ def suite_lemma21(ctx, n_subsets=200):
         rows.append(
             ReportRow(
                 "lemma21", "violations",
-                params_string(p=p, n_subsets=n_subsets, ap=ap),
+                params_string(p=p, n_subsets=200, ap=ap),
                 float(violations), 0.0,
                 "pass" if violations == 0 else "fail",
             )
@@ -274,22 +274,22 @@ def suite_lemma21(ctx, n_subsets=200):
     return rows
 
 
-def suite_rh_exists(ctx, s_probe=(1.05, 1.1, 1.25, 1.5), bound=10.0):
+def suite_rh_exists(ctx):
     """Some reverse-Hölder exponent yields a finite, small constant."""
     lvl = ctx.levels[0]
     _, _, w, _ = lvl.fields
     family = lvl.family
     best_s, best_val = None, float("inf")
-    for s in s_probe:
+    for s in (1.05, 1.1, 1.25, 1.5):
         val = rh_constant(w, s, family)
         if math.isfinite(val) and val < best_val:
             best_s, best_val = s, val
-    ok = best_s is not None and best_val <= bound
+    ok = best_s is not None and best_val <= 10.0
     return [
         ReportRow(
             "rh_exists", "best_rh",
             params_string(s=best_s if best_s is not None else float("nan")),
-            best_val, bound, "pass" if ok else "fail",
+            best_val, 10.0, "pass" if ok else "fail",
         )
     ]
 
@@ -327,13 +327,13 @@ def suite_embedding(ctx):
     return rows
 
 
-def suite_differentiability(ctx, m_grid=(1.0, 2.0, 4.0, 8.0, 16.0)):
+def suite_differentiability(ctx):
     """Fraction of nodes with large local Lipschitz estimate, reported only."""
     grid = ctx.levels[0].fields[0]
     lip = ctx.levels[0].lipschitz
     n_masked = int(grid.mask.sum())
     rows = []
-    for m in m_grid:
+    for m in (1.0, 2.0, 4.0, 8.0, 16.0):
         frac = float(np.sum(lip.values[grid.mask] > m)) / n_masked
         rows.append(
             ReportRow("differentiability", "fraction_above",

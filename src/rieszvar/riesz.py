@@ -27,6 +27,7 @@ from .grid import (
     Ball,
     BallCollection,
     FieldKind,
+    Grid,
     SampledField,
     ball_offsets,
     balls_overlap,
@@ -47,69 +48,27 @@ MAX_ITERS = 200
 # Scratch budget of one numpy pass: gathered node values per block in
 # measure_balls, candidate pairs per chunk in local search.
 _GATHER_BLOCK = 1 << 14
-# Node-centred candidate sets of at least this size decide conflicts by
-# lattice stencils; smaller ones by distance rows. A greedy pick on a
-# small set costs less as one distance row than the table and stencils
-# cost to set up (the benchmark's disk and box solves, 126-362
-# candidates and 1-9 picks); the 625-1466 candidate sets of its 2D
-# config pay for them within a few picks.
-_STENCIL_MIN = 512
 _UNCONTAINED = "measure_balls requires balls contained in the domain"
 
 
-class NodeLattice:
-    """The nodes of a grid, padded on every side, and conflict stencils of balls on them.
-
-    ``radii`` are the candidate radii, ascending. Node k of the grid has
-    the flat index ``index(k)`` in the box padded by ``pad`` (twice the
-    largest radius, in node steps), so a node-centred ball reaches every
-    node closer than two radii as ``index(k) + offset`` inside the box.
-    ``stencil(s)`` is the flat form of ``ball_offsets(grid, s)``: node
-    centres a and b are closer than s (the closed-disjointness rule of
-    ``grid.balls_disjoint`` for two radii summing to s) exactly when
-    ``b - a`` is one of its offsets. Stencils are decided on first use
-    and kept for the lattice's lifetime, which is that of the candidate
-    set that made it.
-    """
-
-    def __init__(self, grid, radii):
-        self.grid = grid
-        self.radii = radii
-        self.pad = pad = math.ceil(2 * radii[-1] / grid.spacing)
-        shape = [s + 2 * pad for s in grid.shape]
-        self.size = math.prod(shape)
-        self._strides = np.array([math.prod(shape[a + 1:]) for a in range(grid.dim)])
-        self._stencils = {}
-
-    def index(self, k):
-        """Padded flat indices of node multi-indices k (..., dim)."""
-        return (np.asarray(k) + self.pad) @ self._strides
-
-    def stencil(self, s):
-        flat = self._stencils.get(s)
-        if flat is None:
-            flat = self._stencils[s] = ball_offsets(self.grid, s) @ self._strides
-        return flat
-
-
 def _array_fields(candidates):
-    """Names of the per-candidate arrays of a CandidateSet (every field but ``lattice``)."""
-    return [f.name for f in fields(candidates) if f.name != "lattice"]
+    """Names of the per-candidate arrays of a CandidateSet (every field but ``grid``)."""
+    return [f.name for f in fields(candidates) if f.name != "grid"]
 
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
     """Candidate balls as arrays: centres (n, dim) and radii (n,); ``ball(i)`` builds one.
 
-    ``lattice`` is the NodeLattice of the grid whose nodes centre the
-    candidates, as ``candidate_balls`` records it; ``subset`` and
-    ``make_scores`` keep it, so their sets share its stencils. It is None
-    for balls with free centres.
+    ``grid`` is the grid whose nodes centre the candidates, as
+    ``candidate_balls`` records it; ``subset`` and ``make_scores`` keep it,
+    so their sets share its stencils. It is None for balls with free
+    centres.
     """
 
     centers: np.ndarray
     radii: np.ndarray
-    lattice: NodeLattice = field(default=None, kw_only=True, repr=False)
+    grid: Grid = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
         names = _array_fields(self)
@@ -133,10 +92,11 @@ class CandidateSet:
     def _conflicts(self):
         """The _ConflictRows every packer on this set shares (a new set builds its own).
 
-        Lattice sets of at least ``_STENCIL_MIN`` candidates, one per
-        (node, radius), take stencils; the rest distance rows.
+        A nonempty node-centred set with one candidate per (node, radius)
+        takes stencil rows; empty sets, free centres and repeated
+        candidates take distance rows.
         """
-        if self.lattice is not None and len(self) >= _STENCIL_MIN:
+        if self.grid is not None and len(self):
             rows = _StencilRows(self)
             if rows.one_per_key:
                 return rows
@@ -180,8 +140,8 @@ class PackingSolution:
 def candidate_balls(grid, radii_list):
     """Balls at every masked-in node center, per radius, contained in the domain.
 
-    A CandidateSet in lexicographic order: flat node index, then radius
-    ascending. Radii below twice the spacing are rejected.
+    A CandidateSet on ``grid`` in lexicographic order: flat node index,
+    then radius ascending. Radii below twice the spacing are rejected.
     """
     radii = sorted(float(r) for r in radii_list)
     if not radii:
@@ -194,8 +154,7 @@ def candidate_balls(grid, radii_list):
     flat, which = np.nonzero(fits)
     if not flat.size:
         raise NoCandidates("no candidate ball fits inside the domain")
-    return CandidateSet(grid.node_coordinate(flat), np.array(radii)[which],
-                        lattice=NodeLattice(grid, radii))
+    return CandidateSet(grid.node_coordinate(flat), np.array(radii)[which], grid=grid)
 
 
 def _require_weight(w):
@@ -262,7 +221,7 @@ def make_scores(candidates, osc, mass, p):
     base = (np.asarray(osc, dtype=float) / candidates.radii).tolist()
     score = np.array([x ** p for x in base], dtype=float) * mass
     return ScoredCandidates(candidates.centers, candidates.radii, osc, mass, score,
-                            lattice=candidates.lattice)
+                            grid=candidates.grid)
 
 
 def score_ball(f, w, ball, p):
@@ -338,7 +297,7 @@ class _ConflictRows:
     kept for the candidate set's lifetime; the packers build lists only
     for balls they select. ``overlap(i, j)`` decides pairs elementwise.
     Here a list is one distance row over every candidate; ``_StencilRows``
-    gathers it from lattice stencils.
+    gathers it from the grid's stencils.
     """
 
     def __init__(self, candidates):
@@ -361,26 +320,31 @@ class _ConflictRows:
 
 
 class _StencilRows(_ConflictRows):
-    """_ConflictRows of node-centred candidates, listed from the stencils of their NodeLattice.
+    """_ConflictRows of a nonempty node-centred CandidateSet, listed from its grid's stencils.
 
     Candidates (node a, r) and (node b, r') conflict exactly when ``b - a``
-    lies in ``ball_offsets(grid, r + r')``. A padded (node, radius) ->
-    candidate table, -1 where there is none, makes each neighbour list one
-    gather ``table[key_i + offsets]``, whose offsets hold the stencils of
-    i's radius with every radius of the set. ``one_per_key`` is False when
-    two candidates share a node and radius (a subset that repeats an
-    index), which the table cannot hold. Pairs are decided by the
-    inherited distance ``overlap``, which agrees with the stencil rule.
+    lies in ``ball_offsets(grid, r + r')``. A (node, radius) -> candidate
+    table over the grid's box padded by twice the largest radius, -1 where
+    there is none, makes each neighbour list one gather
+    ``table[key_i + offsets]``, whose offsets hold the stencils of i's
+    radius with every radius of the set. ``one_per_key`` is False when two
+    candidates share a node and radius (a subset that repeats an index),
+    which the table cannot hold. Pairs are decided by the inherited
+    distance ``overlap``, which agrees with the stencil rule.
     """
 
     def __init__(self, candidates):
         super().__init__(candidates)
-        lat = self._lattice = candidates.lattice
-        self._radius_set = [r for r in lat.radii if (self._radii == r).any()]
+        grid = self._grid = candidates.grid
+        radii = np.sort(self._radii)
+        self._radius_set = radii[np.append(True, radii[1:] != radii[:-1])].tolist()
         nr = len(self._radius_set)
-        k = np.rint((self._centers - lat.grid.origin) / lat.grid.spacing).astype(int)
-        self._key = lat.index(k) * nr + np.searchsorted(self._radius_set, self._radii)
-        self._table = np.full(lat.size * nr, -1, dtype=np.intp)
+        pad = math.ceil(2 * radii[-1] / grid.spacing)
+        shape = [s + 2 * pad for s in grid.shape]
+        self._strides = np.array([math.prod(shape[a + 1:]) for a in range(grid.dim)])
+        k = np.rint((self._centers - grid.origin) / grid.spacing).astype(int) + pad
+        self._key = k @ self._strides * nr + np.searchsorted(self._radius_set, self._radii)
+        self._table = np.full(math.prod(shape) * nr, -1, dtype=np.intp)
         self._table[self._key] = np.arange(len(self._key))
         self.one_per_key = np.array_equal(self._table[self._key], np.arange(len(self._key)))
         self._offsets = {}
@@ -392,7 +356,8 @@ class _StencilRows(_ConflictRows):
         if offsets is None:
             # Key offsets to the neighbours of each radius index b.
             offsets = self._offsets[a] = np.concatenate(
-                [self._lattice.stencil(radii[a] + radii[b]) * nr + (b - a) for b in range(nr)])
+                [ball_offsets(self._grid, radii[a] + radii[b]) @ self._strides * nr + (b - a)
+                 for b in range(nr)])
         nb = self._table[self._key[i] + offsets]
         return nb[nb >= 0]
 

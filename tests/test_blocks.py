@@ -45,7 +45,6 @@ from rieszvar.grid import (
     size_blocks,
 )
 from rieszvar.riesz import (
-    _GATHER_BLOCK,
     candidate_balls,
     make_scores,
     measure_balls,
@@ -520,10 +519,10 @@ class TestLuxemburgMatchesScalarBisection:
         # Norms just above and below the 1e-300 cut of the expansion.
         yield np.array([[1e-295], [1e-299], [3e-301]]), np.ones((3, 1)), 1.0
         yield np.array([[1e200, 1.0], [3.0, 0.0]]), np.array([[1.5, 4.0], [1.0, 1.0]]), 1.0
-        # Seeded random blocks for the speculative rounds: blocks wide enough
-        # that a round walks two points a row (halvings over many rounds),
-        # mispredicted and fully predicted walks, exact chords (constant
-        # exponent rows), p = 1, equal rows, overflow (rho(1) = inf) and the cut.
+        # Seeded random blocks for the Newton rounds and the replay: norms over
+        # 16 decades (long halving runs), wide and constant exponent ranges
+        # (safeguarded and exact Newton steps), p = 1, equal rows, overflow
+        # (rho(1) = inf) and the cut.
         for _ in range(200):
             m, s = (int(np.exp(rng.uniform(0.0, np.log(n)))) for n in (51, 301))
             av = rng.random((m, s)) * 10.0 ** rng.uniform(-8, 8, (m, 1))
@@ -698,9 +697,9 @@ class TestLuxemburgBracket:
         assert sum(per_block) <= 5000 and max(per_block) <= 7, (sum(per_block), max(per_block))
 
     def test_cut_and_overflow_rows_take_few_calls(self, monkeypatch):
-        """Rows whose norm falls under the 1e-300 cut, and rows with rho(1) = inf: no more
-        modular calls than a walk evaluating all 997 halvings down to the cut, as many as
-        a round's ``_GATHER_BLOCK`` terms hold, would make; one for rho(1) = inf."""
+        """Rows whose norm falls under the 1e-300 cut, and rows with rho(1) = inf: one
+        modular call each. Round 1's rho(max av) bracket settles every halving down to
+        the cut; rho(1) = inf ends the row."""
         calls = self.evaluated(monkeypatch)
         kinds = []
         for av, pv, weight in TestLuxemburgMatchesScalarBisection().rows():
@@ -711,8 +710,7 @@ class TestLuxemburgBracket:
                     calls.clear()
                     assert _luxemburg(a[None], q[None], weight, TOL).tolist() == [
                         frozen_luxemburg(a, q, weight, TOL)]
-                    walk = 1 + math.ceil(997 / (_GATHER_BLOCK // a.size))
-                    assert len(calls) <= (1 if r == math.inf else walk), (a.size, calls)
+                    assert len(calls) == 1, (a.size, calls)
                     kinds.append(r == math.inf)
         assert kinds.count(True) >= 5 and kinds.count(False) >= 10
 

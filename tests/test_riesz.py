@@ -470,37 +470,42 @@ class TestGreedyAndLocalSearch:
             monkeypatch.setattr(cls, "_build", counted)
         return built
 
-    def test_pack_builds_each_conflict_row_once(self, monkeypatch):
-        """Greedy hands its neighbour lists to local search within one pack call.
+    @staticmethod
+    def disk_candidates(centres):
+        """The 17 x 17 disk's candidates (radii 2h and 4h) with their sinusoid osc and mass.
 
-        With the default size threshold this set takes distance rows; with
-        threshold 0 it takes lattice stencils.
+        ``centres="node"`` keeps the node-centred set, which takes stencil
+        rows; ``"free"`` its free-centre copy, which takes distance rows.
         """
         g = unit_disk(0.125)
         f = sample_catalog(g, "sinusoid", {"freq": 2.0})
         cands = candidate_balls(g, [0.25, 0.5])
         osc, mass = measure_balls(f, const_weight(g), cands)
+        if centres == "free":
+            cands = CandidateSet(cands.centers, cands.radii)
+        return cands, osc, mass
+
+    def test_pack_builds_each_conflict_row_once(self, monkeypatch):
+        """Greedy hands its neighbour lists to local search within one pack call.
+
+        On the node-centred set (stencil rows) and its free-centre copy
+        (distance rows).
+        """
         built = self.count_list_builds(monkeypatch)
-        for stencil_min in (riesz._STENCIL_MIN, 0):
-            monkeypatch.setattr(riesz, "_STENCIL_MIN", stencil_min)
-            scored = make_scores(cands, osc, mass, 2.0)
-            stencil = type(scored._conflicts) is riesz._StencilRows
-            assert stencil == (stencil_min == 0)
+        for centres in ("node", "free"):
+            scored = make_scores(*self.disk_candidates(centres), 2.0)
+            assert (type(scored._conflicts) is riesz._StencilRows) == (centres == "node")
             built.clear()
             sol = pack(scored, 2.0, riesz.GREEDY_PLUS_LOCAL_SEARCH)
             assert sol.method == riesz.GREEDY_PLUS_LOCAL_SEARCH
             assert set(sol.indices) <= set(built)
             assert set(built.values()) == {1}
 
-    @pytest.mark.parametrize("stencil_min", [riesz._STENCIL_MIN, 0])
-    def test_greedy_and_local_search_share_the_lists(self, stencil_min, monkeypatch):
+    @pytest.mark.parametrize("centres", ["node", "free"])
+    def test_greedy_and_local_search_share_the_lists(self, centres, monkeypatch):
         """Separate greedy and local-search calls on one scored set build each list once."""
-        monkeypatch.setattr(riesz, "_STENCIL_MIN", stencil_min)
-        g = unit_disk(0.125)
-        f = sample_catalog(g, "sinusoid", {"freq": 2.0})
-        cands = candidate_balls(g, [0.25, 0.5])
-        scored = make_scores(cands, *measure_balls(f, const_weight(g), cands), 2.0)
-        assert (type(scored._conflicts) is riesz._StencilRows) == (stencil_min == 0)
+        scored = make_scores(*self.disk_candidates(centres), 2.0)
+        assert (type(scored._conflicts) is riesz._StencilRows) == (centres == "node")
         built = self.count_list_builds(monkeypatch)
         greedy = pack_greedy(scored, 2.0)
         sol = pack_local_search(greedy, scored)
@@ -639,9 +644,8 @@ class TestGreedyAndLocalSearch:
             assert sol.total == ref_total
 
     @pytest.mark.parametrize("case", ["disk17", "box9"])
-    def test_stencil_lists_match_reference(self, case, monkeypatch):
+    def test_stencil_lists_match_reference(self, case):
         # Stencil neighbour lists run radius by radius, so they are not sorted.
-        monkeypatch.setattr(riesz, "_STENCIL_MIN", 0)
         h = 0.125
         if case == "disk17":
             g = unit_disk(h)
@@ -664,14 +668,10 @@ class TestGreedyAndLocalSearch:
         assert set(ls.indices) == ref_selected
         assert ls.total == ref_total
 
-    @pytest.mark.parametrize("stencil_min", [riesz._STENCIL_MIN, 0])
-    def test_pair_budget_keeps_the_moves(self, stencil_min, monkeypatch):
+    @pytest.mark.parametrize("centres", ["node", "free"])
+    def test_pair_budget_keeps_the_moves(self, centres, monkeypatch):
         """A pair budget of a few pairs splits every move's pass into many chunks, same moves."""
-        monkeypatch.setattr(riesz, "_STENCIL_MIN", stencil_min)
-        g = unit_disk(0.125)
-        f = sample_catalog(g, "sinusoid", {"freq": 2.0})
-        cands = candidate_balls(g, [0.25, 0.5])
-        osc, mass = measure_balls(f, const_weight(g), cands)
+        cands, osc, mass = self.disk_candidates(centres)
         solutions = []
         for budget in (riesz._GATHER_BLOCK, 3):
             monkeypatch.setattr(riesz, "_GATHER_BLOCK", budget)

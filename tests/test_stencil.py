@@ -1,22 +1,26 @@
-"""Conflicts of node-centred candidates decided by lattice stencils.
+"""Conflicts of node-centred candidates decided by the grid's ball stencils.
 
 Candidates (node a, r) and (node b, r') conflict exactly when ``b - a``
-lies in ``ball_offsets(grid, r + r')``. These tests hold the stencil
-rule to the distance rule of ``grid.balls_overlap`` on every candidate
-pair, and the packers on the stencil path to the frozen pair-loop
-references of ``test_riesz.py``.
+lies in ``ball_offsets(grid, r + r')``. Every nonempty node-centred set
+with one candidate per (node, radius) takes this path. These tests hold
+the stencil rule to the distance rule of ``grid.balls_overlap`` on every
+candidate pair, the packers on the stencil path to the frozen pair-loop
+references of ``test_riesz.py``, and count the stencils each grid
+decides.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rieszvar import build_grid, candidate_balls, pack_greedy, pack_local_search, sample_catalog
+from rieszvar import grid as grid_module
 from rieszvar import riesz
 from rieszvar.config import load_config
-from rieszvar.grid import balls_overlap
+from rieszvar.grid import ball_offsets, balls_overlap
 from rieszvar.harness import run_config
 from rieszvar.riesz import _StencilRows, make_scores, measure_balls
 
@@ -63,15 +67,14 @@ class TestStencilRuleMatchesDistance:
         # Closed disjointness lets tangent balls pass; the rule must agree there too.
         assert tangent > 0
 
-    def test_repeated_candidates_fall_back_to_distance_rows(self, monkeypatch):
-        monkeypatch.setattr(riesz, "_STENCIL_MIN", 0)
+    def test_repeated_candidates_fall_back_to_distance_rows(self):
         g = unit_disk(0.125)
         f = sample_catalog(g, "sinusoid", {"freq": 2.0})
         cands = candidate_balls(g, [0.25, 0.5])
         scored = make_scores(cands, *measure_balls(f, const_weight(g), cands), 2.0)
         assert isinstance(scored._conflicts, _StencilRows)
         twice = scored.subset(np.r_[np.arange(len(scored)), 0])
-        assert twice.lattice is cands.lattice
+        assert twice.grid is g
         assert type(twice._conflicts) is riesz._ConflictRows
         assert set(pack_greedy(twice, 2.0).indices) == reference_greedy(ball_scores(twice))
 
@@ -84,8 +87,7 @@ class TestStencilPackingMatchesReference:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_greedy_and_local_search(self, case, monkeypatch):
-        monkeypatch.setattr(riesz, "_STENCIL_MIN", 0)
+    def test_greedy_and_local_search(self, case):
         make, radii, name, params = self.CASES[case]
         g = make()
         f = sample_catalog(g, name, params)
@@ -103,33 +105,77 @@ class TestStencilPackingMatchesReference:
         assert ref_selected != expected  # local search moves on every case
 
 
+class TestSmallSubsets:
+    def test_empty_and_one_candidate_subsets_pack(self):
+        """An empty subset packs to (); one candidate of positive score to (0,), by stencil rows."""
+        g = unit_disk(0.125)
+        f = sample_catalog(g, "sinusoid", {"freq": 2.0})
+        cands = candidate_balls(g, [0.25, 0.5])
+        scored = make_scores(cands, *measure_balls(f, const_weight(g), cands), 2.0)
+        one = int(np.flatnonzero(scored.score > 0)[0])
+        assert isinstance(scored.subset([one])._conflicts, _StencilRows)
+        for keep, want in ((np.zeros(len(scored), dtype=bool), ()), ([one], (0,))):
+            sub = scored.subset(keep)
+            greedy = pack_greedy(sub, 2.0)
+            assert greedy.indices == want
+            assert pack_local_search(greedy, sub).indices == want
+
+
 class TestSharedStencils:
-    def test_scorings_and_subsets_share_the_lattice(self, monkeypatch):
-        monkeypatch.setattr(riesz, "_STENCIL_MIN", 0)
+    @staticmethod
+    def count_decisions(monkeypatch):
+        """A list that grows by one entry per ``ball_offsets`` stencil computed, on any grid."""
         decided = []
-        ball_offsets = riesz.ball_offsets
+        offsets = grid_module.lattice_offsets
 
-        def counted(grid, r):
-            decided.append(r)
-            return ball_offsets(grid, r)
+        def counted(dim, reach):
+            decided.append(reach)
+            return offsets(dim, reach)
 
-        monkeypatch.setattr(riesz, "ball_offsets", counted)
+        monkeypatch.setattr(grid_module, "lattice_offsets", counted)
+        return decided
+
+    def test_scorings_and_subsets_share_the_lattice(self, monkeypatch):
+        """Every candidate set, scoring and subset on a grid shares its stencils."""
+        decided = self.count_decisions(monkeypatch)
         g = unit_disk(0.125)
         f = sample_catalog(g, "sinusoid", {"freq": 2.0})
         cands = candidate_balls(g, [0.25, 0.5])
         osc, mass = measure_balls(f, const_weight(g), cands)
+        assert cands.grid is g
+        assert len(decided) == 2 and sorted(g._stencils) == [0.25, 0.5]
         decided.clear()
         for p in (2.0, 3.0):
             scored = make_scores(cands, osc, mass, p)
-            assert scored.lattice is cands.lattice
+            assert scored.grid is g
             for keep in (slice(None), scored.radii == 0.25, scored.radii == 0.5):
                 sub = scored.subset(keep)
-                assert sub.lattice is cands.lattice
+                assert sub.grid is g
                 pack_local_search(pack_greedy(sub, p), sub)
-        # One stencil per radius sum, decided once for the candidate set.
-        assert sorted(decided) == [0.5, 0.75, 1.0]
-        # A new candidate set decides its own.
-        assert candidate_balls(g, [0.25, 0.5]).lattice is not cands.lattice
+        # Only the radius sums 0.75 and 1.0 are new, each decided once for the grid.
+        assert len(decided) == 2 and sorted(g._stencils) == [0.25, 0.5, 0.75, 1.0]
+        decided.clear()
+        # A new candidate set on the same grid decides none.
+        assert candidate_balls(g, [0.25, 0.5]).grid is g
+        assert decided == []
+
+    def test_repeat_call_returns_the_same_read_only_array(self):
+        g = unit_disk(0.125)
+        first = ball_offsets(g, 0.25)
+        assert ball_offsets(g, 0.25) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
+
+    def test_replaced_grid_decides_its_own(self, monkeypatch):
+        g = unit_disk(0.125)
+        first = ball_offsets(g, 0.25)
+        full = replace(g, mask=np.ones(g.shape, dtype=bool))
+        decided = self.count_decisions(monkeypatch)
+        again = ball_offsets(full, 0.25)
+        assert len(decided) == 1 and again is not first
+        assert np.array_equal(again, first)
+        assert list(g._stencils) == [0.25] and list(full._stencils) == [0.25]
 
 
 def test_verify_2d_makes_no_distance_rows(monkeypatch):
