@@ -49,6 +49,7 @@ class Grid:
     shape: tuple
     mask: np.ndarray
     _stencils: dict = field(default_factory=dict, init=False, repr=False)  # ball_offsets by r
+    _eroded: dict = field(default_factory=dict, init=False, repr=False)  # eroded_mask by r
 
     def __post_init__(self):
         origin = np.asarray(self.origin, dtype=float).reshape(-1)
@@ -310,6 +311,20 @@ def node_set(grid, ball):
     return np.flatnonzero(member)
 
 
+def distinct(values):
+    """The distinct entries of a 1-D array, ascending, as Python scalars.
+
+    A sort plus a neighbour comparison, since ``np.unique`` imports
+    ``numpy.ma``. The sort is the stable kind the packers' argsorts
+    already load: the default kind pages in its own SIMD kernels, ~0.3 MB
+    of peak RSS on a 1D verify run.
+    """
+    v = np.sort(np.asarray(values), kind="stable")
+    keep = np.ones(v.size, dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep].tolist()
+
+
 def size_blocks(index_arrays):
     """Flat index arrays of equal length stacked into blocks, by ascending length.
 
@@ -321,8 +336,7 @@ def size_blocks(index_arrays):
     """
     sizes = np.array([len(a) for a in index_arrays], dtype=np.intp)
     blocks = []
-    # sorted(set()) rather than np.unique, which imports numpy.ma.
-    for s in sorted(set(sizes.tolist())):
+    for s in distinct(sizes):
         positions = np.flatnonzero(sizes == s)
         blocks.append((positions, np.stack([index_arrays[k] for k in positions.tolist()])))
     return blocks
@@ -426,7 +440,20 @@ def ball_offsets(grid, r):
 
 
 def eroded_mask(grid, r):
-    """Nodes whose open r-ball stays inside the domain: ``ball_in_domain`` at every node."""
+    """Nodes whose open r-ball stays inside the domain: ``ball_in_domain`` at every node.
+
+    Decided once per grid and radius; every call returns that read-only array.
+    """
+    ok = grid._eroded.get(r)
+    if ok is None:
+        ok = _erode(grid, r)
+        ok.flags.writeable = False
+        grid._eroded[r] = ok
+    return ok
+
+
+def _erode(grid, r):
+    """``eroded_mask(grid, r)`` computed afresh."""
     ok = grid.mask.copy()
     for a in range(grid.dim):
         coord = grid.axis_coords(a)
@@ -451,7 +478,7 @@ def eroded_mask(grid, r):
     holes = np.zeros(grid.shape[:-1] + (n + 1,), dtype=np.intp)
     np.cumsum(~grid.mask, axis=-1, out=holes[..., 1:])
     run = {}
-    for k in sorted(set(rows[:, -1].tolist())):
+    for k in distinct(rows[:, -1]):
         run[k] = np.zeros(grid.shape, dtype=bool)
         run[k][..., k:n - k] = holes[..., 2 * k + 1:] == holes[..., :n - 2 * k]
     for row in rows.tolist():

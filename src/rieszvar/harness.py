@@ -10,7 +10,7 @@ import numpy as np
 from .config import materialize_level
 from .errors import PreconditionError, ToolkitError, WeightOverflow
 from .grid import gradient_magnitude
-from .report import Report, ReportRow, params_string
+from .report import Report, ReportRow, params_string, row
 from .riesz import (
     candidate_balls,
     lipschitz_field,
@@ -114,12 +114,7 @@ class RunContext:
         self.levels = [LevelContext(config, level) for level in range(config.refinements)]
 
 
-def _info(experiment, quantity, value, **params):
-    return ReportRow(experiment, quantity, params_string(**params), value,
-                     float("inf"), "info")
-
-
-def _drift_row(experiment, quantity, values, drift_tol, params=""):
+def _drift_row(experiment, quantity, values, drift_tol, **params):
     """Stability row comparing the last two refinement levels."""
     a, b = values[-2], values[-1]
     if a == 0 and b == 0:
@@ -128,14 +123,7 @@ def _drift_row(experiment, quantity, values, drift_tol, params=""):
         drift = float("inf")
     else:
         drift = abs(a - b) / abs(b)
-    return ReportRow(
-        experiment=experiment,
-        quantity=f"{quantity}_drift",
-        params=params,
-        value=drift,
-        tolerance=drift_tol,
-        status="pass" if drift <= drift_tol else "fail",
-    )
+    return row(experiment, f"{quantity}_drift", drift, drift_tol, drift <= drift_tol, **params)
 
 
 def verify_theorem1(ctx):
@@ -150,63 +138,32 @@ def verify_theorem1(ctx):
     config = ctx.config
     thr = config.thresholds
     rows = [
-        _info("theorem1", "rw_at_max", lvl.rw.value, level=lvl.level,
-              threshold=lvl.rw.threshold)
+        row("theorem1", "rw_at_max", lvl.rw.value, level=lvl.level, threshold=lvl.rw.threshold)
         for lvl in ctx.levels if lvl.rw.at_max
     ]
     for p in config.p_values:
-        left_ratios = []
-        right_ratios = []
+        ratios = {"ratio_grad_over_var": [], "ratio_var_over_grad": []}
         for lvl in ctx.levels:
             grid, _, w, _ = lvl.fields
             rw = lvl.rw.value
-            packing = lvl.packing(p)
-            grad_norm = weighted_lp_norm(lvl.gradient, w, p)
-            params = params_string(p=p, level=lvl.level, h=grid.spacing, rw=rw)
-            rows.append(
-                ReportRow("theorem1", "variation", params, packing.variation,
-                          float("inf"), "info")
-            )
-            rows.append(
-                ReportRow("theorem1", "grad_norm", params, grad_norm,
-                          float("inf"), "info")
-            )
-            if packing.variation == 0.0 and grad_norm == 0.0:
-                rows.append(
-                    ReportRow("theorem1", "ratio_skipped", params, float("nan"),
-                              thr.bound_thm1, "info")
-                )
+            var = lvl.packing(p).variation
+            grad = weighted_lp_norm(lvl.gradient, w, p)
+            params = dict(p=p, level=lvl.level, h=grid.spacing, rw=rw)
+            rows += [row("theorem1", "variation", var, **params),
+                     row("theorem1", "grad_norm", grad, **params)]
+            if var == 0.0 and grad == 0.0:
+                rows.append(row("theorem1", "ratio_skipped", math.nan, thr.bound_thm1, **params))
                 continue
-            two_sided = p > grid.dim * rw
-            left = grad_norm / packing.variation if packing.variation > 0 else float("inf")
-            left_ratios.append(left)
-            rows.append(
-                ReportRow(
-                    "theorem1", "ratio_grad_over_var", params, left,
-                    thr.bound_thm1,
-                    "pass" if left <= thr.bound_thm1 else "fail",
-                )
-            )
-            if two_sided:
-                right = packing.variation / grad_norm if grad_norm > 0 else float("inf")
-                right_ratios.append(right)
-                rows.append(
-                    ReportRow(
-                        "theorem1", "ratio_var_over_grad", params, right,
-                        thr.bound_thm1,
-                        "pass" if right <= thr.bound_thm1 else "fail",
-                    )
-                )
-        if config.refinements >= 2 and len(left_ratios) >= 2:
-            rows.append(
-                _drift_row("theorem1", "ratio_grad_over_var", left_ratios,
-                           thr.drift_tol, params_string(p=p))
-            )
-        if config.refinements >= 2 and len(right_ratios) >= 2:
-            rows.append(
-                _drift_row("theorem1", "ratio_var_over_grad", right_ratios,
-                           thr.drift_tol, params_string(p=p))
-            )
+            sides = [("ratio_grad_over_var", grad, var)]
+            if p > grid.dim * rw:
+                sides.append(("ratio_var_over_grad", var, grad))
+            for quantity, num, den in sides:
+                ratio = num / den if den > 0 else math.inf
+                ratios[quantity].append(ratio)
+                rows.append(row("theorem1", quantity, ratio, thr.bound_thm1,
+                                ratio <= thr.bound_thm1, **params))
+        rows += [_drift_row("theorem1", quantity, values, thr.drift_tol, p=p)
+                 for quantity, values in ratios.items() if len(values) >= 2]
     return rows
 
 
@@ -235,10 +192,7 @@ def suite_lemma21(ctx):
         family = lvl.family
         ap = ap_constant(w, p, family)
         if not math.isfinite(ap):
-            rows.append(
-                ReportRow("lemma21", "skipped_infinite_ap",
-                          params_string(p=p), float("inf"), float("inf"), "info")
-            )
+            rows.append(row("lemma21", "skipped_infinite_ap", math.inf, p=p))
             continue
         violations = 0
         min_slack = float("inf")
@@ -259,18 +213,9 @@ def suite_lemma21(ctx):
             min_slack = min(min_slack, rhs - lhs)
             if lhs > rhs:
                 violations += 1
-        rows.append(
-            ReportRow(
-                "lemma21", "violations",
-                params_string(p=p, n_subsets=200, ap=ap),
-                float(violations), 0.0,
-                "pass" if violations == 0 else "fail",
-            )
-        )
-        rows.append(
-            ReportRow("lemma21", "min_slack", params_string(p=p), min_slack,
-                      0.0, "info")
-        )
+        rows += [row("lemma21", "violations", float(violations), 0.0, violations == 0,
+                     p=p, n_subsets=200, ap=ap),
+                 row("lemma21", "min_slack", min_slack, 0.0, p=p)]
     return rows
 
 
@@ -285,13 +230,8 @@ def suite_rh_exists(ctx):
         if math.isfinite(val) and val < best_val:
             best_s, best_val = s, val
     ok = best_s is not None and best_val <= 10.0
-    return [
-        ReportRow(
-            "rh_exists", "best_rh",
-            params_string(s=best_s if best_s is not None else float("nan")),
-            best_val, 10.0, "pass" if ok else "fail",
-        )
-    ]
+    return [row("rh_exists", "best_rh", best_val, 10.0, ok,
+                s=best_s if best_s is not None else math.nan)]
 
 
 def suite_embedding(ctx):
@@ -316,14 +256,8 @@ def suite_embedding(ctx):
         total1 = math.fsum((o / r) ** p1 * m for o, r, m in terms)
         lhs = total1 ** (1.0 / p1)
         rhs = sol2.total ** (1.0 / p2) * w_total ** (1.0 / p1 - 1.0 / p2)
-        ok = lhs <= rhs * (1.0 + 1e-8)
-        rows.append(
-            ReportRow(
-                "embedding", "holder_gap",
-                params_string(p1=p1, p2=p2),
-                rhs - lhs, 0.0, "pass" if ok else "fail",
-            )
-        )
+        rows.append(row("embedding", "holder_gap", rhs - lhs, 0.0,
+                        lhs <= rhs * (1.0 + 1e-8), p1=p1, p2=p2))
     return rows
 
 
@@ -332,14 +266,9 @@ def suite_differentiability(ctx):
     grid = ctx.levels[0].fields[0]
     lip = ctx.levels[0].lipschitz
     n_masked = int(grid.mask.sum())
-    rows = []
-    for m in (1.0, 2.0, 4.0, 8.0, 16.0):
-        frac = float(np.sum(lip.values[grid.mask] > m)) / n_masked
-        rows.append(
-            ReportRow("differentiability", "fraction_above",
-                      params_string(M=m), frac, 1.0, "info")
-        )
-    return rows
+    return [row("differentiability", "fraction_above",
+                float(np.sum(lip.values[grid.mask] > m)) / n_masked, 1.0, M=m)
+            for m in (1.0, 2.0, 4.0, 8.0, 16.0)]
 
 
 def suite_morrey(ctx):
@@ -351,11 +280,7 @@ def suite_morrey(ctx):
             grid, f, w, _ = lvl.fields
             rw = lvl.rw.value
             if p <= grid.dim * rw:
-                rows.append(
-                    ReportRow("morrey", "skipped_precondition",
-                              params_string(p=p, rw=rw), float("nan"),
-                              float("inf"), "info")
-                )
+                rows.append(row("morrey", "skipped_precondition", math.nan, p=p, rw=rw))
                 break
             span = min(hi - lo for lo, hi in config.bounds)
             center = [0.5 * (lo + hi) for lo, hi in config.bounds]
@@ -363,18 +288,12 @@ def suite_morrey(ctx):
             level_rows = morrey_check(
                 f, w, p, region_pairs, rw=rw, seed=config.seed
             )
-            for row in level_rows:
-                if row.quantity == "max_C_hat":
-                    per_level.append(row.value)
+            per_level += [r.value for r in level_rows if r.quantity == "max_C_hat"]
             rows.extend(level_rows)
         if len(per_level) >= 2:
             a, b = per_level[-2], per_level[-1]
             ratio = max(a, b) / min(a, b) if min(a, b) > 0 else 1.0
-            rows.append(
-                ReportRow("morrey", "stability",
-                          params_string(p=p), ratio, 2.0,
-                          "pass" if ratio < 2.0 else "fail")
-            )
+            rows.append(row("morrey", "stability", ratio, 2.0, ratio < 2.0, p=p))
     return rows
 
 
@@ -393,19 +312,11 @@ def suite_mollify_bound(ctx):
             continue
         pairs = mollify_gradient_bound(f, w, p, scales, packing.total)
         ratios = [r for _, r in pairs]
-        for R, r in pairs:
-            rows.append(
-                ReportRow("mollify_bound", "grad_ratio",
-                          params_string(p=p, R=R), r, float("inf"), "info")
-            )
+        rows += [row("mollify_bound", "grad_ratio", r, p=p, R=R) for R, r in pairs]
         if ratios:
             spread = max(ratios) / min(ratios) if min(ratios) > 0 else float("inf")
             ok = all(math.isfinite(r) for r in ratios) and spread <= 4.0
-            rows.append(
-                ReportRow("mollify_bound", "K_moll",
-                          params_string(p=p), max(ratios), 4.0,
-                          "pass" if ok else "fail")
-            )
+            rows.append(row("mollify_bound", "K_moll", max(ratios), 4.0, ok, p=p))
     return rows
 
 
@@ -419,10 +330,7 @@ def _varexp_suite(ctx, experiment, tolerance, drift_quantity, check):
     for lvl in ctx.levels:
         _, f, _, pfun = lvl.fields
         if pfun is None:
-            rows.append(
-                ReportRow(experiment, "skipped_no_exponent", "",
-                          float("nan"), tolerance, "info")
-            )
+            rows.append(row(experiment, "skipped_no_exponent", math.nan, tolerance))
             return rows
         level_rows = [
             replace(r, params=r.params + f";level={lvl.level}")
@@ -473,17 +381,17 @@ def table_weights(ctx):
     grid, _, w, _ = lvl.fields
     family = lvl.family
     cubes = dict(family=family.provenance.value, levels=config.cubes.levels)
-    rows = [_info("weights", "ap", ap_constant(w, p, family), p=p, **cubes)
+    rows = [row("weights", "ap", ap_constant(w, p, family), p=p, **cubes)
             for p in sorted(set(config.p_values))]
-    rows.append(_info("weights", "a1", a1_constant(w, family), **cubes))
-    rows += [_info("weights", "rh", rh_constant(w, s, family), s=s, **cubes)
+    rows.append(row("weights", "a1", a1_constant(w, family), **cubes))
+    rows += [row("weights", "rh", rh_constant(w, s, family), s=s, **cubes)
              for s in sorted(set(config.s_values))]
-    rows.append(_info("weights", "rw", lvl.rw.value, at_max=lvl.rw.at_max, **cubes))
+    rows.append(row("weights", "rw", lvl.rw.value, at_max=lvl.rw.at_max, **cubes))
     radii = config.radii or (4 * grid.spacing,)
     balls = doubling_ball_family(grid, radii, stride=max(1, grid.n_nodes // 64))
     doubling = doubling_constant(w, balls) if balls else float("nan")
-    rows.append(_info("weights", "doubling", doubling, family="balls",
-                      levels=config.cubes.levels))
+    rows.append(row("weights", "doubling", doubling, family="balls",
+                    levels=config.cubes.levels))
     return rows
 
 
@@ -495,11 +403,11 @@ def table_riesz_var(ctx):
     for p in config.p_values:
         sol = lvl.packing(p)
         params = dict(p=p, method=sol.method, h=lvl.fields[0].spacing, radii=config.radii)
-        rows += [_info("riesz-var", "variation", sol.variation, **params),
-                 _info("riesz-var", "total", sol.total, **params),
-                 _info("riesz-var", "n_balls", float(len(sol.indices)), **params)]
+        rows += [row("riesz-var", "variation", sol.variation, **params),
+                 row("riesz-var", "total", sol.total, **params),
+                 row("riesz-var", "n_balls", float(len(sol.indices)), **params)]
         scored, at = sol.scored, list(sol.indices)
-        rows += [_info("riesz-var", "ball", s, p=p, center=c, radius=r, osc=o, mass=m)
+        rows += [row("riesz-var", "ball", s, p=p, center=c, radius=r, osc=o, mass=m)
                  for c, r, o, m, s in zip(*(a[at].tolist() for a in (
                      scored.centers, scored.radii, scored.oscillation, scored.weight_mass,
                      scored.score)))]
@@ -514,7 +422,7 @@ def table_sobolev(ctx):
     for p in ctx.config.p_values:
         lp = weighted_lp_norm(f, w, p)
         grad_lp = weighted_lp_norm(lvl.gradient, w, p)
-        rows += [_info("sobolev", q, v, p=p, h=grid.spacing)
+        rows += [row("sobolev", q, v, p=p, h=grid.spacing)
                  for q, v in (("lp", lp), ("grad_lp", grad_lp), ("total", lp + grad_lp))]
     return rows
 
@@ -528,16 +436,16 @@ def table_varexp(ctx):
         raise PreconditionError("config has no exponent section")
     lh = lh_constants(pfun, seed=config.seed)
     rows = [
-        _info("varexp", "p_minus", pfun.p_minus),
-        _info("varexp", "p_plus", pfun.p_plus),
-        _info("varexp", "lh_c0", lh.c0_estimate, p_inf=lh.p_infinity_used),
-        _info("varexp", "lh_c_infinity", lh.c_infinity_estimate, p_inf=lh.p_infinity_used),
-        _info("varexp", "modular", modular(f, pfun)),
-        _info("varexp", "luxemburg_norm", luxemburg_norm(f, pfun)),
+        row("varexp", "p_minus", pfun.p_minus),
+        row("varexp", "p_plus", pfun.p_plus),
+        row("varexp", "lh_c0", lh.c0_estimate, p_inf=lh.p_infinity_used),
+        row("varexp", "lh_c_infinity", lh.c_infinity_estimate, p_inf=lh.p_infinity_used),
+        row("varexp", "modular", modular(f, pfun)),
+        row("varexp", "luxemburg_norm", luxemburg_norm(f, pfun)),
     ]
     if config.radii:
-        rows.append(_info("varexp", "rbv_var_seminorm",
-                          max((t.norm for t in lvl.explored), default=0.0)))
+        rows.append(row("varexp", "rbv_var_seminorm",
+                        max((t.norm for t in lvl.explored), default=0.0)))
     return rows
 
 

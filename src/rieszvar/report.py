@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 from ._version import __version__
@@ -36,6 +37,15 @@ class Report:
 def params_string(**kwargs):
     """Canonical 'k=v;k=v' encoding with sorted keys."""
     return ";".join(f"{k}={kwargs[k]!r}" for k in sorted(kwargs))
+
+
+def row(experiment, quantity, value, tolerance=math.inf, ok=None, **params):
+    """The ReportRow of ``value`` with ``params_string(**params)``.
+
+    Its status is ``info`` when ``ok`` is None, else ``pass`` or ``fail``.
+    """
+    status = "info" if ok is None else "pass" if ok else "fail"
+    return ReportRow(experiment, quantity, params_string(**params), value, tolerance, status)
 
 
 CSV_COLUMNS = ["experiment", "quantity", "params", "value", "tolerance", "status", "runtime_ms"]

@@ -31,6 +31,7 @@ from .grid import (
     SampledField,
     ball_offsets,
     balls_overlap,
+    distinct,
     eroded_mask,
     lattice_flat,
     lattice_offsets,
@@ -38,7 +39,7 @@ from .grid import (
     shifted,
     weighted_measure,
 )
-from .report import ReportRow, params_string
+from .report import row
 
 DP_1D_EXACT = "dp_1d_exact"
 GREEDY = "greedy"
@@ -179,27 +180,22 @@ def measure_balls(f, w, candidates):
     on_node = np.abs(node - centers) <= ATOL
     if not np.all(on_node & (k >= 0) & (k < grid.shape)):
         raise PreconditionError("measure_balls requires node-centred balls")
-    # Containment is ``eroded_mask`` at the centre node: the ball's box inside
-    # the grid's box (which also keeps every stencil node inside the array),
-    # then every gathered node masked in.
-    in_box = (node - radii[:, None] >= grid.bbox_lo - ATOL) & (
-        node + radii[:, None] <= grid.bbox_hi + ATOL)
-    if not in_box.all():
-        raise PreconditionError(_UNCONTAINED)
     flat = lattice_flat(grid, k)
-    fv, wv, mv = f.values.reshape(-1), w.values.reshape(-1), grid.mask.reshape(-1)
+    fv, wv = f.values.reshape(-1), w.values.reshape(-1)
     osc, mass = np.empty(len(candidates)), np.empty(len(candidates))
-    for r in sorted(set(radii.tolist())):
+    for r in distinct(radii):
         group = np.flatnonzero(radii == r)
         stencil = lattice_flat(grid, ball_offsets(grid, r))
         if not stencil.size:
             raise PreconditionError("candidate ball contains no masked-in node")
+        # Containment is ``eroded_mask`` at the centre node; its box test also
+        # keeps every stencil node inside the array.
+        if not eroded_mask(grid, r).reshape(-1)[flat[group]].all():
+            raise PreconditionError(_UNCONTAINED)
         step = max(1, _GATHER_BLOCK // stencil.size)
         for lo in range(0, group.size, step):
             rows = group[lo:lo + step]
             nodes = flat[rows, None] + stencil
-            if not mv[nodes].all():
-                raise PreconditionError(_UNCONTAINED)
             vals = fv[nodes]
             osc[rows] = vals.max(axis=1) - vals.min(axis=1)
             with np.errstate(over="ignore"):
@@ -336,10 +332,9 @@ class _StencilRows(_ConflictRows):
     def __init__(self, candidates):
         super().__init__(candidates)
         grid = self._grid = candidates.grid
-        radii = np.sort(self._radii)
-        self._radius_set = radii[np.append(True, radii[1:] != radii[:-1])].tolist()
+        self._radius_set = distinct(self._radii)
         nr = len(self._radius_set)
-        pad = math.ceil(2 * radii[-1] / grid.spacing)
+        pad = math.ceil(2 * self._radius_set[-1] / grid.spacing)
         shape = [s + 2 * pad for s in grid.shape]
         self._strides = np.array([math.prod(shape[a + 1:]) for a in range(grid.dim)])
         k = np.rint((self._centers - grid.origin) / grid.spacing).astype(int) + pad
@@ -685,9 +680,7 @@ def weak_type_rows(w, packing, lip, t_grid, k_max=None):
             raise ZeroVariation("variation is zero while a superlevel set is nonempty")
         k = (t**p * measure / vp_pow) if vp_pow > 0 else 0.0
         max_k = max(max_k, k)
-        rows.append(ReportRow("weak_type", "K(t)", params_string(t=float(t), p=float(p)),
-                              k, k_max, "info"))
-    rows.append(ReportRow("weak_type", "max_K",
-                          params_string(p=float(p), variation=packing.variation),
-                          max_k, k_max, "pass" if max_k <= k_max else "fail"))
+        rows.append(row("weak_type", "K(t)", k, k_max, t=float(t), p=float(p)))
+    rows.append(row("weak_type", "max_K", max_k, k_max, max_k <= k_max,
+                    p=float(p), variation=packing.variation))
     return rows

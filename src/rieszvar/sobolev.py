@@ -23,7 +23,7 @@ from .grid import (
     region_mask,
     shifted,
 )
-from .report import ReportRow, params_string
+from .report import row
 
 
 def weighted_lp_norm(f, w, p, region=None):
@@ -154,16 +154,7 @@ def morrey_check(
                 raise DegenerateGradient(
                     "gradient norm vanished on a ball with nonconstant samples"
                 )
-            rows.append(
-                ReportRow(
-                    experiment="morrey",
-                    quantity="C_hat",
-                    params=params_string(center=tuple(ball.center), R=R),
-                    value=0.0,
-                    tolerance=float("inf"),
-                    status="info",
-                )
-            )
+            rows.append(row("morrey", "C_hat", 0.0, center=tuple(ball.center), R=R))
             continue
         sigma_vals = w.values ** (1.0 / (1.0 - q))
         sigma_member = region_mask(grid, double)
@@ -182,26 +173,9 @@ def morrey_check(
         ratios = num / (dist**exponent * denom_const)
         c_hat = float(ratios.max()) if ratios.size else 0.0
         worst = max(worst, c_hat)
-        rows.append(
-            ReportRow(
-                experiment="morrey",
-                quantity="C_hat",
-                params=params_string(center=tuple(ball.center), R=R, q=q),
-                value=c_hat,
-                tolerance=float("inf"),
-                status="info",
-            )
-        )
-    rows.append(
-        ReportRow(
-            experiment="morrey",
-            quantity="max_C_hat",
-            params=params_string(p=float(p), q=float(q)),
-            value=worst,
-            tolerance=float("inf"),
-            status="pass" if math.isfinite(worst) else "fail",
-        )
-    )
+        rows.append(row("morrey", "C_hat", c_hat, center=tuple(ball.center), R=R, q=q))
+    rows.append(row("morrey", "max_C_hat", worst, ok=math.isfinite(worst),
+                    p=float(p), q=float(q)))
     return rows
 
 

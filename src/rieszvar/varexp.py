@@ -23,6 +23,7 @@ from .grid import (
     FieldKind,
     SampledField,
     ball_offsets,
+    distinct,
     gradient_magnitude,
     lattice_flat,
     node_set,
@@ -30,7 +31,7 @@ from .grid import (
     region_mask,
     size_blocks,
 )
-from .report import ReportRow, params_string
+from .report import row
 from .riesz import PackingSolution, candidate_balls, make_scores, measure_balls, pack
 
 # Relative bisection tolerance of every Luxemburg norm unless a caller sets one.
@@ -494,7 +495,7 @@ def packing_proposals(f, pfun, candidates, osc, method):
     k = np.rint((candidates.centers - grid.origin) / grid.spacing).astype(int)
     flat = lattice_flat(grid, k)
     radii = candidates.radii.tolist()
-    stencils = {r: lattice_flat(grid, ball_offsets(grid, r)) for r in sorted(set(radii))}
+    stencils = {r: lattice_flat(grid, ball_offsets(grid, r)) for r in distinct(candidates.radii)}
     mass = np.array([stencils[r].size for r in radii], dtype=float) * grid.cell_volume()
     scored = make_scores(candidates, osc, mass, p)
     a = scored.oscillation / scored.radii
@@ -515,10 +516,6 @@ def packing_proposals(f, pfun, candidates, osc, method):
 def rbv_var_seminorm(f, pfun, radii_list, method="auto"):
     """Lower bound of the RBV^{p(.)} seminorm: max Luxemburg value over proposals."""
     return max((t.norm for t in explore_packings(f, pfun, radii_list, method)), default=0.0)
-
-
-def _row(experiment, quantity, params, value, tolerance, status="info"):
-    return ReportRow(experiment, quantity, params_string(**params), value, tolerance, status)
 
 
 def gd_equivalence_check(f, pfun, packings, c_eq=4.0):
@@ -543,16 +540,15 @@ def gd_equivalence_check(f, pfun, packings, c_eq=4.0):
     for k, (terms, gval) in enumerate(zip(families, gvals)):
         params = dict(packing=k, n_balls=len(terms))
         if terms.norm == 0.0 and gval == 0.0:
-            rows.append(_row("gd_equivalence", "ratio_skipped", params, float("nan"), c_eq))
+            rows.append(row("gd_equivalence", "ratio_skipped", math.nan, c_eq, **params))
             continue
         ratio = gval / terms.norm
         ratios.append(ratio)
-        rows.append(_row("gd_equivalence", "ratio", params, ratio, c_eq))
+        rows.append(row("gd_equivalence", "ratio", ratio, c_eq, **params))
     if ratios:
-        status = "pass" if min(ratios) >= 1.0 / c_eq and max(ratios) <= c_eq else "fail"
-        params = dict(n_packings=len(ratios))
-        rows.append(_row("gd_equivalence", "ratio_min", params, min(ratios), c_eq, status))
-        rows.append(_row("gd_equivalence", "ratio_max", params, max(ratios), c_eq, status))
+        ok = min(ratios) >= 1.0 / c_eq and max(ratios) <= c_eq
+        rows += [row("gd_equivalence", "ratio_min", min(ratios), c_eq, ok, n_packings=len(ratios)),
+                 row("gd_equivalence", "ratio_max", max(ratios), c_eq, ok, n_packings=len(ratios))]
     return rows
 
 
@@ -571,11 +567,11 @@ def varexp_sobolev_equivalence(f, pfun, packings, c_thm=16.0):
     gnorm = luxemburg_norm(gradient_magnitude(f), pfun)
     params = dict(p_minus=pfun.p_minus, p_plus=pfun.p_plus)
     if rbv == 0.0 and gnorm == 0.0:
-        return [_row("varexp_sobolev", "ratio_skipped", params, float("nan"), c_thm)]
+        return [row("varexp_sobolev", "ratio_skipped", math.nan, c_thm, **params)]
     ratio = rbv / gnorm if gnorm > 0 else float("inf")
     ok = math.isfinite(ratio) and 1.0 / c_thm <= ratio <= c_thm
     return [
-        _row("varexp_sobolev", "rbv_seminorm", params, rbv, c_thm),
-        _row("varexp_sobolev", "grad_luxemburg", params, gnorm, c_thm),
-        _row("varexp_sobolev", "ratio", params, ratio, c_thm, "pass" if ok else "fail"),
+        row("varexp_sobolev", "rbv_seminorm", rbv, c_thm, **params),
+        row("varexp_sobolev", "grad_luxemburg", gnorm, c_thm, **params),
+        row("varexp_sobolev", "ratio", ratio, c_thm, ok, **params),
     ]

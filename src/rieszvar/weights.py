@@ -44,6 +44,7 @@ from .grid import (
     Cube,
     FieldKind,
     SampledField,
+    distinct,
     lattice_flat,
     same_nodes,
     size_blocks,
@@ -365,7 +366,7 @@ def _ap_exceeds(w, family, threshold):
         try:
             for part in (todo[:1], todo[1:]) if stop_early else (todo,):
                 block_of = np.searchsorted(starts, part, side="right") - 1
-                for b in sorted(set(block_of.tolist())):
+                for b in distinct(block_of):
                     rows = part[block_of == b] - starts[b]
                     for r, md in zip(rows.tolist(), _dual_means(blocks[b][rows], expo)):
                         best = max(best, means[b][r] * md ** (q - 1.0))

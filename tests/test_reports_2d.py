@@ -31,11 +31,11 @@ DATA = Path(__file__).resolve().parent / "data" / "verify_2d"
 CONFIG = ROOT / "perfbench" / "configs" / "verify_2d.json"
 
 
-def _matches_recorded(subcommand, config, name):
+def _matches_recorded(subcommand, config, name, data=DATA):
     result = CliRunner().invoke(main, [subcommand, "--config", str(config), "--format", "csv"])
     assert result.exit_code == 0, result.output
     got = list(csv.DictReader(io.StringIO(result.output)))
-    want = list(csv.DictReader((DATA / f"{name}.{subcommand}.csv").open()))
+    want = list(csv.DictReader((data / f"{name}.{subcommand}.csv").open()))
     exact = ["experiment", "quantity", "params", "tolerance", "status"]
     assert [[r[k] for k in exact] for r in got] == [[r[k] for k in exact] for r in want]
     for g, w in zip(got, want):
