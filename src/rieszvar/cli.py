@@ -1,9 +1,13 @@
-"""Command-line entry point: ``toolkit <subcommand> --config <path>``."""
+"""Numerical toolkit for weighted Riesz variation and Sobolev norms.
 
+Every subcommand but catalog prints one report and exits 2 on any
+error row, else 1 on any fail row, else 0.
+"""
+
+import argparse
+import os
 import sys
 from functools import partial
-
-import click
 
 from .catalog import list_catalog
 from .config import load_config, load_config_file
@@ -12,67 +16,60 @@ from .harness import TABLES, run_config, run_table
 from .report import emit_report, report_to_csv, report_to_json
 
 
-def _load(config_path, seed, fmt, out_path):
-    config = load_config_file(config_path)
-    raw = dict(config.raw)
-    if seed is not None:
-        raw["seed"] = seed
-    if fmt is not None:
-        raw["format"] = fmt
-    if out_path is not None:
-        raw["out"] = out_path
-    return load_config(raw)
+def _existing_file(path):
+    if not (os.path.isfile(path) and os.access(path, os.R_OK)):
+        raise argparse.ArgumentTypeError(f"{path!r} is not a readable file")
+    return path
 
 
-@click.group()
-def main():
-    """Numerical toolkit for weighted Riesz variation and Sobolev norms.
-
-    Every subcommand but catalog prints one report and exits 2 on any
-    error row, else 1 on any fail row, else 0.
-    """
-
-
-def _report_command(name, run, help):
-    """Register subcommand ``name``, which writes the report ``run(config)`` returns."""
-
-    @main.command(name, help=help)
-    @click.option("--config", "config_path", required=True,
-                  type=click.Path(exists=True, dir_okay=False))
-    @click.option("--out", "out_path", default=None, type=click.Path())
-    @click.option("--format", "fmt", default=None, type=click.Choice(["csv", "json"]))
-    @click.option("--seed", default=None, type=int)
-    def command(config_path, out_path, fmt, seed):
-        try:
-            config = _load(config_path, seed, fmt, out_path)
-            report = run(config)
-        except ToolkitError as exc:
-            raise click.ClickException(str(exc))
-        if config.out:
-            emit_report(report, config.out, config.fmt)
-            click.echo(f"wrote {config.out} ({len(report.rows)} rows)")
-        else:
-            text = report_to_json(report) if config.fmt == "json" else report_to_csv(report)
-            click.echo(text, nl=False)
-        if any(row.status == "error" for row in report.rows):
-            sys.exit(2)
-        if report.has_failures():
-            sys.exit(1)
+def _report(run, args):
+    """Write the report ``run(config)`` returns; the exit code its rows give."""
+    overrides = {key: getattr(args, key) for key in ("seed", "format", "out")}
+    raw = load_config_file(args.config).raw | {k: v for k, v in overrides.items() if v is not None}
+    config = load_config(raw)
+    report = run(config)
+    if config.out:
+        emit_report(report, config.out, config.fmt)
+        print(f"wrote {config.out} ({len(report.rows)} rows)")
+    else:
+        sys.stdout.write(report_to_json(report) if config.fmt == "json" else report_to_csv(report))
+    if any(row.status == "error" for row in report.rows):
+        return 2
+    return 1 if report.has_failures() else 0
 
 
-for _name, _table in TABLES.items():
-    _report_command(_name, partial(run_table, name=_name), _table.__doc__)
-_report_command("verify", run_config, "Run the configured theorem suites.")
-
-
-@main.command()
-def catalog():
+def _catalog(args):
     """List the function, weight, and exponent families."""
     for kind, names in list_catalog().items():
-        click.echo(f"{kind}:")
+        print(f"{kind}:")
         for name in names:
-            click.echo(f"  {name}")
+            print(f"  {name}")
+    return 0
+
+
+def main(argv=None):
+    """``toolkit <subcommand> --config <path>``: the exit code; usage errors exit 2."""
+    parser = argparse.ArgumentParser(prog="toolkit", description=__doc__)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    commands.add_parser("catalog", help=_catalog.__doc__,
+                        description=_catalog.__doc__).set_defaults(run=_catalog)
+    reports = [(name, partial(run_table, name=name), table.__doc__)
+               for name, table in TABLES.items()]
+    reports.append(("verify", run_config, "Run the configured theorem suites."))
+    for name, run, text in reports:
+        command = commands.add_parser(name, help=text, description=text)
+        command.add_argument("--config", required=True, type=_existing_file)
+        command.add_argument("--out")
+        command.add_argument("--format", choices=["csv", "json"])
+        command.add_argument("--seed", type=int)
+        command.set_defaults(run=partial(_report, run))
+    args = parser.parse_args(argv)
+    try:
+        return args.run(args)
+    except ToolkitError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

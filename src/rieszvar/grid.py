@@ -21,6 +21,7 @@ from .errors import (
     EmptyDomain,
     EmptyRegion,
     IsolatedNode,
+    PreconditionError,
 )
 
 # Absolute slack for containment / disjointness comparisons on node
@@ -446,6 +447,8 @@ def eroded_mask(grid, r):
     """
     ok = grid._eroded.get(r)
     if ok is None:
+        if not ball_offsets(grid, r).size:
+            raise PreconditionError("candidate ball contains no masked-in node")
         ok = _erode(grid, r)
         ok.flags.writeable = False
         grid._eroded[r] = ok

@@ -49,7 +49,6 @@ MAX_ITERS = 200
 # Scratch budget of one numpy pass: gathered node values per block in
 # measure_balls, candidate pairs per chunk in local search.
 _GATHER_BLOCK = 1 << 14
-_UNCONTAINED = "measure_balls requires balls contained in the domain"
 
 
 def _array_fields(candidates):
@@ -186,12 +185,10 @@ def measure_balls(f, w, candidates):
     for r in distinct(radii):
         group = np.flatnonzero(radii == r)
         stencil = lattice_flat(grid, ball_offsets(grid, r))
-        if not stencil.size:
-            raise PreconditionError("candidate ball contains no masked-in node")
-        # Containment is ``eroded_mask`` at the centre node; its box test also
-        # keeps every stencil node inside the array.
+        # Containment is ``eroded_mask`` at the centre node, which also rejects
+        # an empty stencil; its box test keeps every stencil node inside the array.
         if not eroded_mask(grid, r).reshape(-1)[flat[group]].all():
-            raise PreconditionError(_UNCONTAINED)
+            raise PreconditionError("measure_balls requires balls contained in the domain")
         step = max(1, _GATHER_BLOCK // stencil.size)
         for lo in range(0, group.size, step):
             rows = group[lo:lo + step]
@@ -249,16 +246,18 @@ def pack_1d_exact(scored, p):
 
     Candidates become intervals [c - r, c + r]; closed disjointness means
     touching endpoints are allowed. The DP maximizes total score, breaking
-    ties toward fewer balls and then toward earlier candidates.
+    ties toward fewer balls and then toward earlier candidates. As in
+    greedy, only positive scores enter: no other can raise the best total.
     """
     if not len(scored):
         raise NoCandidates("no scored candidates to pack")
     if scored.centers.shape[1] != 1:
         raise PreconditionError("dp_1d_exact is only available in one dimension")
-    n = len(scored)
     lefts = scored.centers[:, 0] - scored.radii
     rights = scored.centers[:, 0] + scored.radii
-    items = np.lexsort((np.arange(n), lefts, rights))
+    keep = np.flatnonzero(scored.score > 0)
+    items = keep[np.lexsort((keep, lefts[keep], rights[keep]))]
+    n = items.size
     # pred[q]: the number of sorted items ending by item q's left end (closed
     # rule), capped at q; it is the DP state that taking item q extends.
     pred = np.minimum(
@@ -319,14 +318,15 @@ class _StencilRows(_ConflictRows):
     """_ConflictRows of a nonempty node-centred CandidateSet, listed from its grid's stencils.
 
     Candidates (node a, r) and (node b, r') conflict exactly when ``b - a``
-    lies in ``ball_offsets(grid, r + r')``. A (node, radius) -> candidate
-    table over the grid's box padded by twice the largest radius, -1 where
-    there is none, makes each neighbour list one gather
+    lies in ``ball_offsets(grid, r + r')``. An int32 (node, radius) ->
+    candidate table over the grid's box padded by twice the largest radius,
+    -1 where there is none, makes each neighbour list one gather
     ``table[key_i + offsets]``, whose offsets hold the stencils of i's
-    radius with every radius of the set. ``one_per_key`` is False when two
-    candidates share a node and radius (a subset that repeats an index),
-    which the table cannot hold. Pairs are decided by the inherited
-    distance ``overlap``, which agrees with the stencil rule.
+    radius with every radius of the set; lists are intp, since local search
+    forms ``ia * n + ib``. ``one_per_key`` is False when two candidates
+    share a node and radius (a subset that repeats an index), which the
+    table cannot hold. Pairs are decided by the inherited distance
+    ``overlap``, which agrees with the stencil rule.
     """
 
     def __init__(self, candidates):
@@ -339,7 +339,7 @@ class _StencilRows(_ConflictRows):
         self._strides = np.array([math.prod(shape[a + 1:]) for a in range(grid.dim)])
         k = np.rint((self._centers - grid.origin) / grid.spacing).astype(int) + pad
         self._key = k @ self._strides * nr + np.searchsorted(self._radius_set, self._radii)
-        self._table = np.full(math.prod(shape) * nr, -1, dtype=np.intp)
+        self._table = np.full(math.prod(shape) * nr, -1, dtype=np.int32)
         self._table[self._key] = np.arange(len(self._key))
         self.one_per_key = np.array_equal(self._table[self._key], np.arange(len(self._key)))
         self._offsets = {}
@@ -354,7 +354,7 @@ class _StencilRows(_ConflictRows):
                 [ball_offsets(self._grid, radii[a] + radii[b]) @ self._strides * nr + (b - a)
                  for b in range(nr)])
         nb = self._table[self._key[i] + offsets]
-        return nb[nb >= 0]
+        return nb[nb >= 0].astype(np.intp)
 
 
 def pack_greedy(scored, p):

@@ -1,9 +1,12 @@
+import contextlib
+import io
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from rieszvar import ScoredCandidates, build_grid, sample_catalog
+from rieszvar.cli import main
 
 
 @pytest.fixture
@@ -68,3 +71,23 @@ def ball_scores(scored):
 def as_balls(candidates):
     """Every candidate of a CandidateSet as a Ball, in order."""
     return [candidates.ball(i) for i in range(len(candidates))]
+
+
+CliResult = namedtuple("CliResult", "exit_code output exception")
+
+
+def run_cli(args):
+    """``toolkit *args`` in process, with stdout and stderr captured together.
+
+    argparse's ``SystemExit`` becomes the exit code; any other exception is
+    returned with exit code 1.
+    """
+    output, exception = io.StringIO(), None
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code, exception = exc.code, exc
+        except Exception as exc:
+            code, exception = 1, exc
+    return CliResult(code, output.getvalue(), exception)

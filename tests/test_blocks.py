@@ -901,7 +901,7 @@ class TestDP1DMatchesTupleDP:
         rng = np.random.default_rng(5)
         for _ in range(200):
             n = int(rng.integers(1, 60))
-            score = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0], n)  # dyadic sums tie exactly
+            score = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0], n)  # dyadic sums tie exactly
             score += rng.random(n) * (rng.random(n) < rng.choice([0.0, 0.3]))
             scored = scored_set(list(zip(rng.integers(0, 40, n) / 8.0,
                                          rng.choice([0.25, 0.375, 0.5], n), score)))

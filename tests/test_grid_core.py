@@ -27,6 +27,7 @@ from rieszvar.errors import (
     EmptyDomain,
     EmptyRegion,
     IsolatedNode,
+    PreconditionError,
     UnknownCatalogEntry,
 )
 from rieszvar.grid import ball_in_domain, ball_offsets, eroded_mask, region_mask
@@ -258,6 +259,18 @@ class TestBallStencil:
                                           g.shape)),
                 radii.index(b.radius), tuple(b.center)) for b in balls]
         assert got == sorted(expected)
+
+    def test_eroded_mask_rejects_an_empty_stencil(self):
+        """At r <= ATOL no node lies in the ball: a PreconditionError, with the
+        centre node masked out or not, and nothing is memoized."""
+        full = build_grid(2, [0.0, 0.0], 0.125, [9, 9])
+        holed = build_grid(2, [0.0, 0.0], 0.125, [9, 9],
+                           lambda pts: np.linalg.norm(pts - 0.5, axis=-1) > 0.01)
+        assert not holed.mask[4, 4] and holed.mask.sum() == 80
+        for g in (full, holed):
+            with pytest.raises(PreconditionError, match="contains no masked-in node"):
+                eroded_mask(g, 1e-12)
+            assert not g._eroded
 
     def test_offsets_row_major_and_symmetric(self):
         g = build_grid(3, [0.0] * 3, 0.3, [5, 5, 5])

@@ -10,11 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import rieszvar
 from rieszvar import Ball, Cube, build_grid, emit_report, sample_catalog, write_field
-from rieszvar.cli import main
 from rieszvar.config import (
     KNOWN_SUITES,
     CubeSpec,
@@ -37,6 +35,8 @@ from rieszvar.report import (
     report_to_csv,
     report_to_json,
 )
+
+from conftest import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -203,7 +203,7 @@ class TestRunConfig:
         path = tmp_path / "extreme_weight.json"
         path.write_text(json.dumps(raw))
         for command in commands:
-            result = CliRunner().invoke(main, [command, "--config", str(path)])
+            result = run_cli([command, "--config", str(path)])
             assert result.exit_code == 2, (command, result.output)
             assert ",error," in result.output and "overflows the float range" in result.output
 
@@ -574,18 +574,18 @@ class TestCli:
         return str(path)
 
     def test_catalog_lists_families(self):
-        result = CliRunner().invoke(main, ["catalog"])
+        result = run_cli(["catalog"])
         assert result.exit_code == 0
         for name in ("linear", "power_weight", "step_exponent"):
             assert name in result.output
 
     def run_json(self, command, cfg):
-        result = CliRunner().invoke(main, [command, "--config", cfg, "--format", "json"])
+        result = run_cli([command, "--config", cfg, "--format", "json"])
         return result, report_from_json(result.output)
 
     def test_weights_csv_columns(self, tmp_path):
         cfg = self.write_config(tmp_path)
-        result = CliRunner().invoke(main, ["weights", "--config", cfg])
+        result = run_cli(["weights", "--config", cfg])
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == ",".join(CSV_COLUMNS)
         rows = list(csv.DictReader(io.StringIO(result.output)))
@@ -619,7 +619,7 @@ class TestCli:
 
     def test_varexp_requires_exponent(self, tmp_path):
         cfg = self.write_config(tmp_path)
-        result = CliRunner().invoke(main, ["varexp", "--config", cfg])
+        result = run_cli(["varexp", "--config", cfg])
         assert result.exit_code == 2
         assert result.output.splitlines()[1].startswith("varexp,error,")
 
@@ -627,7 +627,7 @@ class TestCli:
     def test_every_table_prints_the_report_csv(self, tmp_path, command):
         cfg = self.write_config(
             tmp_path, exponent={"catalog": "affine", "params": {"intercept": 3.0, "slope": 1.0}})
-        result = CliRunner().invoke(main, [command, "--config", cfg, "--format", "csv"])
+        result = run_cli([command, "--config", cfg, "--format", "csv"])
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == ",".join(CSV_COLUMNS)
 
@@ -642,7 +642,7 @@ class TestCli:
     def test_weights_error_is_one_row(self):
         """weak_type_hat asks for p = 1, where A_p is undefined: one error row, exit 2."""
         cfg = str(ROOT / "demos" / "configs" / "weak_type_hat.json")
-        result = CliRunner().invoke(main, ["weights", "--config", cfg])
+        result = run_cli(["weights", "--config", cfg])
         assert result.exit_code == 2
         assert "Traceback" not in result.output
         (row,) = list(csv.DictReader(io.StringIO(result.output)))
@@ -660,7 +660,7 @@ class TestCli:
     def test_verify_pass_exit_zero(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "report.csv"
-        result = CliRunner().invoke(main, ["verify", "--config", cfg, "--out", str(out)])
+        result = run_cli(["verify", "--config", cfg, "--out", str(out)])
         assert result.exit_code == 0
         assert out.exists()
 
@@ -668,7 +668,7 @@ class TestCli:
     def test_unknown_format_in_config_is_rejected(self, tmp_path, out):
         cfg = self.write_config(tmp_path, format="xml")
         args = ["sobolev", "--config", cfg] + (["--out", str(tmp_path / "r.xml")] if out else [])
-        result = CliRunner().invoke(main, args)
+        result = run_cli(args)
         assert result.exit_code == 1
         assert "format: report format must be 'csv' or 'json', got 'xml'" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -677,23 +677,21 @@ class TestCli:
 
     def test_verify_fail_exit_nonzero(self, tmp_path):
         cfg = self.write_config(tmp_path, thresholds={"bound_thm1": 1.0001})
-        result = CliRunner().invoke(main, ["verify", "--config", cfg])
+        result = run_cli(["verify", "--config", cfg])
         assert result.exit_code == 1
 
     @pytest.mark.parametrize("name, code", [("theorem1_linear", 0), ("weak_type_hat", 2)])
     def test_verify_exit_status_of_demo_configs(self, name, code):
         """0 without fail or error rows; 2 with an error row (weak_type_hat's lemma21)."""
         cfg = str(ROOT / "demos" / "configs" / f"{name}.json")
-        result = CliRunner().invoke(main, ["verify", "--config", cfg])
+        result = run_cli(["verify", "--config", cfg])
         assert result.exit_code == code
         assert (",error," in result.output) == (code == 2)
 
     def test_verify_json_out(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "report.json"
-        result = CliRunner().invoke(
-            main, ["verify", "--config", cfg, "--out", str(out), "--format", "json"]
-        )
+        result = run_cli(["verify", "--config", cfg, "--out", str(out), "--format", "json"])
         assert result.exit_code == 0
         parsed = report_from_json(out.read_text())
         assert parsed.rows
@@ -701,24 +699,38 @@ class TestCli:
     def test_seed_override_recorded(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "report.json"
-        CliRunner().invoke(
-            main,
-            ["verify", "--config", cfg, "--out", str(out), "--format", "json",
-             "--seed", "99"],
-        )
+        run_cli(["verify", "--config", cfg, "--out", str(out), "--format", "json",
+                 "--seed", "99"])
         assert report_from_json(out.read_text()).seed == 99
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TOOLKIT_THREADS", "4")
         cfg = self.write_config(tmp_path)
-        result = CliRunner().invoke(main, ["sobolev", "--config", cfg])
+        result = run_cli(["sobolev", "--config", cfg])
         assert result.exit_code == 0
 
     def test_threads_is_a_no_op(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TOOLKIT_THREADS", "many")
         cfg = self.write_config(tmp_path)
-        result = CliRunner().invoke(main, ["sobolev", "--config", cfg])
+        result = run_cli(["sobolev", "--config", cfg])
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("command", [[], ["catalog"], ["verify"], *([name] for name in TABLES)],
+                             ids=lambda command: "_".join(["toolkit", *command]))
+    def test_help_exits_zero(self, command):
+        """argparse %-formats help texts, so each one, table docstrings included, must render."""
+        result = run_cli([*command, "--help"])
+        assert result.exit_code == 0
+        assert result.output.startswith(" ".join(["usage: toolkit", *command]))
+
+    def test_usage_errors_exit_2(self, tmp_path):
+        """No subcommand, a missing config file or an unknown --format is a usage error."""
+        cfg = self.write_config(tmp_path)
+        for args in ([], ["verify", "--config", str(tmp_path / "missing.json")],
+                     ["verify", "--config", cfg, "--format", "xml"]):
+            result = run_cli(args)
+            assert result.exit_code == 2, (args, result.output)
+            assert "usage: toolkit" in result.output and "Traceback" not in result.output
 
 
 def test_runs_do_not_import_numpy_ma():
@@ -739,4 +751,22 @@ def test_runs_do_not_import_numpy_ma():
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     done = subprocess.run([sys.executable, "-c", script, *map(str, configs)],
                           capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_imports_no_third_party_module_but_numpy():
+    """Every ``toolkit`` process imports ``rieszvar.cli``; it pays for nothing outside
+    the standard library but numpy. Modules that site hooks load first are not counted."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import rieszvar.cli\n"
+        "top = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "extra = top - set(sys.stdlib_module_names) - {'numpy', 'rieszvar'}\n"
+        "assert not extra, sorted(extra)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr

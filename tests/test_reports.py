@@ -12,10 +12,10 @@ import math
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from rieszvar.cli import main
 from rieszvar.harness import TABLES
+
+from conftest import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"
@@ -34,7 +34,7 @@ def _same_value(a, b):
 @pytest.mark.parametrize("config", CONFIGS)
 def test_report_matches_recorded(config, subcommand):
     cfg = ROOT / "demos" / "configs" / f"{config}.json"
-    result = CliRunner().invoke(main, [subcommand, "--config", str(cfg), "--format", "csv"])
+    result = run_cli([subcommand, "--config", str(cfg), "--format", "csv"])
     assert result.exception is None or isinstance(result.exception, SystemExit)
     got = list(csv.DictReader(io.StringIO(result.output)))
     want = list(csv.DictReader((DATA / f"{config}.{subcommand}.csv").open()))

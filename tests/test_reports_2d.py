@@ -19,11 +19,10 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from rieszvar.cli import main
 from rieszvar.harness import TABLES
 
+from conftest import run_cli
 from test_reports import _same_value
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,7 +31,7 @@ CONFIG = ROOT / "perfbench" / "configs" / "verify_2d.json"
 
 
 def _matches_recorded(subcommand, config, name, data=DATA):
-    result = CliRunner().invoke(main, [subcommand, "--config", str(config), "--format", "csv"])
+    result = run_cli([subcommand, "--config", str(config), "--format", "csv"])
     assert result.exit_code == 0, result.output
     got = list(csv.DictReader(io.StringIO(result.output)))
     want = list(csv.DictReader((data / f"{name}.{subcommand}.csv").open()))

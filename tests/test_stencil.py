@@ -67,6 +67,15 @@ class TestStencilRuleMatchesDistance:
         # Closed disjointness lets tangent balls pass; the rule must agree there too.
         assert tangent > 0
 
+    def test_int32_table_intp_lists(self):
+        """Local search forms ``ia * n + ib`` from the lists, which would overflow
+        int32 past n = 46,340, so only the table is int32."""
+        make, radii = GRIDS["3d_h0.25"]
+        rows = _StencilRows(candidate_balls(make(), radii))
+        assert rows._table.dtype == np.int32
+        lists = [rows.neighbours(i) for i in range(len(rows._key))]
+        assert {nb.dtype for nb in lists} == {np.dtype(np.intp)}
+
     def test_repeated_candidates_fall_back_to_distance_rows(self):
         g = unit_disk(0.125)
         f = sample_catalog(g, "sinusoid", {"freq": 2.0})
