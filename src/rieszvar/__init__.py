@@ -8,7 +8,7 @@ norm-equivalence properties numerically at desk scale.
 """
 
 from ._version import __version__
-from .catalog import catalog_gradient, list_catalog, sample_catalog
+from .catalog import catalog_gradient, exponent_catalog, list_catalog, sample_catalog
 from .errors import ToolkitError
 from .grid import (
     Ball,
@@ -46,11 +46,9 @@ from .riesz import (
 )
 from .sobolev import Mollifier, mollify, morrey_check, sobolev_norm, weighted_lp_norm
 from .varexp import (
-    ExponentFunction,
     LHDiagnostics,
     VariableSequence,
     char_norm,
-    exponent_catalog,
     g_operator,
     gd_equivalence_check,
     harmonic_mean_exponent,

@@ -1,7 +1,8 @@
-"""Named test families for functions and weights.
+"""Named test families for functions, weights and variable exponents.
 
 Functions: linear, hat, power_abs, bump, sinusoid.
 Weights: constant, power_weight, step_weight.
+Exponents: constant, affine, step_exponent.
 
 Each family evaluates a closed form at the grid nodes; smooth families
 also expose their analytic gradient for convergence oracles.
@@ -147,6 +148,25 @@ def _step_weight(grid, params):
     return np.where((x0 >= lo) & (x0 <= hi), inside, outside)
 
 
+def _constant_exponent(grid, params):
+    return np.full(grid.shape, float(params.get("value", 2.0)))
+
+
+def _affine_exponent(grid, params):
+    slope = vector_param(grid, params, "slope", 1.0)
+    return float(params.get("intercept", 2.0)) + np.tensordot(
+        grid.points(), slope, axes=([-1], [0])
+    )
+
+
+def _step_exponent(grid, params):
+    threshold = float(params.get("threshold", 0.5))
+    left = float(params.get("left", 2.0))
+    right = float(params.get("right", 4.0))
+    x0 = grid.coords()[0]
+    return np.where(x0 <= threshold, left, right)
+
+
 _FUNCTIONS = {
     "linear": (_linear, _linear_grad),
     "hat": (_hat, None),
@@ -161,13 +181,19 @@ _WEIGHTS = {
     "step_weight": _step_weight,
 }
 
+_EXPONENTS = {
+    "constant": _constant_exponent,
+    "affine": _affine_exponent,
+    "step_exponent": _step_exponent,
+}
+
 
 def list_catalog():
     """Family names by kind, for the CLI listing."""
     return {
         "functions": sorted(_FUNCTIONS),
         "weights": sorted(_WEIGHTS),
-        "exponents": ["affine", "constant", "step_exponent"],
+        "exponents": sorted(_EXPONENTS),
     }
 
 
@@ -181,6 +207,14 @@ def sample_catalog(grid, name, params=None):
         vals = _WEIGHTS[name](grid, params)
         return SampledField(grid, vals, FieldKind.WEIGHT)
     raise UnknownCatalogEntry(f"no catalog family named {name!r}")
+
+
+def exponent_catalog(grid, name, params=None):
+    """Sample a named exponent family on the grid; returns an exponent SampledField."""
+    params = dict(params or {})
+    if name not in _EXPONENTS:
+        raise UnknownCatalogEntry(f"no exponent family named {name!r}")
+    return SampledField(grid, _EXPONENTS[name](grid, params), FieldKind.EXPONENT)
 
 
 def catalog_gradient(grid, name, params=None):

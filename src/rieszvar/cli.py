@@ -1,7 +1,8 @@
 """Numerical toolkit for weighted Riesz variation and Sobolev norms.
 
 Every subcommand but catalog prints one report and exits 2 on any
-error row, else 1 on any fail row, else 0.
+error row, else 1 on any fail row, else 0. A config that cannot be loaded
+or a report that cannot be written exits 1 with one ``Error:`` line.
 """
 
 import argparse
@@ -29,7 +30,10 @@ def _report(run, args):
     config = load_config(raw)
     report = run(config)
     if config.out:
-        emit_report(report, config.out, config.fmt)
+        try:
+            emit_report(report, config.out, config.fmt)
+        except OSError as exc:
+            raise ToolkitError(f"cannot write the report: {exc}") from exc
         print(f"wrote {config.out} ({len(report.rows)} rows)")
     else:
         sys.stdout.write(report_to_json(report) if config.fmt == "json" else report_to_csv(report))

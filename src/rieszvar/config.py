@@ -4,11 +4,10 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 
-from .catalog import list_catalog, sample_catalog
-from .errors import ConfigError, ToolkitError
-from .grid import FieldKind, build_grid, read_field, same_nodes
+from .catalog import exponent_catalog, list_catalog, sample_catalog
+from .errors import BadShape, ConfigError, ToolkitError
+from .grid import FieldKind, SampledField, build_grid, read_grid, same_nodes
 from .riesz import METHODS
-from .varexp import exponent_catalog, exponent_from_file
 
 KNOWN_SUITES = (
     "theorem1",
@@ -83,11 +82,7 @@ def _check_field_spec(spec, path, kind):
     if "file" in spec:
         return
     name = _require(spec, "catalog", path)
-    families = list_catalog()
-    pool = families["functions"] if kind == "function" else families["weights"]
-    if kind == "exponent":
-        pool = families["exponents"]
-    if name not in pool:
+    if name not in list_catalog()[kind + "s"]:
         raise ConfigError(f"{path}.catalog", f"unknown catalog family {name!r}")
 
 
@@ -177,10 +172,12 @@ def load_config(data):
 
 def load_config_file(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("", f"not UTF-8 text: {exc}") from exc
     return load_config(data)
 
 
@@ -191,46 +188,45 @@ def materialize_grid(config, level=0):
     return build_grid(config.dim, origin, h, shape)
 
 
-def materialize_field(grid, spec, kind):
-    if "file" in spec:
-        field_kind = FieldKind.WEIGHT if kind == "weight" else FieldKind.FUNCTION
-        return read_field(spec["file"], kind=field_kind)
-    try:
-        return sample_catalog(grid, spec["catalog"], spec.get("params"))
-    except ToolkitError as exc:
-        raise ConfigError(f"{kind}.catalog", str(exc)) from exc
+def materialize_field(grid, spec, kind, level=0):
+    """The ``kind`` field ("function", "weight" or "exponent") of ``spec`` on ``grid``.
 
-
-def materialize_exponent(grid, spec):
+    No spec gives None. A file field cannot be refined and must place the
+    grid's nodes; a function file keeps its own grid (mask included), while
+    weight and exponent file values are put on ``grid``. Every failure to
+    read a file, or to sample a catalog family, is a ConfigError naming the
+    spec's field.
+    """
     if spec is None:
         return None
+    kind = FieldKind(kind)
+    sample = exponent_catalog if kind == FieldKind.EXPONENT else sample_catalog
     if "constant" in spec:
-        return exponent_catalog(grid, "constant", {"value": float(spec["constant"])})
+        return sample(grid, "constant", {"value": float(spec["constant"])})
     if "file" in spec:
-        return exponent_from_file(spec["file"])
+        where = f"{kind.value}.file"
+        if level > 0:
+            raise ConfigError(where, "file-based fields cannot be refined")
+        try:
+            file_grid, values = read_grid(spec["file"])
+            if not same_nodes(file_grid, grid):
+                raise BadShape("file grid does not match the configured grid")
+            return SampledField(file_grid if kind == FieldKind.FUNCTION else grid, values, kind)
+        except (OSError, ValueError, ToolkitError) as exc:
+            raise ConfigError(where, str(exc)) from exc
     try:
-        return exponent_catalog(grid, spec["catalog"], spec.get("params"))
+        return sample(grid, spec["catalog"], spec.get("params"))
     except ToolkitError as exc:
-        raise ConfigError("exponent.catalog", str(exc)) from exc
+        raise ConfigError(f"{kind.value}.catalog", str(exc)) from exc
 
 
 def materialize_level(config, level=0):
     """Grid, function, weight, and exponent at one refinement level.
 
-    A file-based function supplies its own grid (including the mask); it
-    must agree with the configured grid at this level, and file-based
-    fields cannot be refined.
+    The grid is the function's: the configured one, or a function file's
+    own grid (mask included); see ``materialize_field``.
     """
-    grid = materialize_grid(config, level)
-    f = materialize_field(grid, config.function_spec, "function")
-    if "file" in config.function_spec:
-        if level > 0:
-            raise ConfigError("function.file", "file-based fields cannot be refined")
-        if not same_nodes(f.grid, grid):
-            raise ConfigError(
-                "function.file", "file grid does not match the configured grid"
-            )
-        grid = f.grid
-    w = materialize_field(grid, config.weight_spec, "weight")
-    pfun = materialize_exponent(grid, config.exponent_spec)
-    return grid, f, w, pfun
+    f = materialize_field(materialize_grid(config, level), config.function_spec, "function", level)
+    w = materialize_field(f.grid, config.weight_spec, "weight", level)
+    pfun = materialize_field(f.grid, config.exponent_spec, "exponent", level)
+    return f.grid, f, w, pfun

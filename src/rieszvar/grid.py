@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    BadParams,
     BadShape,
     EmptyDomain,
     EmptyRegion,
@@ -34,6 +35,7 @@ ATOL = 1e-9
 class FieldKind(Enum):
     FUNCTION = "function"
     WEIGHT = "weight"
+    EXPONENT = "exponent"
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,9 +113,10 @@ class Grid:
 class SampledField:
     """Real values sampled at the grid nodes.
 
-    ``kind`` distinguishes plain functions from weights; weights must be
-    nonnegative wherever the mask is on. Values at masked-out nodes are
-    carried but never read by any operation.
+    ``kind`` distinguishes plain functions, weights and variable exponents
+    p(.); wherever the mask is on, weights must be nonnegative and exponents
+    at least 1. Values at masked-out nodes are carried but never read by any
+    operation.
     """
 
     grid: Grid
@@ -132,6 +135,18 @@ class SampledField:
             raise BadShape("field has non-finite values at masked-in nodes")
         if self.kind == FieldKind.WEIGHT and np.any(masked < 0):
             raise BadShape("weight has negative values at masked-in nodes")
+        if self.kind == FieldKind.EXPONENT and np.any(masked < 1.0):
+            raise BadParams("exponent must satisfy 1 <= p(x) < infinity on the mask")
+
+    @property
+    def p_minus(self):
+        """Least value over the mask: an exponent's p_-."""
+        return float(self.values[self.grid.mask].min())
+
+    @property
+    def p_plus(self):
+        """Greatest value over the mask: an exponent's p_+."""
+        return float(self.values[self.grid.mask].max())
 
 
 @dataclass(frozen=True)
@@ -557,7 +572,7 @@ def write_field(path, field):
 
 
 def _expect(parts, key, line_no):
-    if not parts or parts[0] != key:
+    if len(parts) < 2 or parts[0] != key:
         raise BadShape(f"grid file line {line_no}: expected '{key} ...'")
     return parts[1:]
 

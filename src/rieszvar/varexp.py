@@ -17,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import vector_param
-from .errors import BadParams, EmptyRegion, PreconditionError, UnknownCatalogEntry
+from .errors import BadParams, EmptyRegion, PreconditionError
 from .grid import (
     FieldKind,
     SampledField,
@@ -27,7 +26,6 @@ from .grid import (
     gradient_magnitude,
     lattice_flat,
     node_set,
-    read_grid,
     region_mask,
     size_blocks,
 )
@@ -36,59 +34,6 @@ from .riesz import PackingSolution, candidate_balls, make_scores, measure_balls,
 
 # Relative bisection tolerance of every Luxemburg norm unless a caller sets one.
 TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class ExponentFunction:
-    """Variable exponent p(.) sampled on a grid, with its range."""
-
-    grid: object
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.shape:
-            raise BadParams(
-                f"exponent shape {values.shape} != grid shape {self.grid.shape}"
-            )
-        masked = values[self.grid.mask]
-        if not np.all(np.isfinite(masked)) or np.any(masked < 1.0):
-            raise BadParams("exponent must satisfy 1 <= p(x) < infinity on the mask")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def p_minus(self):
-        return float(self.values[self.grid.mask].min())
-
-    @property
-    def p_plus(self):
-        return float(self.values[self.grid.mask].max())
-
-
-def exponent_catalog(grid, name, params=None):
-    """Named exponent families: constant, affine, step_exponent."""
-    params = dict(params or {})
-    if name == "constant":
-        vals = np.full(grid.shape, float(params.get("value", 2.0)))
-    elif name == "affine":
-        slope = vector_param(grid, params, "slope", 1.0)
-        vals = float(params.get("intercept", 2.0)) + np.tensordot(
-            grid.points(), slope, axes=([-1], [0])
-        )
-    elif name == "step_exponent":
-        threshold = float(params.get("threshold", 0.5))
-        left = float(params.get("left", 2.0))
-        right = float(params.get("right", 4.0))
-        x0 = grid.coords()[0]
-        vals = np.where(x0 <= threshold, left, right)
-    else:
-        raise UnknownCatalogEntry(f"no exponent family named {name!r}")
-    return ExponentFunction(grid, vals)
-
-
-def exponent_from_file(path):
-    grid, values = read_grid(path)
-    return ExponentFunction(grid, values)
 
 
 @dataclass(frozen=True)
@@ -389,7 +334,7 @@ class PackingTerms:
 
     family: object
     f: SampledField
-    pfun: ExponentFunction
+    pfun: SampledField
     nodes: tuple
     a: np.ndarray
     p_ball: np.ndarray

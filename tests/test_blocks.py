@@ -18,7 +18,14 @@ import pytest
 
 import rieszvar.varexp
 import rieszvar.weights
-from rieszvar import Ball, BallCollection, build_grid, generate_cubes, sample_catalog
+from rieszvar import (
+    Ball,
+    BallCollection,
+    build_grid,
+    exponent_catalog,
+    generate_cubes,
+    sample_catalog,
+)
 from rieszvar.config import load_config_file, materialize_level
 from rieszvar.errors import (
     BadShape,
@@ -55,7 +62,6 @@ from rieszvar.varexp import (
     VariableSequence,
     _luxemburg,
     char_norm,
-    exponent_catalog,
     explore_packings,
     gd_equivalence_check,
     g_operator,

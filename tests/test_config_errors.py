@@ -20,6 +20,12 @@ def _invalid_json(tmp_path):
     return load_config_file(path)
 
 
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{")
+    return load_config_file(path)
+
+
 def _refined_file_function(tmp_path):
     path = tmp_path / "f.grid"
     write_field(path, sample_catalog(build_grid(1, [0.0], 1 / 256, [257]), "linear"))
@@ -36,6 +42,7 @@ CASES = {
     "radius_sign": (lambda _: load_config(minimal_config(radii=[-0.125])), "radii"),
     "refinements": (lambda _: load_config(minimal_config(refinements=0)), "refinements"),
     "invalid_json": (_invalid_json, ""),
+    "not_utf8": (_not_utf8, ""),
     "weight_catalog": (lambda _: materialize_level(load_config(minimal_config(
         weight={"catalog": "power_weight", "params": {"alpha": -1.0, "center": 0.5}}))),
         "weight.catalog"),

@@ -311,3 +311,9 @@ class TestGridFile:
         path.write_text("dim 1\nshape 3\norigin 0.0\nspacing 0.5\ncount 2\n1 0.0\n1 1.0\n")
         with pytest.raises(BadShape):
             read_field(path)
+
+    def test_header_without_value_rejected(self, tmp_path):
+        path = tmp_path / "bad.grid"
+        path.write_text("dim\nshape 3\norigin 0.0\nspacing 0.5\ncount 3\n1 0.0\n1 0.5\n1 1.0\n")
+        with pytest.raises(BadShape, match="line 1: expected 'dim ...'"):
+            read_field(path)

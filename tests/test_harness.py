@@ -551,7 +551,7 @@ class TestFileBasedFields:
         cfg = load_config(minimal_config(
             weight={"file": str(tmp_path / "w.grid")}, suites=["theorem1", "lemma21"],
         ))
-        message = "weight and cube family live on different grids"
+        message = "weight.file: file grid does not match the configured grid"
         assert [(r.experiment, r.params, r.status) for r in run_config(cfg).rows] == [
             (suite, params_string(message=message), "error") for suite in cfg.suites
         ]
@@ -674,6 +674,22 @@ class TestCli:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert not (tmp_path / "r.xml").exists()
+
+    @staticmethod
+    def assert_one_error_line(result):
+        assert result.exit_code == 1 and result.exception is None
+        assert len(result.output.splitlines()) == 1 and result.output.startswith("Error: ")
+
+    def test_out_in_missing_directory_is_an_error_line(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "missing" / "r.csv"
+        self.assert_one_error_line(run_cli(["verify", "--config", cfg, "--out", str(out)]))
+        assert not out.parent.exists()
+
+    def test_config_not_utf8_is_an_error_line(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        self.assert_one_error_line(run_cli(["verify", "--config", str(cfg)]))
 
     def test_verify_fail_exit_nonzero(self, tmp_path):
         cfg = self.write_config(tmp_path, thresholds={"bound_thm1": 1.0001})

@@ -32,7 +32,6 @@ from rieszvar.errors import BadParams, EmptyRegion, PreconditionError
 from rieszvar.grid import FieldKind, region_mask
 from rieszvar.harness import run_config
 from rieszvar.varexp import (
-    ExponentFunction,
     PackingTerms,
     explore_packings,
     packing_terms,
@@ -59,7 +58,7 @@ class TestExponentFunction:
 
     def test_below_one_rejected(self, unit_grid):
         with pytest.raises(BadParams):
-            ExponentFunction(unit_grid, np.full(unit_grid.shape, 0.5))
+            SampledField(unit_grid, np.full(unit_grid.shape, 0.5), FieldKind.EXPONENT)
 
     def test_step_family(self, unit_grid):
         p = exponent_catalog(unit_grid, "step_exponent",
