@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, fields
 
 from .catalog import exponent_catalog, list_catalog, sample_catalog
@@ -80,6 +81,8 @@ def _require(data, key, path):
 
 def _check_field_spec(spec, path, kind):
     if "file" in spec:
+        if not isinstance(spec["file"], str):
+            raise ConfigError(f"{path}.file", "file must be a path string")
         return
     name = _require(spec, "catalog", path)
     if name not in list_catalog()[kind + "s"]:
@@ -120,7 +123,12 @@ def load_config(data):
     exponent_spec = data.get("exponent")
     _check_field_spec(function_spec, "function", "function")
     _check_field_spec(weight_spec, "weight", "weight")
-    if exponent_spec is not None and "constant" not in exponent_spec:
+    if exponent_spec is not None and "constant" in exponent_spec:
+        c = exponent_spec["constant"]
+        real = isinstance(c, (int, float)) and not isinstance(c, bool)
+        if not (real and 1 <= c <= sys.float_info.max):
+            raise ConfigError("exponent.constant", f"must be a finite real >= 1, got {c!r}")
+    elif exponent_spec is not None:
         _check_field_spec(dict(exponent_spec), "exponent", "exponent")
     radii = tuple(float(r) for r in data.get("radii", ()))
     if any(r <= 0 for r in radii):

@@ -47,7 +47,7 @@ GREEDY_PLUS_LOCAL_SEARCH = "greedy_plus_local_search"
 METHODS = (DP_1D_EXACT, GREEDY, GREEDY_PLUS_LOCAL_SEARCH)
 MAX_ITERS = 200
 # Scratch budget of one numpy pass: gathered node values per block in
-# measure_balls, candidate pairs per chunk in local search.
+# 2D and 3D measure_balls, candidate pairs per chunk in local search.
 _GATHER_BLOCK = 1 << 14
 
 
@@ -92,12 +92,13 @@ class CandidateSet:
     def _conflicts(self):
         """The _ConflictRows every packer on this set shares (a new set builds its own).
 
-        A nonempty node-centred set with one candidate per (node, radius)
-        takes stencil rows; empty sets, free centres and repeated
-        candidates take distance rows.
+        A nonempty set whose centres are all nodes of its grid (within ATOL),
+        one candidate per (node, radius), takes stencil rows; empty sets,
+        free or off-node centres and repeated candidates take distance rows.
         """
-        if self.grid is not None and len(self):
-            rows = _StencilRows(self)
+        k = None if self.grid is None or not len(self) else _node_indices(self.grid, self.centers)
+        if k is not None:
+            rows = _StencilRows(self, k)
             if rows.one_per_key:
                 return rows
         return _ConflictRows(self)
@@ -162,42 +163,113 @@ def _require_weight(w):
         raise PreconditionError("scoring requires a weight field")
 
 
+def _node_indices(grid, centers):
+    """Node multi-indices (n, dim) of ``centers``, or None unless each is a grid node within ATOL."""
+    k = np.rint((centers - grid.origin) / grid.spacing).astype(int)
+    on_node = np.abs(grid.origin + grid.spacing * k - centers) <= ATOL
+    return k if np.all(on_node & (k >= 0) & (k < grid.shape)) else None
+
+
 def measure_balls(f, w, candidates):
     """Oscillation and weight mass per candidate (independent of the exponent p).
 
     Every ball of the CandidateSet must be centred at a node and contained
     in the domain, as ``candidate_balls`` makes them; its nodes are then the
-    ``ball_offsets`` stencil about the centre, gathered in row-major order
-    like ``values[member]``. A mass past the float range is ``inf``, which
-    ``make_scores`` rejects.
+    ``ball_offsets`` stencil about the centre. A mass past the float range
+    is ``inf``, which ``make_scores`` rejects.
+
+    In 2D and 3D each ball's stencil is gathered in row-major order, like
+    ``values[member]``, and reduced with numpy's max, min and sum. In 1D a
+    ball of ``L = len(ball_offsets(grid, r))`` nodes is the window of L
+    nodes starting ``(L - 1) // 2`` before its centre, measured from
+    doubling tables built once per call (``_window_measures``): ``osc`` is
+    the max of two overlapping power-of-two windows minus the min of two,
+    bit-identical to the gather. The weight's node sum adds the binary
+    pieces of L (each a balanced pairwise sum over its 2^j nodes), smallest
+    first, so no node passes more than d = floor(log2 L) + 1 additions.
+    It equals the gather's sum bit for bit whenever every partial sum of
+    the window is exact, as for constant and step weights with dyadic
+    values on a dyadic grid. Otherwise, for nonnegative weights, it is
+    within d * 2^-53 / (1 - d * 2^-53) relative of the exact node sum,
+    while the gather's blocked pairwise sum rounds differently; the two
+    can differ in their last bits, which can flip an exact packing tie.
     """
     _require_weight(w)
     grid = f.grid
-    centers, radii = candidates.centers, candidates.radii
-    k = np.rint((centers - grid.origin) / grid.spacing).astype(int)
-    node = grid.origin + grid.spacing * k
-    on_node = np.abs(node - centers) <= ATOL
-    if not np.all(on_node & (k >= 0) & (k < grid.shape)):
+    radii = candidates.radii
+    k = _node_indices(grid, candidates.centers)
+    if k is None:
         raise PreconditionError("measure_balls requires node-centred balls")
     flat = lattice_flat(grid, k)
-    fv, wv = f.values.reshape(-1), w.values.reshape(-1)
-    osc, mass = np.empty(len(candidates)), np.empty(len(candidates))
+    groups = []
     for r in distinct(radii):
         group = np.flatnonzero(radii == r)
-        stencil = lattice_flat(grid, ball_offsets(grid, r))
+        centres = flat[group]
         # Containment is ``eroded_mask`` at the centre node, which also rejects
         # an empty stencil; its box test keeps every stencil node inside the array.
-        if not eroded_mask(grid, r).reshape(-1)[flat[group]].all():
+        if not eroded_mask(grid, r).reshape(-1)[centres].all():
             raise PreconditionError("measure_balls requires balls contained in the domain")
+        groups.append((group, centres, ball_offsets(grid, r)))
+    osc, mass = np.empty(len(candidates)), np.empty(len(candidates))
+    measure = _window_measures if grid.dim == 1 else _stencil_measures
+    measure(f, w, groups, osc, mass)
+    with np.errstate(over="ignore"):
+        mass *= grid.cell_volume()
+    return osc, mass
+
+
+def _stencil_measures(f, w, groups, osc, mass):
+    """Fill ``osc`` and the weight node sums ``mass`` of each (rows, centres, stencil) group.
+
+    Each ball's stencil nodes are gathered, in blocks of about _GATHER_BLOCK.
+    """
+    fv, wv = f.values.reshape(-1), w.values.reshape(-1)
+    for group, centres, deltas in groups:
+        stencil = lattice_flat(f.grid, deltas)
         step = max(1, _GATHER_BLOCK // stencil.size)
         for lo in range(0, group.size, step):
             rows = group[lo:lo + step]
-            nodes = flat[rows, None] + stencil
+            nodes = centres[lo:lo + step, None] + stencil
             vals = fv[nodes]
             osc[rows] = vals.max(axis=1) - vals.min(axis=1)
             with np.errstate(over="ignore"):
-                mass[rows] = wv[nodes].sum(axis=1) * grid.cell_volume()
-    return osc, mass
+                mass[rows] = wv[nodes].sum(axis=1)
+
+
+def _window_measures(f, w, groups, osc, mass):
+    """``_stencil_measures`` for 1D windows, from doubling tables of max, min and sum.
+
+    Level j of a table holds its reduction over the 2^j nodes starting at
+    each node. The groups come by ascending radius, so window lengths never
+    decrease: the max and min tables keep only their current level and the
+    sum table every level. Masked-out nodes read 0; they may hold any value
+    and never lie inside a contained window.
+    """
+    inside = f.grid.mask
+    hi = lo = np.where(inside, f.values, 0.0)
+    total = [np.where(inside, w.values, 0.0)]
+    for group, centres, deltas in groups:
+        n = len(deltas)
+        top = n.bit_length() - 1
+        while len(total) <= top:
+            s = 1 << (len(total) - 1)
+            hi, lo = np.maximum(hi[:-s], hi[s:]), np.minimum(lo[:-s], lo[s:])
+            with np.errstate(over="ignore"):
+                total.append(total[-1][:-s] + total[-1][s:])
+        # Every window of n nodes, by its first node: the extrema of two
+        # overlapping 2^top pieces, and n's binary pieces (laid out largest
+        # first, piece 2^j at n & -(2 << j)) summed smallest first, so each
+        # node passes at most top + 1 additions.
+        tail = n - (1 << top)
+        m = len(hi) - tail
+        first = centres - (n - 1) // 2
+        osc[group] = np.maximum(hi[:m], hi[tail:])[first] - np.minimum(lo[:m], lo[tail:])[first]
+        pieces = [total[j][n & -(2 << j):][:m] for j in range(top + 1) if n >> j & 1]
+        acc = pieces[0].copy()
+        with np.errstate(over="ignore"):
+            for piece in pieces[1:]:
+                acc += piece
+        mass[group] = acc[first]
 
 
 def make_scores(candidates, osc, mass, p):
@@ -325,11 +397,12 @@ class _StencilRows(_ConflictRows):
     radius with every radius of the set; lists are intp, since local search
     forms ``ia * n + ib``. ``one_per_key`` is False when two candidates
     share a node and radius (a subset that repeats an index), which the
-    table cannot hold. Pairs are decided by the inherited distance
+    table cannot hold. ``k`` holds the centres' node multi-indices
+    (``_node_indices``). Pairs are decided by the inherited distance
     ``overlap``, which agrees with the stencil rule.
     """
 
-    def __init__(self, candidates):
+    def __init__(self, candidates, k):
         super().__init__(candidates)
         grid = self._grid = candidates.grid
         self._radius_set = distinct(self._radii)
@@ -337,8 +410,7 @@ class _StencilRows(_ConflictRows):
         pad = math.ceil(2 * self._radius_set[-1] / grid.spacing)
         shape = [s + 2 * pad for s in grid.shape]
         self._strides = np.array([math.prod(shape[a + 1:]) for a in range(grid.dim)])
-        k = np.rint((self._centers - grid.origin) / grid.spacing).astype(int) + pad
-        self._key = k @ self._strides * nr + np.searchsorted(self._radius_set, self._radii)
+        self._key = (k + pad) @ self._strides * nr + np.searchsorted(self._radius_set, self._radii)
         self._table = np.full(math.prod(shape) * nr, -1, dtype=np.int32)
         self._table[self._key] = np.arange(len(self._key))
         self.one_per_key = np.array_equal(self._table[self._key], np.arange(len(self._key)))

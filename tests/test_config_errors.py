@@ -50,6 +50,9 @@ CASES = {
         exponent={"catalog": "affine", "params": {"intercept": 0.5, "slope": 0.0}}))),
         "exponent.catalog"),
     "refined_file": (_refined_file_function, "function.file"),
+    "file_not_a_path": (lambda _: load_config(minimal_config(weight={"file": 3})), "weight.file"),
+    "exponent_constant": (lambda _: load_config(minimal_config(exponent={"constant": "abc"})),
+                          "exponent.constant"),
 }
 
 

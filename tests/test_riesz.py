@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -28,9 +29,19 @@ from rieszvar.errors import (
     NoCandidates,
     PreconditionError,
     UnboundedSupport,
+    WeightOverflow,
 )
 from rieszvar import riesz
-from rieszvar.grid import FieldKind, balls_disjoint, oscillation, region_mask, weighted_measure
+from rieszvar.grid import (
+    FieldKind,
+    balls_disjoint,
+    distinct,
+    oscillation,
+    read_field,
+    region_mask,
+    weighted_measure,
+    write_field,
+)
 from rieszvar.riesz import (
     CandidateSet,
     make_scores,
@@ -284,6 +295,85 @@ class TestMeasureBalls:
         sticking_out = Ball([0.0], 0.25)
         assert score_ball(f, w, sticking_out, 2.0) == pytest.approx(0.25, abs=0.02)
         assert weighted_measure(w, sticking_out) == pytest.approx(0.25, abs=0.01)
+
+
+class TestMeasureBalls1D:
+    """1D balls are windows measured from doubling tables; per-ball gathers are the reference."""
+
+    RADII = (16, 2, 7, 2.5, 12, 3, 5, 4, 9)  # multiples of h, in mixed order
+
+    @staticmethod
+    def function(grid_kind, tmp_path):
+        """Sinusoid on a full box, or on a file grid whose masked-out nodes hold NaN and inf."""
+        if grid_kind == "box":
+            return sample_catalog(build_grid(1, [0.0], 1 / 256, [257]), "sinusoid", {"freq": 3.0})
+        g = build_grid(1, [-1.0], 1 / 64, [129],
+                       lambda pts: ~((np.abs(pts[..., 0] + 0.25) < 0.05) | (pts[..., 0] == 0.5)))
+        values = sample_catalog(g, "sinusoid", {"freq": 3.0}).values.copy()
+        values[~g.mask] = np.resize([np.nan, np.inf, -np.inf], int((~g.mask).sum()))
+        write_field(tmp_path / "f.grid", SampledField(g, values))
+        return read_field(tmp_path / "f.grid")
+
+    @staticmethod
+    def weight(grid, weight_kind):
+        if weight_kind == "constant":
+            values = np.full(grid.shape, 0.75)
+        elif weight_kind == "step":
+            values = sample_catalog(grid, "step_weight", {"lo": -0.125, "hi": 0.5, "inside": 2.0,
+                                                          "outside": 0.25}).values.copy()
+        else:
+            values = np.random.default_rng(5).uniform(0.5, 2.0, grid.shape)
+        values[~grid.mask] = np.inf
+        return SampledField(grid, values, FieldKind.WEIGHT)
+
+    def measured(self, grid_kind, weight_kind, tmp_path):
+        """f, w, shuffled candidates, (osc, mass) from measure_balls and from gathers, the members."""
+        f = self.function(grid_kind, tmp_path)
+        g = f.grid
+        w = self.weight(g, weight_kind)
+        cands = candidate_balls(g, [m * g.spacing for m in self.RADII])
+        cands = cands.subset(np.random.default_rng(3).permutation(len(cands)))
+        assert len(distinct(cands.radii)) == len(self.RADII)
+        members = [region_mask(g, ball) for ball in as_balls(cands)]
+        ref_osc = np.array([f.values[m].max() - f.values[m].min() for m in members])
+        ref_mass = np.array([w.values[m].sum() * g.cell_volume() for m in members])
+        return f, w, cands, measure_balls(f, w, cands), (ref_osc, ref_mass), members
+
+    @pytest.mark.parametrize("grid_kind", ["box", "holes"])
+    @pytest.mark.parametrize("weight_kind", ["constant", "step", "uniform"])
+    def test_matches_region_mask_reference(self, grid_kind, weight_kind, tmp_path, monkeypatch):
+        monkeypatch.setattr(riesz, "_stencil_measures", None)  # 1D never gathers stencils
+        _, w, _, (osc, mass), (ref_osc, ref_mass), members = self.measured(
+            grid_kind, weight_kind, tmp_path)
+        assert np.array_equal(osc, ref_osc)
+        if weight_kind != "uniform":
+            assert np.array_equal(mass, ref_mass)
+            return
+        # The docstring's bound: within d / (2^53 - d) relative of the exact
+        # node sum, d = floor(log2 L) + 1 (the dyadic cell volume is exact).
+        h = Fraction(w.grid.cell_volume())
+        for got, member in zip(mass.tolist(), members):
+            exact = sum(map(Fraction, w.values[member].tolist())) * h
+            d = int(member.sum()).bit_length()
+            assert abs(Fraction(got) - exact) <= exact * Fraction(d, 2**53 - d)
+
+    @pytest.mark.parametrize("grid_kind", ["box", "holes"])
+    @pytest.mark.parametrize("weight_kind", ["constant", "step"])
+    def test_dp_selections_unchanged(self, grid_kind, weight_kind, tmp_path):
+        _, _, cands, measures, reference, _ = self.measured(grid_kind, weight_kind, tmp_path)
+        for p in (1.0, 2.0, 3.0):
+            got = pack_1d_exact(make_scores(cands, *measures, p), p)
+            want = pack_1d_exact(make_scores(cands, *reference, p), p)
+            assert got.indices == want.indices and got.total == want.total
+
+    def test_mass_past_the_float_range_is_inf(self, unit_grid):
+        h = unit_grid.spacing
+        cands = candidate_balls(unit_grid, [2 * h, 16 * h])
+        osc, mass = measure_balls(linear(unit_grid), const_weight(unit_grid, 1e307), cands)
+        assert np.all(np.isfinite(mass[cands.radii == 2 * h]))
+        assert np.all(np.isinf(mass[cands.radii == 16 * h]))
+        with pytest.raises(WeightOverflow):
+            make_scores(cands, osc, mass, 2.0)
 
 
 class TestPack1dExact:

@@ -1,12 +1,12 @@
 """Conflicts of node-centred candidates decided by the grid's ball stencils.
 
 Candidates (node a, r) and (node b, r') conflict exactly when ``b - a``
-lies in ``ball_offsets(grid, r + r')``. Every nonempty node-centred set
-with one candidate per (node, radius) takes this path. These tests hold
-the stencil rule to the distance rule of ``grid.balls_overlap`` on every
-candidate pair, the packers on the stencil path to the frozen pair-loop
-references of ``test_riesz.py``, and count the stencils each grid
-decides.
+lies in ``ball_offsets(grid, r + r')``. Every nonempty set whose centres
+are all nodes of its grid, with one candidate per (node, radius), takes
+this path. These tests hold the stencil rule to the distance rule of
+``grid.balls_overlap`` on every candidate pair, the packers on the
+stencil path to the frozen pair-loop references of ``test_riesz.py``,
+and count the stencils each grid decides.
 """
 
 import json
@@ -16,7 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rieszvar import build_grid, candidate_balls, pack_greedy, pack_local_search, sample_catalog
+from rieszvar import (
+    ScoredCandidates,
+    build_grid,
+    candidate_balls,
+    pack_greedy,
+    pack_local_search,
+    sample_catalog,
+)
 from rieszvar import grid as grid_module
 from rieszvar import riesz
 from rieszvar.config import load_config
@@ -53,8 +60,8 @@ class TestStencilRuleMatchesDistance:
     def test_every_pair(self, case):
         make, radii = GRIDS[case]
         cands = candidate_balls(make(), radii)
-        rows = _StencilRows(cands)
-        assert rows.one_per_key
+        rows = cands._conflicts
+        assert type(rows) is _StencilRows and rows.one_per_key
         c, r = cands.centers, cands.radii
         n = len(cands)
         tangent = 0
@@ -71,8 +78,8 @@ class TestStencilRuleMatchesDistance:
         """Local search forms ``ia * n + ib`` from the lists, which would overflow
         int32 past n = 46,340, so only the table is int32."""
         make, radii = GRIDS["3d_h0.25"]
-        rows = _StencilRows(candidate_balls(make(), radii))
-        assert rows._table.dtype == np.int32
+        rows = candidate_balls(make(), radii)._conflicts
+        assert type(rows) is _StencilRows and rows._table.dtype == np.int32
         lists = [rows.neighbours(i) for i in range(len(rows._key))]
         assert {nb.dtype for nb in lists} == {np.dtype(np.intp)}
 
@@ -128,6 +135,18 @@ class TestSmallSubsets:
             greedy = pack_greedy(sub, 2.0)
             assert greedy.indices == want
             assert pack_local_search(greedy, sub).indices == want
+
+    def test_off_node_centres_take_distance_rows(self):
+        """A grid-bound set with an off-node centre decides its conflicts by distance."""
+        g = unit_disk(0.125)
+        ones = np.ones(2)
+        scored = ScoredCandidates([[0.0, 0.0], [0.44, 0.0]], [0.225, 0.225], ones, ones, ones,
+                                  grid=g)
+        assert type(scored._conflicts) is riesz._ConflictRows
+        for candidates in (scored, replace(scored, grid=None)):
+            greedy = pack_greedy(candidates, 2.0)
+            assert greedy.indices == (0,) and greedy.total == 1.0
+            assert len(greedy.collection) == 1
 
 
 class TestSharedStencils:
