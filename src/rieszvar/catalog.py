@@ -129,9 +129,7 @@ def _power_weight(grid, params):
     with np.errstate(divide="ignore"):
         vals = r**alpha
     if not np.all(np.isfinite(vals[grid.mask])):
-        raise BadParams(
-            "power_weight is infinite at a masked-in node (alpha < 0 at the center)"
-        )
+        raise BadParams("power_weight is infinite at a masked-in node (alpha < 0 at the center)")
     return vals
 
 

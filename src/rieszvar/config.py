@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
+
+import numpy as np
 
 from .catalog import exponent_catalog, list_catalog, sample_catalog
 from .errors import BadShape, ConfigError, ToolkitError
@@ -79,6 +83,26 @@ def _require(data, key, path):
     return data[key]
 
 
+def _cast(cast, value, path):
+    """``cast(value)``, or a ConfigError naming ``path`` when the value does not convert."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(path, f"invalid value {value!r}") from None
+
+
+def _typed(value, kind, path):
+    """``value`` if it is a JSON ``kind``: "object" (a dict) or "list" (a list or tuple)."""
+    if not isinstance(value, {"object": dict, "list": (list, tuple)}[kind]):
+        raise ConfigError(path, f"must be a JSON {kind}")
+    return value
+
+
+def _numbers(data, key, default):
+    """The list ``data[key]`` (else ``default``) as a tuple of floats."""
+    return tuple(_cast(float, v, key) for v in _typed(data.get(key, default), "list", key))
+
+
 def _check_field_spec(spec, path, kind):
     if "file" in spec:
         if not isinstance(spec["file"], str):
@@ -89,10 +113,12 @@ def _check_field_spec(spec, path, kind):
         raise ConfigError(f"{path}.catalog", f"unknown catalog family {name!r}")
 
 
-def _with_defaults(cls, raw):
-    """``cls`` with the fields ``raw`` gives, each cast to its default's type."""
+def _with_defaults(cls, raw, path):
+    """``cls`` from the ``path`` object ``raw``, each field cast to its default's type."""
+    raw = _typed(raw, "object", path)
     return cls(**{
-        f.name: type(f.default)(raw[f.name]) for f in fields(cls) if f.name in raw
+        f.name: _cast(type(f.default), raw[f.name], f"{path}.{f.name}")
+        for f in fields(cls) if f.name in raw
     })
 
 
@@ -100,37 +126,38 @@ def load_config(data):
     """Validate a config dict (already parsed JSON) into an ExperimentConfig."""
     if not isinstance(data, dict):
         raise ConfigError("", "config must be a JSON object")
-    grid_spec = _require(data, "grid", "")
-    dim = int(_require(grid_spec, "dim", "grid"))
+    grid_spec = _typed(_require(data, "grid", ""), "object", "grid")
+    dim = _cast(int, _require(grid_spec, "dim", "grid"), "grid.dim")
     if dim not in (1, 2, 3):
         raise ConfigError("grid.dim", f"dim must be 1, 2, or 3, got {dim}")
-    bounds = _require(grid_spec, "bounds", "grid")
-    if len(bounds) != dim:
-        raise ConfigError("grid.bounds", f"expected {dim} [lo, hi] pairs")
-    h = float(_require(grid_spec, "h", "grid"))
-    if h <= 0:
-        raise ConfigError("grid.h", "spacing must be positive")
+    bounds = _cast(partial(np.array, dtype=float), _require(grid_spec, "bounds", "grid"),
+                   "grid.bounds")
+    if bounds.shape != (dim, 2) or not np.isfinite(bounds).all():
+        raise ConfigError("grid.bounds", f"expected {dim} finite [lo, hi] pairs")
+    bounds = tuple(map(tuple, bounds.tolist()))
+    h = _cast(float, _require(grid_spec, "h", "grid"), "grid.h")
+    if not (math.isfinite(h) and h > 0):
+        raise ConfigError("grid.h", "spacing must be positive and finite")
     for a, (lo, hi) in enumerate(bounds):
         if hi <= lo:
             raise ConfigError(f"grid.bounds[{a}]", "hi must exceed lo")
         steps = (hi - lo) / h
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ConfigError(
-                f"grid.bounds[{a}]", f"extent {hi - lo} is not a multiple of h {h}"
-            )
-    function_spec = dict(_require(data, "function", ""))
-    weight_spec = dict(data.get("weight", {"catalog": "constant", "params": {"value": 1.0}}))
+            raise ConfigError(f"grid.bounds[{a}]", f"extent {hi - lo} is not a multiple of h {h}")
+    function_spec = dict(_typed(_require(data, "function", ""), "object", "function"))
+    weight_spec = dict(_typed(
+        data.get("weight", {"catalog": "constant", "params": {"value": 1.0}}), "object", "weight"))
     exponent_spec = data.get("exponent")
     _check_field_spec(function_spec, "function", "function")
     _check_field_spec(weight_spec, "weight", "weight")
-    if exponent_spec is not None and "constant" in exponent_spec:
+    if exponent_spec is not None and "constant" in _typed(exponent_spec, "object", "exponent"):
         c = exponent_spec["constant"]
         real = isinstance(c, (int, float)) and not isinstance(c, bool)
         if not (real and 1 <= c <= sys.float_info.max):
             raise ConfigError("exponent.constant", f"must be a finite real >= 1, got {c!r}")
     elif exponent_spec is not None:
         _check_field_spec(dict(exponent_spec), "exponent", "exponent")
-    radii = tuple(float(r) for r in data.get("radii", ()))
+    radii = _numbers(data, "radii", ())
     if any(r <= 0 for r in radii):
         raise ConfigError("radii", "radii must be positive")
     if radii and min(radii) < 2.0 * h:
@@ -141,38 +168,38 @@ def load_config(data):
     fmt = data.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("format", f"report format must be 'csv' or 'json', got {fmt!r}")
-    thresholds = _with_defaults(Thresholds, data.get("thresholds", {}))
+    thresholds = _with_defaults(Thresholds, data.get("thresholds", {}), "thresholds")
     for name in ("k_max_base", "c_eq", "c_thm", "bound_thm1", "rw_threshold"):
-        if getattr(thresholds, name) <= 1:
+        if not getattr(thresholds, name) > 1:
             raise ConfigError(f"thresholds.{name}", "threshold must be > 1")
-    cubes = _with_defaults(CubeSpec, data.get("cubes", {}))
-    suites = tuple(data.get("suites", ()))
+    cubes = _with_defaults(CubeSpec, data.get("cubes", {}), "cubes")
+    suites = tuple(_typed(data.get("suites", ()), "list", "suites"))
     for s in suites:
         if s not in KNOWN_SUITES:
             raise ConfigError("suites", f"unknown suite {s!r}")
-    t_grid = tuple(float(t) for t in data.get("t_grid", (0.125, 0.25, 0.5, 0.75, 0.9, 0.99)))
-    refinements = int(data.get("refinements", 1))
+    t_grid = _numbers(data, "t_grid", (0.125, 0.25, 0.5, 0.75, 0.9, 0.99))
+    refinements = _cast(int, data.get("refinements", 1), "refinements")
     if refinements < 1:
         raise ConfigError("refinements", "need at least one level")
     return ExperimentConfig(
         raw=data,
         dim=dim,
-        bounds=tuple((float(lo), float(hi)) for lo, hi in bounds),
+        bounds=bounds,
         h=h,
         function_spec=function_spec,
         weight_spec=weight_spec,
         exponent_spec=dict(exponent_spec) if exponent_spec is not None else None,
         radii=radii,
         method=method,
-        p_values=tuple(float(p) for p in data.get("p_values", (2.0,))),
-        s_values=tuple(float(s) for s in data.get("s_values", (1.05, 1.1, 1.25, 1.5))),
+        p_values=_numbers(data, "p_values", (2.0,)),
+        s_values=_numbers(data, "s_values", (1.05, 1.1, 1.25, 1.5)),
         thresholds=thresholds,
         cubes=cubes,
         t_grid=t_grid,
-        shell_factor=float(data.get("shell_factor", 3.0)),
+        shell_factor=_cast(float, data.get("shell_factor", 3.0), "shell_factor"),
         refinements=refinements,
         suites=suites,
-        seed=int(data.get("seed", 0)),
+        seed=_cast(int, data.get("seed", 0), "seed"),
         out=data.get("out"),
         fmt=fmt,
     )

@@ -42,6 +42,10 @@ class WeightOverflow(ToolkitError):
     weight), a ball mass, the total weight or a weighted L^p sum."""
 
 
+class ScoreOverflow(ToolkitError):
+    """A ball score (osc/r)^p * w(B) exceeds the float range."""
+
+
 class ZeroWeightOnBall(ToolkitError):
     """Weight integrates to zero on a ball of a doubling family."""
 

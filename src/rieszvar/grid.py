@@ -126,9 +126,7 @@ class SampledField:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.shape:
-            raise BadShape(
-                f"values shape {values.shape} != grid shape {self.grid.shape}"
-            )
+            raise BadShape(f"values shape {values.shape} != grid shape {self.grid.shape}")
         object.__setattr__(self, "values", values)
         masked = values[self.grid.mask]
         if not np.all(np.isfinite(masked)):
@@ -250,9 +248,7 @@ def build_grid(dim, origin, spacing, shape, domain_predicate=None):
         return probe
     mask = np.asarray(domain_predicate(probe.points()), dtype=bool)
     if mask.shape != probe.shape:
-        raise BadShape(
-            f"domain predicate returned shape {mask.shape}, expected {probe.shape}"
-        )
+        raise BadShape(f"domain predicate returned shape {mask.shape}, expected {probe.shape}")
     if not mask.any():
         raise EmptyDomain("domain predicate masked out every node")
     return replace(probe, mask=mask)
@@ -308,12 +304,9 @@ def region_mask(grid, region=None):
         out = np.ones(grid.shape, dtype=bool)
         for a in range(grid.dim):
             coord = grid.axis_coords(a)
-            sel = (coord >= region.corner[a] - tol) & (
-                coord <= region.corner[a] + region.side + tol
-            )
-            shape = [1] * grid.dim
-            shape[a] = coord.size
-            out &= sel.reshape(shape)
+            lo = region.corner[a]
+            sel = (coord >= lo - tol) & (coord <= lo + region.side + tol)
+            out &= sel.reshape([-1 if b == a else 1 for b in range(grid.dim)])
         return out & grid.mask
     raise TypeError(f"unsupported region type {type(region)!r}")
 
@@ -458,50 +451,30 @@ def ball_offsets(grid, r):
 def eroded_mask(grid, r):
     """Nodes whose open r-ball stays inside the domain: ``ball_in_domain`` at every node.
 
-    Decided once per grid and radius; every call returns that read-only array.
+    A node keeps its ball when the ball lies in the bounding box and, on a
+    mask with holes, every node of its ``ball_offsets`` stencil is masked
+    in. Decided once per grid and radius; every call returns that
+    read-only array.
     """
     ok = grid._eroded.get(r)
     if ok is None:
-        if not ball_offsets(grid, r).size:
+        deltas = ball_offsets(grid, r)
+        if not deltas.size:
             raise PreconditionError("candidate ball contains no masked-in node")
-        ok = _erode(grid, r)
+        ok = grid.mask.copy()
+        for a in range(grid.dim):
+            coord = grid.axis_coords(a)
+            sel = (coord - r >= grid.bbox_lo[a] - ATOL) & (coord + r <= grid.bbox_hi[a] + ATOL)
+            ok &= sel.reshape([-1 if b == a else 1 for b in range(grid.dim)])
+        # Without holes in the mask the box test decides every node. Every
+        # node it keeps has its whole stencil inside the array, so ANDing the
+        # mask over the stencil's overlap slices decides the rest.
+        if ok.any() and not grid.mask.all():
+            for delta in deltas.tolist():
+                dst, src = _shift_slices(delta, grid.shape)
+                ok[dst] &= grid.mask[src]
         ok.flags.writeable = False
         grid._eroded[r] = ok
-    return ok
-
-
-def _erode(grid, r):
-    """``eroded_mask(grid, r)`` computed afresh."""
-    ok = grid.mask.copy()
-    for a in range(grid.dim):
-        coord = grid.axis_coords(a)
-        sel = (coord - r >= grid.bbox_lo[a] - ATOL) & (coord + r <= grid.bbox_hi[a] + ATOL)
-        shape = [1] * grid.dim
-        shape[a] = coord.size
-        ok &= sel.reshape(shape)
-    # Without holes in the mask the box test decides every node.
-    if not ok.any() or grid.mask.all():
-        return ok
-    # The stencil is a stack of rows along the last axis, each [-k, k]
-    # behind a fixed prefix. run[k][x] says the 2k + 1 nodes centred on x
-    # along that axis are all masked in (one cumulative sum of ~mask); a
-    # node keeps its ball when run[k] holds at x + prefix for every row.
-    # Every node the box test keeps has its whole stencil inside the array,
-    # so only the overlap slices need ANDing, and windows that leave the
-    # array can read False.
-    deltas = ball_offsets(grid, r)
-    ends = np.append(np.any(deltas[1:, :-1] != deltas[:-1, :-1], axis=1), True)
-    rows = deltas[ends]
-    n = grid.shape[-1]
-    holes = np.zeros(grid.shape[:-1] + (n + 1,), dtype=np.intp)
-    np.cumsum(~grid.mask, axis=-1, out=holes[..., 1:])
-    run = {}
-    for k in distinct(rows[:, -1]):
-        run[k] = np.zeros(grid.shape, dtype=bool)
-        run[k][..., k:n - k] = holes[..., 2 * k + 1:] == holes[..., :n - 2 * k]
-    for row in rows.tolist():
-        dst, src = _shift_slices(row[:-1] + [0], grid.shape)
-        ok[dst] &= run[row[-1]][src]
     return ok
 
 

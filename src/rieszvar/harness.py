@@ -8,7 +8,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .config import materialize_level
-from .errors import PreconditionError, ToolkitError, WeightOverflow
+from .errors import PreconditionError, ScoreOverflow, ToolkitError, WeightOverflow
 from .grid import gradient_magnitude
 from .report import Report, ReportRow, params_string, row
 from .riesz import (
@@ -77,9 +77,7 @@ class LevelContext:
     def rw(self):
         """The RwEstimate of the weight over ``family``."""
         thr = self.config.thresholds
-        return estimate_rw(
-            self.fields[2], self.family, threshold=thr.rw_threshold, tol=thr.rw_tol
-        )
+        return estimate_rw(self.fields[2], self.family, threshold=thr.rw_threshold, tol=thr.rw_tol)
 
     @cached_property
     def candidates(self):
@@ -253,7 +251,10 @@ def suite_embedding(ctx):
             continue
         scored, at = sol2.scored, list(sol2.indices)
         terms = zip(*(a[at].tolist() for a in (scored.oscillation, scored.radii, scored.weight_mass)))
-        total1 = math.fsum((o / r) ** p1 * m for o, r, m in terms)
+        try:
+            total1 = math.fsum((o / r) ** p1 * m for o, r, m in terms)
+        except OverflowError:  # a Python-float power or fsum past the float range
+            raise ScoreOverflow(f"the score sum at p = {p1} overflows the float range") from None
         lhs = total1 ** (1.0 / p1)
         rhs = sol2.total ** (1.0 / p2) * w_total ** (1.0 / p1 - 1.0 / p2)
         rows.append(row("embedding", "holder_gap", rhs - lhs, 0.0,
@@ -274,6 +275,8 @@ def suite_differentiability(ctx):
 def suite_morrey(ctx):
     rows = []
     config = ctx.config
+    span = min(hi - lo for lo, hi in config.bounds)
+    region_pairs = [([0.5 * (lo + hi) for lo, hi in config.bounds], span / 4.0)]
     for p in config.p_values:
         per_level = []
         for lvl in ctx.levels:
@@ -282,12 +285,7 @@ def suite_morrey(ctx):
             if p <= grid.dim * rw:
                 rows.append(row("morrey", "skipped_precondition", math.nan, p=p, rw=rw))
                 break
-            span = min(hi - lo for lo, hi in config.bounds)
-            center = [0.5 * (lo + hi) for lo, hi in config.bounds]
-            region_pairs = [(center, span / 4.0)]
-            level_rows = morrey_check(
-                f, w, p, region_pairs, rw=rw, seed=config.seed
-            )
+            level_rows = morrey_check(f, w, p, region_pairs, rw=rw, seed=config.seed)
             per_level += [r.value for r in level_rows if r.quantity == "max_C_hat"]
             rows.extend(level_rows)
         if len(per_level) >= 2:
@@ -304,8 +302,7 @@ def suite_mollify_bound(ctx):
     lvl = ctx.levels[0]
     grid, f, w, _ = lvl.fields
     span = min(hi - lo for lo, hi in config.bounds)
-    scales = [span / 16.0, span / 32.0, span / 64.0]
-    scales = [s for s in scales if s >= 2.0 * grid.spacing]
+    scales = [s for s in (span / 16.0, span / 32.0, span / 64.0) if s >= 2.0 * grid.spacing]
     for p in config.p_values:
         packing = lvl.packing(p)
         if packing.total == 0:

@@ -18,6 +18,7 @@ from .errors import (
     BadShape,
     NoCandidates,
     PreconditionError,
+    ScoreOverflow,
     UnboundedSupport,
     WeightOverflow,
     ZeroVariation,
@@ -52,8 +53,8 @@ _GATHER_BLOCK = 1 << 14
 
 
 def _array_fields(candidates):
-    """Names of the per-candidate arrays of a CandidateSet (every field but ``grid``)."""
-    return [f.name for f in fields(candidates) if f.name != "grid"]
+    """Names of the per-candidate arrays of a CandidateSet: its positional fields."""
+    return [f.name for f in fields(candidates) if not f.kw_only]
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,12 +64,15 @@ class CandidateSet:
     ``grid`` is the grid whose nodes centre the candidates, as
     ``candidate_balls`` records it; ``subset`` and ``make_scores`` keep it,
     so their sets share its stencils. It is None for balls with free
-    centres.
+    centres. ``_source`` links a scoring to the set ``make_scores`` scored,
+    whose conflict rows it shares, as do its copies with other score
+    arrays; ``subset`` drops the link, since its indices differ.
     """
 
     centers: np.ndarray
     radii: np.ndarray
     grid: Grid = field(default=None, kw_only=True, repr=False)
+    _source: "CandidateSet" = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
         names = _array_fields(self)
@@ -86,16 +90,19 @@ class CandidateSet:
 
     def subset(self, index):
         """The candidates ``index`` selects (boolean mask, index array or slice), in its order."""
-        return replace(self, **{name: getattr(self, name)[index] for name in _array_fields(self)})
+        return replace(self, _source=None,
+                       **{name: getattr(self, name)[index] for name in _array_fields(self)})
 
     @cached_property
     def _conflicts(self):
-        """The _ConflictRows every packer on this set shares (a new set builds its own).
+        """The _ConflictRows every packer on this set and on its scorings shares (``_source``).
 
         A nonempty set whose centres are all nodes of its grid (within ATOL),
         one candidate per (node, radius), takes stencil rows; empty sets,
         free or off-node centres and repeated candidates take distance rows.
         """
+        if self._source is not None:
+            return self._source._conflicts
         k = None if self.grid is None or not len(self) else _node_indices(self.grid, self.centers)
         if k is not None:
             rows = _StencilRows(self, k)
@@ -148,9 +155,7 @@ def candidate_balls(grid, radii_list):
     if not radii:
         raise PreconditionError("radii_list must be nonempty")
     if radii[0] < 2.0 * grid.spacing:
-        raise PreconditionError(
-            f"every radius must be >= 2h = {2 * grid.spacing}, got {radii[0]}"
-        )
+        raise PreconditionError(f"every radius must be >= 2h = {2 * grid.spacing}, got {radii[0]}")
     fits = np.stack([eroded_mask(grid, r).reshape(-1) for r in radii], axis=1)
     flat, which = np.nonzero(fits)
     if not flat.size:
@@ -275,18 +280,27 @@ def _window_measures(f, w, groups, osc, mass):
 def make_scores(candidates, osc, mass, p):
     """ScoredCandidates with score (osc/r)^p * mass per candidate.
 
-    Powers are taken on Python floats (C library pow): numpy's vectorised
-    power can differ by one ulp, which can flip a greedy or DP tie. A
-    non-finite mass raises WeightOverflow.
+    The scoring shares the conflict rows of ``candidates`` (``_source``), so
+    every packing of one set, at any p or with scores zeroed, decides its
+    geometry once. Powers are taken on Python floats (C library pow):
+    numpy's vectorised power can differ by one ulp, which can flip a greedy
+    or DP tie. A non-finite mass raises WeightOverflow, a score past the
+    float range ScoreOverflow.
     """
     if p < 1:
         raise PreconditionError(f"p must be >= 1, got {p}")
     if not np.isfinite(mass).all():
         raise WeightOverflow("the weight mass of a ball overflows the float range")
     base = (np.asarray(osc, dtype=float) / candidates.radii).tolist()
-    score = np.array([x ** p for x in base], dtype=float) * mass
+    try:
+        with np.errstate(over="ignore"):
+            score = np.array([x ** p for x in base], dtype=float) * mass
+    except OverflowError:  # the Python-float power
+        score = None
+    if score is None or not np.isfinite(score).all():
+        raise ScoreOverflow(f"a ball score (osc/r)^p * w(B) at p = {p} overflows the float range")
     return ScoredCandidates(candidates.centers, candidates.radii, osc, mass, score,
-                            grid=candidates.grid)
+                            grid=candidates.grid, _source=candidates)
 
 
 def score_ball(f, w, ball, p):
@@ -483,12 +497,10 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
     eps/2 - d and the other exceeds -d. The margin d (eps/1000 plus 1e-15
     times the largest |score| + |removal| of an insertable candidate and
     twice the largest |selected score|) bounds the rounding of these
-    sums. The pairs of every block and of the slack band are evaluated
-    together in one batched pass per move, chunked to bound its memory,
-    so a move costs a fixed number of numpy passes over the neighbour
-    lists and the pairs, with no sort. Whether the two balls of a pair are
-    disjoint is decided last, for the pairs that pass the count and gain
-    tests, under the rule of ``grid.balls_disjoint``.
+    sums. A move costs a fixed number of batched numpy passes over the
+    neighbour lists and the pairs (see ``_first_improvement``). Whether the
+    two balls of a pair are disjoint is decided last, for the pairs that
+    pass the count and gain tests, under the rule of ``grid.balls_disjoint``.
     """
     rows = scored._conflicts
     scores = scored.score

@@ -105,23 +105,12 @@ def mollify(f, R):
 def choose_morrey_q(p, n, rw):
     """Midpoint choice: 1 + delta halfway across (n, p/rw), q = p/(1+delta)."""
     if p <= n * rw:
-        raise PreconditionError(
-            f"Morrey check needs p > n * rw, got p={p}, n*rw={n * rw}"
-        )
+        raise PreconditionError(f"Morrey check needs p > n * rw, got p={p}, n*rw={n * rw}")
     one_plus_delta = 0.5 * (n + p / rw)
     return p / one_plus_delta
 
 
-def morrey_check(
-    f,
-    w,
-    p,
-    region_pairs,
-    q=None,
-    rw=1.0,
-    pair_budget=2000,
-    seed=0,
-):
+def morrey_check(f, w, p, region_pairs, q=None, rw=1.0, pair_budget=2000, seed=0):
     """Empirical constant of the pointwise Morrey-type estimate.
 
     For sampled node pairs (y, z) inside each ball B(x0, R), reports

@@ -12,7 +12,7 @@ gathered as centre plus stencil, other families by region.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -253,9 +253,7 @@ def luxemburg_norm(f, pfun, region=None, tol=TOL):
     member = region_mask(f.grid, region)
     if not member.any():
         raise EmptyRegion("no masked-in node lies in the region")
-    return _luxemburg_one(
-        np.abs(f.values[member]), pfun.values[member], f.grid.cell_volume(), tol
-    )
+    return _luxemburg_one(np.abs(f.values[member]), pfun.values[member], f.grid.cell_volume(), tol)
 
 
 def char_norm(region, pfun, tol=TOL):
@@ -429,7 +427,10 @@ def packing_proposals(f, pfun, candidates, osc, method):
     ``osc`` holds the oscillation of f on each candidate, as
     ``measure_balls`` returns it under any weight. One packing over the
     full candidate set plus one per single radius, each by
-    ``riesz.pack``. Deduplicated on the selected candidate indices, order
+    ``riesz.pack``. A radius's packing is that of the scoring with every
+    other radius's scores set to 0, which no packer takes: the packing of
+    the radius's subset on full-set indices, with the set's conflict
+    rows. Deduplicated on the selected candidate indices, order
     preserved. Every packed ball is a node-centred candidate, so its
     nodes are its centre's flat index plus the ``ball_offsets`` stencil,
     its Lebesgue mass is the stencil size times the cell volume (a sum
@@ -444,13 +445,11 @@ def packing_proposals(f, pfun, candidates, osc, method):
     mass = np.array([stencils[r].size for r in radii], dtype=float) * grid.cell_volume()
     scored = make_scores(candidates, osc, mass, p)
     a = scored.oscillation / scored.radii
-    families = []
-    seen = set()
-    subsets = [np.ones(len(scored), dtype=bool)]
-    subsets += [scored.radii == r for r in stencils]
-    for keep in subsets:
-        sol = pack(scored.subset(keep), p, method)
-        key = tuple(np.flatnonzero(keep)[list(sol.indices)].tolist())
+    families, seen = [], set()
+    proposals = [scored] + [replace(scored, score=np.where(scored.radii == r, scored.score, 0.0))
+                            for r in stencils]
+    for sol in (pack(proposal, p, method) for proposal in proposals):
+        key = sol.indices
         if key and key not in seen:
             seen.add(key)
             nodes = tuple(flat[i] + stencils[radii[i]] for i in key)

@@ -166,9 +166,7 @@ def generate_cubes(grid, min_side, levels, shifts=1):
     masked-in node by ``CubeFamily``.
     """
     if min_side < grid.spacing:
-        raise PreconditionError(
-            f"min_side {min_side} is below the grid spacing {grid.spacing}"
-        )
+        raise PreconditionError(f"min_side {min_side} is below the grid spacing {grid.spacing}")
     if levels < 1 or shifts < 1:
         raise PreconditionError("levels and shifts must be >= 1")
     lo = grid.bbox_lo

@@ -53,12 +53,31 @@ CASES = {
     "file_not_a_path": (lambda _: load_config(minimal_config(weight={"file": 3})), "weight.file"),
     "exponent_constant": (lambda _: load_config(minimal_config(exponent={"constant": "abc"})),
                           "exponent.constant"),
+    "spacing_not_a_number": (lambda _: load_config(_grid(h="abc")), "grid.h"),
+    "spacing_nan": (lambda _: load_config(_grid(h=float("nan"))), "grid.h"),
+    "dim_not_a_number": (lambda _: load_config(_grid(dim="x")), "grid.dim"),
+    "bounds_not_a_pair": (lambda _: load_config(_grid(bounds=[1.0])), "grid.bounds"),
+    "grid_not_an_object": (lambda _: load_config(minimal_config(grid=[1])), "grid"),
+    "p_value": (lambda _: load_config(minimal_config(p_values=["a"])), "p_values"),
+    "radius_not_a_number": (lambda _: load_config(minimal_config(radii=["a"])), "radii"),
+    "threshold": (lambda _: load_config(minimal_config(thresholds={"c_eq": "x"})),
+                  "thresholds.c_eq"),
+    "cube_levels": (lambda _: load_config(minimal_config(cubes={"levels": "x"})), "cubes.levels"),
+    "refinements_not_a_number": (lambda _: load_config(minimal_config(refinements="x")),
+                                 "refinements"),
+    "seed": (lambda _: load_config(minimal_config(seed="x")), "seed"),
+    "function_not_an_object": (lambda _: load_config(minimal_config(function="linear")),
+                               "function"),
+    # A string is not a list of suites (it used to be read letter by letter).
+    "suites_not_a_list": (lambda _: load_config(minimal_config(suites="theorem1")), "suites",
+                          "must be a JSON list"),
 }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_config_error_names_its_field(case, tmp_path):
-    build, field = CASES[case]
+    build, field, *message = CASES[case]
     with pytest.raises(ConfigError) as err:
         build(tmp_path)
     assert err.value.field == field
+    assert all(text in str(err.value) for text in message)

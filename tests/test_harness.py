@@ -207,6 +207,22 @@ class TestRunConfig:
             assert result.exit_code == 2, (command, result.output)
             assert ",error," in result.output and "overflows the float range" in result.output
 
+    def test_score_past_the_float_range_is_an_error_row(self, tmp_path):
+        """theorem1_linear with slope 100 at p = 400: (osc/r)^p passes DBL_MAX, which
+        costs the theorem1 and embedding cells their error rows and exits 2."""
+        raw = json.loads((ROOT / "demos" / "configs" / "theorem1_linear.json").read_text())
+        raw["function"]["params"]["slope"] = 100.0
+        raw["p_values"] = [2.0, 400.0]
+        report = run_config(load_config(raw))
+        errors = [r for r in report.rows if r.status == "error"]
+        assert {r.experiment for r in errors} == {"theorem1", "embedding"}
+        assert all("overflows the float range" in r.params for r in errors)
+        assert any(r.experiment == "lemma21" and r.status != "error" for r in report.rows)
+        path = tmp_path / "score_overflow.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli(["verify", "--config", str(path)])
+        assert result.exit_code == 2 and result.exception is None, result.output
+
     def test_weight_free_proposals_survive_mass_overflow(self):
         """Ball masses past DBL_MAX cost the weighted suites their rows, not the
         variable-exponent ones: their proposals are scored with the Lebesgue weight,

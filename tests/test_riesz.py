@@ -28,6 +28,7 @@ from rieszvar.errors import (
     BadPartition,
     NoCandidates,
     PreconditionError,
+    ScoreOverflow,
     UnboundedSupport,
     WeightOverflow,
 )
@@ -213,6 +214,18 @@ class TestMakeScores:
             assert np.array_equal(scored.score, np.array(expected))
             assert np.array_equal(scored.oscillation, osc)
             assert np.array_equal(scored.weight_mass, mass)
+
+
+    def test_score_past_the_float_range_raises(self, unit_grid):
+        """A power (osc/r)^p past DBL_MAX, or a finite power times a mass past it,
+        raises ScoreOverflow; a score just inside the range is kept."""
+        cands = candidate_balls(unit_grid, [0.0625])
+        osc = np.full(len(cands), 200.0 * 0.0625)  # osc/r = 200
+        ones = np.ones(len(cands))
+        assert np.isfinite(make_scores(cands, osc, ones, 100.0).score).all()
+        for mass, p in ((ones, 400.0), (1e300 * ones, 100.0)):
+            with pytest.raises(ScoreOverflow):
+                make_scores(cands, osc, mass, p)
 
 
 class TestScoreBall:

@@ -6,7 +6,8 @@ are all nodes of its grid, with one candidate per (node, radius), takes
 this path. These tests hold the stencil rule to the distance rule of
 ``grid.balls_overlap`` on every candidate pair, the packers on the
 stencil path to the frozen pair-loop references of ``test_riesz.py``,
-and count the stencils each grid decides.
+count the stencils each grid decides, and check that every scoring of
+one candidate set shares that set's conflict rows.
 """
 
 import json
@@ -20,6 +21,7 @@ from rieszvar import (
     ScoredCandidates,
     build_grid,
     candidate_balls,
+    pack,
     pack_greedy,
     pack_local_search,
     sample_catalog,
@@ -32,6 +34,7 @@ from rieszvar.harness import run_config
 from rieszvar.riesz import _StencilRows, make_scores, measure_balls
 
 from conftest import ball_scores, const_weight, unit_disk
+import test_riesz
 from test_riesz import reference_greedy, reference_local_search
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -220,3 +223,75 @@ def test_verify_2d_makes_no_distance_rows(monkeypatch):
     report = run_config(load_config(raw))
     assert not [r for r in report.rows if r.status == "error"]
     assert calls == []
+
+
+class TestSharedConflicts:
+    @staticmethod
+    def scorings(g, radii, p=2.0):
+        """A node-centred set on ``g``, its sinusoid scoring and a copy with dyadic score ties."""
+        f = sample_catalog(g, "sinusoid", {"freq": 2.0})
+        cands = candidate_balls(g, radii)
+        scored = make_scores(cands, *measure_balls(f, const_weight(g), cands), p)
+        ties = np.random.default_rng(g.dim).integers(0, 4, len(cands)) * 0.25
+        return cands, [scored, replace(scored, score=ties)]
+
+    @pytest.mark.parametrize("dim,methods", [
+        (1, ["dp_1d_exact"]),
+        (2, ["greedy", "greedy_plus_local_search"]),
+    ])
+    def test_zeroed_scores_pack_as_the_subset(self, dim, methods):
+        """Zeroing every other radius's scores packs the radius's subset, on full-set indices."""
+        g = box(1, 1 / 64, 65) if dim == 1 else unit_disk(0.125)
+        radii = [2 * g.spacing, 3 * g.spacing, 4 * g.spacing]
+        _, scorings = self.scorings(g, radii)
+        moved = 0
+        for scored in scorings:
+            for r in radii:
+                keep = scored.radii == r
+                masked = replace(scored, score=np.where(keep, scored.score, 0.0))
+                assert masked._conflicts is scored._conflicts
+                for method in methods:
+                    sub = pack(scored.subset(keep), 2.0, method)
+                    got = pack(masked, 2.0, method)
+                    assert got.indices == tuple(np.flatnonzero(keep)[list(sub.indices)].tolist())
+                    assert got.total == sub.total and got.moves == sub.moves
+                    moved += got.moves
+        assert moved > 0 or dim == 1  # local search moves on some 2D case
+
+    def test_scorings_link_their_set(self):
+        """A scoring and its re-scored copies share the set's rows; subsets and hand-built sets not."""
+        cands, (scored, ties) = self.scorings(unit_disk(0.125), [0.25, 0.5])
+        rows = cands._conflicts
+        assert type(rows) is _StencilRows
+        assert scored._conflicts is rows and ties._conflicts is rows
+        assert make_scores(scored, scored.oscillation, scored.weight_mass, 3.0)._conflicts is rows
+        for sub in (scored.subset(slice(None)), ties.subset(slice(None)), cands.subset(slice(None))):
+            assert type(sub._conflicts) is _StencilRows and sub._conflicts is not rows
+        hand = ScoredCandidates(scored.centers, scored.radii, scored.oscillation,
+                                scored.weight_mass, scored.score, grid=scored.grid)
+        assert hand._conflicts is not rows
+        empty = cands.subset(np.zeros(len(cands), dtype=bool))
+        assert not empty
+        scored_empty = make_scores(empty, np.empty(0), np.empty(0), 2.0)
+        assert scored_empty._conflicts is empty._conflicts
+        assert type(empty._conflicts) is riesz._ConflictRows
+
+    def test_verify_2d_builds_one_table_per_level(self, monkeypatch):
+        """One verify_2d pass builds one stencil table and each neighbour list at most once."""
+        tables = []
+        init = _StencilRows.__init__
+
+        def counted(rows, *args):
+            tables.append(rows)
+            init(rows, *args)
+
+        monkeypatch.setattr(_StencilRows, "__init__", counted)
+        built = test_riesz.TestGreedyAndLocalSearch.count_list_builds(monkeypatch)
+        for method in ("greedy", "auto"):
+            tables.clear()
+            built.clear()
+            raw = json.loads((ROOT / "perfbench" / "configs" / "verify_2d.json").read_text())
+            report = run_config(load_config(raw | {"method": method}))
+            assert not [r for r in report.rows if r.status == "error"]
+            assert len(tables) == raw["refinements"] == 1
+            assert built and max(built.values()) == 1
