@@ -84,11 +84,14 @@ def _require(data, key, path):
 
 
 def _cast(cast, value, path):
-    """``cast(value)``, or a ConfigError naming ``path`` when the value does not convert."""
+    """``cast(value)``, or a ConfigError naming ``path`` unless it converts to a finite value."""
     try:
-        return cast(value)
+        out = cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(path, f"invalid value {value!r}") from None
+    if isinstance(out, float) and not math.isfinite(out):
+        raise ConfigError(path, f"must be finite, got {value!r}")
+    return out
 
 
 def _typed(value, kind, path):
@@ -136,8 +139,8 @@ def load_config(data):
         raise ConfigError("grid.bounds", f"expected {dim} finite [lo, hi] pairs")
     bounds = tuple(map(tuple, bounds.tolist()))
     h = _cast(float, _require(grid_spec, "h", "grid"), "grid.h")
-    if not (math.isfinite(h) and h > 0):
-        raise ConfigError("grid.h", "spacing must be positive and finite")
+    if not h > 0:
+        raise ConfigError("grid.h", "spacing must be positive")
     for a, (lo, hi) in enumerate(bounds):
         if hi <= lo:
             raise ConfigError(f"grid.bounds[{a}]", "hi must exceed lo")

@@ -311,6 +311,14 @@ def region_mask(grid, region=None):
     raise TypeError(f"unsupported region type {type(region)!r}")
 
 
+def region_members(grid, region=None):
+    """``region_mask(grid, region)``; EmptyRegion when it holds no node."""
+    member = region_mask(grid, region)
+    if not member.any():
+        raise EmptyRegion("no masked-in node lies in the region")
+    return member
+
+
 def node_set(grid, ball):
     """Flat indices of masked-in nodes x with ``|x - c| < r - ATOL``, row-major; may be empty.
 
@@ -368,9 +376,7 @@ def ball_in_domain(grid, ball):
 
 def riemann_integral(field, region=None):
     """Node-sum quadrature: sum of masked values in the region times h^dim."""
-    member = region_mask(field.grid, region)
-    if not member.any():
-        raise EmptyRegion("no masked-in node lies in the region")
+    member = region_members(field.grid, region)
     return float(field.values[member].sum() * field.grid.cell_volume())
 
 
@@ -383,9 +389,7 @@ def weighted_measure(weight, region=None):
 
 def oscillation(field, region=None):
     """osc_E(f) = max - min of the sampled values over the region."""
-    member = region_mask(field.grid, region)
-    if not member.any():
-        raise EmptyRegion("no masked-in node lies in the region")
+    member = region_members(field.grid, region)
     vals = field.values[member]
     return float(vals.max() - vals.min())
 
@@ -418,6 +422,13 @@ def _shift_slices(delta, shape):
         dst.append(slice(max(-d, 0), n - max(d, 0)))
         src.append(slice(max(d, 0), n + min(d, 0)))
     return tuple(dst), tuple(src)
+
+
+def node_indices(grid, centers):
+    """Node multi-indices (n, dim) of ``centers``, or None unless each is a grid node within ATOL."""
+    k = np.rint((centers - grid.origin) / grid.spacing).astype(int)
+    on_node = np.abs(grid.origin + grid.spacing * k - centers) <= ATOL
+    return k if np.all(on_node & (k >= 0) & (k < grid.shape)) else None
 
 
 def lattice_flat(grid, k):
@@ -476,6 +487,19 @@ def eroded_mask(grid, r):
         ok.flags.writeable = False
         grid._eroded[r] = ok
     return ok
+
+
+def centre_nodes(grid, centers, radii):
+    """Flat centre nodes of balls (``centers`` (n, dim), ``radii`` (n,)); PreconditionError
+    unless each is node-centred and contained (``eroded_mask`` at its centre: stencil in array)."""
+    k = node_indices(grid, centers)
+    if k is None:
+        raise PreconditionError("candidate balls must be node-centred")
+    flat = lattice_flat(grid, k)
+    for r in distinct(radii):
+        if not eroded_mask(grid, r).reshape(-1)[flat[radii == r]].all():
+            raise PreconditionError("candidate balls must be contained in the domain")
+    return flat
 
 
 def gradient_fd(field):

@@ -32,10 +32,12 @@ from .grid import (
     SampledField,
     ball_offsets,
     balls_overlap,
+    centre_nodes,
     distinct,
     eroded_mask,
     lattice_flat,
     lattice_offsets,
+    node_indices,
     oscillation,
     shifted,
     weighted_measure,
@@ -103,7 +105,7 @@ class CandidateSet:
         """
         if self._source is not None:
             return self._source._conflicts
-        k = None if self.grid is None or not len(self) else _node_indices(self.grid, self.centers)
+        k = None if self.grid is None or not len(self) else node_indices(self.grid, self.centers)
         if k is not None:
             rows = _StencilRows(self, k)
             if rows.one_per_key:
@@ -168,13 +170,6 @@ def _require_weight(w):
         raise PreconditionError("scoring requires a weight field")
 
 
-def _node_indices(grid, centers):
-    """Node multi-indices (n, dim) of ``centers``, or None unless each is a grid node within ATOL."""
-    k = np.rint((centers - grid.origin) / grid.spacing).astype(int)
-    on_node = np.abs(grid.origin + grid.spacing * k - centers) <= ATOL
-    return k if np.all(on_node & (k >= 0) & (k < grid.shape)) else None
-
-
 def measure_balls(f, w, candidates):
     """Oscillation and weight mass per candidate (independent of the exponent p).
 
@@ -202,19 +197,11 @@ def measure_balls(f, w, candidates):
     _require_weight(w)
     grid = f.grid
     radii = candidates.radii
-    k = _node_indices(grid, candidates.centers)
-    if k is None:
-        raise PreconditionError("measure_balls requires node-centred balls")
-    flat = lattice_flat(grid, k)
+    flat = centre_nodes(grid, candidates.centers, radii)
     groups = []
     for r in distinct(radii):
         group = np.flatnonzero(radii == r)
-        centres = flat[group]
-        # Containment is ``eroded_mask`` at the centre node, which also rejects
-        # an empty stencil; its box test keeps every stencil node inside the array.
-        if not eroded_mask(grid, r).reshape(-1)[centres].all():
-            raise PreconditionError("measure_balls requires balls contained in the domain")
-        groups.append((group, centres, ball_offsets(grid, r)))
+        groups.append((group, flat[group], ball_offsets(grid, r)))
     osc, mass = np.empty(len(candidates)), np.empty(len(candidates))
     measure = _window_measures if grid.dim == 1 else _stencil_measures
     measure(f, w, groups, osc, mass)
@@ -412,7 +399,7 @@ class _StencilRows(_ConflictRows):
     forms ``ia * n + ib``. ``one_per_key`` is False when two candidates
     share a node and radius (a subset that repeats an index), which the
     table cannot hold. ``k`` holds the centres' node multi-indices
-    (``_node_indices``). Pairs are decided by the inherited distance
+    (``node_indices``). Pairs are decided by the inherited distance
     ``overlap``, which agrees with the stencil rule.
     """
 

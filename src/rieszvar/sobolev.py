@@ -21,6 +21,7 @@ from .grid import (
     gradient_magnitude,
     node_set,
     region_mask,
+    region_members,
     shifted,
 )
 from .report import row
@@ -32,9 +33,7 @@ def weighted_lp_norm(f, w, p, region=None):
         raise PreconditionError(f"p must be >= 1, got {p}")
     if w.kind != FieldKind.WEIGHT:
         raise PreconditionError("weighted_lp_norm requires a weight field")
-    member = region_mask(f.grid, region)
-    if not member.any():
-        raise EmptyRegion("no masked-in node lies in the region")
+    member = region_members(f.grid, region)
     vol = f.grid.cell_volume()
     with np.errstate(over="ignore"):
         s = float(np.sum(np.abs(f.values[member]) ** p * w.values[member]) * vol)
@@ -154,9 +153,8 @@ def morrey_check(f, w, p, region_pairs, q=None, rw=1.0, pair_budget=2000, seed=0
         ib = rng.integers(0, idx.size, size=n_pairs)
         keep = ia != ib
         ia, ib = idx[ia[keep]], idx[ib[keep]]
-        pts = grid.points().reshape(-1, grid.dim)
         fv = f.values.reshape(-1)
-        dist = np.linalg.norm(pts[ia] - pts[ib], axis=1)
+        dist = np.linalg.norm(grid.node_coordinate(ia) - grid.node_coordinate(ib), axis=1)
         num = np.abs(fv[ia] - fv[ib])
         exponent = 1.0 - n * q / p
         ratios = num / (dist**exponent * denom_const)

@@ -22,11 +22,12 @@ from .grid import (
     FieldKind,
     SampledField,
     ball_offsets,
+    centre_nodes,
     distinct,
     gradient_magnitude,
     lattice_flat,
     node_set,
-    region_mask,
+    region_members,
     size_blocks,
 )
 from .report import row
@@ -55,15 +56,11 @@ def lh_constants(pfun, pair_budget=50000, p_infinity=None, seed=0):
         raise PreconditionError("pair_budget must be >= 1")
     grid = pfun.grid
     idx = np.flatnonzero(grid.mask.reshape(-1))
-    pts = grid.points().reshape(-1, grid.dim)[idx]
+    pts = grid.node_coordinate(idx)
     pv = pfun.values.reshape(-1)[idx]
     n = idx.size
     radial = np.linalg.norm(pts, axis=1)
-    if p_infinity is None:
-        far = int(np.argmax(radial))
-        p_inf = float(pv[far])
-    else:
-        p_inf = float(p_infinity)
+    p_inf = float(pv[np.argmax(radial)] if p_infinity is None else p_infinity)
     c_inf = float(np.max(np.abs(pv - p_inf) * np.log(np.e + radial)))
     n_rows = max(1, min(n, pair_budget // n + 1))
     rng = np.random.Generator(np.random.Philox(seed))
@@ -81,17 +78,13 @@ def lh_constants(pfun, pair_budget=50000, p_infinity=None, seed=0):
 
 def harmonic_mean_exponent(pfun, region=None):
     """p_E with 1/p_E the node mean of 1/p over the region."""
-    member = region_mask(pfun.grid, region)
-    if not member.any():
-        raise EmptyRegion("no masked-in node lies in the region")
+    member = region_members(pfun.grid, region)
     return float(1.0 / np.mean(1.0 / pfun.values[member]))
 
 
 def modular(f, pfun, region=None):
     """rho(f) = sum |f(x)|^{p(x)} h^n over the region (may overflow to +inf)."""
-    member = region_mask(f.grid, region)
-    if not member.any():
-        raise EmptyRegion("no masked-in node lies in the region")
+    member = region_members(f.grid, region)
     with np.errstate(over="ignore"):
         terms = np.abs(f.values[member]) ** pfun.values[member]
     return float(terms.sum() * f.grid.cell_volume())
@@ -250,17 +243,13 @@ def _luxemburg_one(av, pv, weight, tol):
 
 def luxemburg_norm(f, pfun, region=None, tol=TOL):
     """Luxemburg norm: inf { lambda > 0 : modular(f/lambda) <= 1 }."""
-    member = region_mask(f.grid, region)
-    if not member.any():
-        raise EmptyRegion("no masked-in node lies in the region")
+    member = region_members(f.grid, region)
     return _luxemburg_one(np.abs(f.values[member]), pfun.values[member], f.grid.cell_volume(), tol)
 
 
 def char_norm(region, pfun, tol=TOL):
     """Luxemburg norm of the indicator of a ball or cube."""
-    member = region_mask(pfun.grid, region)
-    if not member.any():
-        raise EmptyRegion("region contains no masked-in node")
+    member = region_members(pfun.grid, region)
     pv = pfun.values[member]
     return _luxemburg_one(np.ones(pv.size), pv, pfun.grid.cell_volume(), tol)
 
@@ -431,15 +420,14 @@ def packing_proposals(f, pfun, candidates, osc, method):
     other radius's scores set to 0, which no packer takes: the packing of
     the radius's subset on full-set indices, with the set's conflict
     rows. Deduplicated on the selected candidate indices, order
-    preserved. Every packed ball is a node-centred candidate, so its
+    preserved. Candidates pass ``grid.centre_nodes``, so a packed ball's
     nodes are its centre's flat index plus the ``ball_offsets`` stencil,
     its Lebesgue mass is the stencil size times the cell volume (a sum
     of ones is exact) and its osc/r is read off the scores.
     """
     grid = f.grid
     p = pfun.p_minus
-    k = np.rint((candidates.centers - grid.origin) / grid.spacing).astype(int)
-    flat = lattice_flat(grid, k)
+    flat = centre_nodes(grid, candidates.centers, candidates.radii)
     radii = candidates.radii.tolist()
     stencils = {r: lattice_flat(grid, ball_offsets(grid, r)) for r in distinct(candidates.radii)}
     mass = np.array([stencils[r].size for r in radii], dtype=float) * grid.cell_volume()

@@ -32,6 +32,8 @@ def _refined_file_function(tmp_path):
     return materialize_level(load_config(minimal_config(function={"file": str(path)})), 1)
 
 
+NAN, INF = float("nan"), float("inf")
+
 CASES = {
     "missing_field": (lambda _: load_config(minimal_config(grid={"dim": 1})), "grid.bounds"),
     "not_an_object": (lambda _: load_config([]), ""),
@@ -68,6 +70,23 @@ CASES = {
     "seed": (lambda _: load_config(minimal_config(seed="x")), "seed"),
     "function_not_an_object": (lambda _: load_config(minimal_config(function="linear")),
                                "function"),
+    # Python's json reads NaN and Infinity; no config number may be non-finite.
+    "radius_nan": (lambda _: load_config(minimal_config(radii=[NAN])), "radii", "finite"),
+    "radius_inf": (lambda _: load_config(minimal_config(radii=[INF])), "radii", "finite"),
+    "shell_factor_nan": (lambda _: load_config(minimal_config(shell_factor=NAN)), "shell_factor"),
+    "shell_factor_inf": (lambda _: load_config(minimal_config(shell_factor=INF)), "shell_factor"),
+    "p_value_nan": (lambda _: load_config(minimal_config(p_values=[NAN])), "p_values"),
+    "p_value_inf": (lambda _: load_config(minimal_config(p_values=[INF])), "p_values"),
+    "s_value_nan": (lambda _: load_config(minimal_config(s_values=[NAN])), "s_values"),
+    "t_grid_nan": (lambda _: load_config(minimal_config(t_grid=[0.5, NAN])), "t_grid"),
+    "rw_tol_nan": (lambda _: load_config(minimal_config(thresholds={"rw_tol": NAN})),
+                   "thresholds.rw_tol"),
+    "drift_tol_nan": (lambda _: load_config(minimal_config(thresholds={"drift_tol": NAN})),
+                      "thresholds.drift_tol"),
+    "min_side_nan": (lambda _: load_config(minimal_config(cubes={"min_side": NAN})),
+                     "cubes.min_side"),
+    "min_side_inf": (lambda _: load_config(minimal_config(cubes={"min_side": INF})),
+                     "cubes.min_side"),
     # A string is not a list of suites (it used to be read letter by letter).
     "suites_not_a_list": (lambda _: load_config(minimal_config(suites="theorem1")), "suites",
                           "must be a JSON list"),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rieszvar import (
     Ball,
     BallCollection,
+    CandidateSet,
     SampledField,
     VariableSequence,
     build_grid,
@@ -31,9 +32,11 @@ from rieszvar.config import load_config_file
 from rieszvar.errors import BadParams, EmptyRegion, PreconditionError
 from rieszvar.grid import FieldKind, region_mask
 from rieszvar.harness import run_config
+from rieszvar.riesz import measure_balls
 from rieszvar.varexp import (
     PackingTerms,
     explore_packings,
+    packing_proposals,
     packing_terms,
     rbv_collection_norm,
 )
@@ -315,6 +318,21 @@ class TestRbvVarSeminorm:
             a = rbv_collection_norm(f, coll, p_affine)
             b = rbv_collection_norm(scaled, coll, p_affine)
             assert b == pytest.approx(alpha * a, rel=1e-7)
+
+    @pytest.mark.parametrize("centres, match", [
+        ([0.5 + 1 / 192, 0.25 + 1 / 192], "node-centred"),  # h/3 off nodes 32 and 16
+        ([1 / 64, 0.5], "contained"),  # the first ball sticks out of [0, 1]
+    ], ids=["off_node", "sticks_out"])
+    def test_measured_and_proposed_balls_share_the_node_rule(self, centres, match):
+        """Proposals decode centres and check containment by the rule measure_balls uses:
+        no ball is packed as the one about the nearest node or gathered past the domain."""
+        grid = build_grid(1, [0.0], 1 / 64, [65])
+        f, pfun = linear(grid), exponent_catalog(grid, "affine", {"intercept": 2.0, "slope": 1.0})
+        balls = CandidateSet([[c] for c in centres], [4 / 64, 4 / 64], grid=grid)
+        with pytest.raises(PreconditionError, match=match):
+            measure_balls(f, const_weight(grid), balls)
+        with pytest.raises(PreconditionError, match=match):
+            packing_proposals(f, pfun, balls, np.array([0.1, 0.1]), "auto")
 
 
 class TestGdEquivalence:
