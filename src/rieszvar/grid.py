@@ -426,6 +426,9 @@ def _shift_slices(delta, shape):
 
 def node_indices(grid, centers):
     """Node multi-indices (n, dim) of ``centers``, or None unless each is a grid node within ATOL."""
+    # Non-finite centres and centres off the box fail before the integer cast.
+    if not np.all((centers >= grid.bbox_lo - ATOL) & (centers <= grid.bbox_hi + ATOL)):
+        return None
     k = np.rint((centers - grid.origin) / grid.spacing).astype(int)
     on_node = np.abs(grid.origin + grid.spacing * k - centers) <= ATOL
     return k if np.all(on_node & (k >= 0) & (k < grid.shape)) else None
@@ -464,42 +467,30 @@ def eroded_mask(grid, r):
 
     A node keeps its ball when the ball lies in the bounding box and, on a
     mask with holes, every node of its ``ball_offsets`` stencil is masked
-    in. Decided once per grid and radius; every call returns that
-    read-only array.
+    in. The stencil is built only when some node passes the box test, so a
+    radius too large for the domain keeps no node and allocates nothing.
+    Decided once per grid and radius; every call returns that read-only
+    array.
     """
     ok = grid._eroded.get(r)
     if ok is None:
-        deltas = ball_offsets(grid, r)
-        if not deltas.size:
-            raise PreconditionError("candidate ball contains no masked-in node")
         ok = grid.mask.copy()
         for a in range(grid.dim):
             coord = grid.axis_coords(a)
             sel = (coord - r >= grid.bbox_lo[a] - ATOL) & (coord + r <= grid.bbox_hi[a] + ATOL)
             ok &= sel.reshape([-1 if b == a else 1 for b in range(grid.dim)])
+        if ok.any() and not ball_offsets(grid, r).size:
+            raise PreconditionError("candidate ball contains no masked-in node")
         # Without holes in the mask the box test decides every node. Every
         # node it keeps has its whole stencil inside the array, so ANDing the
         # mask over the stencil's overlap slices decides the rest.
         if ok.any() and not grid.mask.all():
-            for delta in deltas.tolist():
+            for delta in ball_offsets(grid, r).tolist():
                 dst, src = _shift_slices(delta, grid.shape)
                 ok[dst] &= grid.mask[src]
         ok.flags.writeable = False
         grid._eroded[r] = ok
     return ok
-
-
-def centre_nodes(grid, centers, radii):
-    """Flat centre nodes of balls (``centers`` (n, dim), ``radii`` (n,)); PreconditionError
-    unless each is node-centred and contained (``eroded_mask`` at its centre: stencil in array)."""
-    k = node_indices(grid, centers)
-    if k is None:
-        raise PreconditionError("candidate balls must be node-centred")
-    flat = lattice_flat(grid, k)
-    for r in distinct(radii):
-        if not eroded_mask(grid, r).reshape(-1)[flat[radii == r]].all():
-            raise PreconditionError("candidate balls must be contained in the domain")
-    return flat
 
 
 def gradient_fd(field):

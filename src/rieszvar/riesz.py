@@ -32,7 +32,6 @@ from .grid import (
     SampledField,
     ball_offsets,
     balls_overlap,
-    centre_nodes,
     distinct,
     eroded_mask,
     lattice_flat,
@@ -68,13 +67,15 @@ class CandidateSet:
     so their sets share its stencils. It is None for balls with free
     centres. ``_source`` links a scoring to the set ``make_scores`` scored,
     whose conflict rows it shares, as do its copies with other score
-    arrays; ``subset`` drops the link, since its indices differ.
+    arrays; ``_keys`` holds the ``lattice_keys`` by grid, which they share
+    too. ``subset`` drops both, since its indices differ.
     """
 
     centers: np.ndarray
     radii: np.ndarray
     grid: Grid = field(default=None, kw_only=True, repr=False)
     _source: "CandidateSet" = field(default=None, kw_only=True, repr=False)
+    _keys: dict = field(default_factory=dict, kw_only=True, repr=False)
 
     def __post_init__(self):
         names = _array_fields(self)
@@ -92,25 +93,46 @@ class CandidateSet:
 
     def subset(self, index):
         """The candidates ``index`` selects (boolean mask, index array or slice), in its order."""
-        return replace(self, _source=None,
+        return replace(self, _source=None, _keys={},
                        **{name: getattr(self, name)[index] for name in _array_fields(self)})
+
+    def lattice_keys(self, grid):
+        """``(nodes, which, radii)``: each ball's flat centre node on ``grid`` and the index
+        ``which`` of its radius in ``radii``, the set's distinct radii ascending.
+
+        Recorded by ``candidate_balls``; any other set decodes its centres once per grid
+        (``grid.node_indices``). PreconditionError unless every radius is positive and
+        finite and every ball node-centred and contained (``eroded_mask`` at its centre).
+        """
+        if grid not in self._keys:
+            if not np.all((self.radii > 0) & (self.radii < math.inf)):
+                raise PreconditionError("candidate radii must be positive and finite")
+            k = node_indices(grid, self.centers)
+            if k is None:
+                raise PreconditionError("candidate balls must be node-centred")
+            nodes, radii = lattice_flat(grid, k), distinct(self.radii)
+            which = np.searchsorted(radii, self.radii)
+            for b, r in enumerate(radii):
+                if not eroded_mask(grid, r).reshape(-1)[nodes[which == b]].all():
+                    raise PreconditionError("candidate balls must be contained in the domain")
+            self._keys[grid] = nodes, which, radii
+        return self._keys[grid]
 
     @cached_property
     def _conflicts(self):
         """The _ConflictRows every packer on this set and on its scorings shares (``_source``).
 
-        A nonempty set whose centres are all nodes of its grid (within ATOL),
-        one candidate per (node, radius), takes stencil rows; empty sets,
-        free or off-node centres and repeated candidates take distance rows.
+        A nonempty set whose balls are all node-centred and contained in its
+        grid's domain, one candidate per (node, radius), takes stencil rows;
+        empty sets, other balls and repeated candidates take distance rows.
         """
         if self._source is not None:
             return self._source._conflicts
-        k = None if self.grid is None or not len(self) else node_indices(self.grid, self.centers)
-        if k is not None:
-            rows = _StencilRows(self, k)
-            if rows.one_per_key:
-                return rows
-        return _ConflictRows(self)
+        try:
+            rows = _StencilRows(self) if self.grid is not None and len(self) else None
+        except PreconditionError:  # a ball off the nodes or out of the domain
+            rows = None
+        return rows if rows is not None and rows.one_per_key else _ConflictRows(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,19 +172,25 @@ class PackingSolution:
 def candidate_balls(grid, radii_list):
     """Balls at every masked-in node center, per radius, contained in the domain.
 
-    A CandidateSet on ``grid`` in lexicographic order: flat node index,
-    then radius ascending. Radii below twice the spacing are rejected.
+    A CandidateSet on ``grid``, with its ``lattice_keys`` there, in
+    lexicographic order: flat node index, then distinct radius ascending.
+    Non-finite radii and radii below twice the spacing are rejected; a
+    radius too large for the domain adds no candidate.
     """
-    radii = sorted(float(r) for r in radii_list)
+    radii = sorted(set(float(r) for r in radii_list))
     if not radii:
         raise PreconditionError("radii_list must be nonempty")
+    if not all(math.isfinite(r) for r in radii):
+        raise PreconditionError(f"every radius must be finite, got {radii}")
     if radii[0] < 2.0 * grid.spacing:
         raise PreconditionError(f"every radius must be >= 2h = {2 * grid.spacing}, got {radii[0]}")
-    fits = np.stack([eroded_mask(grid, r).reshape(-1) for r in radii], axis=1)
-    flat, which = np.nonzero(fits)
-    if not flat.size:
+    fits = {r: eroded_mask(grid, r).reshape(-1) for r in radii}
+    radii = [r for r, ok in fits.items() if ok.any()]
+    if not radii:
         raise NoCandidates("no candidate ball fits inside the domain")
-    return CandidateSet(grid.node_coordinate(flat), np.array(radii)[which], grid=grid)
+    flat, which = np.nonzero(np.stack([fits[r] for r in radii], axis=1))
+    return CandidateSet(grid.node_coordinate(flat), np.array(radii)[which], grid=grid,
+                        _keys={grid: (flat, which, radii)})
 
 
 def _require_weight(w):
@@ -175,8 +203,8 @@ def measure_balls(f, w, candidates):
 
     Every ball of the CandidateSet must be centred at a node and contained
     in the domain, as ``candidate_balls`` makes them; its nodes are then the
-    ``ball_offsets`` stencil about the centre. A mass past the float range
-    is ``inf``, which ``make_scores`` rejects.
+    ``ball_offsets`` stencil about its ``lattice_keys`` centre node. A mass
+    past the float range is ``inf``, which ``make_scores`` rejects.
 
     In 2D and 3D each ball's stencil is gathered in row-major order, like
     ``values[member]``, and reduced with numpy's max, min and sum. In 1D a
@@ -196,12 +224,11 @@ def measure_balls(f, w, candidates):
     """
     _require_weight(w)
     grid = f.grid
-    radii = candidates.radii
-    flat = centre_nodes(grid, candidates.centers, radii)
+    nodes, which, radii = candidates.lattice_keys(grid)
     groups = []
-    for r in distinct(radii):
-        group = np.flatnonzero(radii == r)
-        groups.append((group, flat[group], ball_offsets(grid, r)))
+    for b, r in enumerate(radii):
+        group = np.flatnonzero(which == b)
+        groups.append((group, nodes[group], ball_offsets(grid, r)))
     osc, mass = np.empty(len(candidates)), np.empty(len(candidates))
     measure = _window_measures if grid.dim == 1 else _stencil_measures
     measure(f, w, groups, osc, mass)
@@ -267,12 +294,12 @@ def _window_measures(f, w, groups, osc, mass):
 def make_scores(candidates, osc, mass, p):
     """ScoredCandidates with score (osc/r)^p * mass per candidate.
 
-    The scoring shares the conflict rows of ``candidates`` (``_source``), so
-    every packing of one set, at any p or with scores zeroed, decides its
-    geometry once. Powers are taken on Python floats (C library pow):
-    numpy's vectorised power can differ by one ulp, which can flip a greedy
-    or DP tie. A non-finite mass raises WeightOverflow, a score past the
-    float range ScoreOverflow.
+    The scoring shares the conflict rows (``_source``) and lattice keys of
+    ``candidates``, so every packing of one set, at any p or with scores
+    zeroed, decides its geometry once. Powers are taken on Python floats (C
+    library pow): numpy's vectorised power can differ by one ulp, which can
+    flip a greedy or DP tie. A non-finite mass raises WeightOverflow, a
+    score past the float range ScoreOverflow.
     """
     if p < 1:
         raise PreconditionError(f"p must be >= 1, got {p}")
@@ -287,7 +314,7 @@ def make_scores(candidates, osc, mass, p):
     if score is None or not np.isfinite(score).all():
         raise ScoreOverflow(f"a ball score (osc/r)^p * w(B) at p = {p} overflows the float range")
     return ScoredCandidates(candidates.centers, candidates.radii, osc, mass, score,
-                            grid=candidates.grid, _source=candidates)
+                            grid=candidates.grid, _source=candidates, _keys=candidates._keys)
 
 
 def score_ball(f, w, ball, p):
@@ -398,20 +425,21 @@ class _StencilRows(_ConflictRows):
     radius with every radius of the set; lists are intp, since local search
     forms ``ia * n + ib``. ``one_per_key`` is False when two candidates
     share a node and radius (a subset that repeats an index), which the
-    table cannot hold. ``k`` holds the centres' node multi-indices
-    (``node_indices``). Pairs are decided by the inherited distance
-    ``overlap``, which agrees with the stencil rule.
+    table cannot hold. Keys come from the set's ``lattice_keys`` on its
+    grid. Pairs are decided by the inherited distance ``overlap``, which
+    agrees with the stencil rule.
     """
 
-    def __init__(self, candidates, k):
+    def __init__(self, candidates):
         super().__init__(candidates)
         grid = self._grid = candidates.grid
-        self._radius_set = distinct(self._radii)
+        nodes, which, self._radius_set = candidates.lattice_keys(grid)
         nr = len(self._radius_set)
         pad = math.ceil(2 * self._radius_set[-1] / grid.spacing)
         shape = [s + 2 * pad for s in grid.shape]
         self._strides = np.array([math.prod(shape[a + 1:]) for a in range(grid.dim)])
-        self._key = (k + pad) @ self._strides * nr + np.searchsorted(self._radius_set, self._radii)
+        k = np.stack(np.unravel_index(nodes, grid.shape), axis=-1)
+        self._key = (k + pad) @ self._strides * nr + which
         self._table = np.full(math.prod(shape) * nr, -1, dtype=np.int32)
         self._table[self._key] = np.arange(len(self._key))
         self.one_per_key = np.array_equal(self._table[self._key], np.arange(len(self._key)))

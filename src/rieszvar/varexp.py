@@ -22,8 +22,6 @@ from .grid import (
     FieldKind,
     SampledField,
     ball_offsets,
-    centre_nodes,
-    distinct,
     gradient_magnitude,
     lattice_flat,
     node_set,
@@ -420,27 +418,26 @@ def packing_proposals(f, pfun, candidates, osc, method):
     other radius's scores set to 0, which no packer takes: the packing of
     the radius's subset on full-set indices, with the set's conflict
     rows. Deduplicated on the selected candidate indices, order
-    preserved. Candidates pass ``grid.centre_nodes``, so a packed ball's
-    nodes are its centre's flat index plus the ``ball_offsets`` stencil,
-    its Lebesgue mass is the stencil size times the cell volume (a sum
-    of ones is exact) and its osc/r is read off the scores.
+    preserved. Candidates pass the rule of ``CandidateSet.lattice_keys``,
+    so a packed ball's nodes are its centre node plus the ``ball_offsets``
+    stencil, its Lebesgue mass is the stencil size times the cell volume
+    (a sum of ones is exact) and its osc/r is read off the scores.
     """
     grid = f.grid
     p = pfun.p_minus
-    flat = centre_nodes(grid, candidates.centers, candidates.radii)
-    radii = candidates.radii.tolist()
-    stencils = {r: lattice_flat(grid, ball_offsets(grid, r)) for r in distinct(candidates.radii)}
-    mass = np.array([stencils[r].size for r in radii], dtype=float) * grid.cell_volume()
+    centres, which, radii = candidates.lattice_keys(grid)
+    stencils = [lattice_flat(grid, ball_offsets(grid, r)) for r in radii]
+    mass = np.array([s.size for s in stencils], dtype=float)[which] * grid.cell_volume()
     scored = make_scores(candidates, osc, mass, p)
     a = scored.oscillation / scored.radii
     families, seen = [], set()
-    proposals = [scored] + [replace(scored, score=np.where(scored.radii == r, scored.score, 0.0))
-                            for r in stencils]
+    proposals = [scored] + [replace(scored, score=np.where(which == b, scored.score, 0.0))
+                            for b in range(len(radii))]
     for sol in (pack(proposal, p, method) for proposal in proposals):
         key = sol.indices
         if key and key not in seen:
             seen.add(key)
-            nodes = tuple(flat[i] + stencils[radii[i]] for i in key)
+            nodes = tuple(centres[i] + stencils[which[i]] for i in key)
             families.append((sol, nodes, a[list(key)]))
     return _packing_terms(f, pfun, families)
 

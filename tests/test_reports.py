@@ -8,6 +8,7 @@ tolerance and status must match exactly, values to 1e-9 relative.
 
 import csv
 import io
+import json
 import math
 from pathlib import Path
 
@@ -30,18 +31,36 @@ def _same_value(a, b):
     return x == y or math.isclose(x, y, rel_tol=1e-9, abs_tol=0.0)
 
 
+def _assert_pinned(output, path):
+    """The CSV ``output`` matches the pinned report at ``path``."""
+    got = list(csv.DictReader(io.StringIO(output)))
+    want = list(csv.DictReader(path.open()))
+    exact = ["experiment", "quantity", "params", "tolerance", "status"]
+    assert [[r[k] for k in exact] for r in got] == [[r[k] for k in exact] for r in want]
+    for g, w in zip(got, want):
+        assert _same_value(g["value"], w["value"]), (g, w)
+
+
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
 @pytest.mark.parametrize("config", CONFIGS)
 def test_report_matches_recorded(config, subcommand):
     cfg = ROOT / "demos" / "configs" / f"{config}.json"
     result = run_cli([subcommand, "--config", str(cfg), "--format", "csv"])
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    got = list(csv.DictReader(io.StringIO(result.output)))
-    want = list(csv.DictReader((DATA / f"{config}.{subcommand}.csv").open()))
-    exact = ["experiment", "quantity", "params", "tolerance", "status"]
-    assert [[r[k] for k in exact] for r in got] == [[r[k] for k in exact] for r in want]
-    for g, w in zip(got, want):
-        assert _same_value(g["value"], w["value"]), (g, w)
+    _assert_pinned(result.output, DATA / f"{config}.{subcommand}.csv")
+
+
+@pytest.mark.parametrize("extra", [0.125, 1e300], ids=["repeated", "too_large"])
+def test_radius_without_candidates_changes_no_row(extra, tmp_path):
+    """A repeated radius, or one too large for the domain, adds no candidate ball: the
+    verify report is the pinned one."""
+    raw = json.loads((ROOT / "demos" / "configs" / "theorem1_linear.json").read_text())
+    raw["radii"] = raw["radii"] + [extra]
+    cfg = tmp_path / "theorem1_linear.json"
+    cfg.write_text(json.dumps(raw))
+    result = run_cli(["verify", "--config", str(cfg), "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    _assert_pinned(result.output, DATA / "theorem1_linear.verify.csv")
 
 
 def test_every_demo_config_is_pinned():

@@ -187,6 +187,11 @@ class TestCandidates:
         with pytest.raises(PreconditionError):
             candidate_balls(unit_grid, [unit_grid.spacing / 4])
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, unit_grid, radius):
+        with pytest.raises(PreconditionError, match="finite"):
+            riesz_variation(linear(unit_grid), const_weight(unit_grid), 2.0, [radius, 0.1])
+
     def test_no_candidates(self):
         g = build_grid(1, [0.0], 0.1, [3])  # box [0, 0.2]
         with pytest.raises(NoCandidates):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from rieszvar import (
+    CandidateSet,
     ScoredCandidates,
     build_grid,
     candidate_balls,
@@ -295,3 +296,59 @@ class TestSharedConflicts:
             assert not [r for r in report.rows if r.status == "error"]
             assert len(tables) == raw["refinements"] == 1
             assert built and max(built.values()) == 1
+
+
+class TestLatticeKeys:
+    """``candidate_balls`` records each candidate's centre node and radius index as it builds
+    the set; any other set decodes its centres once. Both paths measure and pack alike."""
+
+    CASES = {
+        "line": (lambda: box(1, 1 / 32, 33), [3 / 32, 2 / 32, 5 / 32]),
+        "disk17": (lambda: unit_disk(0.125), [0.25, 0.5]),
+        "box9^3": (lambda: box(3, 0.25, 9), [0.5, 0.75]),
+    }
+
+    @staticmethod
+    def solve(f, w, candidates):
+        """osc, mass and the selections of every packer that runs in the set's dimension."""
+        osc, mass = measure_balls(f, w, candidates)
+        scored = make_scores(candidates, osc, mass, 2.0)
+        methods = [riesz.GREEDY, riesz.GREEDY_PLUS_LOCAL_SEARCH]
+        if f.grid.dim == 1:
+            methods.append(riesz.DP_1D_EXACT)
+        return osc, mass, [pack(scored, 2.0, m) for m in methods]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_recorded_keys_measure_and_pack_as_the_decode(self, case):
+        make, radii = self.CASES[case]
+        g = make()
+        f = sample_catalog(g, "sinusoid", {"freq": 2.0})
+        w = sample_catalog(g, "power_weight", {"alpha": 1.0, "center": [0.0625] * g.dim})
+        cands = candidate_balls(g, radii)
+        osc, mass, sols = self.solve(f, w, cands)
+        recorded = cands.lattice_keys(g)
+        copies = (CandidateSet(cands.centers, cands.radii, grid=g),
+                  CandidateSet(cands.centers, cands.radii), cands.subset(slice(None)))
+        for copy in copies:
+            decoded = copy.lattice_keys(g)
+            assert [np.asarray(x).tolist() for x in decoded] == [
+                np.asarray(x).tolist() for x in recorded]
+            assert decoded[2] == sorted(radii)
+            got_osc, got_mass, got = self.solve(f, w, copy)
+            assert copy.lattice_keys(g) is copy.lattice_keys(g)  # decoded once
+            assert np.array_equal(got_osc, osc) and np.array_equal(got_mass, mass)
+            for want, sol in zip(sols, got):
+                assert (sol.indices, sol.total.hex(), sol.moves) == (
+                    want.indices, want.total.hex(), want.moves)
+        keep = np.random.default_rng(5).random(len(cands)) < 0.5
+        sub_osc, sub_mass = measure_balls(f, w, cands.subset(keep))
+        assert np.array_equal(sub_osc, osc[keep]) and np.array_equal(sub_mass, mass[keep])
+
+    def test_repeated_and_oversized_radii_add_no_candidate(self):
+        g = unit_disk(0.125)
+        cands = candidate_balls(g, [0.25, 0.5])
+        for radii in ([0.5, 0.25, 0.25], [0.25, 1e300, 0.5], [0.25, 0.5, 0.5, 100.0]):
+            again = candidate_balls(g, radii)
+            assert np.array_equal(again.centers, cands.centers)
+            assert np.array_equal(again.radii, cands.radii)
+            assert again.lattice_keys(g)[2] == [0.25, 0.5]

@@ -319,16 +319,26 @@ class TestRbvVarSeminorm:
             b = rbv_collection_norm(scaled, coll, p_affine)
             assert b == pytest.approx(alpha * a, rel=1e-7)
 
-    @pytest.mark.parametrize("centres, match", [
-        ([0.5 + 1 / 192, 0.25 + 1 / 192], "node-centred"),  # h/3 off nodes 32 and 16
-        ([1 / 64, 0.5], "contained"),  # the first ball sticks out of [0, 1]
-    ], ids=["off_node", "sticks_out"])
-    def test_measured_and_proposed_balls_share_the_node_rule(self, centres, match):
+    @pytest.mark.parametrize("centres, radii, match", [
+        ([0.5 + 1 / 192, 0.25 + 1 / 192], [4 / 64, 4 / 64], "node-centred"),  # h/3 off nodes
+        ([1 / 64, 0.5], [4 / 64, 4 / 64], "contained"),  # the first ball sticks out of [0, 1]
+        ([math.nan, 0.5], [4 / 64, 4 / 64], "node-centred"),
+        ([math.inf, 0.5], [4 / 64, 4 / 64], "node-centred"),
+        ([1e300, 0.5], [4 / 64, 4 / 64], "node-centred"),
+        ([0.25, 0.5], [math.nan, 4 / 64], "positive and finite"),
+        ([0.25, 0.5], [-0.1, 4 / 64], "positive and finite"),
+        ([0.25, 0.5], [math.inf, 4 / 64], "positive and finite"),
+        ([0.25, 0.5], [1e300, 4 / 64], "contained"),
+    ], ids=["off_node", "sticks_out", "nan_centre", "inf_centre", "far_centre", "nan_radius",
+            "negative_radius", "inf_radius", "huge_radius"])
+    def test_measured_and_proposed_balls_share_the_node_rule(self, centres, radii, match):
         """Proposals decode centres and check containment by the rule measure_balls uses:
-        no ball is packed as the one about the nearest node or gathered past the domain."""
+        no ball is packed as the one about the nearest node or gathered past the domain.
+        Non-finite centres and radii and non-positive radii raise the same way, before any
+        integer cast or stencil is made."""
         grid = build_grid(1, [0.0], 1 / 64, [65])
         f, pfun = linear(grid), exponent_catalog(grid, "affine", {"intercept": 2.0, "slope": 1.0})
-        balls = CandidateSet([[c] for c in centres], [4 / 64, 4 / 64], grid=grid)
+        balls = CandidateSet([[c] for c in centres], radii, grid=grid)
         with pytest.raises(PreconditionError, match=match):
             measure_balls(f, const_weight(grid), balls)
         with pytest.raises(PreconditionError, match=match):
