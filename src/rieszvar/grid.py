@@ -23,6 +23,7 @@ from .errors import (
     EmptyRegion,
     IsolatedNode,
     PreconditionError,
+    WeightOverflow,
 )
 
 # Absolute slack for containment / disjointness comparisons on node
@@ -300,14 +301,9 @@ def region_mask(grid, region=None):
             out[slices] = inside
         return out & grid.mask
     if isinstance(region, Cube):
-        tol = ATOL * max(1.0, region.side)
-        out = np.ones(grid.shape, dtype=bool)
-        for a in range(grid.dim):
-            coord = grid.axis_coords(a)
-            lo = region.corner[a]
-            sel = (coord >= lo - tol) & (coord <= lo + region.side + tol)
-            out &= sel.reshape([-1 if b == a else 1 for b in range(grid.dim)])
-        return out & grid.mask
+        out = np.zeros(grid.n_nodes, dtype=bool)
+        out[cube_nodes(grid, region.corner[None], np.array([region.side]))[0]] = True
+        return out.reshape(grid.shape)
     raise TypeError(f"unsupported region type {type(region)!r}")
 
 
@@ -359,14 +355,50 @@ def size_blocks(index_arrays):
     return blocks
 
 
+def box_fits(lo, hi, a, b, tol=ATOL):
+    """The box rule, elementwise: ``[a, b]`` lies in ``[lo, hi]`` within ``tol``; NaN fails."""
+    return (a >= lo - tol) & (b <= hi + tol)
+
+
+def cube_tol(side):
+    """The slack ``ATOL * max(1, side)`` of a cube's closed faces."""
+    return ATOL * np.maximum(1.0, side)
+
+
+def cube_nodes(grid, corners, sides):
+    """Per cube (corners (m, dim), sides (m,)), the flat row-major indices of its masked-in nodes.
+
+    The cube rule: along each axis it holds the nodes with ``corner - tol <= x <= corner + side
+    + tol`` (``cube_tol``), an index range; equal counts form one base + offsets block, then masked.
+    """
+    sides = sides[:, None]
+    tol = cube_tol(sides)
+    coords = [grid.axis_coords(a) for a in range(grid.dim)]
+    first = np.stack([np.searchsorted(x, lo) for x, lo in zip(coords, (corners - tol).T)], 1)
+    count = np.stack([np.searchsorted(x, hi, side="right") for x, hi in
+                      zip(coords, (corners + sides + tol).T)], 1) - first
+    mask = grid.mask.reshape(-1)
+    nodes = [np.empty(0, dtype=np.intp)] * len(corners)
+    # sorted(set()) rather than np.unique, which imports numpy.ma.
+    for shape in sorted(set(map(tuple, count.tolist()))):
+        if 0 in shape:
+            continue
+        members = np.flatnonzero((count == shape).all(axis=1))
+        box = np.indices(shape).reshape(grid.dim, -1).T
+        block = lattice_flat(grid, first[members])[:, None] + lattice_flat(grid, box)
+        inside = mask[block]
+        for k, row, keep, whole in zip(members.tolist(), block, inside, inside.all(axis=1)):
+            nodes[k] = row if whole else row[keep]
+    return nodes
+
+
 def ball_in_domain(grid, ball):
     """Ball containment test: all inside nodes masked-in, bbox inside grid bbox.
 
     Node-based plus bounding box; an approximation for implicit masks.
     """
-    lo_ok = np.all(ball.center - ball.radius >= grid.bbox_lo - ATOL)
-    hi_ok = np.all(ball.center + ball.radius <= grid.bbox_hi + ATOL)
-    if not (lo_ok and hi_ok):
+    if not np.all(box_fits(grid.bbox_lo, grid.bbox_hi, ball.center - ball.radius,
+                           ball.center + ball.radius)):
         return False
     slices, inside = _window_membership(grid, ball)
     if slices is None:
@@ -380,11 +412,23 @@ def riemann_integral(field, region=None):
     return float(field.values[member].sum() * field.grid.cell_volume())
 
 
+def weight_integral(weight, member, what):
+    """Node-sum quadrature of a weight over the boolean nodes ``member``, as a float.
+
+    A sum past the float range raises WeightOverflow naming ``what``.
+    """
+    with np.errstate(over="ignore"):
+        total = float(weight.values[member].sum() * weight.grid.cell_volume())
+    if total == math.inf:
+        raise WeightOverflow(f"{what} overflows the float range")
+    return total
+
+
 def weighted_measure(weight, region=None):
     """w(E) = integral of the weight over the region."""
     if weight.kind != FieldKind.WEIGHT:
         raise BadShape("weighted_measure requires a field of kind weight")
-    return riemann_integral(weight, region)
+    return weight_integral(weight, region_members(weight.grid, region), "the weight of a region")
 
 
 def oscillation(field, region=None):
@@ -427,7 +471,7 @@ def _shift_slices(delta, shape):
 def node_indices(grid, centers):
     """Node multi-indices (n, dim) of ``centers``, or None unless each is a grid node within ATOL."""
     # Non-finite centres and centres off the box fail before the integer cast.
-    if not np.all((centers >= grid.bbox_lo - ATOL) & (centers <= grid.bbox_hi + ATOL)):
+    if not np.all(box_fits(grid.bbox_lo, grid.bbox_hi, centers, centers)):
         return None
     k = np.rint((centers - grid.origin) / grid.spacing).astype(int)
     on_node = np.abs(grid.origin + grid.spacing * k - centers) <= ATOL
@@ -477,7 +521,7 @@ def eroded_mask(grid, r):
         ok = grid.mask.copy()
         for a in range(grid.dim):
             coord = grid.axis_coords(a)
-            sel = (coord - r >= grid.bbox_lo[a] - ATOL) & (coord + r <= grid.bbox_hi[a] + ATOL)
+            sel = box_fits(grid.bbox_lo[a], grid.bbox_hi[a], coord - r, coord + r)
             ok &= sel.reshape([-1 if b == a else 1 for b in range(grid.dim)])
         if ok.any() and not ball_offsets(grid, r).size:
             raise PreconditionError("candidate ball contains no masked-in node")

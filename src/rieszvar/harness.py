@@ -8,8 +8,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .config import materialize_level
-from .errors import PreconditionError, ScoreOverflow, ToolkitError, WeightOverflow
-from .grid import gradient_magnitude
+from .errors import PreconditionError, ScoreOverflow, ToolkitError
+from .grid import gradient_magnitude, weight_integral
 from .report import Report, ReportRow, params_string, row
 from .riesz import (
     candidate_balls,
@@ -241,10 +241,7 @@ def suite_embedding(ctx):
     p_pairs = [(p1, p2) for p1 in p_values for p2 in p_values if p1 < p2]
     if not p_pairs:
         p_pairs = [(2.0, 4.0)]
-    with np.errstate(over="ignore"):
-        w_total = float(w.values[grid.mask].sum() * grid.cell_volume())
-    if w_total == math.inf:
-        raise WeightOverflow("the total weight overflows the float range")
+    w_total = weight_integral(w, grid.mask, "the total weight")
     for p1, p2 in p_pairs:
         sol2 = lvl.packing(p2)
         if not sol2.indices:

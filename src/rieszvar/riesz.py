@@ -39,6 +39,7 @@ from .grid import (
     node_indices,
     oscillation,
     shifted,
+    weight_integral,
     weighted_measure,
 )
 from .report import row
@@ -419,15 +420,15 @@ class _StencilRows(_ConflictRows):
 
     Candidates (node a, r) and (node b, r') conflict exactly when ``b - a``
     lies in ``ball_offsets(grid, r + r')``. An int32 (node, radius) ->
-    candidate table over the grid's box padded by twice the largest radius,
-    -1 where there is none, makes each neighbour list one gather
+    candidate table over the grid's box padded by the largest radius, -1
+    where there is none, makes each neighbour list one gather
     ``table[key_i + offsets]``, whose offsets hold the stencils of i's
     radius with every radius of the set; lists are intp, since local search
     forms ``ia * n + ib``. ``one_per_key`` is False when two candidates
     share a node and radius (a subset that repeats an index), which the
     table cannot hold. Keys come from the set's ``lattice_keys`` on its
-    grid. Pairs are decided by the inherited distance ``overlap``, which
-    agrees with the stencil rule.
+    grid: its balls are contained, so a gather reads within r' of the box.
+    The inherited distance ``overlap`` agrees with the stencil rule.
     """
 
     def __init__(self, candidates):
@@ -435,7 +436,7 @@ class _StencilRows(_ConflictRows):
         grid = self._grid = candidates.grid
         nodes, which, self._radius_set = candidates.lattice_keys(grid)
         nr = len(self._radius_set)
-        pad = math.ceil(2 * self._radius_set[-1] / grid.spacing)
+        pad = math.ceil(self._radius_set[-1] / grid.spacing)
         shape = [s + 2 * pad for s in grid.shape]
         self._strides = np.array([math.prod(shape[a + 1:]) for a in range(grid.dim)])
         k = np.stack(np.unravel_index(nodes, grid.shape), axis=-1)
@@ -696,7 +697,7 @@ def classical_riesz_1d(f, p, partition=None):
         raise BadPartition("partition must be strictly increasing")
     if np.any(idx < 0) or np.any(idx >= grid.n_nodes):
         raise BadPartition("partition index out of range")
-    x = grid.origin[0] + grid.spacing * idx
+    x = grid.node_coordinate(idx)[:, 0]
     fv = f.values.reshape(-1)[idx]
     dx = np.diff(x)
     df = np.abs(np.diff(fv))
@@ -725,24 +726,14 @@ def lipschitz_field(f, shell_radius):
     for delta, dist in zip(*_shell_offsets(grid, shell_radius)):
         nv = shifted(f.values, delta)
         usable = grid.mask & shifted(grid.mask, delta)
-        ratio = np.zeros(grid.shape)
-        ratio[usable] = np.abs(f.values[usable] - nv[usable]) / dist
-        np.maximum(best, ratio, out=best)
-    best[~grid.mask] = 0.0
+        best[usable] = np.maximum(best[usable], np.abs(f.values[usable] - nv[usable]) / dist)
     return SampledField(grid, best, FieldKind.FUNCTION)
 
 
 def _boundary_nodes(grid):
-    """Masked nodes on the box edge or adjacent to a masked-out node."""
-    boundary = np.zeros(grid.shape, dtype=bool)
-    for axis, unit in enumerate(np.eye(grid.dim, dtype=int)):
-        edge = [slice(None)] * grid.dim
-        edge[axis] = 0
-        boundary[tuple(edge)] = True
-        edge[axis] = grid.shape[axis] - 1
-        boundary[tuple(edge)] = True
-        boundary |= ~shifted(grid.mask, unit) | ~shifted(grid.mask, -unit)
-    return boundary & grid.mask
+    """Masked nodes on the box edge or next to a masked-out node (``shifted`` is False off it)."""
+    inner = [shifted(grid.mask, s * unit) for unit in np.eye(grid.dim, dtype=int) for s in (1, -1)]
+    return grid.mask & ~np.logical_and.reduce(inner)
 
 
 def weak_type_check(f, w, packing, t_grid, shell_radius, k_max=None):
@@ -770,11 +761,9 @@ def weak_type_rows(w, packing, lip, t_grid, k_max=None):
     grid, p, vp_pow = lip.grid, packing.p, packing.total
     k_max = 32.0 * 2.0**p if k_max is None else k_max
     rows = []
-    vol = grid.cell_volume()
     max_k = 0.0
     for t in t_grid:
-        level = grid.mask & (lip.values > t)
-        measure = float(w.values[level].sum() * vol)
+        measure = weight_integral(w, grid.mask & (lip.values > t), "the weight of a superlevel set")
         if measure > 0 and vp_pow == 0:
             raise ZeroVariation("variation is zero while a superlevel set is nonempty")
         k = (t**p * measure / vp_pow) if vp_pow > 0 else 0.0

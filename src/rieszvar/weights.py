@@ -5,8 +5,8 @@ shifted) family, so every constant reported here is a lower bound of the
 true one. Cube averages are node means, which makes the Jensen-type
 lower bound of 1 exact for constant weights.
 
-A family gathers its cubes' nodes from per-axis index ranges, one base +
-offsets block per cube shape, and stacks them by size (``grid.size_blocks``),
+A family gathers its cubes' nodes by the cube rule (``grid.cube_nodes``,
+which ``region_mask`` shares) and stacks them by size (``grid.size_blocks``),
 so the A_p, A_1 and RH constants take each block's node means as one row
 reduction. The final powers and the supremum are taken per cube on Python
 floats, which keeps every constant bit-identical to a cube-by-cube loop.
@@ -39,13 +39,14 @@ from .errors import (
     ZeroWeightOnCube,
 )
 from .grid import (
-    ATOL,
     Ball,
     Cube,
     FieldKind,
     SampledField,
+    box_fits,
+    cube_nodes,
+    cube_tol,
     distinct,
-    lattice_flat,
     same_nodes,
     size_blocks,
     weighted_measure,
@@ -99,7 +100,7 @@ class CubeFamily:
             cubes = tuple(cubes)
             cubes = CubeArrays(np.reshape([c.corner for c in cubes], (len(cubes), self.grid.dim)),
                                np.array([c.side for c in cubes], dtype=float))
-        nodes = _cube_nodes(self.grid, cubes.corners, cubes.sides)
+        nodes = cube_nodes(self.grid, cubes.corners, cubes.sides)
         kept = [k for k, i in enumerate(nodes) if i.size]
         if not kept:
             raise NoCubes("no cube of the family holds a masked-in node")
@@ -112,35 +113,6 @@ class CubeFamily:
 
     def __iter__(self):
         return iter(self.cubes)
-
-
-def _cube_nodes(grid, corners, sides):
-    """Per cube (corners (m, dim), sides (m,)), the flat row-major indices of its masked-in nodes.
-
-    Along axis a a closed cube holds the nodes with ``corner - tol <= x <=
-    corner + side + tol``, ``tol = ATOL * max(1, side)``: the index range
-    ``first + arange(count)``. Cubes with equal counts are gathered as one
-    base + offsets block, whose rows are then cut to the mask.
-    """
-    sides = sides[:, None]
-    tol = ATOL * np.maximum(1.0, sides)
-    coords = [grid.axis_coords(a) for a in range(grid.dim)]
-    first = np.stack([np.searchsorted(x, lo) for x, lo in zip(coords, (corners - tol).T)], 1)
-    count = np.stack([np.searchsorted(x, hi, side="right") for x, hi in
-                      zip(coords, (corners + sides + tol).T)], 1) - first
-    mask = grid.mask.reshape(-1)
-    nodes = [np.empty(0, dtype=np.intp)] * len(corners)
-    # sorted(set()) rather than np.unique, which imports numpy.ma.
-    for shape in sorted(set(map(tuple, count.tolist()))):
-        if 0 in shape:
-            continue
-        members = np.flatnonzero((count == shape).all(axis=1))
-        box = np.indices(shape).reshape(grid.dim, -1).T
-        block = lattice_flat(grid, first[members])[:, None] + lattice_flat(grid, box)
-        inside = mask[block]
-        for k, row, keep, whole in zip(members.tolist(), block, inside, inside.all(axis=1)):
-            nodes[k] = row if whole else row[keep]
-    return nodes
 
 
 @dataclass(frozen=True)
@@ -174,13 +146,12 @@ def generate_cubes(grid, min_side, levels, shifts=1):
     corners, sides = [], []
     for level in range(levels):
         side = min_side * 2**level
-        tol = ATOL * max(1.0, side)
+        tol = cube_tol(side)
         counts = [int(math.floor((hi[a] - lo[a]) / side)) + 1 for a in range(grid.dim)]
         for j in range(shifts):
             off = j * side / shifts
             axes = [lo[a] + off + side * np.arange(counts[a]) for a in range(grid.dim)]
-            axes = [c[(c >= lo[a] - tol) & (c + side <= hi[a] + tol)]
-                    for a, c in enumerate(axes)]
+            axes = [c[box_fits(lo[a], hi[a], c, c + side, tol)] for a, c in enumerate(axes)]
             mesh = np.meshgrid(*axes, indexing="ij")
             corners.append(np.stack([m.reshape(-1) for m in mesh], axis=-1))
             sides.append(np.full(len(corners[-1]), side))
@@ -418,11 +389,7 @@ def doubling_ball_family(grid, radii, stride=1):
     flat = np.flatnonzero(grid.mask.reshape(-1)[::stride]) * stride
     centers = grid.node_coordinate(flat)
     reach = 2 * np.array(radii, dtype=float)[None, :, None]
-    fits = np.all(
-        (centers[:, None] - reach >= grid.bbox_lo - ATOL)
-        & (centers[:, None] + reach <= grid.bbox_hi + ATOL),
-        axis=2,
-    )
-    node, which = np.nonzero(fits)
+    fits = box_fits(grid.bbox_lo, grid.bbox_hi, centers[:, None] - reach, centers[:, None] + reach)
+    node, which = np.nonzero(fits.all(axis=2))
     return [Ball(centers[n], radii[i]) for n, i in zip(node, which.tolist())]
 

@@ -6,7 +6,9 @@ packed balls once ran one region (or one offset, or one pair) at a time.
 Those loops are frozen here as references, and the block versions must
 reproduce them with ``==``, errors included. So is the 1D packing DP on
 (total, -count) tuples, which now runs on flat lists, and the r_w
-bisection that evaluated every cube at every step.
+bisection that evaluated every cube at every step. The box and cube
+rules were once written out per caller, and the boundary test swept the
+box faces on its own; those copies are frozen too.
 """
 
 import math
@@ -41,17 +43,24 @@ from rieszvar.grid import (
     FieldKind,
     SampledField,
     _shift_slices,
+    _window_membership,
+    ball_in_domain,
     ball_offsets,
     balls_disjoint,
     balls_overlap,
     eroded_mask,
     gradient_magnitude,
     lattice_offsets,
+    node_indices,
     region_mask,
     same_nodes,
+    shifted,
     size_blocks,
 )
 from rieszvar.riesz import (
+    _ConflictRows,
+    _StencilRows,
+    _boundary_nodes,
     candidate_balls,
     make_scores,
     measure_balls,
@@ -75,6 +84,7 @@ from rieszvar.weights import (
     RwEstimate,
     a1_constant,
     ap_constant,
+    doubling_ball_family,
     estimate_rw,
     rh_constant,
 )
@@ -249,10 +259,67 @@ def frozen_generate_cubes(grid, min_side, levels, shifts=1):
     return frozen_family(grid, in_box), len(in_box)
 
 
+def frozen_cube_mask(grid, cube):
+    """``region_mask(grid, cube)`` as a per-axis sweep."""
+    tol = ATOL * max(1.0, cube.side)
+    out = np.ones(grid.shape, dtype=bool)
+    for a in range(grid.dim):
+        coord = grid.axis_coords(a)
+        lo = cube.corner[a]
+        sel = (coord >= lo - tol) & (coord <= lo + cube.side + tol)
+        out &= sel.reshape([-1 if b == a else 1 for b in range(grid.dim)])
+    return out & grid.mask
+
+
+def frozen_boundary_nodes(grid):
+    boundary = np.zeros(grid.shape, dtype=bool)
+    for axis, unit in enumerate(np.eye(grid.dim, dtype=int)):
+        edge = [slice(None)] * grid.dim
+        edge[axis] = 0
+        boundary[tuple(edge)] = True
+        edge[axis] = grid.shape[axis] - 1
+        boundary[tuple(edge)] = True
+        boundary |= ~shifted(grid.mask, unit) | ~shifted(grid.mask, -unit)
+    return boundary & grid.mask
+
+
+def frozen_ball_in_domain(grid, ball):
+    lo_ok = np.all(ball.center - ball.radius >= grid.bbox_lo - ATOL)
+    hi_ok = np.all(ball.center + ball.radius <= grid.bbox_hi + ATOL)
+    if not (lo_ok and hi_ok):
+        return False
+    slices, inside = _window_membership(grid, ball)
+    if slices is None:
+        return True
+    return bool(np.all(grid.mask[slices][inside]))
+
+
+def frozen_node_indices(grid, centers):
+    if not np.all((centers >= grid.bbox_lo - ATOL) & (centers <= grid.bbox_hi + ATOL)):
+        return None
+    k = np.rint((centers - grid.origin) / grid.spacing).astype(int)
+    on_node = np.abs(grid.origin + grid.spacing * k - centers) <= ATOL
+    return k if np.all(on_node & (k >= 0) & (k < grid.shape)) else None
+
+
+def frozen_doubling_ball_family(grid, radii, stride=1):
+    radii = list(radii)
+    flat = np.flatnonzero(grid.mask.reshape(-1)[::stride]) * stride
+    centers = grid.node_coordinate(flat)
+    reach = 2 * np.array(radii, dtype=float)[None, :, None]
+    fits = np.all(
+        (centers[:, None] - reach >= grid.bbox_lo - ATOL)
+        & (centers[:, None] + reach <= grid.bbox_hi + ATOL),
+        axis=2,
+    )
+    node, which = np.nonzero(fits)
+    return [Ball(centers[n], radii[i]) for n, i in zip(node, which.tolist())]
+
+
 def frozen_family(grid, cubes):
     kept = []
     for cube in cubes:
-        idx = np.flatnonzero(region_mask(grid, cube))
+        idx = np.flatnonzero(frozen_cube_mask(grid, cube))
         if idx.size:
             kept.append((cube, idx))
     if not kept:
@@ -860,6 +927,151 @@ class TestCubeFamilyMatchesPerCubeLoop:
             CubeFamily(holes_grid(), (Cube([0.35, 0.35], 0.3),), None)
         with pytest.raises(NoCubes):
             CubeFamily(disk_grid, (), None)
+
+
+# Grids for the box and cube rules: boxes in 1D-3D (one off the dyadic lattice),
+# the unit disk and a mask with holes.
+RULE_GRIDS = {
+    "1d": lambda: build_grid(1, [0.0], 1 / 16, [17]),
+    "1d_h0.1": lambda: build_grid(1, [-0.3], 0.1, [23]),
+    "2d": lambda: build_grid(2, [-1.0, -1.0], 0.125, [17, 17]),
+    "3d": lambda: build_grid(3, [0.0, 0.0, 0.0], 0.125, [9, 9, 9]),
+    "disk": lambda: unit_disk(0.1),
+    "holes": holes_grid,
+}
+
+
+def near(values, rng):
+    """Each value with offsets of up to 2 ATOL either way, on and off the rule's edge."""
+    steps = np.array([-2.0, -1.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 1.0, 2.0]) * ATOL
+    out = np.add.outer(np.asarray(values, dtype=float), steps).reshape(-1)
+    return np.concatenate([out, rng.uniform(out.min(), out.max(), out.size // 4)])
+
+
+class TestBoxAndCubeRulesMatchTheirCopies:
+    """One box rule and one cube rule in ``grid`` decide what each caller once decided."""
+
+    @pytest.mark.parametrize("case", sorted(RULE_GRIDS))
+    def test_region_mask_cube_is_the_per_axis_sweep(self, case):
+        grid = RULE_GRIDS[case]()
+        rng = np.random.default_rng(len(case))
+        h, lo, hi = grid.spacing, grid.bbox_lo, grid.bbox_hi
+        # Corners on a node, within +-tol of one and between nodes, from beyond
+        # the low face to beyond the high face; sides below and above 1.
+        starts = near(np.arange(-3, grid.shape[0] + 2) * h + lo[0], rng)
+        sides = [h, 2 * h, 0.3, 1.0, 1.0 + 1e-9, 1.5, 2.5, 40.0]
+        cubes = [Cube(np.full(grid.dim, c) + rng.integers(-2, 3, grid.dim) * h, side)
+                 for c in rng.choice(starts, 120) for side in rng.choice(sides, 2)]
+        cubes += [Cube(lo - 5.0, 1.0), Cube(hi + 0.5, 0.25), Cube(lo - 1.0, 50.0),
+                  Cube(hi - ATOL, 3.0), Cube(lo - 2.0, 2.0 - 0.5 * ATOL)]
+        cubes += [Cube(np.full(grid.dim, x), 0.5) for x in (np.nan, np.inf, -np.inf)]
+        cubes += [Cube(np.r_[lo[:-1], x], 0.5) for x in (np.nan, -np.inf)]
+        hits = 0
+        for cube in cubes:
+            got, want = region_mask(grid, cube), frozen_cube_mask(grid, cube)
+            assert got.shape == grid.shape and got.dtype == bool
+            assert np.array_equal(got, want), (cube.corner, cube.side)
+            hits += bool(want.any())
+        assert 0 < hits < len(cubes)
+
+    @pytest.mark.parametrize("case", sorted(RULE_GRIDS))
+    def test_boundary_nodes_without_the_face_pass(self, case):
+        grid = RULE_GRIDS[case]()
+        assert np.array_equal(_boundary_nodes(grid), frozen_boundary_nodes(grid))
+
+    def test_boundary_nodes_on_random_masks(self):
+        rng = np.random.default_rng(3)
+        for dim, n in ((1, 30), (2, 12), (3, 7)):
+            for density in (0.6, 0.9, 1.0):
+                mask = rng.random((n,) * dim) < density
+                mask.flat[0] = True
+                grid = build_grid(dim, [0.0] * dim, 0.1, [n] * dim, lambda pts, m=mask: m)
+                assert np.array_equal(_boundary_nodes(grid), frozen_boundary_nodes(grid))
+
+    @pytest.mark.parametrize("case", sorted(RULE_GRIDS))
+    def test_eroded_mask_at_radii_within_atol_of_fitting(self, case):
+        grid = RULE_GRIDS[case]()
+        h = grid.spacing
+        for r in near([2 * h, 3 * h, 4 * h, 0.5], np.random.default_rng(1))[:36]:
+            if r >= h:
+                assert np.array_equal(eroded_mask(replace(grid), r),
+                                      frozen_eroded_mask(grid, r)), r
+
+    @pytest.mark.parametrize("case", sorted(RULE_GRIDS))
+    def test_ball_in_domain_at_radii_within_atol_of_fitting(self, case):
+        grid = RULE_GRIDS[case]()
+        rng = np.random.default_rng(2)
+        nodes = grid.node_coordinate(rng.choice(np.flatnonzero(grid.mask), 12))
+        # Radii that reach a face of the box exactly, and within ATOL of it.
+        gaps = np.concatenate([nodes - grid.bbox_lo, grid.bbox_hi - nodes]).min(axis=0)
+        fitted = 0
+        for centre in np.concatenate([nodes, nodes + 0.3 * grid.spacing]):
+            reach = min(np.min(centre - grid.bbox_lo), np.min(grid.bbox_hi - centre))
+            for r in near([reach, 2 * grid.spacing, abs(gaps[0]) + grid.spacing], rng):
+                if r > 0:
+                    ball = Ball(centre, float(r))
+                    want = frozen_ball_in_domain(grid, ball)
+                    assert ball_in_domain(grid, ball) is want, (centre, r)
+                    fitted += want
+        assert fitted > 0
+
+    @pytest.mark.parametrize("case", sorted(RULE_GRIDS))
+    def test_node_indices_within_atol_of_the_box(self, case):
+        grid = RULE_GRIDS[case]()
+        rng = np.random.default_rng(4)
+        lo, hi = grid.bbox_lo, grid.bbox_hi
+        for x in near(np.r_[lo, hi, lo + grid.spacing], rng).tolist() + [np.nan, np.inf, 1e300]:
+            for axis in range(grid.dim):
+                centers = grid.node_coordinate(np.arange(3))
+                centers[1, axis] = x
+                got, want = node_indices(grid, centers), frozen_node_indices(grid, centers)
+                assert (got is None) == (want is None), x
+                if want is not None:
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", sorted(RULE_GRIDS))
+    def test_doubling_family_at_radii_within_atol_of_fitting(self, case):
+        grid = RULE_GRIDS[case]()
+        h = grid.spacing
+        radii = near([h, 1.5 * h, 2 * h, 0.25], np.random.default_rng(5))[:27].tolist()
+        for stride in (1, 3):
+            got = doubling_ball_family(grid, radii, stride)
+            want = frozen_doubling_ball_family(grid, radii, stride)
+            assert [(b.center.tolist(), b.radius) for b in got] == [
+                (b.center.tolist(), b.radius) for b in want]
+            assert got
+
+
+class TestStencilTablePad:
+    """The (node, radius) table is padded by one largest radius on every side."""
+
+    CASES = {
+        "1d": (lambda: build_grid(1, [0.0], 1 / 64, [65]), [1 / 32, 3 / 64, 1 / 8]),
+        "disk_17": (lambda: unit_disk(0.125), [0.25, 0.5]),
+        "disk_21": (lambda: build_grid(2, [-1.25, -1.25], 0.125, [21, 21],
+                                       lambda x: np.linalg.norm(x, axis=-1) < 1.25),
+                    [0.25, 0.5]),
+        "box_9": (lambda: build_grid(3, [-0.5] * 3, 0.125, [9, 9, 9]), [0.25, 0.5]),
+        "holes": (holes_grid, [0.125, 0.15, 0.1875]),
+        "off_lattice": (lambda: unit_disk(0.1), [0.2, 0.2125, 0.3]),
+    }
+    SIZES = {"disk_17": 1250, "disk_21": 1682, "box_9": 9826}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_table_size_and_rows(self, case):
+        make, radii = self.CASES[case]
+        grid = make()
+        cands = candidate_balls(grid, radii)
+        rows = cands._conflicts
+        assert type(rows) is _StencilRows and rows.one_per_key
+        radii = sorted(set(cands.radii.tolist()))  # the radii that fit somewhere
+        pad = math.ceil(radii[-1] / grid.spacing)
+        assert rows._table.size == math.prod(n + 2 * pad for n in grid.shape) * len(radii)
+        if case in self.SIZES:
+            assert rows._table.size == self.SIZES[case]
+        distance = _ConflictRows(cands)
+        for i in range(len(cands)):
+            assert np.array_equal(np.sort(rows.neighbours(i)), distance.neighbours(i))
 
 
 class TestProposalGatherMatchesNodeSet:

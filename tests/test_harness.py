@@ -242,6 +242,28 @@ class TestRunConfig:
             "theorem1", "weak_type", "lemma21", "rh_exists", "embedding", "morrey",
             "mollify_bound"}
 
+    @pytest.mark.parametrize("command, overrides, experiment", [
+        ("weights", {"s_values": [], "radii": [0.25, 0.5],
+                     "cubes": {"min_side": 0.25, "levels": 1, "shifts": 1}}, "weights"),
+        ("verify", {"radii": [0.125], "suites": ["weak_type"]}, "weak_type"),
+    ])
+    def test_ball_and_level_sums_past_the_float_range(self, tmp_path, command, overrides,
+                                                      experiment):
+        """With the weight 5e306 the cube means and ball masses used here stay finite,
+        but the node sums of the doubling balls and of the weak-type superlevel sets
+        pass DBL_MAX. Each costs its cell one error row and exit 2, not a doubling
+        constant of 0.0 (inf / inf), K(t) rows of inf or a leaked RuntimeWarning."""
+        raw = json.loads((ROOT / "perfbench" / "configs" / "verify_2d.json").read_text())
+        raw["weight"] = {"catalog": "constant", "params": {"value": 5e306}}
+        path = tmp_path / "sum_overflow.json"
+        path.write_text(json.dumps(dict(raw, **overrides)))
+        result = run_cli([command, "--config", str(path)])
+        assert result.exit_code == 2 and result.exception is None, result.output
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        assert [(r["experiment"], r["quantity"], r["status"]) for r in rows] == [
+            (experiment, "error", "error")]
+        assert "overflows the float range" in rows[0]["params"]
+
     @pytest.mark.parametrize("name", ["theorem1_linear", "weak_type_hat"])
     def test_no_rw_at_max_row_on_demo_configs(self, name):
         raw = json.loads((ROOT / "demos" / "configs" / f"{name}.json").read_text())

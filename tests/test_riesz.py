@@ -254,6 +254,15 @@ class TestScoreBall:
                        Ball([0.5], 0.25), 2.0)
         assert s == 0.0
 
+    def test_mass_past_the_float_range_raises(self, unit_grid):
+        """A ball whose weight node sum passes DBL_MAX raises WeightOverflow, not inf."""
+        f, w = linear(unit_grid), const_weight(unit_grid, 1e307)
+        assert math.isfinite(score_ball(f, w, Ball([0.5], 2 * unit_grid.spacing), 2.0))
+        with pytest.raises(WeightOverflow, match="the weight of a region overflows"):
+            score_ball(f, w, Ball([0.5], 0.25), 2.0)
+        with pytest.raises(WeightOverflow, match="the weight of a region overflows"):
+            weighted_measure(w, Ball([0.5], 0.25))
+
 
 class TestMeasureBalls:
     @pytest.mark.parametrize("h", [0.1, 0.05])
