@@ -29,7 +29,7 @@ grid = build_grid(1, [0.0], 1 / 512, [513])
 p_affine = exponent_catalog(grid, "affine", {"intercept": 2.0, "slope": 1.0})
 print(f"exponent p(x) = 2 + x: p- = {p_affine.p_minus}, p+ = {p_affine.p_plus}")
 
-lh = lh_constants(p_affine, seed=0)
+lh = lh_constants(p_affine)
 print(f"log-Hölder constants: c0 = {lh.c0_estimate:.5f} (max of t(-log t) is "
       f"1/e = {np.exp(-1):.5f}), c_inf = {lh.c_infinity_estimate:.4f}")
 

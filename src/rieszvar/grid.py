@@ -2,10 +2,11 @@
 
 A domain is a box of uniformly spaced nodes together with a boolean mask
 selecting which nodes belong to it. Functions and weights are arrays of
-node values on such a grid. Balls are open: node x lies in B(c, r) when
-``|x - c| < r - ATOL``, so membership does not move with the ball's
-position through rounding, and every node-centred ball holds the same
-stencil (``ball_offsets``). Cubes are closed and axis-parallel, and all
+node values on such a grid. Balls are open: node k + d lies in B(c, r) when
+``|h d - (c - x_k)| < r - ATOL``, x_k the node nearest c (``ball_nodes``).
+No node coordinate is subtracted from c, so membership does not move with
+the ball's position through rounding, and every node-centred ball holds
+the same stencil (``ball_offsets``). Cubes are closed and axis-parallel, and all
 integrals are plain node sums times ``h**dim``. These conventions are
 shared by every other module, so they live here.
 """
@@ -158,6 +159,8 @@ class Ball:
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
         object.__setattr__(self, "center", center)
+        if not np.isfinite(center).all():
+            raise BadShape(f"ball center must be finite, got {center}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise BadShape(f"ball radius must be positive, got {self.radius}")
 
@@ -172,6 +175,8 @@ class Cube:
     def __post_init__(self):
         corner = np.atleast_1d(np.asarray(self.corner, dtype=float))
         object.__setattr__(self, "corner", corner)
+        if not np.isfinite(corner).all():
+            raise BadShape(f"cube corner must be finite, got {corner}")
         if not (math.isfinite(self.side) and self.side > 0):
             raise BadShape(f"cube side must be positive, got {self.side}")
 
@@ -265,28 +270,6 @@ def same_nodes(a, b):
     )
 
 
-def _inside(dist_sq, r):
-    """The open-ball rule: a node at squared distance ``dist_sq`` from the centre is in B(c, r)."""
-    return np.sqrt(dist_sq) < r - ATOL
-
-
-def _window_membership(grid, ball):
-    """Slices of the ball's index window plus the open-ball membership bool array.
-
-    The window holds the nodes with every coordinate within r (+ ATOL)
-    of the centre; it is None when no such node exists.
-    """
-    lo = np.ceil((ball.center - ball.radius - grid.origin - ATOL) / grid.spacing)
-    hi = np.floor((ball.center + ball.radius - grid.origin + ATOL) / grid.spacing)
-    lo, hi = np.maximum(lo, 0).astype(int), np.minimum(hi, np.array(grid.shape) - 1).astype(int)
-    if np.any(lo > hi):
-        return None, None
-    axes = [grid.origin[a] + grid.spacing * np.arange(lo[a], hi[a] + 1) - ball.center[a]
-            for a in range(grid.dim)]
-    dist_sq = sum(d**2 for d in np.meshgrid(*axes, indexing="ij"))
-    return tuple(slice(i0, i1 + 1) for i0, i1 in zip(lo, hi)), _inside(dist_sq, ball.radius)
-
-
 def region_mask(grid, region=None):
     """Boolean node membership of a region intersected with the domain mask.
 
@@ -295,16 +278,14 @@ def region_mask(grid, region=None):
     if region is None:
         return grid.mask.copy()
     if isinstance(region, Ball):
-        out = np.zeros(grid.shape, dtype=bool)
-        slices, inside = _window_membership(grid, region)
-        if slices is not None:
-            out[slices] = inside
-        return out & grid.mask
-    if isinstance(region, Cube):
-        out = np.zeros(grid.n_nodes, dtype=bool)
-        out[cube_nodes(grid, region.corner[None], np.array([region.side]))[0]] = True
-        return out.reshape(grid.shape)
-    raise TypeError(f"unsupported region type {type(region)!r}")
+        nodes = ball_nodes(grid, region.center[None], [region.radius])
+    elif isinstance(region, Cube):
+        nodes = cube_nodes(grid, region.corner[None], np.array([region.side]))
+    else:
+        raise TypeError(f"unsupported region type {type(region)!r}")
+    out = np.zeros(grid.n_nodes, dtype=bool)
+    out[nodes[0]] = True
+    return out.reshape(grid.shape)
 
 
 def region_members(grid, region=None):
@@ -316,12 +297,8 @@ def region_members(grid, region=None):
 
 
 def node_set(grid, ball):
-    """Flat indices of masked-in nodes x with ``|x - c| < r - ATOL``, row-major; may be empty.
-
-    For a ball centred at a node they are that node plus ``ball_offsets``.
-    """
-    member = region_mask(grid, ball)
-    return np.flatnonzero(member)
+    """Flat indices of the ball's masked-in nodes (``ball_nodes``), row-major; may be empty."""
+    return ball_nodes(grid, ball.center[None], [ball.radius])[0]
 
 
 def distinct(values):
@@ -393,17 +370,12 @@ def cube_nodes(grid, corners, sides):
 
 
 def ball_in_domain(grid, ball):
-    """Ball containment test: all inside nodes masked-in, bbox inside grid bbox.
-
-    Node-based plus bounding box; an approximation for implicit masks.
-    """
-    if not np.all(box_fits(grid.bbox_lo, grid.bbox_hi, ball.center - ball.radius,
-                           ball.center + ball.radius)):
-        return False
-    slices, inside = _window_membership(grid, ball)
-    if slices is None:
-        return True
-    return bool(np.all(grid.mask[slices][inside]))
+    """Ball containment: bbox in the grid bbox and every node of the ball masked in (node-based,
+    an approximation for implicit masks)."""
+    c, r = ball.center, ball.radius
+    idx = _ball_lattice(grid, c[None], [r])[0]  # first, for its check of the centre's shape
+    return bool(np.all(box_fits(grid.bbox_lo, grid.bbox_hi, c - r, c + r))
+                and grid.mask.ravel()[idx].all())
 
 
 def riemann_integral(field, region=None):
@@ -413,12 +385,12 @@ def riemann_integral(field, region=None):
 
 
 def weight_integral(weight, member, what):
-    """Node-sum quadrature of a weight over the boolean nodes ``member``, as a float.
+    """Node-sum quadrature of a weight over ``member`` (boolean nodes or flat indices), a float.
 
     A sum past the float range raises WeightOverflow naming ``what``.
     """
     with np.errstate(over="ignore"):
-        total = float(weight.values[member].sum() * weight.grid.cell_volume())
+        total = float(weight.values.ravel()[member.ravel()].sum() * weight.grid.cell_volume())
     if total == math.inf:
         raise WeightOverflow(f"{what} overflows the float range")
     return total
@@ -492,18 +464,57 @@ def lattice_offsets(dim, reach):
     return np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
 
 
+def _ball_stencil(grid, r, off):
+    """The ball rule: offsets d (m, dim), row-major, with ``|h d - off| < r - ATOL``; the
+    reach is capped at the longest axis, since a longer offset joins no two nodes."""
+    reach = math.ceil(min(float(r + np.abs(off).sum()) / grid.spacing, max(grid.shape) - 1))
+    deltas = lattice_offsets(grid.dim, reach)
+    return deltas[np.sqrt(np.sum((deltas * grid.spacing - off) ** 2, axis=1)) < r - ATOL]
+
+
 def ball_offsets(grid, r):
     """Integer offsets (m, dim), row-major, of the nodes in the open r-ball about any node.
 
-    Decided once per grid and radius; every call returns that read-only array.
+    Offset 0 of the ball rule, decided once per grid and radius; returns that read-only array.
     """
     deltas = grid._stencils.get(r)
     if deltas is None:
-        deltas = lattice_offsets(grid.dim, int(math.ceil(r / grid.spacing)))
-        deltas = deltas[_inside(np.sum((deltas * grid.spacing) ** 2, axis=1), r)]
+        deltas = _ball_stencil(grid, r, np.zeros(grid.dim))
         deltas.flags.writeable = False
         grid._stencils[r] = deltas
     return deltas
+
+
+def ball_nodes(grid, centers, radii):
+    """Per ball (centers (m, dim), radii (m,)): its masked-in nodes' flat indices, row-major."""
+    return [idx[grid.mask.ravel()[idx]] for idx in _ball_lattice(grid, centers, radii)]
+
+
+def _ball_lattice(grid, centers, radii):
+    """Per ball, its nodes in the array, masked in or not: the ball rule (``_ball_stencil``)
+    about the node x_k nearest its centre c, one stencil per (r, c - x_k), ``ball_offsets`` at
+    offset 0. A ball that misses the bounding box holds no node and is never cast to int."""
+    radii = np.asarray(radii, dtype=float)
+    if centers.shape != (len(radii), grid.dim):
+        raise BadShape(f"ball centres have shape {centers.shape}, not ({len(radii)}, {grid.dim})")
+    nodes = [np.empty(0, dtype=np.intp)] * len(radii)
+    live = np.flatnonzero(box_fits(grid.bbox_lo - radii[:, None], grid.bbox_hi + radii[:, None],
+                                   centers, centers).all(axis=1))
+    top = np.array(grid.shape) - 1
+    k = np.clip(np.rint((centers[live] - grid.origin) / grid.spacing), 0, top).astype(int)
+    off = centers[live] - (grid.origin + grid.spacing * k)
+    groups = {}
+    for i, key in enumerate(zip(radii[live].tolist(), map(tuple, off.tolist()))):
+        groups.setdefault(key, []).append(i)
+    for (r, o), members in groups.items():
+        deltas = _ball_stencil(grid, r, np.array(o)) if any(o) else ball_offsets(grid, r)
+        # At most about 2^16 ball nodes per pass, which bounds the temporary arrays.
+        for part in np.array_split(members, 1 + (len(members) * len(deltas) >> 16)):
+            pos = k[part][:, None] + deltas
+            inside = ((pos >= 0) & (pos <= top)).all(axis=2)
+            for i, row, keep in zip(live[part].tolist(), lattice_flat(grid, pos), inside):
+                nodes[i] = row[keep]
+    return nodes
 
 
 def eroded_mask(grid, r):

@@ -428,7 +428,7 @@ def table_varexp(ctx):
     _, f, _, pfun = lvl.fields
     if pfun is None:
         raise PreconditionError("config has no exponent section")
-    lh = lh_constants(pfun, seed=config.seed)
+    lh = lh_constants(pfun)
     rows = [
         row("varexp", "p_minus", pfun.p_minus),
         row("varexp", "p_plus", pfun.p_plus),

@@ -16,11 +16,10 @@ from .grid import (
     Ball,
     FieldKind,
     SampledField,
+    ball_nodes,
     ball_offsets,
     eroded_mask,
     gradient_magnitude,
-    node_set,
-    region_mask,
     region_members,
     shifted,
 )
@@ -131,8 +130,7 @@ def morrey_check(f, w, p, region_pairs, q=None, rw=1.0, pair_budget=2000, seed=0
     worst = 0.0
     for x0, R in region_pairs:
         ball = Ball(np.atleast_1d(np.asarray(x0, dtype=float)), float(R))
-        double = Ball(ball.center, 2.0 * ball.radius)
-        idx = node_set(grid, ball)
+        idx, double = ball_nodes(grid, np.stack([ball.center] * 2), [ball.radius, 2 * ball.radius])
         if idx.size < 2:
             raise EmptyRegion("Morrey ball holds fewer than two nodes")
         grad_norm = weighted_lp_norm(grad_mag, w, p, region=ball)
@@ -144,9 +142,8 @@ def morrey_check(f, w, p, region_pairs, q=None, rw=1.0, pair_budget=2000, seed=0
                 )
             rows.append(row("morrey", "C_hat", 0.0, center=tuple(ball.center), R=R))
             continue
-        sigma_vals = w.values ** (1.0 / (1.0 - q))
-        sigma_member = region_mask(grid, double)
-        sigma_mass = float(sigma_vals[sigma_member].sum() * grid.cell_volume())
+        sigma = w.values.ravel()[double] ** (1.0 / (1.0 - q))
+        sigma_mass = float(sigma.sum() * grid.cell_volume())
         denom_const = sigma_mass ** ((q - 1.0) / p) * grad_norm
         n_pairs = min(pair_budget, idx.size * (idx.size - 1) // 2)
         ia = rng.integers(0, idx.size, size=n_pairs)

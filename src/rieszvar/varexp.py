@@ -8,7 +8,7 @@ only the steps within a rounding margin of it. The variable-exponent
 variation seminorm reuses the constant-exponent packing optimizer as a
 proposal generator and evaluates the exact Luxemburg value on each proposed
 disjoint family, so reported values are lower bounds. Proposed balls are
-gathered as centre plus stencil, other families by region.
+gathered as centre plus stencil, other families by ``grid.ball_nodes``.
 """
 
 import math
@@ -21,11 +21,13 @@ from .errors import BadParams, EmptyRegion, PreconditionError
 from .grid import (
     FieldKind,
     SampledField,
+    ball_nodes,
     ball_offsets,
     gradient_magnitude,
     lattice_flat,
-    node_set,
+    lattice_offsets,
     region_members,
+    shifted,
     size_blocks,
 )
 from .report import row
@@ -42,35 +44,28 @@ class LHDiagnostics:
     p_infinity_used: float
 
 
-def lh_constants(pfun, pair_budget=50000, p_infinity=None, seed=0):
-    """Sampled log-Hölder constants of the exponent.
+def lh_constants(pfun, p_infinity=None):
+    """Log-Hölder constants of the exponent.
 
-    c0 maximizes |p(x)-p(y)| * (-log|x-y|) over node pairs with
-    |x-y| < 1/2 (a seeded batch of rows scanned against all nodes);
-    c_infinity maximizes |p(x)-p_inf| * log(e+|x|), with p_inf supplied
-    or taken at the node of maximal |x|.
+    c0 is the supremum of |p(x)-p(y)| * (-log|x-y|) over node pairs with
+    0 < |x-y| < 1/2, exact: one shifted-array pass per lattice offset delta
+    (lexicographically positive: each pair once) takes max |p(x+delta) - p(x)|.
+    c_infinity maximizes |p(x)-p_inf| * log(e+|x|), with p_inf supplied or
+    taken at the node of maximal |x|.
     """
-    if pair_budget < 1:
-        raise PreconditionError("pair_budget must be >= 1")
     grid = pfun.grid
-    idx = np.flatnonzero(grid.mask.reshape(-1))
-    pts = grid.node_coordinate(idx)
-    pv = pfun.values.reshape(-1)[idx]
-    n = idx.size
-    radial = np.linalg.norm(pts, axis=1)
+    pv = pfun.values[grid.mask]
+    radial = np.linalg.norm(grid.node_coordinate(np.flatnonzero(grid.mask)), axis=1)
     p_inf = float(pv[np.argmax(radial)] if p_infinity is None else p_infinity)
     c_inf = float(np.max(np.abs(pv - p_inf) * np.log(np.e + radial)))
-    n_rows = max(1, min(n, pair_budget // n + 1))
-    rng = np.random.Generator(np.random.Philox(seed))
-    rows = rng.choice(n, size=n_rows, replace=False)
+    deltas = lattice_offsets(grid.dim, math.ceil(0.5 / grid.spacing))
+    deltas = deltas[len(deltas) // 2 + 1:]
+    dist = np.sqrt(np.sum((deltas * grid.spacing) ** 2, axis=1))
+    p = np.where(grid.mask, pfun.values, 0.0)
     c0 = 0.0
-    for i in rows:
-        d = np.linalg.norm(pts - pts[i], axis=1)
-        near = (d > 0) & (d < 0.5)
-        if not near.any():
-            continue
-        vals = np.abs(pv[near] - pv[i]) * (-np.log(d[near]))
-        c0 = max(c0, float(vals.max()))
+    for delta, log_dist in zip(deltas[dist < 0.5], np.log(dist[dist < 0.5]).tolist()):
+        gap = np.abs(shifted(p, delta) - p)[grid.mask & shifted(grid.mask, delta)]
+        c0 = max(c0, float(gap.max(initial=0.0)) * -log_dist)
     return LHDiagnostics(c0, c_inf, p_inf)
 
 
@@ -278,14 +273,13 @@ def seq_norm(sequence, tol=TOL):
 
 
 def _gather(f, collection):
-    """Per ball: its masked-in flat node indices and osc_B(f)/r_B, 0.0 when it holds no node."""
+    """Per ball: its masked-in flat nodes (``ball_nodes``) and osc_B(f)/r_B, 0.0 if none."""
+    balls = list(collection)
+    nodes = ball_nodes(f.grid, np.array([b.center for b in balls]).reshape(-1, f.grid.dim),
+                       [b.radius for b in balls])
     fv = f.values.reshape(-1)
-    nodes, a = [], []
-    for ball in collection:
-        idx = node_set(f.grid, ball)
-        vals = fv[idx]
-        nodes.append(idx)
-        a.append(float((vals.max() - vals.min()) / ball.radius) if idx.size else 0.0)
+    a = [float((fv[idx].max() - fv[idx].min()) / b.radius) if idx.size else 0.0
+         for idx, b in zip(nodes, balls)]
     return tuple(nodes), np.array(a)
 
 

@@ -31,6 +31,7 @@ from rieszvar import (
 from rieszvar.config import load_config_file, materialize_level
 from rieszvar.errors import (
     BadShape,
+    EmptyRegion,
     NoCubes,
     PreconditionError,
     ToolkitError,
@@ -43,7 +44,6 @@ from rieszvar.grid import (
     FieldKind,
     SampledField,
     _shift_slices,
-    _window_membership,
     ball_in_domain,
     ball_offsets,
     balls_disjoint,
@@ -85,6 +85,7 @@ from rieszvar.weights import (
     a1_constant,
     ap_constant,
     doubling_ball_family,
+    doubling_constant,
     estimate_rw,
     rh_constant,
 )
@@ -283,12 +284,35 @@ def frozen_boundary_nodes(grid):
     return boundary & grid.mask
 
 
+def frozen_window_membership(grid, ball):
+    """The window rule the ball rule replaced: slices of the ball's index window and
+    ``|x - c| < r - ATOL`` on node coordinates minus the centre, or (None, None)."""
+    lo = np.ceil((ball.center - ball.radius - grid.origin - ATOL) / grid.spacing)
+    hi = np.floor((ball.center + ball.radius - grid.origin + ATOL) / grid.spacing)
+    lo, hi = np.maximum(lo, 0).astype(int), np.minimum(hi, np.array(grid.shape) - 1).astype(int)
+    if np.any(lo > hi):
+        return None, None
+    axes = [grid.origin[a] + grid.spacing * np.arange(lo[a], hi[a] + 1) - ball.center[a]
+            for a in range(grid.dim)]
+    dist_sq = sum(d**2 for d in np.meshgrid(*axes, indexing="ij"))
+    return tuple(slice(i0, i1 + 1) for i0, i1 in zip(lo, hi)), np.sqrt(dist_sq) < ball.radius - ATOL
+
+
+def frozen_ball_mask(grid, ball):
+    """``region_mask(grid, ball)`` by the window rule."""
+    out = np.zeros(grid.shape, dtype=bool)
+    slices, inside = frozen_window_membership(grid, ball)
+    if slices is not None:
+        out[slices] = inside
+    return out & grid.mask
+
+
 def frozen_ball_in_domain(grid, ball):
     lo_ok = np.all(ball.center - ball.radius >= grid.bbox_lo - ATOL)
     hi_ok = np.all(ball.center + ball.radius <= grid.bbox_hi + ATOL)
     if not (lo_ok and hi_ok):
         return False
-    slices, inside = _window_membership(grid, ball)
+    slices, inside = frozen_window_membership(grid, ball)
     if slices is None:
         return True
     return bool(np.all(grid.mask[slices][inside]))
@@ -328,11 +352,11 @@ def frozen_family(grid, cubes):
 
 
 def frozen_gather(f, collection):
-    """Per ball: ``node_set`` and osc_B(f)/r_B, one region_mask each."""
+    """Per ball: its nodes by the window rule and osc_B(f)/r_B."""
     fv = f.values.reshape(-1)
     nodes, a = [], []
     for ball in collection:
-        idx = np.flatnonzero(region_mask(f.grid, ball))
+        idx = np.flatnonzero(frozen_ball_mask(f.grid, ball))
         vals = fv[idx]
         nodes.append(idx)
         a.append(float((vals.max() - vals.min()) / ball.radius) if idx.size else 0.0)
@@ -964,8 +988,11 @@ class TestBoxAndCubeRulesMatchTheirCopies:
                  for c in rng.choice(starts, 120) for side in rng.choice(sides, 2)]
         cubes += [Cube(lo - 5.0, 1.0), Cube(hi + 0.5, 0.25), Cube(lo - 1.0, 50.0),
                   Cube(hi - ATOL, 3.0), Cube(lo - 2.0, 2.0 - 0.5 * ATOL)]
-        cubes += [Cube(np.full(grid.dim, x), 0.5) for x in (np.nan, np.inf, -np.inf)]
-        cubes += [Cube(np.r_[lo[:-1], x], 0.5) for x in (np.nan, -np.inf)]
+        # A non-finite corner is no cube at all.
+        for corner in ([np.full(grid.dim, x) for x in (np.nan, np.inf, -np.inf)]
+                       + [np.r_[lo[:-1], x] for x in (np.nan, -np.inf)]):
+            with pytest.raises(BadShape, match="cube corner must be finite"):
+                Cube(corner, 0.5)
         hits = 0
         for cube in cubes:
             got, want = region_mask(grid, cube), frozen_cube_mask(grid, cube)
@@ -1102,6 +1129,67 @@ class TestProposalGatherMatchesNodeSet:
             for key in ("a", "p_ball", "char"):
                 assert getattr(user, key).tolist() == getattr(t, key).tolist()
             assert user.norm == t.norm
+
+
+class TestBallFamiliesMatchWindowRule:
+    """On dyadic grids one ``ball_nodes`` call per family gathers what one window-rule
+    region per ball did: doubling constants, packing terms and G_D f, bit for bit."""
+
+    GRIDS = {
+        "1d": lambda: build_grid(1, [0.0], 1 / 64, [65]),
+        "2d": lambda: build_grid(2, [-1.0, -1.0], 0.125, [17, 17]),
+        "disk": lambda: unit_disk(0.125),
+        "3d": lambda: build_grid(3, [0.0, 0.0, 0.0], 0.125, [9, 9, 9]),
+    }
+
+    @staticmethod
+    def family(grid, seed, disjoint):
+        """Balls on nodes, a quarter or half spacing off them and across the box's faces,
+        each holding some masked-in node."""
+        rng = np.random.default_rng(seed)
+        h = grid.spacing
+        centres = grid.node_coordinate(rng.choice(grid.n_nodes, 60))
+        centres = centres + rng.choice([-0.5, -0.25, 0.0, 0.0, 0.25, 0.5], centres.shape) * h
+        radii = rng.choice([1.0, 1.5, 2.0, 2.25, 3.0], len(centres)) * h
+        balls = []
+        for c, r in zip(centres, radii.tolist()):
+            ball = Ball(c, r)
+            if frozen_ball_mask(grid, ball).any() and (
+                    not disjoint or all(balls_disjoint(ball, b) for b in balls)):
+                balls.append(ball)
+        assert len(balls) > 3
+        return balls
+
+    @pytest.mark.parametrize("case", sorted(GRIDS))
+    def test_doubling_constant(self, case):
+        grid = self.GRIDS[case]()
+        vol = grid.cell_volume()
+        w = sample_catalog(grid, "power_weight", {"alpha": 0.5, "center": [0.3] * grid.dim})
+        balls = self.family(grid, 1, disjoint=False)
+        want = 0.0
+        for ball in balls:
+            wb = float(w.values[frozen_ball_mask(grid, ball)].sum() * vol)
+            double = frozen_ball_mask(grid, Ball(ball.center, 2.0 * ball.radius))
+            want = max(want, float(w.values[double].sum() * vol) / wb)
+        assert doubling_constant(w, balls) == want
+        far = Ball(grid.bbox_hi + 1.0, grid.spacing)
+        with pytest.raises(EmptyRegion, match="no masked-in node lies in the region"):
+            doubling_constant(w, balls + [far])
+
+    @pytest.mark.parametrize("case", sorted(GRIDS))
+    def test_packing_terms_and_g_operator(self, case):
+        grid = self.GRIDS[case]()
+        f = sample_catalog(grid, "bump", {"radius": 0.75})
+        pfun = exponent_catalog(grid, "affine", {"intercept": 3.5, "slope": 0.25})
+        collection = BallCollection(self.family(grid, 2, disjoint=True))
+        nodes, a = frozen_gather(f, collection)
+        terms = packing_terms(f, collection, pfun)
+        assert [idx.tolist() for idx in terms.nodes] == [idx.tolist() for idx in nodes]
+        assert terms.a.tolist() == a
+        want = np.zeros(grid.n_nodes)
+        for idx, value in zip(nodes, a):
+            want[idx] = value
+        assert g_operator(f, collection).values.reshape(-1).tolist() == want.tolist()
 
 
 class TestDP1DMatchesTupleDP:

@@ -30,8 +30,8 @@ from rieszvar.errors import (
     PreconditionError,
     UnknownCatalogEntry,
 )
-from rieszvar.grid import ball_in_domain, ball_offsets, eroded_mask, region_mask
-from rieszvar.riesz import candidate_balls
+from rieszvar.grid import ATOL, ball_in_domain, ball_offsets, eroded_mask, region_mask
+from rieszvar.riesz import candidate_balls, score_ball
 
 from conftest import as_balls, const_weight, linear, unit_disk
 
@@ -283,6 +283,104 @@ class TestBallStencil:
         g = build_grid(1, [0.0], 0.1, [11])
         for c in g.axis_coords(0)[2:-2]:
             assert node_set(g, Ball([c], 0.2)).size == 3
+
+
+def _line_and_plane():
+    """The 41-node h = 0.1 line and 2D grids with h = 0.1 and h = 1/3: not dyadic, so a
+    node coordinate minus another carries rounding."""
+    return [build_grid(1, [0.0], 0.1, [41]), build_grid(2, [0.0, 0.0], 0.1, [21, 21]),
+            build_grid(2, [-1.0, 0.0], 1 / 3, [13, 10])]
+
+
+def _rule_radii(h):
+    return [m * h + e for m in (1, 2, 3) for e in (-ATOL, 0.0, ATOL)]
+
+
+class TestBallRule:
+    """Every ball's nodes are its nearest node plus an offset stencil, wherever it sits."""
+
+    @pytest.mark.parametrize("g", _line_and_plane(), ids=["line", "plane_tenth", "plane_third"])
+    def test_node_centred_ball_is_node_plus_stencil(self, g):
+        for r in _rule_radii(g.spacing):
+            deltas = ball_offsets(g, r)
+            for flat in range(g.n_nodes):
+                k = np.array(np.unravel_index(flat, g.shape))
+                pos = k + deltas
+                pos = pos[((pos >= 0) & (pos < g.shape)).all(axis=1)]
+                expected = np.zeros(g.shape, dtype=bool)
+                expected[tuple(pos.T)] = True
+                got = region_mask(g, Ball(g.node_coordinate(flat), r))
+                assert np.array_equal(got, expected), (r, flat)
+
+    @pytest.mark.parametrize("g", _line_and_plane(), ids=["line", "plane_tenth", "plane_third"])
+    def test_interior_constant_weight_measure_is_one_value(self, g):
+        w = const_weight(g)
+        for r in _rule_radii(g.spacing):
+            balls = [Ball(g.node_coordinate(flat), r) for flat in range(g.n_nodes)]
+            masses = {weighted_measure(w, b) for b in balls if ball_in_domain(g, b)}
+            assert masses == {len(ball_offsets(g, r)) * g.cell_volume()}, r
+
+    @pytest.mark.parametrize("g", _line_and_plane(), ids=["line", "plane_tenth", "plane_third"])
+    def test_eroded_mask_is_ball_in_domain_at_every_node(self, g):
+        holes = np.zeros(g.shape, dtype=bool)
+        holes.flat[[g.n_nodes // 2, g.n_nodes // 3]] = True
+        holed = build_grid(g.dim, g.origin, g.spacing, g.shape, lambda pts: ~holes)
+        for grid in (g, holed):
+            for r in _rule_radii(g.spacing):
+                eroded = eroded_mask(grid, r).reshape(-1)
+                got = [ball_in_domain(grid, Ball(grid.node_coordinate(flat), r))
+                       for flat in range(grid.n_nodes)]
+                assert got == eroded.tolist(), r
+
+    def test_off_node_balls_share_a_stencil(self):
+        """Balls with one radius and one offset from their nearest node hold translated
+        node sets, and a ball with its centre off the box keeps the rule."""
+        g = build_grid(2, [0.0, 0.0], 0.1, [21, 21])
+        shift = np.array([0.03, -0.02])
+        balls = [Ball(g.node_coordinate(flat) + shift, 0.25) for flat in range(g.n_nodes)]
+        counts = {node_set(g, b).size for b in balls if ball_in_domain(g, b)}
+        assert len(counts) == 1
+        edge = node_set(g, Ball([-0.05, 1.0], 0.2))
+        assert [tuple(np.round(g.node_coordinate(i), 12)) for i in edge] == [
+            (0.0, 0.9), (0.0, 1.0), (0.0, 1.1), (0.1, 0.9), (0.1, 1.0), (0.1, 1.1)]
+
+
+class TestNonFiniteAndFarCentres:
+    """A ball's centre and a cube's corner are finite; a far ball holds no node."""
+
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+    def test_non_finite_centre_is_bad_shape(self, x):
+        with pytest.raises(BadShape, match="ball center must be finite"):
+            Ball([x], 0.1)
+        with pytest.raises(BadShape, match="ball center must be finite"):
+            Ball([0.5, x], 0.1)
+        with pytest.raises(BadShape, match="cube corner must be finite"):
+            Cube([x], 0.5)
+
+    def test_centre_of_another_dimension_is_bad_shape(self, disk_grid):
+        w = const_weight(disk_grid)
+        for ball in (Ball([0.5], 0.2), Ball([0.5, 0.5, 0.5], 0.2)):
+            with pytest.raises(BadShape, match="ball centres have shape"):
+                weighted_measure(w, ball)
+            with pytest.raises(BadShape, match="ball centres have shape"):
+                node_set(disk_grid, ball)
+            with pytest.raises(BadShape, match="ball centres have shape"):
+                ball_in_domain(disk_grid, Ball(ball.center, 0.01))
+
+    @pytest.mark.parametrize("x", [1e300, -1e300])
+    def test_far_centre_holds_no_node(self, x, disk_grid):
+        g = build_grid(1, [0.0], 1 / 64, [65])
+        f, w = linear(g), const_weight(g)
+        for grid, fw, ball in ((g, (f, w), Ball([x], 0.1)),
+                               (disk_grid, (linear(disk_grid, [1.0, 1.0]), const_weight(disk_grid)),
+                                Ball([0.0, x], 0.1))):
+            assert not region_mask(grid, ball).any()
+            assert node_set(grid, ball).size == 0
+            assert not ball_in_domain(grid, ball)
+            for measure in (lambda: weighted_measure(fw[1], ball), lambda: oscillation(fw[0], ball),
+                            lambda: score_ball(fw[0], fw[1], ball, 2.0)):
+                with pytest.raises(EmptyRegion):
+                    measure()
 
 
 class TestBallCollection:

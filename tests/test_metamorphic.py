@@ -13,6 +13,16 @@ every node coordinate and field value is exact.
 Weight scaling w -> 4 w: the theorem1 variation and gradient norm scale
 by 4^(1/p) and the Hölder gap by 4^(1/p1); every other row stays, since
 each is a ratio of two weighted quantities or does not read the weight.
+
+Dilation x -> 2 x of theorem1_linear (bounds, h, radii and cube sides
+doubled, f(x/2) and p(x/2) by halved slopes, a constant weight): each
+score (osc/r)^p w(B) scales by 2^(n - p), so the theorem1 variation and
+gradient norm scale by 2^(n/p - 1) and the Hölder gap by 2^(n/p1 - 1);
+the theorem1 ratios, lemma21 and rh_exists stay, and the ``h`` param
+doubles. The variable-exponent rows (gd_equivalence, varexp_sobolev) have
+no dilation law: their modular sums (osc/r)^p(x) with p varying, so they
+are skipped, as are the differentiability fractions (the gradient halves)
+and the drift rows.
 """
 
 import ast
@@ -208,3 +218,39 @@ def test_weight_scaling(path, monkeypatch):
     moves = path.stem in RW_MOVES
     _assert_rows_follow(base, mapped, lambda r: _weight_law(r, moves),
                         lambda r: _weight_param_laws(r, moves))
+
+
+D = 2.0
+
+
+def _dilation_law(r, dim):
+    """The factor a row's value takes under x -> D x, or None for a row with no law."""
+    p = _params(r.params)
+    if (r.experiment in VARIABLE_EXPONENT or r.experiment == "differentiability"
+            or r.quantity.endswith("_drift")):
+        return None
+    if r.experiment == "theorem1" and r.quantity in ("variation", "grad_norm"):
+        return D ** (dim / float(p["p"]) - 1.0)
+    if (r.experiment, r.quantity) == ("embedding", "holder_gap"):
+        return D ** (dim / float(p["p1"]) - 1.0)
+    assert r.experiment in ("theorem1", "lemma21", "rh_exists"), r
+    return 1.0
+
+
+def test_dilation():
+    path = CONFIGS[0]
+    raw = json.loads(path.read_text())
+    dilated = copy.deepcopy(raw)
+    assert (raw["function"]["catalog"], raw["weight"]["catalog"],
+            raw["exponent"]["catalog"]) == ("linear", "constant", "affine")
+    dilated["grid"]["bounds"] = [[D * lo, D * hi] for lo, hi in raw["grid"]["bounds"]]
+    dilated["grid"]["h"] *= D
+    dilated["radii"] = [D * r for r in raw["radii"]]
+    dilated["cubes"]["min_side"] *= D
+    for key in ("function", "exponent"):
+        dilated[key]["params"]["slope"] /= D
+    base = harness.run_config(load_config(raw)).rows
+    mapped = harness.run_config(load_config(dilated)).rows
+    dim = raw["grid"]["dim"]
+    _assert_rows_follow(base, mapped, lambda r: _dilation_law(r, dim),
+                        lambda r: {"h": _scaled_by(D), "ap": _scaled_by(1.0)})

@@ -71,12 +71,12 @@ class TestExponentFunction:
 
 class TestLogHolder:
     def test_constant_exponent_zero(self, p_const):
-        lh = lh_constants(p_const, seed=0)
+        lh = lh_constants(p_const)
         assert lh.c0_estimate == 0.0
         assert lh.c_infinity_estimate == 0.0
 
     def test_affine_hits_inverse_e(self, p_affine):
-        lh = lh_constants(p_affine, seed=0)
+        lh = lh_constants(p_affine)
         assert lh.c0_estimate == pytest.approx(math.exp(-1), abs=5e-3)
 
     def test_jump_blows_up_under_refinement(self):
@@ -85,8 +85,54 @@ class TestLogHolder:
             g = build_grid(1, [0.0], 2.0**-k, [2**k + 1])
             p = exponent_catalog(g, "step_exponent",
                                  {"threshold": 0.5, "left": 2.0, "right": 4.0})
-            estimates.append(lh_constants(p, seed=0).c0_estimate)
+            estimates.append(lh_constants(p).c0_estimate)
         assert estimates[1] > estimates[0]
+
+
+def brute_force_c0(pfun):
+    """max |p(x) - p(y)| * (-log|x - y|) over every pair of masked-in nodes, 0 < |x - y| < 1/2."""
+    grid = pfun.grid
+    idx = np.flatnonzero(grid.mask.reshape(-1))
+    pts, pv = grid.node_coordinate(idx), pfun.values.reshape(-1)[idx]
+    best = 0.0
+    for i in range(idx.size):
+        for j in range(i + 1, idx.size):
+            d = math.dist(pts[i], pts[j])
+            if d < 0.5:
+                best = max(best, abs(pv[i] - pv[j]) * -math.log(d))
+    return best
+
+
+class TestLogHolderExact:
+    """c0 is the node-pair supremum, with no sampling: on a dyadic grid |x - y| is exact,
+    so the lattice pass equals the pair loop bit for bit."""
+
+    GRIDS = {
+        "1d": lambda: build_grid(1, [0.0], 1 / 32, [33]),
+        "2d_disk": lambda: build_grid(2, [-1.0, -1.0], 0.125, [17, 17],
+                                      lambda x: np.linalg.norm(x, axis=-1) < 0.9),
+        "3d": lambda: build_grid(3, [-1.0, -1.0, -1.0], 0.25, [9, 9, 9]),
+    }
+    EXPONENTS = {
+        "affine": ("affine", {"intercept": 3.0, "slope": 0.5}),
+        "step": ("step_exponent", {"threshold": 0.03, "left": 2.0, "right": 4.0}),
+    }
+
+    @pytest.mark.parametrize("exponent", sorted(EXPONENTS))
+    @pytest.mark.parametrize("case", sorted(GRIDS))
+    def test_equals_the_pair_loop(self, case, exponent):
+        grid = self.GRIDS[case]()
+        name, params = self.EXPONENTS[exponent]
+        pfun = exponent_catalog(grid, name, params)
+        assert lh_constants(pfun).c0_estimate == brute_force_c0(pfun)
+
+    def test_step_on_a_fine_box(self):
+        """On 33^3 nodes over [-1, 1]^3 the jump of 2 across x = 0.03 sits between
+        neighbours at distance 1/16: c0 = 2 log 16. Sampling rows misses it."""
+        grid = build_grid(3, [-1.0, -1.0, -1.0], 0.0625, [33, 33, 33])
+        pfun = exponent_catalog(grid, "step_exponent",
+                                {"threshold": 0.03, "left": 2.0, "right": 4.0})
+        assert lh_constants(pfun).c0_estimate == pytest.approx(2 * math.log(16), rel=1e-15)
 
 
 class TestHarmonicMean:
