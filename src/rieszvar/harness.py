@@ -8,16 +8,18 @@ from functools import cached_property, partial
 import numpy as np
 
 from .config import materialize_level
-from .errors import PreconditionError, ScoreOverflow, ToolkitError
+from .errors import PreconditionError, ToolkitError
 from .grid import gradient_magnitude, weight_integral
 from .report import Report, ReportRow, params_string, row
 from .riesz import (
+    ball_scores,
     candidate_balls,
     lipschitz_field,
     make_scores,
     measure_balls,
     pack,
     require_compact_support,
+    score_total,
     weak_type_rows,
 )
 from .sobolev import mollify_gradient_bound, morrey_check, weighted_lp_norm
@@ -247,12 +249,8 @@ def suite_embedding(ctx):
         if not sol2.indices:
             continue
         scored, at = sol2.scored, list(sol2.indices)
-        terms = zip(*(a[at].tolist() for a in (scored.oscillation, scored.radii, scored.weight_mass)))
-        try:
-            total1 = math.fsum((o / r) ** p1 * m for o, r, m in terms)
-        except OverflowError:  # a Python-float power or fsum past the float range
-            raise ScoreOverflow(f"the score sum at p = {p1} overflows the float range") from None
-        lhs = total1 ** (1.0 / p1)
+        scores1 = ball_scores(scored.oscillation[at], scored.radii[at], scored.weight_mass[at], p1)
+        lhs = score_total(scores1, p1) ** (1.0 / p1)
         rhs = sol2.total ** (1.0 / p2) * w_total ** (1.0 / p1 - 1.0 / p2)
         rows.append(row("embedding", "holder_gap", rhs - lhs, 0.0,
                         lhs <= rhs * (1.0 + 1e-8), p1=p1, p2=p2))

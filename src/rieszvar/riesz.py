@@ -183,7 +183,7 @@ def candidate_balls(grid, radii_list):
         raise PreconditionError("radii_list must be nonempty")
     if not all(math.isfinite(r) for r in radii):
         raise PreconditionError(f"every radius must be finite, got {radii}")
-    if radii[0] < 2.0 * grid.spacing:
+    if not radii[0] >= 2.0 * grid.spacing:
         raise PreconditionError(f"every radius must be >= 2h = {2 * grid.spacing}, got {radii[0]}")
     fits = {r: eroded_mask(grid, r).reshape(-1) for r in radii}
     radii = [r for r, ok in fits.items() if ok.any()]
@@ -293,43 +293,58 @@ def _window_measures(f, w, groups, osc, mass):
 
 
 def make_scores(candidates, osc, mass, p):
-    """ScoredCandidates with score (osc/r)^p * mass per candidate.
-
-    The scoring shares the conflict rows (``_source``) and lattice keys of
-    ``candidates``, so every packing of one set, at any p or with scores
-    zeroed, decides its geometry once. Powers are taken on Python floats (C
-    library pow): numpy's vectorised power can differ by one ulp, which can
-    flip a greedy or DP tie. A non-finite mass raises WeightOverflow, a
-    score past the float range ScoreOverflow.
+    """ScoredCandidates with the ``ball_scores`` of the candidates. The scoring shares the
+    conflict rows (``_source``) and lattice keys of ``candidates``, so every packing of
+    one set, at any p or with scores zeroed, decides its geometry once.
     """
-    if p < 1:
+    return ScoredCandidates(candidates.centers, candidates.radii, osc, mass,
+                            ball_scores(osc, candidates.radii, mass, p),
+                            grid=candidates.grid, _source=candidates, _keys=candidates._keys)
+
+
+def ball_scores(osc, radii, mass, p):
+    """Scores (osc/r)^p * mass per ball, as a float array: the one score rule.
+
+    Powers are taken on Python floats (C library pow): numpy's vectorised
+    power can differ by one ulp, which can flip a greedy or DP tie. p must
+    be >= 1; a non-finite mass raises WeightOverflow, a score past the
+    float range ScoreOverflow.
+    """
+    if not p >= 1:
         raise PreconditionError(f"p must be >= 1, got {p}")
     if not np.isfinite(mass).all():
         raise WeightOverflow("the weight mass of a ball overflows the float range")
-    base = (np.asarray(osc, dtype=float) / candidates.radii).tolist()
     try:
         with np.errstate(over="ignore"):
-            score = np.array([x ** p for x in base], dtype=float) * mass
+            score = np.array([x ** p for x in (np.asarray(osc) / radii).tolist()]) * mass
     except OverflowError:  # the Python-float power
         score = None
     if score is None or not np.isfinite(score).all():
         raise ScoreOverflow(f"a ball score (osc/r)^p * w(B) at p = {p} overflows the float range")
-    return ScoredCandidates(candidates.centers, candidates.radii, osc, mass, score,
-                            grid=candidates.grid, _source=candidates, _keys=candidates._keys)
+    return score
+
+
+def score_total(scores, p):
+    """The one score total: fsum of a score array, order-independent; ScoreOverflow past DBL_MAX."""
+    try:
+        total = math.fsum(scores.tolist())
+    except OverflowError:  # an intermediate partial sum
+        total = math.inf
+    if not math.isfinite(total):
+        raise ScoreOverflow(f"the score total at p = {p} overflows the float range")
+    return total
 
 
 def score_ball(f, w, ball, p):
-    """The score (osc/r)^p * w(ball) of any ball (off the nodes, clipped), as a float."""
+    """The ``ball_scores`` score of any ball (off the nodes, clipped), as a float."""
     _require_weight(w)
-    if p < 1:
-        raise PreconditionError(f"p must be >= 1, got {p}")
-    return float((oscillation(f, ball) / ball.radius) ** p * weighted_measure(w, ball))
+    return ball_scores([oscillation(f, ball)], ball.radius, weighted_measure(w, ball), p).item()
 
 
 def _solution(selected, scored, p, method, moves=0, capped=False):
-    """PackingSolution of the selected indices; fsum makes the total order-independent."""
+    """PackingSolution of the selected indices, with their ``score_total``."""
     indices = tuple(sorted(int(i) for i in selected))
-    total = math.fsum(scored.score[list(indices)].tolist())
+    total = score_total(scored.score[list(indices)], p)
     return PackingSolution(
         indices=indices,
         scored=scored,
@@ -521,7 +536,7 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
     rows = scored._conflicts
     scores = scored.score
     selected = set(initial.indices)
-    total = start_total = math.fsum(scores[sorted(selected)])
+    total = start_total = score_total(scores[sorted(selected)], initial.p)
     eps = 1e-12 * max(1.0, abs(total))
     moves, capped = 0, True
     while moves < max_iters:
@@ -533,7 +548,7 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
         selected -= removed
         selected |= inserted
         moves += 1
-        total = math.fsum(scores[sorted(selected)])
+        total = score_total(scores[sorted(selected)], initial.p)
         eps = 1e-12 * max(1.0, abs(total))
     if total < start_total:
         return initial
@@ -686,7 +701,7 @@ def classical_riesz_1d(f, p, partition=None):
     grid = f.grid
     if grid.dim != 1:
         raise PreconditionError("classical_riesz_1d requires dim = 1")
-    if p < 1:
+    if not p >= 1:
         raise PreconditionError(f"p must be >= 1, got {p}")
     if partition is None:
         partition = finest_partition(grid)
@@ -701,7 +716,8 @@ def classical_riesz_1d(f, p, partition=None):
     fv = f.values.reshape(-1)[idx]
     dx = np.diff(x)
     df = np.abs(np.diff(fv))
-    return float(math.fsum(df**p / dx ** (p - 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf is nan: ScoreOverflow
+        return score_total(df**p / dx ** (p - 1.0), p)
 
 
 def _shell_offsets(grid, shell_radius):
@@ -720,7 +736,7 @@ def lipschitz_field(f, shell_radius):
     SampledField of kind function.
     """
     grid = f.grid
-    if shell_radius < grid.spacing:
+    if not shell_radius >= grid.spacing:
         raise PreconditionError("shell_radius must be at least the grid spacing")
     best = np.zeros(grid.shape)
     for delta, dist in zip(*_shell_offsets(grid, shell_radius)):

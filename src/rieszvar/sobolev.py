@@ -28,7 +28,7 @@ from .report import row
 
 def weighted_lp_norm(f, w, p, region=None):
     """(sum |f|^p w h^n)^{1/p} over masked nodes in the region."""
-    if p < 1:
+    if not p >= 1:
         raise PreconditionError(f"p must be >= 1, got {p}")
     if w.kind != FieldKind.WEIGHT:
         raise PreconditionError("weighted_lp_norm requires a weight field")
@@ -67,7 +67,7 @@ class Mollifier:
         u_sq = np.sum((deltas * grid.spacing) ** 2, axis=1) / self.R**2
         weights = np.exp(-1.0 / (1.0 - u_sq))
         total = weights.sum() * grid.cell_volume()
-        if total <= 0:
+        if not total > 0:
             raise PreconditionError("mollifier support contains no node")
         weights = weights / total
         return deltas, weights
@@ -85,7 +85,7 @@ def mollify(f, R):
     has unit mass and symmetric offsets).
     """
     grid = f.grid
-    if R < 2.0 * grid.spacing:
+    if not R >= 2.0 * grid.spacing:
         raise PreconditionError(f"R must be >= 2h = {2 * grid.spacing}, got {R}")
     eroded = eroded_mask(grid, R)
     if not eroded.any():
@@ -102,7 +102,7 @@ def mollify(f, R):
 
 def choose_morrey_q(p, n, rw):
     """Midpoint choice: 1 + delta halfway across (n, p/rw), q = p/(1+delta)."""
-    if p <= n * rw:
+    if not p > n * rw:
         raise PreconditionError(f"Morrey check needs p > n * rw, got p={p}, n*rw={n * rw}")
     one_plus_delta = 0.5 * (n + p / rw)
     return p / one_plus_delta
@@ -122,7 +122,7 @@ def morrey_check(f, w, p, region_pairs, q=None, rw=1.0, pair_budget=2000, seed=0
         q = choose_morrey_q(p, n, rw)
     if not (1.0 < q and n * q < p):
         raise PreconditionError(f"need 1 < q and n*q < p, got q={q}, p={p}")
-    if np.any(w.values[grid.mask] <= 0):
+    if not np.all(w.values[grid.mask] > 0):
         raise PreconditionError("Morrey check requires w > 0 on the domain")
     rng = np.random.Generator(np.random.Philox(seed))
     grad_mag = gradient_magnitude(f)

@@ -50,6 +50,9 @@ def lh_constants(pfun, p_infinity=None):
     c0 is the supremum of |p(x)-p(y)| * (-log|x-y|) over node pairs with
     0 < |x-y| < 1/2, exact: one shifted-array pass per lattice offset delta
     (lexicographically positive: each pair once) takes max |p(x+delta) - p(x)|.
+    Offsets go by distance, and one whose bound (p_+ - p_-) * (-log|delta|)
+    is at most the running c0 is skipped: a rounded gap never exceeds the
+    rounded p_+ - p_-, so it could not raise c0.
     c_infinity maximizes |p(x)-p_inf| * log(e+|x|), with p_inf supplied or
     taken at the node of maximal |x|.
     """
@@ -61,9 +64,14 @@ def lh_constants(pfun, p_infinity=None):
     deltas = lattice_offsets(grid.dim, math.ceil(0.5 / grid.spacing))
     deltas = deltas[len(deltas) // 2 + 1:]
     dist = np.sqrt(np.sum((deltas * grid.spacing) ** 2, axis=1))
+    near = np.flatnonzero(dist < 0.5)
+    near = near[np.argsort(dist[near], kind="stable")]
+    spread = float(pv.max() - pv.min())
     p = np.where(grid.mask, pfun.values, 0.0)
     c0 = 0.0
-    for delta, log_dist in zip(deltas[dist < 0.5], np.log(dist[dist < 0.5]).tolist()):
+    for delta, log_dist in zip(deltas[near], np.log(dist[near]).tolist()):
+        if spread * -log_dist <= c0:
+            continue
         gap = np.abs(shifted(p, delta) - p)[grid.mask & shifted(grid.mask, delta)]
         c0 = max(c0, float(gap.max(initial=0.0)) * -log_dist)
     return LHDiagnostics(c0, c_inf, p_inf)
@@ -73,14 +81,6 @@ def harmonic_mean_exponent(pfun, region=None):
     """p_E with 1/p_E the node mean of 1/p over the region."""
     member = region_members(pfun.grid, region)
     return float(1.0 / np.mean(1.0 / pfun.values[member]))
-
-
-def modular(f, pfun, region=None):
-    """rho(f) = sum |f(x)|^{p(x)} h^n over the region (may overflow to +inf)."""
-    member = region_members(f.grid, region)
-    with np.errstate(over="ignore"):
-        terms = np.abs(f.values[member]) ** pfun.values[member]
-    return float(terms.sum() * f.grid.cell_volume())
 
 
 # No step of the scalar loop lies below _CUT; a computed modular of at least _ACCURATE
@@ -97,6 +97,17 @@ def _modular(av, pv, rows, lam, weight):
         rho = np.add.reduce(terms, axis=1) * weight
         terms *= q
         return rho, np.add.reduce(terms, axis=1), np.add.reduce(terms * q, axis=1)
+
+
+def _modular_one(av, pv, lam, weight):
+    """``_modular`` of one row at one lam, as a Python float (+inf past the float range)."""
+    return _modular(av[None], pv[None], np.zeros(1, dtype=int), np.array([lam]), weight)[0].item()
+
+
+def modular(f, pfun, region=None):
+    """rho(f) = sum |f(x)|^{p(x)} h^n over the region (may overflow to +inf)."""
+    member = region_members(f.grid, region)
+    return _modular_one(np.abs(f.values[member]), pfun.values[member], 1.0, f.grid.cell_volume())
 
 
 def _replay(hi, a, b, delta, seen, tol):
@@ -167,7 +178,7 @@ def _luxemburg(av, pv, weight, tol):
     and at x and the few ulps of A: rho^(x) > 1. The mirror bound settles x >= B(1 +
     delta), the same kind of certificate as ``weights.estimate_rw``'s exp(1e-9 q) margin.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise PreconditionError("tol must be positive")
     out = np.zeros(av.shape[0])
     if av.shape[1] == 0:
@@ -372,17 +383,13 @@ def _terms(f, collection, pfun):
 def rbv_var_modular(f, collection, pfun, lam):
     """Variable-exponent variation modular of f/lam on a disjoint family.
 
-    sum over balls of ((osc/r)/lam)^{p_B} ||indicator||_{p(.)}^{p_B} with
-    p_B the harmonic mean exponent; nonincreasing in lam.
+    sum over balls of ((osc/r) ||indicator||_{p(.)} / lam)^{p_B}, p_B the harmonic mean
+    exponent: the modular the family's ``norm`` bisects; nonincreasing in lam.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise PreconditionError("lambda must be positive")
     t = _terms(f, collection, pfun)
-    with np.errstate(over="ignore"):
-        return float(math.fsum(
-            (a / lam) ** p * c**p for a, p, c in zip(t.a.tolist(), t.p_ball.tolist(),
-                                                   t.char.tolist())
-        ))
+    return _modular_one(t.a * t.char, t.p_ball, lam, 1.0)
 
 
 def rbv_collection_norm(f, collection, pfun):
@@ -482,7 +489,7 @@ def varexp_sobolev_equivalence(f, pfun, packings, c_thm=16.0):
     as in ``gd_equivalence_check``.
     """
     n = f.grid.dim
-    if pfun.p_minus <= n:
+    if not pfun.p_minus > n:
         raise PreconditionError(
             f"variable-exponent equivalence needs p_minus > n, got {pfun.p_minus}"
         )

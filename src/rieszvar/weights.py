@@ -139,9 +139,9 @@ def generate_cubes(grid, min_side, levels, shifts=1):
     exit the bounding box are dropped here, cubes that miss every
     masked-in node by ``CubeFamily``.
     """
-    if min_side < grid.spacing:
+    if not min_side >= grid.spacing:
         raise PreconditionError(f"min_side {min_side} is below the grid spacing {grid.spacing}")
-    if levels < 1 or shifts < 1:
+    if not (levels >= 1 and shifts >= 1):
         raise PreconditionError("levels and shifts must be >= 1")
     lo = grid.bbox_lo
     hi = grid.bbox_hi
@@ -199,7 +199,7 @@ def ap_constant(w, p, family):
     Nodes where w vanishes push the dual average to +inf; the constant is
     then reported as +inf rather than raising.
     """
-    if p <= 1:
+    if not p > 1:
         raise PreconditionError(f"A_p requires p > 1, got {p}")
     if w.kind != FieldKind.WEIGHT:
         raise PreconditionError("ap_constant requires a weight field")
@@ -229,7 +229,7 @@ def a1_constant(w, family):
 
 def rh_constant(w, s, family):
     """Reverse-Hölder constant over the family: sup of <w^s>_Q^{1/s} / <w>_Q."""
-    if s <= 1:
+    if not s > 1:
         raise PreconditionError(f"RH_s requires s > 1, got {s}")
     best = 0.0
     for vals in _cube_values(w, family):
@@ -277,13 +277,13 @@ def estimate_rw(w, family, threshold=1000.0, tol=1e-3, q_max=64.0):
     is subnormal can overflow ``md ** (q - 1)`` there (WeightOverflow), so a
     family holding one evaluates every uncleared cube before it answers.
     """
-    if threshold <= 1:
+    if not threshold > 1:
         raise PreconditionError("threshold must be > 1")
-    if tol <= 0:
+    if not tol > 0:
         raise PreconditionError("tol must be positive")
     lo = 1.0 + tol
     # ap_constant(w, lo) checks its index before it reads the weight.
-    if lo <= 1:
+    if not lo > 1:
         raise PreconditionError(f"A_p requires p > 1, got {lo}")
     exceeds = _ap_exceeds(w, family, threshold)
     if not exceeds(lo):
@@ -320,7 +320,7 @@ def _ap_exceeds(w, family, threshold):
     stop_early = not mins[~normal].any()
 
     def exceeds(q):
-        if q <= 1:
+        if not q > 1:
             raise PreconditionError(f"A_p requires p > 1, got {q}")
         expo = 1.0 / (1.0 - q)
         with np.errstate(divide="ignore", over="ignore"):
@@ -373,7 +373,7 @@ def dual_weight(w, q):
     Raises InfiniteDual (carrying the flat indices of the zero-weight
     nodes) when the dual would be infinite somewhere on the mask.
     """
-    if q <= 1:
+    if not q > 1:
         raise PreconditionError(f"dual weight requires q > 1, got {q}")
     if w.kind != FieldKind.WEIGHT:
         raise PreconditionError("dual_weight requires a weight field")

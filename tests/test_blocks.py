@@ -8,7 +8,10 @@ reproduce them with ``==``, errors included. So is the 1D packing DP on
 (total, -count) tuples, which now runs on flat lists, and the r_w
 bisection that evaluated every cube at every step. The box and cube
 rules were once written out per caller, and the boundary test swept the
-box faces on its own; those copies are frozen too.
+box faces on its own; those copies are frozen too. So are the log-Hölder
+c0 pass over every lattice offset, which now skips offsets that cannot
+raise it, and the numpy modular that is now one row of the Luxemburg
+modular.
 """
 
 import math
@@ -53,6 +56,7 @@ from rieszvar.grid import (
     lattice_offsets,
     node_indices,
     region_mask,
+    region_members,
     same_nodes,
     shifted,
     size_blocks,
@@ -74,7 +78,9 @@ from rieszvar.varexp import (
     explore_packings,
     gd_equivalence_check,
     g_operator,
+    lh_constants,
     luxemburg_norm,
+    modular,
     packing_terms,
     seq_norm,
 )
@@ -197,6 +203,28 @@ def frozen_luxemburg(av, pv, weight, tol):
         else:
             lo = mid
     return hi
+
+
+def frozen_lh_c0(pfun):
+    """c0 by one shifted-array pass per lattice offset with 0 < h|delta| < 1/2, none skipped."""
+    grid = pfun.grid
+    deltas = lattice_offsets(grid.dim, math.ceil(0.5 / grid.spacing))
+    deltas = deltas[len(deltas) // 2 + 1:]
+    dist = np.sqrt(np.sum((deltas * grid.spacing) ** 2, axis=1))
+    p = np.where(grid.mask, pfun.values, 0.0)
+    c0 = 0.0
+    for delta, log_dist in zip(deltas[dist < 0.5], np.log(dist[dist < 0.5]).tolist()):
+        gap = np.abs(shifted(p, delta) - p)[grid.mask & shifted(grid.mask, delta)]
+        c0 = max(c0, float(gap.max(initial=0.0)) * -log_dist)
+    return c0
+
+
+def frozen_modular(f, pfun, region=None):
+    """sum |f|^p h^n over the region as one numpy power and one pairwise sum."""
+    member = region_members(f.grid, region)
+    with np.errstate(over="ignore"):
+        terms = np.abs(f.values[member]) ** pfun.values[member]
+    return float(terms.sum() * f.grid.cell_volume())
 
 
 def frozen_eroded_mask(grid, r):
@@ -1212,3 +1240,51 @@ class TestDP1DMatchesTupleDP:
             scored = scored_set(list(zip(rng.integers(0, 40, n) / 8.0,
                                          rng.choice([0.25, 0.375, 0.5], n), score)))
             assert list(pack_1d_exact(scored, 2.0).indices) == frozen_dp_1d(scored)
+
+
+class TestLogHolderSkipMatchesEveryOffset:
+    """Skipping the offsets whose bound (p_+ - p_-) * -log(h|delta|) cannot raise c0
+    leaves c0 bit-identical to the pass over every offset."""
+
+    GRIDS = {
+        "1d": lambda: build_grid(1, [0.0], 1 / 4096, [4097]),
+        "2d": lambda: build_grid(2, [-1.0, -1.0], 1 / 32, [65, 65]),
+        "2d_disk": lambda: unit_disk(1 / 32),
+        "3d": lambda: build_grid(3, [-1.0, -1.0, -1.0], 0.125, [17, 17, 17]),
+    }
+    EXPONENTS = {
+        "affine": ("affine", {"intercept": 3.0, "slope": 0.5}),
+        "step": ("step_exponent", {"threshold": 0.03, "left": 2.0, "right": 4.0}),
+    }
+
+    @pytest.mark.parametrize("exponent", sorted(EXPONENTS))
+    @pytest.mark.parametrize("case", sorted(GRIDS))
+    def test_c0(self, case, exponent):
+        grid = self.GRIDS[case]()
+        name, params = self.EXPONENTS[exponent]
+        pfun = exponent_catalog(grid, name, params)
+        assert lh_constants(pfun).c0_estimate == frozen_lh_c0(pfun)
+
+
+class TestModularMatchesFrozenExpression:
+    """``modular`` is one row of the Luxemburg modular and keeps the numpy power, the
+    pairwise sum and the factor h^n, bit for bit, on more nodes than one sum block."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bit_identical(self, dim):
+        if dim == 1:
+            grid = build_grid(1, [0.0], 1 / 16384, [16385])
+            f = sample_catalog(grid, "sinusoid", {"freq": 3.0})
+            pfun = exponent_catalog(grid, "affine", {"intercept": 2.0, "slope": 1.5})
+            region = Ball([0.4], 0.3)
+        else:
+            grid = unit_disk(1 / 64)
+            f = sample_catalog(grid, "bump", {"radius": 0.75, "center": [0.1, -0.05]})
+            pfun = exponent_catalog(grid, "affine", {"intercept": 2.5, "slope": [0.5, 0.25]})
+            region = Ball([0.1, 0.2], 0.5)
+        assert grid.mask.sum() > 8192
+        for scale in (1.0, 3.7, 1e-3, 1e200):
+            g = SampledField(grid, scale * f.values)
+            assert modular(g, pfun) == frozen_modular(g, pfun)
+            assert modular(g, pfun, region) == frozen_modular(g, pfun, region)
+        assert modular(SampledField(grid, 1e200 * f.values), pfun) == math.inf

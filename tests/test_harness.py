@@ -223,6 +223,29 @@ class TestRunConfig:
         result = run_cli(["verify", "--config", str(path)])
         assert result.exit_code == 2 and result.exception is None, result.output
 
+    @pytest.mark.parametrize("command, experiment", [("verify", "theorem1"),
+                                                     ("riesz-var", "riesz-var")])
+    def test_score_total_past_the_float_range_is_one_error_row(self, tmp_path, command,
+                                                                experiment):
+        """theorem1_linear with slope 1e299, weight 1e9 and p = 1: every ball score is
+        finite, but the packing total passes DBL_MAX. That costs its cell one error row
+        and exit 2, not a traceback; the weight-only rh_exists row stays."""
+        raw = json.loads((ROOT / "demos" / "configs" / "theorem1_linear.json").read_text())
+        raw.update(function={"catalog": "linear", "params": {"slope": 1e299}},
+                   weight={"catalog": "constant", "params": {"value": 1e9}}, p_values=[1.0],
+                   suites=["theorem1", "differentiability", "rh_exists"])
+        path = tmp_path / "total_overflow.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli([command, "--config", str(path)])
+        assert result.exit_code == 2 and result.exception is None, result.output
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        errors = [r for r in rows if r["status"] == "error"]
+        assert [r["experiment"] for r in errors] == [experiment]
+        assert "overflows the float range" in errors[0]["params"]
+        if command == "verify":
+            assert any(r["experiment"] == "rh_exists" and r["quantity"] == "best_rh"
+                       for r in rows)
+
     def test_weight_free_proposals_survive_mass_overflow(self):
         """Ball masses past DBL_MAX cost the weighted suites their rows, not the
         variable-exponent ones: their proposals are scored with the Lebesgue weight,

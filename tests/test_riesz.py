@@ -263,6 +263,16 @@ class TestScoreBall:
         with pytest.raises(WeightOverflow, match="the weight of a region overflows"):
             weighted_measure(w, Ball([0.5], 0.25))
 
+    def test_score_past_the_float_range_raises(self):
+        """A power past DBL_MAX, or a finite power times a finite mass past it, raises
+        ScoreOverflow as ``make_scores`` does: not a bare OverflowError, not inf."""
+        grid = build_grid(1, [0.0], 1 / 64, [65])
+        x = grid.axis_coords(0)
+        for values, weight in ((np.linspace(0.0, 1e300, 65), 1.0), (1e100 * x, 1e200)):
+            f = SampledField(grid, values)
+            with pytest.raises(ScoreOverflow, match="overflows the float range"):
+                score_ball(f, const_weight(grid, weight), Ball([0.5], 1 / 16), 2.0)
+
 
 class TestMeasureBalls:
     @pytest.mark.parametrize("h", [0.1, 0.05])
@@ -938,6 +948,15 @@ class TestRieszVariation:
                     assert np.array_equal(b.center, cands.centers[i])
                     assert b.radius == cands.radii[i]
 
+    @pytest.mark.parametrize("method", ["dp_1d_exact", "greedy", "greedy_plus_local_search"])
+    def test_total_past_the_float_range_raises(self, method):
+        """Every score is finite (at most ~1.6e308) but the packing total passes DBL_MAX:
+        ScoreOverflow from every packer, not fsum's OverflowError."""
+        grid = build_grid(1, [0.0], 1 / 64, [65])
+        f = SampledField(grid, 1e300 * grid.axis_coords(0))
+        with pytest.raises(ScoreOverflow, match="score total .* overflows the float range"):
+            riesz_variation(f, const_weight(grid, 1e9), 1.0, [1 / 16], method)
+
 
 class TestClassicalRiesz:
     def test_linear_any_partition(self, unit_grid):
@@ -956,6 +975,13 @@ class TestClassicalRiesz:
         full = classical_riesz_1d(f, 2.0)
         half = classical_riesz_1d(f, 2.0, np.arange(0, 257, 2))
         assert half <= full + 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sum_past_the_float_range_raises(self):
+        """Powers past DBL_MAX make the sum a ScoreOverflow, with no RuntimeWarning."""
+        grid = build_grid(1, [0.0], 1 / 64, [65])
+        with pytest.raises(ScoreOverflow, match="overflows the float range"):
+            classical_riesz_1d(SampledField(grid, 1e200 * grid.axis_coords(0)), 3.0)
 
     def test_bad_partition(self, unit_grid):
         f = linear(unit_grid)

@@ -28,7 +28,7 @@ from rieszvar import (
     seq_norm,
     varexp_sobolev_equivalence,
 )
-from rieszvar.config import load_config_file
+from rieszvar.config import load_config_file, materialize_level
 from rieszvar.errors import BadParams, EmptyRegion, PreconditionError
 from rieszvar.grid import FieldKind, region_mask
 from rieszvar.harness import run_config
@@ -339,6 +339,27 @@ class TestRbvVarModular:
         assert rbv_var_modular(f, coll, p_affine, 0.5) >= rbv_var_modular(
             f, coll, p_affine, 2.0
         )
+
+    def test_past_the_float_range_is_inf(self):
+        """At a tiny lambda the modular is +inf, as ``modular`` is, not an OverflowError."""
+        grid = build_grid(1, [0.0], 1 / 64, [65])
+        f = linear(grid)
+        pfun = exponent_catalog(grid, "affine", {"intercept": 3.0, "slope": 1.0})
+        packing = riesz_variation(f, const_weight(grid), 3.0, [1 / 16], method="dp_1d_exact")
+        assert rbv_var_modular(f, packing.collection, pfun, 1e-100) == math.inf
+
+    @pytest.mark.parametrize("config, level", [("demos/configs/theorem1_linear.json", 0),
+                                               ("demos/configs/theorem1_linear.json", 1),
+                                               ("perfbench/configs/verify_2d.json", 0)])
+    def test_at_most_one_at_the_family_norm(self, config, level):
+        """The modular is the one the family's norm was bisected on, so it is at most 1
+        at that norm."""
+        cfg = load_config_file(Path(__file__).parents[1] / config)
+        _, f, _, pfun = materialize_level(cfg, level)
+        families = [t for t in explore_packings(f, pfun, cfg.radii, cfg.method) if t.norm > 0]
+        assert families
+        for t in families:
+            assert rbv_var_modular(f, t, pfun, t.norm) <= 1.0
 
 
 class TestRbvVarSeminorm:
