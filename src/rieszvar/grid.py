@@ -396,6 +396,12 @@ def weight_integral(weight, member, what):
     return total
 
 
+def require_weight(field, who):
+    """The one weight-kind check: PreconditionError naming ``who`` unless ``field`` is a weight."""
+    if field.kind != FieldKind.WEIGHT:
+        raise PreconditionError(f"{who} requires a weight field")
+
+
 def weighted_measure(weight, region=None):
     """w(E) = integral of the weight over the region."""
     if weight.kind != FieldKind.WEIGHT:

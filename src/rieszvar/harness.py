@@ -206,8 +206,6 @@ def suite_lemma21(ctx):
             subset = rng.choice(member, size=size, replace=False)
             wq = cube_mass[cube]
             we = float(w_flat[subset].sum())
-            if wq == 0:
-                continue
             lhs = (size / member.size) ** p
             rhs = (ap + 1e-6) * we / wq
             min_slack = min(min_slack, rhs - lhs)

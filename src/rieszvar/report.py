@@ -58,11 +58,10 @@ def _row_fields(row):
 
 def report_to_csv(report):
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in report.rows:
-        writer.writerow(dict(_row_fields(row), value=repr(float(row.value)),
-                             tolerance=repr(float(row.tolerance))))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows((r.experiment, r.quantity, r.params, repr(float(r.value)),
+                      repr(float(r.tolerance)), r.status, r.runtime_ms) for r in report.rows)
     return buf.getvalue()
 
 

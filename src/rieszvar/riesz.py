@@ -38,6 +38,7 @@ from .grid import (
     lattice_offsets,
     node_indices,
     oscillation,
+    require_weight,
     shifted,
     weight_integral,
     weighted_measure,
@@ -194,11 +195,6 @@ def candidate_balls(grid, radii_list):
                         _keys={grid: (flat, which, radii)})
 
 
-def _require_weight(w):
-    if w.kind != FieldKind.WEIGHT:
-        raise PreconditionError("scoring requires a weight field")
-
-
 def measure_balls(f, w, candidates):
     """Oscillation and weight mass per candidate (independent of the exponent p).
 
@@ -223,7 +219,7 @@ def measure_balls(f, w, candidates):
     while the gather's blocked pairwise sum rounds differently; the two
     can differ in their last bits, which can flip an exact packing tie.
     """
-    _require_weight(w)
+    require_weight(w, "scoring")
     grid = f.grid
     nodes, which, radii = candidates.lattice_keys(grid)
     groups = []
@@ -337,7 +333,7 @@ def score_total(scores, p):
 
 def score_ball(f, w, ball, p):
     """The ``ball_scores`` score of any ball (off the nodes, clipped), as a float."""
-    _require_weight(w)
+    require_weight(w, "scoring")
     return ball_scores([oscillation(f, ball)], ball.radius, weighted_measure(w, ball), p).item()
 
 
@@ -536,7 +532,7 @@ def pack_local_search(initial, scored, max_iters=MAX_ITERS):
     rows = scored._conflicts
     scores = scored.score
     selected = set(initial.indices)
-    total = start_total = score_total(scores[sorted(selected)], initial.p)
+    total = start_total = initial.total
     eps = 1e-12 * max(1.0, abs(total))
     moves, capped = 0, True
     while moves < max_iters:
@@ -694,7 +690,7 @@ def finest_partition(grid):
 def classical_riesz_1d(f, p, partition=None):
     """Riesz p-variation sum over a 1D partition of node indices.
 
-    sum |f(x_j) - f(x_{j-1})|^p / |x_j - x_{j-1}|^{p-1}; refining the
+    sum (|f(x_j) - f(x_{j-1})| / |x_j - x_{j-1}|)^p |x_j - x_{j-1}|; refining the
     partition never decreases the value, so the finest grid partition
     (the default) is the reported supremum surrogate.
     """
@@ -716,8 +712,8 @@ def classical_riesz_1d(f, p, partition=None):
     fv = f.values.reshape(-1)[idx]
     dx = np.diff(x)
     df = np.abs(np.diff(fv))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf is nan: ScoreOverflow
-        return score_total(df**p / dx ** (p - 1.0), p)
+    with np.errstate(over="ignore"):  # a power past DBL_MAX is inf: ScoreOverflow
+        return score_total((df / dx) ** p * dx, p)
 
 
 def _shell_offsets(grid, shell_radius):

@@ -21,6 +21,7 @@ from .grid import (
     eroded_mask,
     gradient_magnitude,
     region_members,
+    require_weight,
     shifted,
 )
 from .report import row
@@ -30,8 +31,7 @@ def weighted_lp_norm(f, w, p, region=None):
     """(sum |f|^p w h^n)^{1/p} over masked nodes in the region."""
     if not p >= 1:
         raise PreconditionError(f"p must be >= 1, got {p}")
-    if w.kind != FieldKind.WEIGHT:
-        raise PreconditionError("weighted_lp_norm requires a weight field")
+    require_weight(w, "weighted_lp_norm")
     member = region_members(f.grid, region)
     vol = f.grid.cell_volume()
     with np.errstate(over="ignore"):

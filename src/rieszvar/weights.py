@@ -49,6 +49,7 @@ from .grid import (
     cube_nodes,
     cube_tol,
     distinct,
+    require_weight,
     same_nodes,
     size_blocks,
     weight_integral,
@@ -162,8 +163,9 @@ def generate_cubes(grid, min_side, levels, shifts=1):
                       provenance)
 
 
-def _cube_values(w, family):
-    """The weight's values on the family's cubes: one (cubes, nodes) block per cube size."""
+def _cube_values(w, family, who):
+    """The weight's values on the family's cubes, one block per size; the guard names ``who``."""
+    require_weight(w, who)
     if not (same_nodes(w.grid, family.grid) and np.array_equal(w.grid.mask, family.grid.mask)):
         raise PreconditionError("weight and cube family live on different grids")
     flat = w.values.reshape(-1)
@@ -201,12 +203,10 @@ def ap_constant(w, p, family):
     """
     if not p > 1:
         raise PreconditionError(f"A_p requires p > 1, got {p}")
-    if w.kind != FieldKind.WEIGHT:
-        raise PreconditionError("ap_constant requires a weight field")
     best = 0.0
     expo = 1.0 / (1.0 - p)
     try:
-        for vals in _cube_values(w, family):
+        for vals in _cube_values(w, family, "ap_constant"):
             for mw, md in zip(_cube_means(vals), _dual_means(vals, expo)):
                 best = max(best, mw * md ** (p - 1.0))
     except OverflowError:  # the float power of a finite dual mean (subnormal weights)
@@ -216,10 +216,8 @@ def ap_constant(w, p, family):
 
 def a1_constant(w, family):
     """[w]_{A_1} over the family: sup of <w>_Q * max_Q w^{-1}."""
-    if w.kind != FieldKind.WEIGHT:
-        raise PreconditionError("a1_constant requires a weight field")
     best = 0.0
-    for vals in _cube_values(w, family):
+    for vals in _cube_values(w, family, "a1_constant"):
         mn = vals.min(axis=1)
         if (mn == 0.0).any():
             return float("inf")
@@ -232,7 +230,7 @@ def rh_constant(w, s, family):
     if not s > 1:
         raise PreconditionError(f"RH_s requires s > 1, got {s}")
     best = 0.0
-    for vals in _cube_values(w, family):
+    for vals in _cube_values(w, family, "rh_constant"):
         mean_w = _cube_means(vals)
         with np.errstate(over="ignore"):
             powers = vals**s
@@ -282,9 +280,11 @@ def estimate_rw(w, family, threshold=1000.0, tol=1e-3, q_max=64.0):
     if not tol > 0:
         raise PreconditionError("tol must be positive")
     lo = 1.0 + tol
-    # ap_constant(w, lo) checks its index before it reads the weight.
+    # Both ends of the bracket are checked before the weight is read.
     if not lo > 1:
         raise PreconditionError(f"A_p requires p > 1, got {lo}")
+    if not (math.isfinite(q_max) and q_max > lo):
+        raise PreconditionError(f"q_max must be a finite number above {lo}, got {q_max}")
     exceeds = _ap_exceeds(w, family, threshold)
     if not exceeds(lo):
         return RwEstimate(lo, False, threshold, tol)
@@ -306,9 +306,7 @@ def _ap_exceeds(w, family, threshold):
     The weight's blocks, node means, minima and A_1 ratios are taken once;
     each call then computes the peaks of every cube as one power.
     """
-    if w.kind != FieldKind.WEIGHT:
-        raise PreconditionError("ap_constant requires a weight field")
-    blocks = _cube_values(w, family)
+    blocks = _cube_values(w, family, "ap_constant")
     means = [_cube_means(vals) for vals in blocks]
     starts = [0, *itertools.accumulate(len(vals) for vals in blocks)]
     size = max(vals.shape[1] for vals in blocks)
@@ -320,8 +318,6 @@ def _ap_exceeds(w, family, threshold):
     stop_early = not mins[~normal].any()
 
     def exceeds(q):
-        if not q > 1:
-            raise PreconditionError(f"A_p requires p > 1, got {q}")
         expo = 1.0 / (1.0 - q)
         with np.errstate(divide="ignore", over="ignore"):
             peak = mins**expo
@@ -352,8 +348,7 @@ def _ap_exceeds(w, family, threshold):
 
 def doubling_constant(w, ball_family):
     """Max of w(2B)/w(B) over the family (2B the concentric double), by one ``ball_nodes`` call."""
-    if w.kind != FieldKind.WEIGHT:
-        raise PreconditionError("doubling_constant requires a weight field")
+    require_weight(w, "doubling_constant")
     centers = np.array([b.center for b in ball_family] * 2).reshape(-1, w.grid.dim)
     nodes = ball_nodes(w.grid, centers, [s * b.radius for s in (1.0, 2.0) for b in ball_family])
     best = 0.0
@@ -375,8 +370,7 @@ def dual_weight(w, q):
     """
     if not q > 1:
         raise PreconditionError(f"dual weight requires q > 1, got {q}")
-    if w.kind != FieldKind.WEIGHT:
-        raise PreconditionError("dual_weight requires a weight field")
+    require_weight(w, "dual_weight")
     zero = (w.values == 0.0) & w.grid.mask
     if zero.any():
         raise InfiniteDual(

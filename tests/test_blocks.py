@@ -600,13 +600,16 @@ class TestRwSearchMatchesFrozenBisection:
             (function, {}, PreconditionError),
             (foreign, {}, PreconditionError),
             (function, {"tol": 1e-17}, PreconditionError),  # the index check comes first
-            (steep, {"threshold": 1.5, "q_max": 1.0}, PreconditionError),
             (ok, {"threshold": 1.0}, PreconditionError),
             (ok, {"tol": 0.0}, PreconditionError),
         ]
         for w, kw, error in cases:
             got = outcome(estimate_rw, w, fam, **kw)
             assert got == outcome(frozen_rw, w, fam, **kw) and got[0] is error, (got, kw)
+        # A q_max not above 1 + tol is rejected by name before the weight is read,
+        # where the frozen bisection fails on A_q's index.
+        assert outcome(estimate_rw, steep, fam, threshold=1.5, q_max=1.0) == (
+            PreconditionError, "q_max must be a finite number above 1.001, got 1.0")
 
     def test_few_exact_rows_on_verify_2d(self, monkeypatch):
         """The search evaluates a few cube rows exactly, not all 143 at every step."""

@@ -977,6 +977,14 @@ class TestClassicalRiesz:
         assert half <= full + 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [180.0, 200.0, 1000.0])
+    def test_large_p_on_unit_slopes(self, p):
+        """Every slope of f = x is 1, so the sum is exactly 1 at any p: the powers are
+        taken of slopes, not of increments (1/64)^p, which underflow or overflow."""
+        grid = build_grid(1, [0.0], 1 / 64, [65])
+        assert classical_riesz_1d(linear(grid), p) == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sum_past_the_float_range_raises(self):
         """Powers past DBL_MAX make the sum a ScoreOverflow, with no RuntimeWarning."""
         grid = build_grid(1, [0.0], 1 / 64, [65])

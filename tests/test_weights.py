@@ -95,18 +95,19 @@ class TestCubeFamilyNodes:
 
     def test_weight_on_other_grid_rejected(self, disk_grid):
         fam = generate_cubes(disk_grid, 0.2, 2)
-        assert sum(len(block) for block in _cube_values(const_weight(disk_grid), fam)) == len(fam)
+        blocks = _cube_values(const_weight(disk_grid), fam, "ap_constant")
+        assert sum(len(block) for block in blocks) == len(fam)
         mask = disk_grid.mask.copy()
         mask[10, 10] = False
         with pytest.raises(PreconditionError):
-            _cube_values(const_weight(replace(disk_grid, mask=mask)), fam)
+            _cube_values(const_weight(replace(disk_grid, mask=mask)), fam, "ap_constant")
         with pytest.raises(PreconditionError):
             ap_constant(const_weight(replace(disk_grid, mask=mask)), 2.0, fam)
         for other in (build_grid(2, [-1.0, -1.0], 0.1, [21, 20]),
                       replace(disk_grid, origin=[-0.9, -1.0]),
                       replace(disk_grid, spacing=0.05)):
             with pytest.raises(PreconditionError):
-                _cube_values(const_weight(other), fam)
+                _cube_values(const_weight(other), fam, "ap_constant")
 
 
 def _reference_values(w, family):
