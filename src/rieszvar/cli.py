@@ -11,7 +11,7 @@ import sys
 from functools import partial
 
 from .catalog import list_catalog
-from .config import load_config, load_config_file
+from .config import load_config_file
 from .errors import ToolkitError
 from .harness import TABLES, run_config, run_table
 from .report import emit_report, report_to_csv, report_to_json
@@ -25,9 +25,8 @@ def _existing_file(path):
 
 def _report(run, args):
     """Write the report ``run(config)`` returns; the exit code its rows give."""
-    overrides = {key: getattr(args, key) for key in ("seed", "format", "out")}
-    raw = load_config_file(args.config).raw | {k: v for k, v in overrides.items() if v is not None}
-    config = load_config(raw)
+    config = load_config_file(args.config, **{key: getattr(args, key)
+                                              for key in ("seed", "format", "out")})
     report = run(config)
     if config.out:
         try:

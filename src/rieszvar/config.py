@@ -13,6 +13,7 @@ from .catalog import exponent_catalog, list_catalog, sample_catalog
 from .errors import BadShape, ConfigError, ToolkitError
 from .grid import FieldKind, SampledField, build_grid, read_grid, same_nodes
 from .riesz import METHODS
+from .weights import RW_Q_MAX
 
 KNOWN_SUITES = (
     "theorem1",
@@ -106,14 +107,22 @@ def _numbers(data, key, default):
     return tuple(_cast(float, v, key) for v in _typed(data.get(key, default), "list", key))
 
 
-def _check_field_spec(spec, path, kind):
-    if "file" in spec:
+def _check_field_spec(spec, kind):
+    """A copy of the ``kind`` field spec: a constant (exponent only), a file or a catalog entry."""
+    spec = dict(_typed(spec, "object", kind))
+    if "constant" in spec:
+        c = spec["constant"]
+        if kind != "exponent":
+            raise ConfigError(f"{kind}.constant", "only an exponent may be given as a constant")
+        real = isinstance(c, (int, float)) and not isinstance(c, bool)
+        if not (real and 1 <= c <= sys.float_info.max):
+            raise ConfigError(f"{kind}.constant", f"must be a finite real >= 1, got {c!r}")
+    elif "file" in spec:
         if not isinstance(spec["file"], str):
-            raise ConfigError(f"{path}.file", "file must be a path string")
-        return
-    name = _require(spec, "catalog", path)
-    if name not in list_catalog()[kind + "s"]:
-        raise ConfigError(f"{path}.catalog", f"unknown catalog family {name!r}")
+            raise ConfigError(f"{kind}.file", "file must be a path string")
+    elif _require(spec, "catalog", kind) not in list_catalog()[kind + "s"]:
+        raise ConfigError(f"{kind}.catalog", f"unknown catalog family {spec['catalog']!r}")
+    return spec
 
 
 def _with_defaults(cls, raw, path):
@@ -147,19 +156,12 @@ def load_config(data):
         steps = (hi - lo) / h
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError(f"grid.bounds[{a}]", f"extent {hi - lo} is not a multiple of h {h}")
-    function_spec = dict(_typed(_require(data, "function", ""), "object", "function"))
-    weight_spec = dict(_typed(
-        data.get("weight", {"catalog": "constant", "params": {"value": 1.0}}), "object", "weight"))
+    function_spec = _check_field_spec(_require(data, "function", ""), "function")
+    weight_spec = _check_field_spec(
+        data.get("weight", {"catalog": "constant", "params": {"value": 1.0}}), "weight")
     exponent_spec = data.get("exponent")
-    _check_field_spec(function_spec, "function", "function")
-    _check_field_spec(weight_spec, "weight", "weight")
-    if exponent_spec is not None and "constant" in _typed(exponent_spec, "object", "exponent"):
-        c = exponent_spec["constant"]
-        real = isinstance(c, (int, float)) and not isinstance(c, bool)
-        if not (real and 1 <= c <= sys.float_info.max):
-            raise ConfigError("exponent.constant", f"must be a finite real >= 1, got {c!r}")
-    elif exponent_spec is not None:
-        _check_field_spec(dict(exponent_spec), "exponent", "exponent")
+    if exponent_spec is not None:
+        exponent_spec = _check_field_spec(exponent_spec, "exponent")
     radii = _numbers(data, "radii", ())
     if any(r <= 0 for r in radii):
         raise ConfigError("radii", "radii must be positive")
@@ -175,6 +177,9 @@ def load_config(data):
     for name in ("k_max_base", "c_eq", "c_thm", "bound_thm1", "rw_threshold"):
         if not getattr(thresholds, name) > 1:
             raise ConfigError(f"thresholds.{name}", "threshold must be > 1")
+    if not 1 < 1 + thresholds.rw_tol < RW_Q_MAX:
+        raise ConfigError("thresholds.rw_tol",
+                          f"must satisfy 1 < 1 + rw_tol < {RW_Q_MAX}, got {thresholds.rw_tol!r}")
     cubes = _with_defaults(CubeSpec, data.get("cubes", {}), "cubes")
     suites = tuple(_typed(data.get("suites", ()), "list", "suites"))
     for s in suites:
@@ -191,7 +196,7 @@ def load_config(data):
         h=h,
         function_spec=function_spec,
         weight_spec=weight_spec,
-        exponent_spec=dict(exponent_spec) if exponent_spec is not None else None,
+        exponent_spec=exponent_spec,
         radii=radii,
         method=method,
         p_values=_numbers(data, "p_values", (2.0,)),
@@ -208,7 +213,9 @@ def load_config(data):
     )
 
 
-def load_config_file(path):
+def load_config_file(path, **overrides):
+    """The config in the JSON file at ``path``; each override that is not None
+    replaces its top-level key before the one validation."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -216,6 +223,8 @@ def load_config_file(path):
         raise ConfigError("", f"invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError("", f"not UTF-8 text: {exc}") from exc
+    if isinstance(data, dict):
+        data |= {key: value for key, value in overrides.items() if value is not None}
     return load_config(data)
 
 
@@ -229,18 +238,18 @@ def materialize_grid(config, level=0):
 def materialize_field(grid, spec, kind, level=0):
     """The ``kind`` field ("function", "weight" or "exponent") of ``spec`` on ``grid``.
 
-    No spec gives None. A file field cannot be refined and must place the
-    grid's nodes; a function file keeps its own grid (mask included), while
-    weight and exponent file values are put on ``grid``. Every failure to
-    read a file, or to sample a catalog family, is a ConfigError naming the
-    spec's field.
+    No spec gives None, and only an exponent reads ``{"constant": c}``. A
+    file field cannot be refined and must place the grid's nodes; a function
+    file keeps its own grid (mask included), while weight and exponent file
+    values are put on ``grid``. Every failure to read a file, or to sample a
+    catalog family, is a ConfigError naming the spec's field.
     """
     if spec is None:
         return None
     kind = FieldKind(kind)
     sample = exponent_catalog if kind == FieldKind.EXPONENT else sample_catalog
-    if "constant" in spec:
-        return sample(grid, "constant", {"value": float(spec["constant"])})
+    if kind == FieldKind.EXPONENT and "constant" in spec:
+        return exponent_catalog(grid, "constant", {"value": float(spec["constant"])})
     if "file" in spec:
         where = f"{kind.value}.file"
         if level > 0:

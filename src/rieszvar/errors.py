@@ -10,7 +10,8 @@ class EmptyDomain(ToolkitError):
 
 
 class BadShape(ToolkitError):
-    """Grid shape has a component below the minimum of 2 nodes per axis."""
+    """An input is malformed: a grid (under 2 nodes on an axis, say), a field's values
+    or kind, a ball, cube or ball collection, candidate arrays, or a grid file."""
 
 
 class UnknownCatalogEntry(ToolkitError):

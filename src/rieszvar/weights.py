@@ -59,6 +59,8 @@ from .grid import (
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
 _DUAL_OVERFLOW = "the A_p dual term of a cube overflows the float range"
+# The top of the r_w search's bracket [1 + tol, RW_Q_MAX].
+RW_Q_MAX = 64.0
 
 
 class CubeProvenance(Enum):
@@ -239,7 +241,7 @@ def rh_constant(w, s, family):
     return best
 
 
-def estimate_rw(w, family, threshold=1000.0, tol=1e-3, q_max=64.0):
+def estimate_rw(w, family, threshold=1000.0, tol=1e-3, q_max=RW_Q_MAX):
     """Bisect for the smallest q > 1 with ap_constant(w, q) <= threshold.
 
     Relies on the monotonicity of q -> [w]_{A_q}. Returns an RwEstimate;

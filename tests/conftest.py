@@ -73,21 +73,35 @@ def as_balls(candidates):
     return [candidates.ball(i) for i in range(len(candidates))]
 
 
-CliResult = namedtuple("CliResult", "exit_code output exception")
+CliResult = namedtuple("CliResult", "exit_code output exception stderr")
+
+
+class _Tee(io.StringIO):
+    """A stream that also copies everything written to it into ``merged``."""
+
+    def __init__(self, merged):
+        super().__init__()
+        self.merged = merged
+
+    def write(self, text):
+        self.merged.write(text)
+        return super().write(text)
 
 
 def run_cli(args):
-    """``toolkit *args`` in process, with stdout and stderr captured together.
+    """``toolkit *args`` in process: stdout and stderr captured together as ``output``,
+    and stderr on its own as ``stderr``.
 
     argparse's ``SystemExit`` becomes the exit code; any other exception is
     returned with exit code 1.
     """
     output, exception = io.StringIO(), None
-    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+    stderr = _Tee(output)
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(stderr):
         try:
             code = main(args)
         except SystemExit as exc:
             code, exception = exc.code, exc
         except Exception as exc:
             code, exception = 1, exc
-    return CliResult(code, output.getvalue(), exception)
+    return CliResult(code, output.getvalue(), exception, stderr.getvalue())

@@ -1,4 +1,8 @@
-"""Each invalid config raises a ConfigError that names the offending field."""
+"""Each invalid config raises a ConfigError that names the offending field; through
+the command line it costs exit 1 and one ``Error: <field>: `` line on stderr."""
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +11,10 @@ from rieszvar.config import load_config, load_config_file, materialize_level
 from rieszvar.errors import ConfigError
 from rieszvar.grid import build_grid, write_field
 
+from conftest import run_cli
 from test_harness import minimal_config
+
+DEMO = Path(__file__).resolve().parents[1] / "demos" / "configs" / "theorem1_linear.json"
 
 
 def _grid(**spec):
@@ -90,6 +97,15 @@ CASES = {
     # A string is not a list of suites (it used to be read letter by letter).
     "suites_not_a_list": (lambda _: load_config(minimal_config(suites="theorem1")), "suites",
                           "must be a JSON list"),
+    # The r_w search brackets [1 + rw_tol, RW_Q_MAX]; rw_tol must leave it nonempty.
+    **{f"rw_tol_{tol}": (lambda _, tol=tol: load_config(minimal_config(
+        thresholds={"rw_tol": tol})), "thresholds.rw_tol", "1 < 1 + rw_tol < 64.0")
+       for tol in (0.0, -1.0, 1e-17, 63.0, 100.0)},
+    # Only the exponent takes the {"constant": c} shorthand.
+    "function_constant": (lambda _: load_config(minimal_config(function={
+        "catalog": "linear", "params": {"slope": 1.0}, "constant": 5.0})), "function.constant"),
+    "weight_constant": (lambda _: load_config(minimal_config(weight={
+        "catalog": "constant", "params": {"value": 1.0}, "constant": -3.0})), "weight.constant"),
 }
 
 
@@ -100,3 +116,34 @@ def test_config_error_names_its_field(case, tmp_path):
         build(tmp_path)
     assert err.value.field == field
     assert all(text in str(err.value) for text in message)
+
+
+def _demo_with(**changes):
+    raw = json.loads(DEMO.read_text())
+    raw["thresholds"] = raw["thresholds"] | changes.pop("thresholds", {})
+    return raw | changes
+
+
+CLI_CASES = {
+    "radius_nan": (_demo_with(radii=[NAN]), "radii"),
+    **{f"rw_tol_{tol}": (_demo_with(thresholds={"rw_tol": tol}), "thresholds.rw_tol")
+       for tol in (NAN, 0.0, -1.0, 1e-17, 63.0, 100.0)},
+    "function_constant": (_demo_with(function={
+        "catalog": "linear", "params": {"slope": 1.0}, "constant": 5.0}), "function.constant"),
+    "weight_constant": (_demo_with(weight={
+        "catalog": "constant", "params": {"value": 1.0}, "constant": -3.0}), "weight.constant"),
+}
+
+
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_cli_config_error_is_one_stderr_line(case, tmp_path):
+    """``verify`` on theorem1_linear with one bad value: exit 1, nothing on stdout and
+    one stderr line naming the field."""
+    raw, field = CLI_CASES[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    result = run_cli(["verify", "--config", str(path)])
+    assert result.exit_code == 1 and result.exception is None, result.output
+    assert result.output == result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"Error: {field}: ")

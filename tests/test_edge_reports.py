@@ -12,8 +12,8 @@ with one change, and ``<name>.verify.csv`` its ``verify`` report with the
   its cap (theorem1 ``rw_at_max``, morrey ``skipped_precondition``);
 - ``no_exponent``: no exponent section (``skipped_no_exponent``).
 
-Numeric warnings are errors here, as in the CI steps that run the
-installed script.
+Numeric warnings are errors here, as in every Tier-1 test and in the CI
+step that runs the installed script.
 """
 
 import json

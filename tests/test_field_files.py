@@ -68,7 +68,7 @@ def rows(output):
 def test_file_failure_is_error_rows(tmp_path, kind, failure):
     write, overrides, suites = FAILURES[failure]
     result = run(tmp_path, "verify", kind, {"file": str(write(tmp_path, kind))}, **overrides)
-    assert result.exit_code == 2 and result.exception is None
+    assert result.exit_code == 2 and result.exception is None and result.stderr == ""
     errors = [r for r in rows(result.output) if r["status"] == "error"]
     assert [r["experiment"] for r in errors] == suites
     for r in errors:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -193,11 +194,11 @@ class TestRunConfig:
         assert "overflows the float range" in rows[0].params
 
     @pytest.mark.parametrize("value, commands", [(1e-310, ["verify", "weights"]),
-                                                 (1e307, ["verify", "sobolev"])])
+                                                 (1e307, ["verify", "sobolev", "weights"])])
     def test_extreme_weights_exit_2_with_error_rows(self, tmp_path, value, commands):
-        """A subnormal weight overflows the A_p dual power; one near DBL_MAX the ball
-        masses, the total weight and the weighted L^p sums. Each costs error rows and
-        exit 2, with no traceback and no leaked RuntimeWarning."""
+        """A subnormal weight overflows the A_p dual power; one near DBL_MAX the cube
+        sums, the ball masses, the total weight and the weighted L^p sums. Each costs
+        error rows and exit 2, with no traceback and no leaked RuntimeWarning."""
         raw = json.loads((ROOT / "perfbench" / "configs" / "verify_2d.json").read_text())
         raw["weight"] = {"catalog": "constant", "params": {"value": value}}
         path = tmp_path / "extreme_weight.json"
@@ -205,7 +206,8 @@ class TestRunConfig:
         for command in commands:
             result = run_cli([command, "--config", str(path)])
             assert result.exit_code == 2, (command, result.output)
-            assert ",error," in result.output and "overflows the float range" in result.output
+            assert re.search(r"^[\w-]+,error,.*overflows the float range", result.output,
+                             re.MULTILINE), (command, result.output)
 
     def test_score_past_the_float_range_is_an_error_row(self, tmp_path):
         """theorem1_linear with slope 100 at p = 400: (osc/r)^p passes DBL_MAX, which
@@ -731,15 +733,27 @@ class TestCli:
         args = ["sobolev", "--config", cfg] + (["--out", str(tmp_path / "r.xml")] if out else [])
         result = run_cli(args)
         assert result.exit_code == 1
-        assert "format: report format must be 'csv' or 'json', got 'xml'" in result.output
+        assert result.output == result.stderr == (
+            "Error: format: report format must be 'csv' or 'json', got 'xml'\n")
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert not (tmp_path / "r.xml").exists()
+
+    @pytest.mark.parametrize("flag, bad", [(["--format", "csv"], {"format": "xml"}),
+                                           (["--seed", "3"], {"seed": "x"})],
+                             ids=["format", "seed"])
+    def test_flag_replaces_a_bad_config_value(self, tmp_path, flag, bad):
+        """Flags are merged into the file's values before the one validation."""
+        cfg = self.write_config(tmp_path, **bad)
+        result = run_cli(["sobolev", "--config", cfg, *flag])
+        assert result.exit_code == 0 and result.stderr == "", result.output
+        assert result.output.splitlines()[0] == ",".join(CSV_COLUMNS)
 
     @staticmethod
     def assert_one_error_line(result):
         assert result.exit_code == 1 and result.exception is None
         assert len(result.output.splitlines()) == 1 and result.output.startswith("Error: ")
+        assert result.stderr == result.output
 
     def test_out_in_missing_directory_is_an_error_line(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -2,20 +2,22 @@
 
 Each ``tests/data/<config>.<subcommand>.csv`` is the output of
 ``toolkit <subcommand> --config demos/configs/<config>.json --format csv``
-with the ``runtime_ms`` column dropped. Experiment, quantity, params,
-tolerance and status must match exactly, values to 1e-9 relative.
+with the ``runtime_ms`` column dropped, and each run exits with the code
+its pinned rows imply. Rows are judged by ``compare_reports.py``, the
+comparator CI runs on the installed script's reports: experiment, quantity,
+params, tolerance and status match exactly, values as text or to 1e-9
+relative.
 """
 
 import csv
-import io
 import json
-import math
 from pathlib import Path
 
 import pytest
 
 from rieszvar.harness import TABLES
 
+from compare_reports import first_difference
 from conftest import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,30 +26,28 @@ CONFIGS = sorted(p.stem for p in (ROOT / "demos" / "configs").glob("*.json"))
 SUBCOMMANDS = ["verify", *TABLES]
 
 
-def _same_value(a, b):
-    x, y = float(a), float(b)
-    if math.isnan(x) or math.isnan(y):
-        return math.isnan(x) and math.isnan(y)
-    return x == y or math.isclose(x, y, rel_tol=1e-9, abs_tol=0.0)
-
-
 def _assert_pinned(output, path):
-    """The CSV ``output`` matches the pinned report at ``path``."""
-    got = list(csv.DictReader(io.StringIO(output)))
-    want = list(csv.DictReader(path.open()))
-    exact = ["experiment", "quantity", "params", "tolerance", "status"]
-    assert [[r[k] for k in exact] for r in got] == [[r[k] for k in exact] for r in want]
-    for g, w in zip(got, want):
-        assert _same_value(g["value"], w["value"]), (g, w)
+    """The CSV ``output`` matches the pinned report at ``path`` by ``compare_reports``'s rule."""
+    message = first_difference(output, path.read_text())
+    assert message is None, message
+
+
+def _pinned_exit_code(path):
+    """The exit code the rows of the pinned report at ``path`` imply: 2 with an error
+    row, else 1 with a fail row, else 0."""
+    statuses = {row["status"] for row in csv.DictReader(path.read_text().splitlines())}
+    return 2 if "error" in statuses else 1 if "fail" in statuses else 0
 
 
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
 @pytest.mark.parametrize("config", CONFIGS)
 def test_report_matches_recorded(config, subcommand):
     cfg = ROOT / "demos" / "configs" / f"{config}.json"
+    pinned = DATA / f"{config}.{subcommand}.csv"
     result = run_cli([subcommand, "--config", str(cfg), "--format", "csv"])
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    _assert_pinned(result.output, DATA / f"{config}.{subcommand}.csv")
+    _assert_pinned(result.output, pinned)
+    assert result.exit_code == _pinned_exit_code(pinned)
 
 
 @pytest.mark.parametrize("extra", [0.125, 1e300], ids=["repeated", "too_large"])
